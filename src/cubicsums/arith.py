@@ -9,12 +9,18 @@ For a field K the tables hold, for 1 <= n <= N,
 
 together with prefix sums A_K(x) = sum_{n<=x} a_K(n) and
 M_K(x) = sum_{n<=x} mu_K(n).  All three functions are multiplicative and
-their values at prime powers depend only on the splitting shape of p, so a
-single pass over primes fills all tables:
+their values at prime powers depend only on the splitting shape of p:
 
     a_K(p^k) = #{x_i >= 0 : sum f_i x_i = k},
     mu_K(p^k) = [t^k] prod_i (1 - t^{f_i}),
     b(p^k)   = a_K(p^k) - a_K(p^{k-1}).
+
+The sieve fills all tables in two passes over the whole array.  A prime
+p > sqrt(N) divides n <= N at most once, and then n = m p with m < sqrt(N),
+so the large-prime pass loops over the cofactor m and stores the values at
+all m p in one indexed assignment.  The small-prime pass multiplies the
+value at p^k into every n = p^k j with p not dividing j, for each prime
+power p^k <= N with p <= sqrt(N).
 
 A_K(x) = rho_K x + P_K(x) with rho_K the residue of zeta_K at s = 1; the
 residue is estimated numerically two independent ways (Cesaro-averaged
@@ -28,6 +34,7 @@ overflow of the 64-bit prefix sums is detected up front and aborts.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -72,8 +79,6 @@ __all__ = [
 
 N_BUDGET = 10**8  # ~2.4 GB for the three value tables alone; prefixes double it
 
-SEGMENT = 1 << 22
-
 
 class ArithError(RuntimeError):
     pass
@@ -103,74 +108,44 @@ def _local_tables(codes_present, kmax):
     return out
 
 
-def _fill_block(arrays, scalars_k1, small, lo, hi):
-    """Multiply local values into arrays over the index window [lo, hi).
+def _sieve_multiplicative(N, ps, codes, locals_by_code, n_funcs):
+    """Fill n_funcs multiplicative tables of length N+1 (index 0 zeroed).
 
-    arrays: list of int64 numpy arrays of length N+1 prefilled with ones.
-    scalars_k1: per-array list of per-prime k=1 local values (python lists),
-        aligned with the prime list; used for primes with p^2 > N.
-    small: list of (p, k, pk, per-array scalars) for prime powers p^k with
-        p^2 <= N, where exact-power masking is required.
+    locals_by_code[code][j][k] is the value of function j at p^k for every
+    prime p of splitting code `code`.
     """
-    ps_list, vals_lists = scalars_k1
-    for i, p in enumerate(ps_list):
-        start = p * max(1, -(-lo // p))
-        if start >= hi:
-            continue
-        sl = slice(start, hi, p)
-        for arr, vals in zip(arrays, vals_lists):
-            v = vals[i]
-            if v != 1:
-                arr[sl] *= v
-    for p, k, pk, vs in small:
-        start = pk * max(1, -(-lo // pk))
-        if start >= hi:
-            continue
-        idx = np.arange(start, hi, pk, dtype=np.int64)
-        keep = (idx // pk) % p != 0
-        if not keep.all():
-            idx = idx[keep]
-        for arr, v in zip(arrays, vs):
-            if v != 1:
-                arr[idx] *= v
-
-
-def _sieve_multiplicative(N, ps, codes, locals_by_code, n_funcs, threads=1):
-    """Fill n_funcs multiplicative tables of length N+1 (index 0 zeroed)."""
     arrays = [np.ones(N + 1, dtype=np.int64) for _ in range(n_funcs)]
-    sq = math.isqrt(N)
-    ps_list = ps.tolist()
-    codes_list = codes.tolist()
-    split_at = int(np.searchsorted(ps, sq + 1))
-    # large primes: only k=1 matters and every multiple is an exact power
-    big_ps = ps_list[split_at:]
-    big_vals = [
-        [locals_by_code[c][j][1] for c in codes_list[split_at:]] for j in range(n_funcs)
-    ]
-    small = []
-    for i in range(split_at):
-        p = ps_list[i]
-        c = codes_list[i]
-        pk = p
-        k = 1
+    split_at = int(np.searchsorted(ps, math.isqrt(N), side="right"))
+    # large primes p > sqrt(N) divide each n <= N at most once, and n = m p
+    # has cofactor m < sqrt(N); the arrays still hold ones there, so the
+    # values are stored rather than multiplied in
+    big = ps[split_at:]
+    lut = np.zeros((n_funcs, len(F_SHAPES)), dtype=np.int64)
+    for c, loc in locals_by_code.items():
+        lut[:, c] = [vals[1] for vals in loc]
+    big_vals = lut[:, codes[split_at:]]
+    for m in range(1, math.isqrt(N) + 1):
+        cnt = int(np.searchsorted(big, N // m, side="right"))
+        idx = m * big[:cnt]
+        for arr, vals in zip(arrays, big_vals):
+            arr[idx] = vals[:cnt]
+    # small primes: multiply the local value at p^k into n = p^k j, p not
+    # dividing j, through the strided view of the multiples of p^k laid out
+    # as rows of p (the last column holds the j divisible by p)
+    for p, c in zip(ps[:split_at].tolist(), codes[:split_at].tolist()):
+        loc = locals_by_code[c]
+        pk, k = p, 1
         while pk <= N:
-            small.append((p, k, pk, [locals_by_code[c][j][k] for j in range(n_funcs)]))
+            for arr, vals in zip(arrays, loc):
+                v = vals[k]
+                if v == 1:
+                    continue
+                view = arr[pk::pk]
+                rows = len(view) // p
+                view[: rows * p].reshape(rows, p)[:, : p - 1] *= v
+                view[rows * p :] *= v
             pk *= p
             k += 1
-    blocks = [(lo, min(lo + SEGMENT, N + 1)) for lo in range(1, N + 1, SEGMENT)]
-    if threads > 1 and len(blocks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(
-                pool.map(
-                    lambda blk: _fill_block(arrays, (big_ps, big_vals), small, blk[0], blk[1]),
-                    blocks,
-                )
-            )
-    else:
-        for lo, hi in blocks:
-            _fill_block(arrays, (big_ps, big_vals), small, lo, hi)
     for arr in arrays:
         arr[0] = 0
     return arrays
@@ -209,14 +184,14 @@ def _guard_prefix_overflow(aK, muK):
         )
 
 
-def build_tables(field: FieldSpec, N: int, threads: int = 1) -> ArithTables:
+def build_tables(field: FieldSpec, N: int) -> ArithTables:
     """Sieve a_K, mu_K, b up to N and attach prefix sums."""
     if not 1 <= N <= N_BUDGET:
         raise ArithError(f"N={N} outside the supported range 1..{N_BUDGET}")
     ps, codes = splitting_codes(field, N)
     kmax = max(1, N.bit_length())
     locs = _local_tables(set(codes.tolist()), kmax)
-    aK, muK, b = _sieve_multiplicative(N, ps, codes, locs, 3, threads=threads)
+    aK, muK, b = _sieve_multiplicative(N, ps, codes, locs, 3)
     _guard_prefix_overflow(aK, muK)
     A_prefix = np.cumsum(aK)
     M_prefix = np.cumsum(muK)
@@ -596,17 +571,14 @@ def read_tables(path) -> ArithTables:
             raise ArithError(f"{path}: unsupported table version {version}")
         name = fh.read(namelen).decode("utf-8")
         (N,) = struct.unpack("<Q", fh.read(8))
-        payload = fh.read()
-    want = 3 * 8 * N
-    if len(payload) != want:
-        raise ArithError(f"{path}: truncated table file ({len(payload)} != {want} bytes)")
-    arrs = []
-    for j in range(3):
-        flat = np.frombuffer(payload, dtype="<i8", count=N, offset=j * 8 * N).astype(np.int64)
-        arr = np.zeros(N + 1, dtype=np.int64)
-        arr[1:] = flat
-        arrs.append(arr)
-    aK, muK, b = arrs
+        have = os.fstat(fh.fileno()).st_size - fh.tell()
+        want = 3 * 8 * N
+        if have != want:
+            raise ArithError(f"{path}: truncated table file ({have} != {want} bytes)")
+        # the file bytes go straight into the tables, with no intermediate copy
+        aK, muK, b = (np.zeros(N + 1, dtype="<i8") for _ in range(3))
+        for arr in (aK, muK, b):
+            fh.readinto(arr[1:])
     _guard_prefix_overflow(aK, muK)
     return ArithTables(
         field_name=name,

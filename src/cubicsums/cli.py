@@ -88,7 +88,7 @@ def _load_tables(cfg: RunConfig, field):
                 f"table file is for field {tables.field_name!r}, not {field.name!r}"
             )
         return tables
-    return arith.build_tables(field, cfg.N, threads=_resolve_threads(cfg.threads))
+    return arith.build_tables(field, cfg.N)
 
 
 # ----------------------------------------------------------------------------
@@ -144,7 +144,7 @@ def cmd_sieve(cfg: RunConfig, out=None) -> int:
     field = fieldspec.load_field(cfg.field)
     if cfg.N < N_MIN:
         raise ConfigError(f"--N {cfg.N} below the minimum {N_MIN}")
-    tables = arith.build_tables(field, cfg.N, threads=_resolve_threads(cfg.threads))
+    tables = arith.build_tables(field, cfg.N)
     path = cfg.output or f"tables_{field.name}_{cfg.N}.bin"
     arith.write_tables(tables, path)
     if cfg.csv_preview:
@@ -511,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, help="output file (default stdout)")
         p.add_argument("--format", dest="fmt", default="csv", choices=("csv", "json"))
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=0, help="0 = auto")
+        p.add_argument("--threads", type=int, default=0, help="meansquare quadrature only; 0 = auto")
         p.add_argument("--tables", dest="tables_path", default=None,
                        help="load tables from a binary file instead of sieving")
         p.add_argument("--B", type=lambda s: int(float(s)), default=None)
@@ -582,6 +582,7 @@ def main(argv=None) -> int:
         return EXIT_BAD_CONFIG if exc.code not in (0, None) else 0
     cfg = _config_from_args(args)
     try:
+        _resolve_threads(cfg.threads)  # reject a negative --threads on every command
         if args.command == "sieve":
             return cmd_sieve(cfg)
         if args.command == "verify":

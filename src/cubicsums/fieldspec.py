@@ -698,11 +698,7 @@ def splitting_type(field: FieldSpec, p: int) -> SplittingType:
         return _splitting_from_code(T_RATIONAL)
     if p in field.index_divisor_overrides:
         return field.index_divisor_overrides[p]
-    c0, c1, c2 = field.poly
-    if p < 2**31:
-        nroots = int(_count_roots_vector(c0, c1, c2, np.array([p], dtype=np.int64))[0])
-    else:
-        nroots = _count_roots_py(c0, c1, c2, p)
+    nroots = _count_roots_py(*field.poly, p)
     ramified = field.poly_disc % p == 0
     return _splitting_from_code(_code_for(nroots, ramified, p, field))
 
@@ -723,17 +719,46 @@ def _code_for(nroots: int, ramified: bool, p, field) -> int:
     raise AssertionError(f"ramified prime {p} of {field.name} reports {nroots} roots")
 
 
+def _euler_criterion_vector(dmod: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """d^((p-1)/2) mod p for every prime p in ps (ascending int64, < 2^31),
+    given dmod = d mod p.
+
+    Square-and-multiply over the bits of (p-1)/2, vectorized over all primes
+    at once: the leading zero bits of a shorter exponent leave the result 1.
+    """
+    e = ps >> 1
+    r = np.ones_like(ps)
+    nbits = int(e[-1]).bit_length() if len(ps) else 0
+    for i in range(nbits - 1, -1, -1):
+        r = r * r % ps
+        r = np.where((e >> i) & 1 == 1, r * dmod % ps, r)
+    return r
+
+
 def splitting_codes(field: FieldSpec, N: int):
     """Splitting-shape codes for every prime p <= N.
 
     Returns (primes, codes) as aligned int64/int8 arrays.  This is the bulk
     path the sieves use; for a single prime use splitting_type.
+
+    Stickelberger's theorem settles half the primes without factoring: for
+    odd p not dividing the polynomial discriminant D, (D/p) = (-1)^(3 - r)
+    with r the number of irreducible factors of f mod p, so (D/p) = -1
+    exactly when f has one root mod p.  The x^p ladder runs on the rest
+    (p = 2, p | D, and (D/p) = +1); for a square D that is every prime.
     """
     ps = primes_upto(N)
     if field.is_rational_hook:
         return ps, np.full(len(ps), T_RATIONAL, dtype=np.int8)
-    c0, c1, c2 = field.poly
-    counts = _count_roots_vector(c0, c1, c2, ps) if len(ps) else np.empty(0, np.int8)
+    D = field.poly_disc
+    dmod = D % ps
+    ram = dmod == 0
+    counts = np.ones(len(ps), dtype=np.int8)  # right wherever (D/p) = -1
+    if D > 0 and math.isqrt(D) ** 2 == D:
+        ladder = np.ones(len(ps), dtype=bool)
+    else:
+        ladder = (_euler_criterion_vector(dmod, ps) != ps - 1) | (ps == 2)
+    counts[ladder] = _count_roots_vector(*field.poly, ps[ladder])
     codes = np.empty(len(ps), dtype=np.int8)
     overridden = np.zeros(len(ps), dtype=bool)
     for p, st in field.index_divisor_overrides.items():
@@ -741,11 +766,6 @@ def splitting_codes(field: FieldSpec, N: int):
             idx = int(np.searchsorted(ps, p))
             codes[idx] = _code_from_splitting(st)
             overridden[idx] = True
-    ram = np.zeros(len(ps), dtype=bool)
-    for q in _prime_factors(abs(field.poly_disc)):
-        idx = np.searchsorted(ps, q)
-        if idx < len(ps) and ps[idx] == q:
-            ram[idx] = True
     un = ~ram & ~overridden
     ram &= ~overridden
     codes[un & (counts == 3)] = T_SPLIT
@@ -757,21 +777,6 @@ def splitting_codes(field: FieldSpec, N: int):
     if bad.any():
         raise AssertionError(f"inconsistent factorization at p={ps[bad][0]} for {field.name}")
     return ps, codes
-
-
-def _prime_factors(n: int):
-    out = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        out.append(m)
-    return out
 
 
 # ----------------------------------------------------------------------------

@@ -123,10 +123,12 @@ def test_criterion_06_truncation_scaling(
     100 sampled Y in [1e5, 2e5], must lie in [-0.6, -0.15].
 
     Expected to fail at desk scale: the faithful exponent is about -0.14 on
-    both presets because the local mean of a_K(n)^2 is still growing over
-    n <= 512, so the coefficient tail sum_{n>y} a_K(n)^2 n^{-4/3} decays
-    slower than its asymptotic y^{-1/3}.  (With the conductor-less kernel
-    the exponent would be ~ +0.02: no decay at all.)"""
+    both presets.  The median |P2| scales like the square root of the
+    coefficient tail sum_{n>y} a_K(n)^2 n^{-4/3}, so it decays like y^{-1/6}
+    asymptotically; -1/3 is the exponent of the mean square.  The local mean
+    of a_K(n)^2 is still growing over n <= 512, so the tail decays slower
+    than its asymptotic rate.  (With the conductor-less kernel the exponent
+    would be ~ +0.02: no decay at all.)"""
     t0 = time.perf_counter()
     measured = {}
     for field, tables, rho in (
@@ -142,7 +144,8 @@ def test_criterion_06_truncation_scaling(
     for name, e in measured.items():
         assert -0.6 <= e <= -0.15, (
             f"{name}: fitted exponent {e:.3f} outside [-0.6, -0.15]; desk-scale "
-            f"coefficient growth caps the decay near -0.14 (asymptotic prediction -1/3)"
+            f"coefficient growth caps the decay near -0.14 (asymptotic prediction -1/6 for "
+            f"the median; -1/3 is the mean-square exponent)"
         )
 
 

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -72,11 +73,30 @@ class TestBuildTables:
         with pytest.raises(ar.ArithError):
             ar.build_tables(field_nn2, 10**8 + 1)
 
-    def test_threaded_build_identical(self, field_nn2):
-        a = ar.build_tables(field_nn2, 5000)
-        b = ar.build_tables(field_nn2, 5000, threads=4)
-        assert np.array_equal(a.aK, b.aK)
-        assert np.array_equal(a.muK, b.muK)
+    @pytest.mark.parametrize("name", ["cubic-nonnormal-2", "cubic-cyclic-7"])
+    def test_sieve_boundaries_match_factorization(self, name):
+        # N on both sides of 7^2 and 11^2, where a prime moves from the
+        # large-prime (cofactor) pass to the small-prime (strided) pass
+        field = fs.get_preset(name)
+        nmax = 5000
+        want = {"aK": [0], "muK": [0], "b": [0]}
+        for n in range(1, nmax + 1):
+            a = mu = b = 1
+            for p, e in ar.factorize(n).items():
+                loc = fs.local_aK(field, p, e)
+                shape = fs.splitting_type(field, p).f_shape
+                a *= loc[e]
+                b *= loc[e] - loc[e - 1]
+                # mu_K(p^e) = [t^e] prod_i (1 - t^{f_i})
+                mu *= sum((-1) ** r for r in range(len(shape) + 1)
+                          for sub in itertools.combinations(shape, r) if sum(sub) == e)
+            want["aK"].append(a)
+            want["muK"].append(mu)
+            want["b"].append(b)
+        for N in (1, 2, 3, 4, 48, 49, 50, 120, 121, 122, nmax):
+            t = ar.build_tables(field, N)
+            for key, vals in want.items():
+                assert getattr(t, key).tolist() == vals[: N + 1], (name, N, key)
 
     def test_tau_corollary_bound(self, tables_nn2_1m, tables_c7_1m):
         # a_K(n) <= tau(n)^2 with constant 1 for cubic fields
@@ -189,6 +209,18 @@ class TestTauSums:
 
         want = sum(tau_l(n) ** q for n in range(1, 301))
         assert ar.tau_power_sum(l, q, 300) == want
+
+    @pytest.mark.parametrize("l", [2, 4])
+    def test_table_brute_divisors(self, l):
+        n = 2000
+        divs = [[] for _ in range(n + 1)]
+        for d in range(1, n + 1):
+            for m in range(d, n + 1, d):
+                divs[m].append(d)
+        tau = [0] + [1] * n  # tau_1
+        for _ in range(l - 1):
+            tau = [0] + [sum(tau[d] for d in divs[m]) for m in range(1, n + 1)]
+        assert ar.tau_table(l, n).tolist() == tau
 
     def test_growth_ratio_bounded(self):
         # ratio sum / (x log^15 x) stays bounded (decreasing) on a dyadic grid

@@ -123,11 +123,24 @@ class TestSplitting:
                 assert st.n_degree_one() == len(fs.roots_mod_p(c0, c1, c2, p)), (f.name, p)
 
     def test_bulk_matches_scalar(self, field_nn2, field_c7, field_hook):
-        for f in (field_nn2, field_c7, field_hook):
-            ps, codes = fs.splitting_codes(f, 3000)
+        # the bulk path settles (D/p) = -1 primes by Stickelberger and ladders
+        # the rest; the scalar path ladders every prime.  Besides the presets:
+        # a negative D with 2 and 5 ramified, a square D (every unramified
+        # prime goes to the ladder) and a positive D with 2 inert and 3
+        # unramified (Euler's criterion means nothing at p = 2).
+        cubics = [fs.parse_field_spec(f"name = {name}\npoly = {poly}")
+                  for name, poly in (("neg-disc", "2, 2, 0"), ("square-disc", "1, -3, 0"),
+                                     ("disc-473", "1, -5, 0"))]
+        assert [f.poly_disc for f in cubics] == [-140, 81, 473]
+        for f in (field_nn2, field_c7, field_hook, *cubics):
+            ps, codes = fs.splitting_codes(f, 2 * 10**4)
             for p, c in zip(ps.tolist(), codes.tolist()):
                 st = fs.splitting_type(f, int(p))
                 assert st.components == fs._COMPONENTS[c], (f.name, p)
+                if f.poly is not None and p < 2000:
+                    assert not f.index_divisor_overrides
+                    roots = fs.roots_mod_p(*f.poly, p)
+                    assert fs._splitting_from_code(c).n_degree_one() == len(roots), (f.name, p)
 
     def test_scalar_python_ladder_matches_vector(self, field_nn2):
         c0, c1, c2 = field_nn2.poly
