@@ -44,6 +44,7 @@ import numpy as np
 from .fieldspec import (
     F_SHAPES,
     FieldSpec,
+    factorize,
     local_ideal_counts,
     primes_upto,
     splitting_codes,
@@ -78,6 +79,7 @@ __all__ = [
 ]
 
 N_BUDGET = 10**8  # ~2.4 GB for the three value tables alone; prefixes double it
+N_MIN = 10**3  # smallest rho window estimate_rho accepts, and the smallest table the CLI builds
 
 
 class ArithError(RuntimeError):
@@ -273,8 +275,8 @@ def estimate_rho(field: FieldSpec, tables: ArithTables, B: int, method: str = "s
     Raises RhoDisagreement when the series and regression values differ by
     more than 3 combined standard errors (never silently averaged).
     """
-    if B < 10**3:
-        raise ArithError(f"B={B} too small; need B >= 1000")
+    if B < N_MIN:
+        raise ArithError(f"B={B} too small; need B >= {N_MIN}")
     if B > tables.N:
         raise ArithError(f"B={B} exceeds table length {tables.N}")
     ser = _rho_series(tables, B)
@@ -295,23 +297,6 @@ def estimate_rho(field: FieldSpec, tables: ArithTables, B: int, method: str = "s
 # ----------------------------------------------------------------------------
 # classical (rational) arithmetic helpers
 # ----------------------------------------------------------------------------
-
-def factorize(n: int) -> dict:
-    """Prime factorization by trial division; fine for the desk-scale inputs."""
-    if n < 1:
-        raise ValueError("factorize needs n >= 1")
-    out = {}
-    m = n
-    p = 2
-    while p * p <= m:
-        while m % p == 0:
-            out[p] = out.get(p, 0) + 1
-            m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
-
 
 def mobius(n: int) -> int:
     f = factorize(n)
@@ -380,35 +365,6 @@ def tau_power_sum(l: int, q: int, x: int) -> int:
     return sum(int(v) ** q for v in vals.tolist())  # exact fallback, rare
 
 
-def _pair_partials_numpy(g, c, out):
-    T = len(g) - 1
-    block = max(1, (1 << 22) // max(1, T))
-    for n0 in range(2, T + 1, block):
-        n1 = min(n0 + block, T + 1)
-        for n in range(n0, n1):
-            out[n] = g[n] * float(np.dot(g[1:n], 1.0 / (c[n] - c[1:n])))
-
-
-@lru_cache(maxsize=1)
-def _numba_pair_kernel():
-    try:
-        import numba
-    except ImportError:
-        return None
-
-    @numba.njit(parallel=True, cache=False)
-    def kernel(g, c, out):  # pragma: no cover - compiled
-        T = len(g) - 1
-        for n in numba.prange(2, T + 1):
-            cn = c[n]
-            s = 0.0
-            for m in range(1, n):
-                s += g[m] / (cn - c[m])
-            out[n] = g[n] * s
-
-    return kernel
-
-
 def tau4_cuberoot_pair_sum(T: int) -> float:
     """sum over m != n <= T of tau_4(m)^2 tau_4(n)^2 / ((mn)^{2/3} |m^{1/3} - n^{1/3}|).
 
@@ -424,11 +380,8 @@ def tau4_cuberoot_pair_sum(T: int) -> float:
     g = np.zeros(T + 1, dtype=np.float64)
     g[1:] = t4[1:] ** 2 / k[1:] ** (2.0 / 3.0)
     out = np.zeros(T + 1, dtype=np.float64)
-    kernel = _numba_pair_kernel()
-    if kernel is not None and T > 2000:
-        kernel(g, c, out)
-    else:
-        _pair_partials_numpy(g, c, out)
+    for n in range(2, T + 1):
+        out[n] = g[n] * float(np.dot(g[1:n], 1.0 / (c[n] - c[1:n])))
     return 2.0 * math.fsum(out.tolist())
 
 
@@ -493,7 +446,7 @@ def cubic_character(f: int):
     Conjugating the character (the other choice of omega) gives the same
     two-character product b = chi * conj(chi).
     """
-    if f < 3 or any(f % q == 0 for q in range(2, math.isqrt(f) + 1)) or f % 3 != 1:
+    if f < 3 or f % 3 != 1 or factorize(f) != {f: 1}:
         raise ArithError(f"conductor {f} is not a prime = 1 mod 3")
     # find a generator of (Z/f)*
     order_facs = factorize(f - 1)

@@ -19,13 +19,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import arith, exponents, fieldspec, ideals, sums
+from . import arith, checks, exponents, fieldspec, ideals, sums
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_CONFIG = 2
-
-N_MIN = 10**3
 
 
 class ConfigError(ValueError):
@@ -41,7 +39,6 @@ class RunConfig:
     output: str | None
     fmt: str
     seed: int
-    threads: int
     X: tuple | None = None
     Y: tuple | None = None
     T: tuple | None = None
@@ -68,16 +65,6 @@ def _parse_int_list(text):
     if text is None:
         return None
     return tuple(int(float(t)) for t in str(text).split(",") if t.strip())
-
-
-def _resolve_threads(threads: int) -> int:
-    if threads < 0:
-        raise ConfigError("--threads must be >= 0")
-    if threads == 0:
-        import os
-
-        return max(1, os.cpu_count() or 1)
-    return threads
 
 
 def _load_tables(cfg: RunConfig, field):
@@ -142,8 +129,8 @@ def _rho_meta(field, tables, cfg):
 def cmd_sieve(cfg: RunConfig, out=None) -> int:
     out = out or sys.stdout
     field = fieldspec.load_field(cfg.field)
-    if cfg.N < N_MIN:
-        raise ConfigError(f"--N {cfg.N} below the minimum {N_MIN}")
+    if cfg.N < arith.N_MIN:
+        raise ConfigError(f"--N {cfg.N} below the minimum {arith.N_MIN}")
     tables = arith.build_tables(field, cfg.N)
     path = cfg.output or f"tables_{field.name}_{cfg.N}.bin"
     arith.write_tables(tables, path)
@@ -168,175 +155,29 @@ def cmd_sieve(cfg: RunConfig, out=None) -> int:
 # verify
 # ----------------------------------------------------------------------------
 
-def _verify_one_field(field, cfg: RunConfig, rng, checks_out) -> bool:
-    tables = _load_tables(cfg, field)
-    nmax = min(tables.N, 10**6)
-    ok_all = True
-
-    def check(name, failed, detail=""):
-        nonlocal ok_all
-        ok = failed is None or failed is False
-        if not ok:
-            ok_all = False
-        checks_out.append((field.name, name, "pass" if ok else "FAIL", detail if not ok else detail))
-        return ok
-
-    bad = arith.convolution_identity_failure(tables, nmax)
-    if not check("convolution aK*muK=e", bad, f"convolution identity failed at n={bad}" if bad else f"n<= {nmax}"):
-        return False
-    bad = arith.b_sum_identity_failure(tables, nmax)
-    if not check("divisor-sum 1*b=aK", bad, f"b identity failed at n={bad}" if bad else f"n<= {nmax}"):
-        return False
-
-    if field.normal and field.conductor_f > 1 and field.degree == 3:
-        ncheck = min(nmax, 10**4)
-        bchar = arith.b_from_cubic_character(field.conductor_f, ncheck)
-        diff = np.nonzero(bchar[1:] != tables.b[1 : ncheck + 1])[0]
-        check(
-            "b = chi * conj(chi)",
-            int(diff[0]) + 1 if len(diff) else None,
-            f"character identity failed at n={int(diff[0]) + 1}" if len(diff) else f"n<= {ncheck}",
-        )
-
-    B = min(tables.N, 10**4)
-    hist = ideals.histogram_by_norm(ideals.enumerate_ideals(field, B), B)
-    diff = np.nonzero(hist[1:] != tables.aK[1 : B + 1])[0]
-    check(
-        "enumeration histogram = aK",
-        int(diff[0]) + 1 if len(diff) else None,
-        f"histogram mismatch at norm {int(diff[0]) + 1}" if len(diff) else f"B={B}",
-    )
-
-    if field.degree == 3:
-        mism = None
-        y_list = [y for y in (cfg.Y or (10, 100, 1000)) if y <= tables.N]
-        x_max = min((cfg.X or (50,))[0], 50)
-        for X in range(1, x_max + 1):
-            for Y in y_list:
-                d = sums.S_K_direct(field, tables, X, Y).value
-                r = sums.S_K_reduced(field, tables, X, Y).value
-                if d != r:
-                    mism = (X, Y, d, r)
-                    break
-            if mism:
-                break
-        check("cross-path S_K direct=reduced", mism, f"S_K mismatch at {mism}" if mism else f"X<={x_max}, Y in {y_list}")
-
-    # seeded randomized ideal properties (exact checks; seed changes samples only)
-    pairs = []
-    mism = None
-    for _ in range(30):
-        J = ideals.random_factored_ideal(field, rng, 50)
-        I = ideals.random_factored_ideal(field, rng, 500)
-        Icop = ideals.random_factored_ideal(field, rng, 500)
-        pairs.append((str(J), str(I)))
-        g = ideals.ideal_gcd(I, J)
-        if ideals.ramanujan_ideal(field, J, I) != ideals.ramanujan_ideal(field, J, g):
-            mism = ("gcd-dependence", str(J), str(I))
-            break
-        if ideals.ideal_norm(ideals.ideal_mul(I, Icop)) != I.norm * Icop.norm:
-            mism = ("norm multiplicativity", str(I), str(Icop))
-            break
-    check("c_J(I) gcd dependence + norms", mism, str(mism) if mism else f"30 seeded samples; first={pairs[0]}")
-
-    mism = None
-    for _ in range(5):
-        J = ideals.random_factored_ideal(field, rng, 50)
-        for Y in (10, 100, 500):
-            naive = sum(
-                ideals.ramanujan_ideal(field, J, I) for I in ideals.enumerate_ideals(field, Y)
-            )
-            coll = ideals.sum_cJ_over_I(field, tables, J, Y)
-            if naive != coll:
-                mism = (str(J), Y, naive, coll)
-                break
-        if mism:
-            break
-    check("sum_cJ collapse = naive", mism, str(mism) if mism else "5 seeded J, Y in {10,100,500}")
-
-    # table self-consistency: multiplicativity and restriction stability
-    mism = None
-    lim = min(tables.N, 5000)
-    for m in range(2, lim):
-        if m * (m + 1) > lim:
-            break
-        for n in range(m + 1, lim // m + 1):
-            if math.gcd(m, n) == 1 and tables.aK[m * n] != tables.aK[m] * tables.aK[n]:
-                mism = (m, n)
-                break
-        if mism:
-            break
-    check("aK multiplicative", mism, str(mism) if mism else f"exhaustive mn<={lim}")
-
-    small = arith.build_tables(field, max(N_MIN, tables.N // 10))
-    same = bool(np.array_equal(small.aK, tables.aK[: small.N + 1])) and bool(
-        np.array_equal(small.muK, tables.muK[: small.N + 1])
-    )
-    check("restriction bit-exact", None if same else True, f"N'={small.N}")
-
-    # remainder and truncation decompositions, exact by construction
-    if field.degree == 3 and tables.N >= N_MIN:
-        B = min(tables.N, 10**5)
-        rho = arith.estimate_rho(field, tables, max(N_MIN, B))
-        Y = min(tables.N, 54321)
-        lhs = sums.remainder_R(field, tables, rho, 1, Y)
-        rhs = arith.error_P(tables, rho, Y)
-        check("remainder_R(1,Y) = P_K(Y)", None if abs(lhs - rhs) < 1e-9 else True, f"Y={Y}")
-        p1, p2 = sums.voronoi_P1(field, tables, rho, Y, min(64, Y))
-        ok_dec = abs((p1 + p2) - rhs) <= 1e-9 * max(1.0, abs(rhs))
-        check("P1 + P2 = P_K", None if ok_dec else True, f"Y={Y}")
-
-    # informational reports (never gate the exit code)
-    x = np.arange(1, tables.N + 1, dtype=np.float64)
-    mbound = float(np.max(np.abs(tables.M_prefix[1:]) / x))
-    checks_out.append((field.name, "report max|M_K(x)|/x", "pass", f"{mbound:.6f}" + (" (>1: bound violated)" if mbound > 1 else "")))
-    checks_out.append((field.name, "report max|b(m)|/m^0.1", "pass", f"{arith.b_growth_statistic(tables):.6f}"))
-    return ok_all
-
-
 def cmd_verify(cfg: RunConfig, out=None) -> int:
     out = out or sys.stdout
     names = (
         ["cubic-nonnormal-2", "cubic-cyclic-7"] if cfg.field == "all" else [cfg.field]
     )
     rng = random.Random(cfg.seed)
-    checks = []
-    ok = True
+    rows = []
     for name in names:
         field = fieldspec.load_field(name)
-        ok = _verify_one_field(field, cfg, rng, checks) and ok
-    # classical baseline checks (field-independent)
-    mism = None
-    for m in range(1, 101):
-        for n in range(1, 101):
-            c = arith.classical_ramanujan(m, n)
-            js = [j for j in range(1, m + 1) if math.gcd(j, m) == 1]
-            z = sum(complex(math.cos(2 * math.pi * j * n / m), math.sin(2 * math.pi * j * n / m)) for j in js)
-            if abs(z.imag) > 1e-9 or round(z.real) != c:
-                mism = (m, n, c, z)
-                break
-        if mism:
-            break
-    checks.append(("classical", "ramanujan sum = exponential sum", "pass" if not mism else "FAIL", str(mism or "m,n<=100")))
-    ok = ok and not mism
-
-    s_naive = sums.classical_S1_naive(60, 80)
-    s_coll = sums.classical_S1(60, 80)
-    checks.append(
-        ("classical", "S1 naive = collapsed", "pass" if s_naive == s_coll else "FAIL", f"{s_naive} vs {s_coll}")
-    )
-    ok = ok and s_naive == s_coll
-
-    for fname, name, status, detail in checks:
+        tables = _load_tables(cfg, field)
+        rows += checks.field_suite(field, tables, rng, (cfg.X or (50,))[0], cfg.Y or (10, 100, 1000))
+    rows += checks.classical_suite()
+    rows = [(fname, name, "pass" if ok else "FAIL", detail) for fname, name, ok, detail in rows]
+    for fname, name, status, detail in rows:
         print(f"[{status}] {fname}: {name} ({detail})", file=out)
         if status == "FAIL":
             print(f"first counterexample: {detail}", file=out)
     if cfg.output:
         with open(cfg.output, "w", encoding="utf-8") as fh:
             fh.write("field,check,status,detail\n")
-            for row in checks:
+            for row in rows:
                 fh.write(",".join('"' + str(v).replace('"', "'") + '"' for v in row) + "\n")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return EXIT_OK if all(row[2] == "pass" for row in rows) else EXIT_CHECK_FAILED
 
 
 # ----------------------------------------------------------------------------
@@ -351,8 +192,8 @@ def cmd_experiment(cfg: RunConfig, out=None) -> int:
     if name.startswith("exponents-"):
         return _exponents_experiment(cfg, name.removeprefix("exponents-"), out)
     field = fieldspec.load_field(cfg.field)
-    if cfg.N < N_MIN:
-        raise ConfigError(f"--N {cfg.N} below the minimum {N_MIN}")
+    if cfg.N < arith.N_MIN:
+        raise ConfigError(f"--N {cfg.N} below the minimum {arith.N_MIN}")
 
     if name in ("tau-growth", "pair-sum", "s1"):
         return _field_free_experiment(cfg, name, out)
@@ -360,22 +201,14 @@ def cmd_experiment(cfg: RunConfig, out=None) -> int:
     tables = _load_tables(cfg, field)
     rho, meta = _rho_meta(field, tables, cfg)
     meta["experiment"] = name
-    threads = _resolve_threads(cfg.threads)
 
     if name == "meansquare":
         X = (cfg.X or (1,))[0]
-        rows = []
-        for T in cfg.T or (1000,):
-            r = sums.meansquare_R(field, tables, rho, X, T, samples=cfg.samples,
-                                  n_cutoff=cfg.n_cutoff, threads=threads)
-            rows.append((X, T, r.integral_R2, r.main_term, r.ratio, r.quadrature_error_est))
-        ratios = [r[4] for r in rows]
-        meta["cX"] = sums.compute_cX(field, tables, X, cfg.n_cutoff or max(1, min(tables.N // max(1, X), 2 * 10**5))).value
-        meta["ratio_trend"] = (
-            "decreasing" if all(b < a for a, b in zip(ratios, ratios[1:]))
-            else "increasing" if all(b > a for a, b in zip(ratios, ratios[1:]))
-            else "mixed"
-        )
+        reports, _, trend = sums.meansquare_trend(field, tables, rho, X, cfg.T or (1000,),
+                                                  samples=cfg.samples, n_cutoff=cfg.n_cutoff)
+        rows = [(X, r.T, r.integral_R2, r.main_term, r.ratio, r.quadrature_error_est) for r in reports]
+        meta["cX"] = reports[0].cX
+        meta["ratio_trend"] = trend
         meta["disc_cbrt"] = abs(field.disc) ** (1 / 3)
         _emit(cfg, ("X", "T", "integral_R2", "main_term", "ratio", "error_est"), rows, meta, out)
         return EXIT_OK
@@ -511,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, help="output file (default stdout)")
         p.add_argument("--format", dest="fmt", default="csv", choices=("csv", "json"))
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=0, help="meansquare quadrature only; 0 = auto")
         p.add_argument("--tables", dest="tables_path", default=None,
                        help="load tables from a binary file instead of sieving")
         p.add_argument("--B", type=lambda s: int(float(s)), default=None)
@@ -554,7 +386,6 @@ def _config_from_args(args) -> RunConfig:
         output=args.output,
         fmt=args.fmt,
         seed=args.seed,
-        threads=args.threads,
         X=getattr(args, "X", None),
         Y=getattr(args, "Y", None),
         T=getattr(args, "T", None),
@@ -582,7 +413,6 @@ def main(argv=None) -> int:
         return EXIT_BAD_CONFIG if exc.code not in (0, None) else 0
     cfg = _config_from_args(args)
     try:
-        _resolve_threads(cfg.threads)  # reject a negative --threads on every command
         if args.command == "sieve":
             return cmd_sieve(cfg)
         if args.command == "verify":

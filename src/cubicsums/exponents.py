@@ -290,13 +290,10 @@ class ConstraintCone:
         return self.format()
 
 
-AMBIENT = None  # "all variables independent, >= 1"
-
-
 def _ambient_cone_for(*exprs) -> ConstraintCone:
     vs = set()
     for e in exprs:
-        vs |= set(e.variables) if isinstance(e, BoundExpr) else set(e.variables)
+        vs |= set(e.variables)
     return ConstraintCone(tuple((v,) for v in sorted(vs)))
 
 

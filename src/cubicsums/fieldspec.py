@@ -35,6 +35,7 @@ __all__ = [
     "SplittingType",
     "FieldConfigError",
     "discriminant_monic_cubic",
+    "factorize",
     "squarefree_decompose",
     "parse_field_spec",
     "get_preset",
@@ -184,26 +185,34 @@ def discriminant_monic_cubic(c0: int, c1: int, c2: int) -> int:
     return -_bareiss_det(syl)
 
 
+def factorize(n: int) -> dict:
+    """Prime factorization {p: e} by trial division; fine for the desk-scale
+    inputs (discriminants, conductors, Ramanujan-sum arguments)."""
+    if n < 1:
+        raise ValueError("factorize needs n >= 1")
+    out = {}
+    m = n
+    p = 2
+    while p * p <= m:
+        while m % p == 0:
+            out[p] = out.get(p, 0) + 1
+            m //= p
+        p += 1 if p == 2 else 2
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
+    return out
+
+
 def squarefree_decompose(D: int) -> tuple:
     """Write D = d * f^2 with d squarefree; returns (d, f), f > 0."""
     if D == 0:
         raise ValueError("zero has no squarefree decomposition")
-    sign = 1 if D > 0 else -1
-    n = abs(D)
-    d, f = 1, 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            k = 0
-            while n % p == 0:
-                n //= p
-                k += 1
-            f *= p ** (k // 2)
-            if k % 2:
-                d *= p
-        p += 1 if p == 2 else 2
-    d *= n
-    return sign * d, f
+    d, f = (1 if D > 0 else -1), 1
+    for p, k in factorize(abs(D)).items():
+        f *= p ** (k // 2)
+        if k % 2:
+            d *= p
+    return d, f
 
 
 def _integer_roots(c0: int, c1: int, c2: int):
@@ -486,16 +495,16 @@ class FieldSpec:
     index_divisor_overrides: dict = dataclass_field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "index_divisor_overrides", dict(self.index_divisor_overrides))
+        ov = dict(self.index_divisor_overrides)
+        object.__setattr__(self, "index_divisor_overrides", ov)
+        # the field's mathematical identity; the name labels it and is not part of it
+        object.__setattr__(self, "_key", (self.poly, self.disc, self.degree, tuple(sorted(ov.items()))))
 
     def __hash__(self):
-        return hash((self.name, self.poly, self.disc, self.degree))
+        return hash(self._key)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FieldSpec)
-            and (self.name, self.poly, self.disc, self.degree) == (other.name, other.poly, other.disc, other.degree)
-        )
+        return isinstance(other, FieldSpec) and self._key == other._key
 
     @property
     def is_rational_hook(self) -> bool:
@@ -536,21 +545,8 @@ def _build_cubic(name, c0, c1, c2, disc=None, overrides=None) -> FieldSpec:
             raise FieldConfigError(f"override at p={p} has total degree {st.degree}, want 3")
         ov[int(p)] = st
     # any index divisor p satisfies p^2 | poly_disc
-    n = abs(pdisc)
-    cand = set()
-    p = 2
-    m = n
-    while p * p <= m:
-        if m % p == 0:
-            k = 0
-            while m % p == 0:
-                m //= p
-                k += 1
-            if k >= 2:
-                cand.add(p)
-        p += 1 if p == 2 else 2
-    for p in sorted(cand):
-        if p in ov:
+    for p, k in factorize(abs(pdisc)).items():
+        if k < 2 or p in ov:
             continue
         if not dedekind_p_maximal(c0, c1, c2, p):
             raise FieldConfigError(

@@ -34,8 +34,7 @@ c(X) * integral of Y^{2/3}, where
 
 R_K(X, .) is a step function minus rho Y; every quadrature here samples at
 half-integer Y so jump ambiguity never arises, and float accumulations are
-combined with math.fsum in a fixed chunk order so results do not depend on
-thread count.
+combined with math.fsum in a fixed chunk order.
 """
 
 from __future__ import annotations
@@ -447,20 +446,13 @@ class MeanSquareReport:
         return self.integral_R2 / self.main_term if self.main_term else math.inf
 
 
-def _quad_R2(field, tables, rho, X, T, samples, threads=1):
+def _quad_R2(field, tables, rho, X, T, samples):
     ys, h = _half_integer_grid(int(T), samples)
     chunk = 8192
-    bounds = range(0, len(ys), chunk)
-    def part(lo):
+    parts = []
+    for lo in range(0, len(ys), chunk):
         r = remainder_values(field, tables, rho, X, ys[lo : lo + chunk])
-        return float(np.dot(r, r))
-    if threads > 1 and len(ys) > chunk:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(part, bounds))
-    else:
-        parts = [part(lo) for lo in bounds]
+        parts.append(float(np.dot(r, r)))
     return h * math.fsum(parts), len(ys)
 
 
@@ -472,7 +464,6 @@ def meansquare_R(
     T: int,
     samples: int = 4096,
     n_cutoff: int | None = None,
-    threads: int = 1,
 ) -> MeanSquareReport:
     """Quadrature of |R_K(X, Y)|^2 over [T, 2T] against the predicted main
     term c(X) * (3/5) ((2T)^{5/3} - T^{5/3})."""
@@ -482,8 +473,8 @@ def meansquare_R(
         raise SumsError(f"need 2T <= N, got T={T}, N={tables.N}")
     if samples < 33:
         raise SumsError("samples >= 33 required")
-    integral, n_used = _quad_R2(field, tables, rho, X, T, samples, threads=threads)
-    coarse, _ = _quad_R2(field, tables, rho, X, T, max(17, n_used // 2), threads=threads)
+    integral, n_used = _quad_R2(field, tables, rho, X, T, samples)
+    coarse, _ = _quad_R2(field, tables, rho, X, T, max(17, n_used // 2))
     err = 2.0 * abs(integral - coarse) + 1e-9 * abs(integral)
     if n_cutoff is None:
         n_cutoff = max(1, min(tables.N // max(1, X), 2 * 10**5))
@@ -519,9 +510,9 @@ def exact_PK_square_integral(tables: ArithTables, rho: RhoEstimate, T: int) -> f
     return float(np.sum((lo**3 - hi**3) / (3.0 * r)))
 
 
-def meansquare_trend(field, tables, rho, X, T_values, samples=4096):
+def meansquare_trend(field, tables, rho, X, T_values, samples=4096, n_cutoff=None):
     """Ratio integral/main tabulated over a grid of T (monotone-trend report)."""
-    rows = [meansquare_R(field, tables, rho, X, T, samples=samples) for T in T_values]
+    rows = [meansquare_R(field, tables, rho, X, T, samples=samples, n_cutoff=n_cutoff) for T in T_values]
     ratios = [r.ratio for r in rows]
     if all(b < a for a, b in zip(ratios, ratios[1:])):
         trend = "decreasing"

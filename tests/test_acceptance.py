@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from cubicsums import arith as ar
+from cubicsums import checks as ck
 from cubicsums import exponents as ex
 from cubicsums import fieldspec as fs
 from cubicsums import ideals as idl
@@ -36,12 +37,9 @@ def test_criterion_01_cross_path_identity(field_nn2, tables_nn2_1m, field_c7, ta
     t0 = time.perf_counter()
     mismatches = []
     for field, tables in ((field_nn2, tables_nn2_1m), (field_c7, tables_c7_1m)):
-        for X in range(1, 51):
-            for Y in (10, 100, 1000):
-                d = sm.S_K_direct(field, tables, X, Y).value
-                r = sm.S_K_reduced(field, tables, X, Y).value
-                if d != r:
-                    mismatches.append((field.name, X, Y, d, r))
+        bad = ck.cross_path_failure(field, tables, 50, (10, 100, 1000))
+        if bad is not None:
+            mismatches.append((field.name, *bad))
     elapsed = time.perf_counter() - t0
     ok = not mismatches and elapsed < 60
     _report(1, ok, f"cross-path identity, 300 (X,Y) pairs in {elapsed:.2f}s; mismatches={mismatches[:3]}")
@@ -59,8 +57,8 @@ def test_criterion_02_convolution_identities(field_nn2, tables_nn2_1m, field_c7,
         assert bad is None, f"{tables.field_name}: convolution identity failed at n={bad}"
         bad = ar.b_sum_identity_failure(tables, 10**6)
         assert bad is None, f"{tables.field_name}: divisor-sum identity failed at n={bad}"
-    bchar = ar.b_from_cubic_character(7, 10**4)
-    assert np.array_equal(bchar[1:], tables_c7_1m.b[1 : 10**4 + 1]), "character identity failed"
+    bad = ck.character_failure(7, tables_c7_1m, 10**4)
+    assert bad is None, f"character identity failed at n={bad}"
     elapsed = time.perf_counter() - t0
     _report(2, elapsed < 30, f"convolution + character identities to 1e6/1e4 in {elapsed:.2f}s")
     assert elapsed < 30
@@ -70,9 +68,8 @@ def test_criterion_03_enumeration_sieve_equivalence(field_nn2, tables_nn2_1m, fi
     """Histogram of enumerate_ideals(B=1e4) equals a_K(1..1e4) entrywise on
     both presets."""
     for field, tables in ((field_nn2, tables_nn2_1m), (field_c7, tables_c7_1m)):
-        hist = idl.histogram_by_norm(idl.enumerate_ideals(field, 10**4), 10**4)
-        same = np.array_equal(hist[1:], tables.aK[1 : 10**4 + 1])
-        assert same, f"{field.name}: enumeration histogram differs from the sieve"
+        bad = ck.histogram_failure(field, tables, 10**4)
+        assert bad is None, f"{field.name}: enumeration histogram differs from the sieve at norm {bad}"
     _report(3, True, "enumeration histogram = sieve at B=1e4, both presets")
 
 
@@ -80,15 +77,8 @@ def test_criterion_04_ramanujan_oracles(field_hook):
     """classical_ramanujan equals the rounded exponential sum for all
     m, n <= 100 (imaginary part < 1e-9); on the rationals hook the ideal
     Ramanujan sum equals the classical one for all norms <= 100."""
-    for m in range(1, 101):
-        js = [j for j in range(1, m + 1) if math.gcd(j, m) == 1]
-        for n in range(1, 101):
-            z = sum(
-                complex(math.cos(2 * math.pi * j * n / m), math.sin(2 * math.pi * j * n / m))
-                for j in js
-            )
-            assert abs(z.imag) < 1e-9, (m, n, z)
-            assert round(z.real) == ar.classical_ramanujan(m, n), (m, n)
+    bad = ck.exponential_sum_failure(100)
+    assert bad is None, f"exponential-sum oracle fails at (m, n, c_m(n), z) = {bad}"
     ids = idl.enumerate_ideals(field_hook, 100)
     for J in ids:
         for I in ids:

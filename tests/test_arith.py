@@ -277,16 +277,15 @@ class TestPairSum:
         assert ar.tau4_cuberoot_pair_sum(60) == pytest.approx(self.brute(60), rel=1e-9)
 
     def test_paths_agree(self):
-        # numba kernel (T > 2000) against the numpy fallback
-        val = ar.tau4_cuberoot_pair_sum(2500)
-        g_out = np.zeros(2501)
-        t4 = ar.tau_table(4, 2500)[:2501].astype(np.float64)
-        k = np.arange(2501, dtype=np.float64)
+        # the per-n loop against the dense T x T matrix of all pair terms
+        T = 2500
+        k = np.arange(1, T + 1, dtype=np.float64)
+        g = ar.tau_table(4, T)[1 : T + 1].astype(np.float64) ** 2 / k ** (2 / 3)
         c = np.cbrt(k)
-        g = np.zeros(2501)
-        g[1:] = t4[1:] ** 2 / k[1:] ** (2 / 3)
-        ar._pair_partials_numpy(g, c, g_out)
-        assert val == pytest.approx(2.0 * math.fsum(g_out.tolist()), rel=1e-10)
+        gap = np.abs(c[:, None] - c[None, :])
+        np.fill_diagonal(gap, np.inf)
+        want = float(np.sum(g[:, None] * g[None, :] / gap))
+        assert ar.tau4_cuberoot_pair_sum(T) == pytest.approx(want, rel=1e-10)
 
     def test_range_guard(self):
         with pytest.raises(ar.ArithError):
@@ -329,6 +328,8 @@ class TestCharacter:
     def test_bad_conductor(self):
         with pytest.raises(ar.ArithError):
             ar.cubic_character(5)  # 5 != 1 mod 3
+        with pytest.raises(ar.ArithError):
+            ar.cubic_character(25)  # 1 mod 3 but not prime
 
     def test_b_identity_small(self, tables_c7_small):
         bchar = ar.b_from_cubic_character(7, 10**4)

@@ -1,0 +1,104 @@
+"""Each shared check must report a planted fault, and hold on sound input.
+
+The verify command and acceptance criteria 1-4 both rest on these
+functions, so a check that stopped looking would pass everywhere at once.
+"""
+
+import dataclasses
+import random
+
+
+from cubicsums import arith, checks, ideals, sums
+
+
+def _with(tables, name, index, delta):
+    """A copy of the tables with one array changed at index (int or slice)."""
+    arr = getattr(tables, name).copy()
+    arr[index] += delta
+    return dataclasses.replace(tables, **{name: arr})
+
+
+def test_character(tables_c7_small):
+    assert checks.character_failure(7, tables_c7_small, 10**4) is None
+    assert checks.character_failure(7, _with(tables_c7_small, "b", 4321, 1), 10**4) == 4321
+
+
+def test_histogram(field_nn2, tables_nn2_small):
+    assert checks.histogram_failure(field_nn2, tables_nn2_small, 2000) is None
+    assert checks.histogram_failure(field_nn2, _with(tables_nn2_small, "aK", 1234, -1), 2000) == 1234
+
+
+def test_cross_path(field_nn2, tables_nn2_small):
+    assert checks.cross_path_failure(field_nn2, tables_nn2_small, 10, (10, 100)) is None
+    # a_K(7) = 0 for x^3 - 2; only the reduced path reads a_K
+    bad = checks.cross_path_failure(field_nn2, _with(tables_nn2_small, "aK", 7, 1), 10, (10, 100))
+    assert bad[:2] == (7, 10) and bad[3] == bad[2] + 7
+
+
+def _prime_ideal(field, p):
+    return ideals.FactoredIdeal(((ideals.labels_above(field, p)[0], 1),))
+
+
+def test_ideal_samples(field_nn2, monkeypatch):
+    P, Q = _prime_ideal(field_nn2, 5), _prime_ideal(field_nn2, 11)
+    samples = [(P, P, Q), (ideals.UNIT_IDEAL, P, Q)]
+    assert checks.ideal_sample_failure(field_nn2, samples) is None
+    real = ideals.ramanujan_ideal
+    monkeypatch.setattr(ideals, "ramanujan_ideal", lambda f, J, I: real(f, J, I) + I.norm)
+    assert checks.ideal_sample_failure(field_nn2, samples) == ("gcd-dependence", str(ideals.UNIT_IDEAL), str(P))
+    monkeypatch.undo()
+    monkeypatch.setattr(ideals, "ideal_mul", lambda I, J: I)
+    assert checks.ideal_sample_failure(field_nn2, samples) == ("norm multiplicativity", str(P), str(Q))
+
+
+def test_collapse(field_nn2, tables_nn2_small):
+    Js = [ideals.UNIT_IDEAL, _prime_ideal(field_nn2, 5)]
+    assert checks.collapse_failure(field_nn2, tables_nn2_small, Js) is None
+    bad = checks.collapse_failure(field_nn2, _with(tables_nn2_small, "A_prefix", slice(50, None), 1), Js)
+    assert bad[:2] == (str(ideals.UNIT_IDEAL), 100) and bad[3] == bad[2] + 1
+
+
+def test_multiplicativity(tables_nn2_small):
+    assert checks.multiplicativity_failure(tables_nn2_small, 2000) is None
+    assert checks.multiplicativity_failure(_with(tables_nn2_small, "aK", 6, 1), 2000) == (2, 3)
+
+
+def test_restriction(field_nn2, tables_nn2_small):
+    assert checks.restriction_failure(field_nn2, tables_nn2_small, 1000) is None
+    assert checks.restriction_failure(field_nn2, _with(tables_nn2_small, "muK", 777, 1), 1000) == 777
+    assert checks.restriction_failure(field_nn2, tables_nn2_small, 2 * 10**4) == 2 * 10**4
+
+
+def test_remainder(field_nn2, tables_nn2_small):
+    rho = arith.estimate_rho(field_nn2, tables_nn2_small, 10**4)
+    assert checks.remainder_failure(field_nn2, tables_nn2_small, rho, 5432) is None
+    # M_K(1) = 2 doubles the reduced S_K(1, Y)
+    assert checks.remainder_failure(field_nn2, _with(tables_nn2_small, "M_prefix", 1, 1), rho, 5432) is not None
+
+
+def test_voronoi_split(field_nn2, tables_nn2_small, monkeypatch):
+    rho = arith.estimate_rho(field_nn2, tables_nn2_small, 10**4)
+    assert checks.voronoi_split_failure(field_nn2, tables_nn2_small, rho, 5432, 64) is None
+    real = sums.voronoi_P1
+    monkeypatch.setattr(sums, "voronoi_P1", lambda *a: (real(*a)[0], real(*a)[1] + 0.5))
+    assert checks.voronoi_split_failure(field_nn2, tables_nn2_small, rho, 5432, 64) is not None
+
+
+def test_exponential_sum(monkeypatch):
+    assert checks.exponential_sum_failure(20) is None
+    real = arith.classical_ramanujan
+    monkeypatch.setattr(arith, "classical_ramanujan", lambda m, n: real(m, n) + ((m, n) == (12, 8)))
+    assert checks.exponential_sum_failure(20)[:3] == (12, 8, real(12, 8) + 1)
+
+
+def test_field_suite_stops_at_broken_convolution(field_nn2, tables_nn2_small):
+    rows = checks.field_suite(field_nn2, tables_nn2_small, random.Random(1), 5, (10,))
+    assert all(ok for _, _, ok, _ in rows) and len(rows) == 12
+    rows = checks.field_suite(field_nn2, _with(tables_nn2_small, "aK", 500, 1), random.Random(1), 5, (10,))
+    assert rows == [(field_nn2.name, "convolution aK*muK=e", False, "convolution identity failed at n=500")]
+
+
+def test_classical_suite(monkeypatch):
+    assert [ok for *_, ok, _ in checks.classical_suite()] == [True, True]
+    monkeypatch.setattr(sums, "classical_S1", lambda X, Y: 0)
+    assert [ok for *_, ok, _ in checks.classical_suite()] == [True, False]

@@ -37,15 +37,6 @@ class TestSieve:
         assert rc == 2
         assert "below the minimum" in err
 
-    def test_negative_threads_is_config_error(self, tmp_path, capsys):
-        # the sieve no longer reads --threads, but still rejects a bad value
-        for argv in (["sieve", "--N", "2000", "--output", str(tmp_path / "x.bin")],
-                     ["verify", "--N", "2000"]):
-            rc, _, err = run([*argv, "--threads", "-1"], capsys)
-            assert rc == 2
-            assert "--threads must be >= 0" in err
-        assert not (tmp_path / "x.bin").exists()
-
     def test_csv_preview(self, tmp_path, capsys):
         rc, _, _ = run(
             ["sieve", "--N", "2000", "--output", str(tmp_path / "t.bin"),
@@ -178,10 +169,10 @@ class TestExperiments:
 class TestConfigHash:
     def test_stable_and_sensitive(self):
         a = cli.RunConfig(field="x", N=1000, rho_method="series_b_over_m", experiment=None,
-                          output=None, fmt="csv", seed=0, threads=1)
+                          output=None, fmt="csv", seed=0)
         b = cli.RunConfig(field="x", N=1000, rho_method="series_b_over_m", experiment=None,
-                          output=None, fmt="csv", seed=0, threads=1)
+                          output=None, fmt="csv", seed=0)
         c = cli.RunConfig(field="x", N=2000, rho_method="series_b_over_m", experiment=None,
-                          output=None, fmt="csv", seed=0, threads=1)
+                          output=None, fmt="csv", seed=0)
         assert a.hash() == b.hash()
         assert a.hash() != c.hash()

@@ -40,6 +40,7 @@ class TestDiscriminant:
         assert fs.squarefree_decompose(49) == (1, 7)
         assert fs.squarefree_decompose(1) == (1, 1)
         assert fs.squarefree_decompose(-8) == (-2, 2)
+        assert fs.squarefree_decompose(-140) == (-35, 2)  # primes to the first power
 
 
 class TestParsing:

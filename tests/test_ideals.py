@@ -8,6 +8,18 @@ from cubicsums import fieldspec as fs
 from cubicsums import ideals as idl
 
 
+class TestFieldIdentity:
+    def test_overrides_are_part_of_field_identity(self):
+        # x^3 - 10: 3 divides the index, so its splitting comes from the override
+        a = fs.parse_field_spec("poly = -10, 0, 0\noverride.3 = 1:1+1:2")
+        b = fs.parse_field_spec("poly = -10, 0, 0\noverride.3 = 1:3")
+        assert a != b and hash(a) != hash(b)
+        assert len(idl.labels_above(a, 3)) == 2
+        assert len(idl.labels_above(b, 3)) == len(fs.splitting_type(b, 3).components) == 1
+        # the name labels a field; it is not part of its identity
+        assert fs.parse_field_spec("name = other\npoly = -2, 0, 0") == fs.get_preset("cubic-nonnormal-2")
+
+
 class TestFactoredIdeal:
     def test_unit(self):
         assert idl.UNIT_IDEAL.norm == 1

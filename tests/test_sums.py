@@ -245,11 +245,6 @@ class TestMeanSquareR:
         r2 = sm.meansquare_R(field_nn2, tables_nn2_1m, rho_nn2, 5, 10**4, samples=4096)
         assert abs(r1.integral_R2 - r2.integral_R2) <= r1.quadrature_error_est
 
-    def test_thread_count_invariant(self, field_nn2, tables_nn2_1m, rho_nn2):
-        a = sm.meansquare_R(field_nn2, tables_nn2_1m, rho_nn2, 3, 2 * 10**4, samples=2 * 10**4, threads=1)
-        b = sm.meansquare_R(field_nn2, tables_nn2_1m, rho_nn2, 3, 2 * 10**4, samples=2 * 10**4, threads=4)
-        assert a.integral_R2 == b.integral_R2  # bitwise
-
     def test_guards(self, field_nn2, tables_nn2_1m, rho_nn2):
         with pytest.raises(sm.SumsError):
             sm.meansquare_R(field_nn2, tables_nn2_1m, rho_nn2, 5, 40)  # T < 10X
