@@ -45,7 +45,6 @@ class RunConfig:
     y: tuple | None = None
     samples: int = 4096
     B: int | None = None
-    n_cutoff: int | None = None
     l: int = 4
     q: int = 2
     tables_path: str | None = None
@@ -157,6 +156,8 @@ def cmd_sieve(cfg: RunConfig, out=None) -> int:
 
 def cmd_verify(cfg: RunConfig, out=None) -> int:
     out = out or sys.stdout
+    if cfg.N < arith.N_MIN:
+        raise ConfigError(f"--N {cfg.N} below the minimum {arith.N_MIN}")
     names = (
         ["cubic-nonnormal-2", "cubic-cyclic-7"] if cfg.field == "all" else [cfg.field]
     )
@@ -204,8 +205,7 @@ def cmd_experiment(cfg: RunConfig, out=None) -> int:
 
     if name == "meansquare":
         X = (cfg.X or (1,))[0]
-        reports, _, trend = sums.meansquare_trend(field, tables, rho, X, cfg.T or (1000,),
-                                                  samples=cfg.samples, n_cutoff=cfg.n_cutoff)
+        reports, _, trend = sums.meansquare_trend(field, tables, rho, X, cfg.T or (1000,), samples=cfg.samples)
         rows = [(X, r.T, r.integral_R2, r.main_term, r.ratio, r.quadrature_error_est) for r in reports]
         meta["cX"] = reports[0].cX
         meta["ratio_trend"] = trend
@@ -249,11 +249,9 @@ def cmd_experiment(cfg: RunConfig, out=None) -> int:
     if name == "cx":
         rows = []
         for X in cfg.X or (10, 100, 1000):
-            cut = cfg.n_cutoff or max(1, tables.N // max(1, X))
-            r = sums.compute_cX(field, tables, X, cut)
-            rows.append((X, cut, r.value, r.tail_bound, abs(r.value) / X ** (7 / 3)))
-        meta["experiment"] = "cx"
-        _emit(cfg, ("X", "n_cutoff", "cX", "tail_bound", "abs_cX_over_X73"), rows, meta, out)
+            r = sums.compute_cX(field, tables, X)
+            rows.append((X, r.value, r.tail_bound, abs(r.value) / X ** (7 / 3)))
+        _emit(cfg, ("X", "cX", "tail_bound", "abs_cX_over_X73"), rows, meta, out)
         return EXIT_OK
 
     raise ConfigError(f"unknown experiment {name!r}")
@@ -366,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=_parse_int_list, default=None)
     p.add_argument("--y", type=_parse_int_list, default=None)
     p.add_argument("--samples", type=int, default=4096)
-    p.add_argument("--n-cutoff", dest="n_cutoff", type=lambda s: int(float(s)), default=None)
     p.add_argument("--l", type=int, default=4)
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--expr", default=None, help="bound expression for exponents-balance")
@@ -392,7 +389,6 @@ def _config_from_args(args) -> RunConfig:
         y=getattr(args, "y", None),
         samples=getattr(args, "samples", 4096),
         B=args.B,
-        n_cutoff=getattr(args, "n_cutoff", None),
         l=getattr(args, "l", 4),
         q=getattr(args, "q", 2),
         tables_path=args.tables_path,

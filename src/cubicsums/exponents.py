@@ -160,7 +160,8 @@ class BoundExpr:
         return out
 
     def evaluate(self, point: dict) -> float:
-        return sum(t.evaluate(point) for t in self.terms)
+        # fsum is correctly rounded, so the frozenset's hash-dependent order cannot change the result
+        return math.fsum(t.evaluate(point) for t in self.terms)
 
     def format(self, var_order=None) -> str:
         if not self.terms:

@@ -367,113 +367,23 @@ def _count_roots_vector(c0: int, c1: int, c2: int, ps: np.ndarray) -> np.ndarray
 # Dedekind's p-maximality criterion (monic cubic, small p)
 # ----------------------------------------------------------------------------
 
-def _poly_mod_factor_cubic(c0, c1, c2, p):
-    """Factor the cubic mod p into (root, multiplicity) pairs plus the
-    degree of the irreducible non-linear cofactor (0, 2 or 3).  Scan-based."""
-    roots = roots_mod_p(c0, c1, c2, p)
-    # multiplicity via synthetic division
-    coeffs = [1, c2 % p, c1 % p, c0 % p]
-    out = []
-    for r in roots:
-        mult = 0
-        cur = coeffs
-        while len(cur) > 1:
-            # divide by (x - r)
-            quot = []
-            acc = 0
-            for cf in cur[:-1]:
-                acc = (acc * r + cf) % p
-                quot.append(acc)
-            rem = (acc * r + cur[-1]) % p
-            if rem != 0:
-                break
-            mult += 1
-            cur = quot
-        out.append((r, mult))
-    deg_linear = sum(m for _, m in out)
-    return out, 3 - deg_linear
-
-
-def _poly_strip(u, p):
-    u = [x % p for x in u]
-    while u and u[0] == 0:
-        u.pop(0)
-    return u
-
-
-def _poly_rem_mod(u, v, p):
-    """Remainder of u by v over F_p (coefficient lists, highest degree first)."""
-    u = _poly_strip(u, p)
-    v = _poly_strip(v, p)
-    if not v:
-        raise ZeroDivisionError("division by zero polynomial")
-    inv = pow(v[0], p - 2, p)
-    while u and len(u) >= len(v):
-        coef = u[0] * inv % p
-        for i in range(len(v)):
-            u[i] = (u[i] - coef * v[i]) % p
-        while u and u[0] == 0:
-            u.pop(0)
-    return u
-
-
-def _poly_gcd_mod(u, v, p):
-    u = _poly_strip(u, p)
-    v = _poly_strip(v, p)
-    while v:
-        u, v = v, _poly_rem_mod(u, v, p)
-    return u
-
-
-def _poly_mul(u, v):
-    w = [0] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        for j, b in enumerate(v):
-            w[i + j] += a * b
-    return w
-
-
 def dedekind_p_maximal(c0: int, c1: int, c2: int, p: int) -> bool:
     """True iff p does not divide the index of Z[theta] in the maximal order.
 
-    Dedekind's criterion: with f = prod g_i^{e_i} mod p, g* = prod g_i,
-    h* = f / g*, and T = (g* h* - f)/p, the order is p-maximal iff
-    gcd(T, g*, h*) = 1 mod p.  Root-scan based, so p <= 10^5.
+    Dedekind's criterion for a monic cubic f: a repeated factor of f mod p
+    is linear (its square has degree <= 3), and the order is p-maximal iff
+    p^2 does not divide f(r) for each root r of f mod p with f'(r) = 0 mod p.
+    Any lift of r gives the same verdict, since f(r + p s) = f(r) mod p^2
+    when p | f'(r).  Root-scan based, so p <= 10^5.
     """
     if p > 100000:
         raise FieldConfigError(
             f"p-maximality test at p={p} is out of the scan budget; supply an explicit override"
         )
-    pairs, codeg = _poly_mod_factor_cubic(c0, c1, c2, p)
-    if all(m == 1 for _, m in pairs):
-        return True  # squarefree mod p, always p-maximal
-    gstar = [1]
-    hstar = [1]
-    for r, m in pairs:
-        gstar = _poly_mul(gstar, [1, -r])
-        for _ in range(m - 1):
-            hstar = _poly_mul(hstar, [1, -r])
-    if codeg:
-        # irreducible cofactor (multiplicity 1 inside a cubic) joins g*
-        cur = [x % p for x in (1, c2, c1, c0)]
-        for r, m in pairs:
-            for _ in range(m):
-                quot = []
-                acc = 0
-                for cf in cur[:-1]:
-                    acc = (acc * r + cf) % p
-                    quot.append(acc)
-                cur = quot
-        gstar = _poly_mul(gstar, cur)
-    gh = _poly_mul(gstar, hstar)
-    gh = [0] * (4 - len(gh)) + gh
-    full = [1, c2, c1, c0]
-    diffs = [u - v for u, v in zip(gh, full)]
-    if any(x % p for x in diffs):
-        raise AssertionError("Dedekind lift mismatch")
-    tbar = [(x // p) % p for x in diffs]
-    g = _poly_gcd_mod(_poly_gcd_mod(tbar, gstar, p), hstar, p)
-    return len(g) <= 1
+    for r in roots_mod_p(c0, c1, c2, p):
+        if (3 * r * r + 2 * c2 * r + c1) % p == 0 and (((r + c2) * r + c1) * r + c0) % (p * p) == 0:
+            return False
+    return True
 
 
 # ----------------------------------------------------------------------------

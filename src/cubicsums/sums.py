@@ -32,6 +32,14 @@ c(X) * integral of Y^{2/3}, where
            m^{4/3} a_K(m m1) a_K(m m2) M_K(X/(m m1)) M_K(X/(m m2))
            * sum_{n >= 1} a_K(n m1) a_K(n m2) / n^{4/3}.
 
+The inner n-sum is an Euler product: a_K is multiplicative and
+gcd(m1, m2) = 1, so it equals Z h(m1) h(m2) with Z = sum a_K(n)^2 n^{-4/3}
+and h multiplicative, both built from the exact local series a_K(p^k).  Z is
+zeta(4/3)^c times a product over p <= 10^6 whose factors beyond that average
+1, and a Moebius sum over common divisors replaces the coprimality condition,
+so c(X) costs O(X log X) slice sums and carries an estimate of the
+error of ending the product at 10^6, not a truncation in n.
+
 R_K(X, .) is a step function minus rho Y; every quadrature here samples at
 half-integer Y so jump ambiguity never arises, and float accumulations are
 combined with math.fsum in a fixed chunk order.
@@ -51,9 +59,8 @@ from .arith import (
     RhoEstimate,
     mobius_sieve,
     partial_A,
-    tau_table,
 )
-from .fieldspec import FieldSpec, primes_upto
+from .fieldspec import F_SHAPES, FieldSpec, local_ideal_counts, splitting_codes
 from .ideals import enumerate_ideals, sum_cJ_over_I
 
 __all__ = [
@@ -89,10 +96,6 @@ _SIXPI = 6.0 * math.pi
 
 class SumsError(RuntimeError):
     pass
-
-
-class CutoffError(SumsError):
-    """Raised when a requested relative tail tolerance cannot be certified."""
 
 
 # ----------------------------------------------------------------------------
@@ -311,113 +314,104 @@ def p2_meansquare_grid(field, tables, rho, T_values, y_values, samples: int = 20
 @dataclass(frozen=True)
 class CXResult:
     X: int
-    n_cutoff: int
     value: float
-    tail_bound: float
-    abs_mass: float  # same triple sum with all factors in absolute value
+    tail_bound: float  # estimated error from ending Z's Euler product at _P
 
 
-@lru_cache(maxsize=2)
-def _tau4_over_n43_suffix(limit: int = 10**6):
-    """Suffix sums of tau(n)^4 / n^{4/3} within the table, plus a finite
-    bound for the part beyond the table (Rankin-style, extremely
-    conservative at desk scale; reported, never load-bearing)."""
-    t = tau_table(2, limit)[1:].astype(np.float64)
-    n = np.arange(1, limit + 1, dtype=np.float64)
-    w = t**4 / n ** (4.0 / 3.0)
-    suffix = np.zeros(limit + 2, dtype=np.float64)
-    suffix[1 : limit + 1] = np.cumsum(w[::-1])[::-1]
-    # beyond the table: sum_{n>M} tau^4 n^{-4/3} <= M^{-d} * zeta(4/3-d)^16 * H(4/3-d)
-    ps = primes_upto(10**4).astype(np.float64)
-    best = math.inf
-    for d in (1.0 / 24, 1.0 / 12, 1.0 / 8, 1.0 / 6):
-        s = 4.0 / 3.0 - d
-        zeta = float(np.sum(np.arange(1, 200000, dtype=np.float64) ** (-s))) + (200000.0 ** (1 - s)) / (s - 1)
-        logH = 0.0
-        for p in ps:
-            ratio = p**-s
-            local = 0.0
-            k = 0
-            term = 1.0
-            while term > 1e-18:
-                local += (k + 1) ** 4 * term
-                k += 1
-                term = ratio**k
-            logH += 16 * math.log1p(-ratio) + math.log(local)
-        best = min(best, limit**-d * zeta**16 * math.exp(logH))
-    return suffix, best
+_P = 10**6  # Z's Euler product runs over p <= _P; zeta(4/3)^c carries the rest
+_X_MAX = 10**3
+_KMAX = 64  # terms of each local series; a_K(p^k) <= (k+1)(k+2)/2, so at p = 2 the rest is below 3e-19
 
 
-def _tau4_tail_bound(B: int) -> float:
-    suffix, beyond = _tau4_over_n43_suffix()
-    B = min(B, len(suffix) - 2)
-    return float(suffix[B + 1]) + beyond
+def _zeta(s: float) -> float:
+    """zeta(s) for real s > 1 by Euler-Maclaurin from n = 40 on, with four
+    Bernoulli corrections (error below 1e-15 at s = 4/3)."""
+    n = 40
+    total = math.fsum(k**-s for k in range(1, n)) + n ** (1 - s) / (s - 1) + n**-s / 2
+    rising = s  # s (s+1) ... (s+2j-2)
+    for j, b2j in enumerate((1 / 6, -1 / 30, 1 / 42, -1 / 30), 1):
+        total += b2j / math.factorial(2 * j) * rising * n ** (-s - 2 * j + 1)
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+    return total
 
 
-def compute_cX(
-    field: FieldSpec,
-    tables: ArithTables,
-    X: int,
-    n_cutoff: int,
-    rel_tail_tol: float | None = None,
-) -> CXResult:
-    """c(X) truncated at n <= n_cutoff, with a majorized bound for the tail.
+def _local_series(code: int, extra: int = 0) -> np.ndarray:
+    """a_K(p^k), k < _KMAX + extra, for a prime of splitting code `code`."""
+    return np.array(local_ideal_counts(F_SHAPES[code], _KMAX + extra - 1), dtype=np.float64)
 
-    The tail bound uses a_K(nm) <= tau(n)^2 tau(m)^2 and a tau^4/n^{4/3}
-    suffix table; it is a desk-scale majorization, conservative by orders of
-    magnitude (the honest truncation error is gauged by doubling n_cutoff).
-    When rel_tail_tol is given and tail_bound > rel_tail_tol * |value| a
-    CutoffError is raised rather than reporting an uncertified value.
+
+@lru_cache(maxsize=4)
+def _euler_Z(field: FieldSpec, P: int = _P):
+    """Z = sum_n a_K(n)^2 n^{-4/3} = zeta(4/3)^c prod_{p<=P} (1-t)^c F_p(t),
+    t = p^{-4/3}, F_p(t) = sum_k a_K(p^k)^2 t^k, and c = 1, 3 or 2 the mean of
+    a_K(p)^2 over primes (rationals hook, normal cubic, non-normal cubic),
+    which makes the factors beyond P average 1.
+
+    Returns (Z, window) with window the sum of the log factors over
+    P/2 < p <= P, the estimate of log of the factors left out."""
+    c = 1 if field.is_rational_hook else 3 if field.normal else 2
+    ps, codes = splitting_codes(field, P)
+    logs = np.empty(len(ps))
+    for code in np.unique(codes).tolist():
+        sel = codes == code
+        t = ps[sel] ** (-4.0 / 3.0)
+        a2 = _local_series(code) ** 2
+        # Horner gives F_p(t) - 1 directly, so log1p keeps the small factors exact
+        logs[sel] = c * np.log1p(-t) + np.log1p(np.polyval(np.append(a2[:0:-1], 0.0), t))
+    Z = _zeta(4.0 / 3.0) ** c * math.exp(math.fsum(logs.tolist()))
+    return Z, math.fsum(logs[ps > P // 2].tolist())
+
+
+def _h_values(field: FieldSpec, X: int) -> np.ndarray:
+    """h(n) for n <= X, multiplicative with
+    h(p^k) = sum_j a_K(p^{j+k}) a_K(p^j) p^{-4j/3} / F_p(p^{-4/3}),
+    so that sum_n a_K(n m1) a_K(n m2) n^{-4/3} = Z h(m1) h(m2) for coprime m1, m2."""
+    h = np.ones(X + 1)
+    ps, codes = splitting_codes(field, X)
+    for p, code in zip(ps.tolist(), codes.tolist()):
+        kmax = 0
+        while p ** (kmax + 1) <= X:
+            kmax += 1
+        a = _local_series(code, kmax)
+        w = p ** (-4.0 / 3.0 * np.arange(_KMAX))
+        local = np.array([np.dot(a[k : k + _KMAX] * a[:_KMAX], w) for k in range(kmax + 1)])
+        v = np.zeros(X + 1, dtype=np.int64)  # v_p(n)
+        for k in range(1, kmax + 1):
+            v[p**k :: p**k] += 1
+        h *= (local / local[0])[v]
+    return h
+
+
+def compute_cX(field: FieldSpec, tables: ArithTables, X: int) -> CXResult:
+    """c(X) from the Euler product of its inner n-sum.
+
+    a_K is multiplicative and gcd(m1, m2) = 1, so the n-sum is
+    Z h(m1) h(m2) (see _euler_Z, _h_values).  With
+    u_m(j) = a_K(m j) M_K(X/(m j)) h(j), the coprimality condition
+    [gcd(j1, j2) = 1] = sum_{d | j1, d | j2} mu(d) collapses the pair sum:
+
+        c(X) = Z/(6 pi^2) sum_m m^{4/3} sum_d mu(d) (sum_{d | j} u_m(j))^2.
+
+    tail_bound is |c(X)| times the window estimate of the Euler factors
+    beyond _P.
     """
     X = int(X)
-    if X < 1 or X > 10**3:
-        raise SumsError(f"c(X) enumeration supports 1 <= X <= 1000, got {X}")
-    if n_cutoff < 1 or n_cutoff * X > tables.N:
-        raise SumsError(
-            f"n_cutoff={n_cutoff} needs a_K up to n_cutoff*X = {n_cutoff * X} > N={tables.N}"
-        )
-    aK = tables.aK
-    Mpre = tables.M_prefix
-    tau2 = tau_table(2, X)[: X + 1].astype(np.float64) ** 2
-    nw = np.arange(1, n_cutoff + 1, dtype=np.float64) ** (-4.0 / 3.0)
-    tail_unit = _tau4_tail_bound(n_cutoff)
+    if X < 1 or X > _X_MAX:
+        raise SumsError(f"c(X) supports 1 <= X <= {_X_MAX}, got {X}")
+    if X > tables.N:
+        raise SumsError(f"c(X) needs a_K and M_K up to X={X} > N={tables.N}")
+    Z, window = _euler_Z(field)
+    h = _h_values(field, X)
+    mu = mobius_sieve(X)
     terms = []
-    mass_terms = []
-    tail_terms = []
-    for m1 in range(1, X + 1):
-        a1 = aK[m1 :: m1][:n_cutoff].astype(np.float64)
-        for m2 in range(m1, X + 1):
-            if math.gcd(m1, m2) != 1:
-                continue
-            sym = 1.0 if m1 == m2 else 2.0
-            # inner n-sum (exact truncation) and coefficient sum over m
-            a2 = aK[m2 :: m2][:n_cutoff].astype(np.float64)
-            L = min(len(a1), len(a2))
-            S = float(np.dot(a1[:L] * a2[:L], nw[:L]))
-            mmax = X // m2  # m2 >= m1
-            if mmax == 0:
-                continue
-            ms = np.arange(1, mmax + 1)
-            am1 = aK[ms * m1].astype(np.float64)
-            am2 = aK[ms * m2].astype(np.float64)
-            M1 = Mpre[X // (ms * m1)].astype(np.float64)
-            M2 = Mpre[X // (ms * m2)].astype(np.float64)
-            mw = ms.astype(np.float64) ** (4.0 / 3.0)
-            W = float(np.dot(mw, am1 * am2 * M1 * M2))
-            W_abs = float(np.dot(mw, am1 * am2 * np.abs(M1 * M2)))
-            terms.append(sym * W * S)
-            mass_terms.append(sym * W_abs * S)
-            tail_terms.append(sym * W_abs * tau2[m1] * tau2[m2] * tail_unit)
-    norm = 1.0 / (6.0 * math.pi**2)
-    value = norm * math.fsum(terms)
-    abs_mass = norm * math.fsum(mass_terms)
-    tail = norm * math.fsum(tail_terms)
-    if rel_tail_tol is not None and tail > rel_tail_tol * abs(value):
-        raise CutoffError(
-            f"n_cutoff={n_cutoff} too small: tail bound {tail:.3g} exceeds "
-            f"{rel_tail_tol:.1e} * |c(X)| = {rel_tail_tol * abs(value):.3g}"
-        )
-    return CXResult(X=X, n_cutoff=n_cutoff, value=value, tail_bound=tail, abs_mass=abs_mass)
+    for m in range(1, X + 1):
+        L = X // m
+        j = np.arange(1, L + 1)
+        u = (tables.aK[m * j] * tables.M_prefix[X // (m * j)]) * h[1 : L + 1]
+        s = math.fsum(float(mu[d]) * float(u[d - 1 :: d].sum()) ** 2 for d in range(1, L + 1) if mu[d])
+        terms.append(m ** (4.0 / 3.0) * s)
+    value = Z / (6.0 * math.pi**2) * math.fsum(terms)
+    return CXResult(X=X, value=value, tail_bound=abs(value * window))
 
 
 # ----------------------------------------------------------------------------
@@ -463,7 +457,6 @@ def meansquare_R(
     X: int,
     T: int,
     samples: int = 4096,
-    n_cutoff: int | None = None,
 ) -> MeanSquareReport:
     """Quadrature of |R_K(X, Y)|^2 over [T, 2T] against the predicted main
     term c(X) * (3/5) ((2T)^{5/3} - T^{5/3})."""
@@ -476,9 +469,7 @@ def meansquare_R(
     integral, n_used = _quad_R2(field, tables, rho, X, T, samples)
     coarse, _ = _quad_R2(field, tables, rho, X, T, max(17, n_used // 2))
     err = 2.0 * abs(integral - coarse) + 1e-9 * abs(integral)
-    if n_cutoff is None:
-        n_cutoff = max(1, min(tables.N // max(1, X), 2 * 10**5))
-    cx = compute_cX(field, tables, X, n_cutoff)
+    cx = compute_cX(field, tables, X)
     main = cx.value * 0.6 * ((2.0 * T) ** (5.0 / 3.0) - float(T) ** (5.0 / 3.0))
     return MeanSquareReport(
         X=int(X),
@@ -510,9 +501,9 @@ def exact_PK_square_integral(tables: ArithTables, rho: RhoEstimate, T: int) -> f
     return float(np.sum((lo**3 - hi**3) / (3.0 * r)))
 
 
-def meansquare_trend(field, tables, rho, X, T_values, samples=4096, n_cutoff=None):
+def meansquare_trend(field, tables, rho, X, T_values, samples=4096):
     """Ratio integral/main tabulated over a grid of T (monotone-trend report)."""
-    rows = [meansquare_R(field, tables, rho, X, T, samples=samples, n_cutoff=n_cutoff) for T in T_values]
+    rows = [meansquare_R(field, tables, rho, X, T, samples=samples) for T in T_values]
     ratios = [r.ratio for r in rows]
     if all(b < a for a, b in zip(ratios, ratios[1:])):
         trend = "decreasing"

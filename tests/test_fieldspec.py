@@ -92,6 +92,63 @@ class TestParsing:
         assert f.disc == -108
 
 
+def _p_divides_index(c0, c1, c2, p):
+    """Brute-force oracle: p divides [O_K : Z[theta]] iff some
+    (a + b theta + c theta^2)/p with (a, b, c) != 0 mod p is integral, that is
+    its characteristic polynomial x^3 - tr/p x^2 + e2/p^2 x - det/p^3 has
+    integer coefficients (tr, e2, det of the integer matrix of a + b theta + c theta^2)."""
+    C = np.array([[0, 0, -c0], [1, 0, -c1], [0, 1, -c2]], dtype=object)
+    basis = (np.eye(3, dtype=object), C, C.dot(C))
+    for abc in itertools.product(range(p), repeat=3):
+        if not any(abc):
+            continue
+        A = sum(x * B for x, B in zip(abc, basis))
+        minors = [A[i, i] * A[j, j] - A[i, j] * A[j, i] for i, j in ((0, 1), (0, 2), (1, 2))]
+        det = (A[0, 0] * (A[1, 1] * A[2, 2] - A[1, 2] * A[2, 1])
+               - A[0, 1] * (A[1, 0] * A[2, 2] - A[1, 2] * A[2, 0])
+               + A[0, 2] * (A[1, 0] * A[2, 1] - A[1, 1] * A[2, 0]))
+        if A.trace() % p == 0 and sum(minors) % p**2 == 0 and det % p**3 == 0:
+            return True
+    return False
+
+
+class TestDedekind:
+    def test_pure_cubics(self):
+        # x^3 - m with m = a b^2 cube-free (a, b squarefree, coprime): Z[m^(1/3)]
+        # is p-maximal iff p does not divide b and, at p = 3, m^2 != 1 mod 9
+        cases = 0
+        for m in range(2, 400):
+            fac = fs.factorize(m)
+            if any(e > 2 for e in fac.values()):
+                continue
+            b = math.prod(p for p, e in fac.items() if e == 2)
+            disc = fs.discriminant_monic_cubic(-m, 0, 0)
+            for p, k in fs.factorize(abs(disc)).items():
+                if k >= 2:
+                    want = b % p != 0 and (p != 3 or m * m % 9 != 1)
+                    assert fs.dedekind_p_maximal(-m, 0, 0, p) == want, (m, p)
+                    cases += 1
+        assert cases > 800
+
+    def test_against_integrality_oracle(self):
+        # unlike pure cubics, these include primes where f mod p has a simple
+        # root beside the double one, so the f'(r) = 0 condition matters
+        cases = 0
+        for c0, c1, c2 in itertools.product(range(-5, 6), repeat=3):
+            if c0 == 0 or fs._integer_roots(c0, c1, c2):
+                continue
+            disc = fs.discriminant_monic_cubic(c0, c1, c2)
+            for p, k in fs.factorize(abs(disc)).items():
+                if k >= 2 and p <= 7:
+                    assert fs.dedekind_p_maximal(c0, c1, c2, p) == (not _p_divides_index(c0, c1, c2, p)), (c0, c1, c2, p)
+                    cases += 1
+        assert cases > 500
+
+    def test_scan_budget(self):
+        with pytest.raises(fs.FieldConfigError, match="scan budget"):
+            fs.dedekind_p_maximal(-2, 0, 0, 100003)
+
+
 class TestSplitting:
     def test_nn2_examples(self, field_nn2):
         assert fs.splitting_type(field_nn2, 2).pattern == "P1^3"

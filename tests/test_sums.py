@@ -170,56 +170,105 @@ class TestMeanSquareP2:
         assert y_exp < 0  # decay in the truncation length
 
 
-class TestComputeCX:
-    def test_X1_direct_formula(self, field_nn2, tables_nn2_1m):
-        cut = 10**5
-        r = sm.compute_cX(field_nn2, tables_nn2_1m, 1, cut)
-        n = np.arange(1, cut + 1, dtype=np.float64)
-        want = float(np.sum(tables_nn2_1m.aK[1 : cut + 1].astype(np.float64) ** 2 / n ** (4 / 3)))
-        want /= 6 * math.pi**2
-        assert r.value == pytest.approx(want, rel=1e-12)
-        assert r.value > 0
-
-    def test_triple_sum_oracle(self, field_nn2, tables_nn2_1m):
-        # brute-force the (m, m1, m2) enumeration at tiny size
-        X, cut = 6, 50
-        t = tables_nn2_1m
-        total = 0.0
-        for m in range(1, X + 1):
-            for m1 in range(1, X // m + 1):
-                for m2 in range(1, X // m + 1):
-                    if math.gcd(m1, m2) != 1:
-                        continue
-                    S = sum(
-                        float(t.aK[n * m1] * t.aK[n * m2]) / n ** (4 / 3)
-                        for n in range(1, cut + 1)
-                    )
+def _pair_loop_cX(tables, X, inner):
+    """c(X) by the explicit loop over m and coprime (m1, m2), with
+    inner(m1, m2) standing for sum_n a_K(n m1) a_K(n m2) n^{-4/3}."""
+    total = 0.0
+    for m in range(1, X + 1):
+        for m1 in range(1, X // m + 1):
+            for m2 in range(1, X // m + 1):
+                if math.gcd(m1, m2) == 1:
                     total += (
                         m ** (4 / 3)
-                        * float(t.aK[m * m1] * t.aK[m * m2])
-                        * float(t.M_prefix[X // (m * m1)] * t.M_prefix[X // (m * m2)])
-                        * S
+                        * float(tables.aK[m * m1] * tables.aK[m * m2])
+                        * float(tables.M_prefix[X // (m * m1)] * tables.M_prefix[X // (m * m2)])
+                        * inner(m1, m2)
                     )
-        want = total / (6 * math.pi**2)
-        got = sm.compute_cX(field_nn2, tables_nn2_1m, X, cut)
-        assert got.value == pytest.approx(want, rel=1e-9)
+    return total / (6 * math.pi**2)
 
-    def test_doubling_cutoff_within_tail(self, field_nn2, tables_nn2_1m):
-        a = sm.compute_cX(field_nn2, tables_nn2_1m, 5, 10**5)
-        b = sm.compute_cX(field_nn2, tables_nn2_1m, 5, 2 * 10**5)
-        assert abs(a.value - b.value) < a.tail_bound
 
-    def test_requested_tolerance_raises(self, field_nn2, tables_nn2_1m):
-        with pytest.raises(sm.CutoffError):
-            sm.compute_cX(field_nn2, tables_nn2_1m, 5, 10**4, rel_tail_tol=1e-3)
+def _truncated_inner(tables, cut):
+    """The n-sum cut at n <= cut (the form the Euler product replaced)."""
+    nw = np.arange(1, cut + 1, dtype=np.float64) ** (-4 / 3)
+
+    def inner(m1, m2):
+        a1 = tables.aK[m1::m1][:cut].astype(np.float64)
+        a2 = tables.aK[m2::m2][:cut].astype(np.float64)
+        return float(np.dot(a1 * a2, nw))
+
+    return inner
+
+
+class TestComputeCX:
+    def test_rationals_hook_is_classical(self, field_hook):
+        Z, _ = sm._euler_Z(field_hook)
+        assert Z == pytest.approx(3.600937750458863, abs=1e-14)  # zeta(4/3)
+        assert np.array_equal(sm._h_values(field_hook, 200), np.ones(201))
+        # a_K = 1 and M_K is the classical Mertens function
+        t = ar.build_tables(field_hook, 1000)
+        assert np.all(t.aK[1:] == 1)
+        assert np.array_equal(t.M_prefix, np.cumsum(ar.mobius_sieve(1000)))
+        want = _pair_loop_cX(t, 200, lambda m1, m2: 3.600937750458863)
+        assert sm.compute_cX(field_hook, t, 200).value == pytest.approx(want, rel=1e-12)
+
+    def test_X1_direct_formula(self, field_nn2, tables_nn2_1m):
+        # c(1) = Z / (6 pi^2), and Z = sum a_K(n)^2 n^{-4/3} bounds every partial sum
+        r = sm.compute_cX(field_nn2, tables_nn2_1m, 1)
+        Z, _ = sm._euler_Z(field_nn2)
+        assert r.value == pytest.approx(Z / (6 * math.pi**2), rel=1e-15)
+        n = np.arange(1, 10**6 + 1, dtype=np.float64)
+        partial = math.fsum((tables_nn2_1m.aK[1:].astype(np.float64) ** 2 / n ** (4 / 3)).tolist())
+        assert 0.9 * Z < partial < Z
+
+    def test_triple_sum_oracle(self, field_nn2, field_c7, tables_nn2_1m, tables_c7_1m):
+        # the Moebius collapse against the explicit (m, m1, m2) loop
+        X = 30
+        for field, tables in ((field_nn2, tables_nn2_1m), (field_c7, tables_c7_1m)):
+            Z, h = sm._euler_Z(field)[0], sm._h_values(field, X)
+            want = _pair_loop_cX(tables, X, lambda m1, m2: Z * h[m1] * h[m2])
+            assert sm.compute_cX(field, tables, X).value == pytest.approx(want, rel=1e-12), field.name
+
+    @pytest.mark.parametrize("preset", ["cubic-nonnormal-2", "cubic-cyclic-7"])
+    def test_h_against_truncated_sums(self, preset, tables_nn2_1m, tables_c7_1m):
+        # sum_n a_K(n m1) a_K(n m2) n^{-4/3} / sum_n a_K(n)^2 n^{-4/3} -> h(m1) h(m2),
+        # with both sums cut at the same n; exactly 0 where an inert prime splits m1, m2
+        tables = tables_nn2_1m if preset == "cubic-nonnormal-2" else tables_c7_1m
+        h = sm._h_values(fs.get_preset(preset), 30)
+        inner = _truncated_inner(tables, tables.N // 30)
+        base = inner(1, 1)
+        for m1 in range(1, 31):
+            for m2 in range(m1 + 1, 31):
+                if math.gcd(m1, m2) == 1:
+                    assert inner(m1, m2) / base == pytest.approx(h[m1] * h[m2], rel=0.03, abs=0), (m1, m2)
+
+    def test_truncated_sum_converges_to_euler_product(self, field_nn2, tables_nn2_1m):
+        # the gap to the n-sum cut at n <= cut shrinks by a near-constant
+        # factor per doubling of cut (about 2^{-1/3} up to logs)
+        value = sm.compute_cX(field_nn2, tables_nn2_1m, 5).value
+        cuts = (25000, 50000, 10**5, 2 * 10**5)
+        gaps = [value - _pair_loop_cX(tables_nn2_1m, 5, _truncated_inner(tables_nn2_1m, cut)) for cut in cuts]
+        assert all(g > 0 for g in gaps)
+        ratios = [b / a for a, b in zip(gaps, gaps[1:])]
+        assert all(0.75 <= r <= 0.9 for r in ratios), ratios
+
+    @pytest.mark.parametrize("preset", ["cubic-nonnormal-2", "cubic-cyclic-7"])
+    def test_tail_window_estimates_truncation(self, preset):
+        field = fs.get_preset(preset)
+        Z5, window5 = sm._euler_Z(field, 10**5)
+        Z6, _ = sm._euler_Z(field)
+        err = abs(Z5 - Z6) / Z6
+        assert err / 10 <= abs(window5) <= 10 * err
+        # with the wrong mean c of a_K(p)^2, the factors beyond 10^5 would
+        # move Z by about sum_{p > 10^5} p^{-4/3}, some 2e-3
+        assert err < 1e-4
 
     def test_guards(self, field_nn2, tables_nn2_1m):
         with pytest.raises(sm.SumsError):
-            sm.compute_cX(field_nn2, tables_nn2_1m, 0, 10)
+            sm.compute_cX(field_nn2, tables_nn2_1m, 0)
         with pytest.raises(sm.SumsError):
-            sm.compute_cX(field_nn2, tables_nn2_1m, 2000, 10)
+            sm.compute_cX(field_nn2, tables_nn2_1m, 1001)
         with pytest.raises(sm.SumsError):
-            sm.compute_cX(field_nn2, tables_nn2_1m, 100, 10**5)  # cutoff*X > N
+            sm.compute_cX(field_nn2, ar.build_tables(field_nn2, 500), 600)
 
 
 class TestMeanSquareR:
