@@ -127,11 +127,13 @@ def exponential_sum_failure(size):
     """First (m, n, c_m(n), z) over m, n <= size where the exponential sum
     z = sum_{j <= m, (j, m) = 1} e(jn/m) has imaginary part >= 1e-9 or
     does not round to classical_ramanujan(m, n), or None."""
+    ns = np.arange(1, size + 1)
     for m in range(1, size + 1):
-        js = [j for j in range(1, m + 1) if math.gcd(j, m) == 1]
-        for n in range(1, size + 1):
+        js = np.array([j for j in range(1, m + 1) if math.gcd(j, m) == 1])
+        theta = 2 * math.pi * js[:, None] * ns / m
+        zs = (np.cos(theta) + 1j * np.sin(theta)).sum(axis=0)
+        for n, z in enumerate(zs.tolist(), start=1):
             c = arith.classical_ramanujan(m, n)
-            z = sum(complex(math.cos(2 * math.pi * j * n / m), math.sin(2 * math.pi * j * n / m)) for j in js)
             if abs(z.imag) >= 1e-9 or round(z.real) != c:
                 return (m, n, c, z)
     return None

@@ -130,6 +130,8 @@ def cmd_sieve(cfg: RunConfig, out=None) -> int:
     field = fieldspec.load_field(cfg.field)
     if cfg.N < arith.N_MIN:
         raise ConfigError(f"--N {cfg.N} below the minimum {arith.N_MIN}")
+    if cfg.B is not None and not arith.N_MIN <= cfg.B <= cfg.N:
+        raise ConfigError(f"--B {cfg.B} outside [{arith.N_MIN}, {cfg.N}]")
     tables = arith.build_tables(field, cfg.N)
     path = cfg.output or f"tables_{field.name}_{cfg.N}.bin"
     arith.write_tables(tables, path)
@@ -158,6 +160,8 @@ def cmd_verify(cfg: RunConfig, out=None) -> int:
     out = out or sys.stdout
     if cfg.N < arith.N_MIN:
         raise ConfigError(f"--N {cfg.N} below the minimum {arith.N_MIN}")
+    if cfg.field == "all" and cfg.tables_path:
+        raise ConfigError("--tables holds one field's tables; name that field instead of --field all")
     names = (
         ["cubic-nonnormal-2", "cubic-cyclic-7"] if cfg.field == "all" else [cfg.field]
     )

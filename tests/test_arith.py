@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import itertools
 import math
 
@@ -294,24 +295,53 @@ class TestPairSum:
             ar.tau4_cuberoot_pair_sum(10**5 + 1)
 
 
+def _convolve_per_d(f, g, nmax):
+    """(f * g)(n) for n <= nmax with one strided add per d: the reference."""
+    out = np.zeros(nmax + 1, dtype=np.int64)
+    for d in range(1, nmax + 1):
+        if f[d]:
+            out[d::d] += f[d] * g[1 : nmax // d + 1]
+    return out
+
+
+class TestDirichletConvolution:
+    # every nmax up to 130, and r^2 - 1, r^2, r^2 + 1, r(r + 1) for r = isqrt(nmax)
+    # near 1000 and 4096, where the split point and the second pass's range turn over
+    NMAX = list(range(1, 131)) + [v for r in (31, 32, 64) for v in (r * r - 1, r * r, r * r + 1, r * (r + 1))]
+
+    def test_matches_per_d_loop(self):
+        rng = np.random.default_rng(20211)
+        for nmax in self.NMAX:
+            # sparse, signed, and longer than nmax + 1 as table arrays are
+            f, g = rng.integers(-3, 4, (2, nmax + 7)) * (rng.random((2, nmax + 7)) < 0.4)
+            got = ar.dirichlet_convolution(f, g, nmax)
+            assert np.array_equal(got, _convolve_per_d(f, g, nmax)), nmax
+            assert np.array_equal(ar.dirichlet_convolution(g, f, nmax), got), nmax
+
+
 class TestIdentityChecks:
     def test_detects_corruption(self, field_nn2):
+        # N = 3000 splits at r = 54: faults below, at and above r, and at N
         t = ar.build_tables(field_nn2, 3000)
-        aK = t.aK.copy()
-        aK[100] += 1
-        bad = ar.ArithTables(
-            field_name=t.field_name,
-            N=t.N,
-            aK=aK,
-            muK=t.muK,
-            b=t.b,
-            A_prefix=t.A_prefix,
-            M_prefix=t.M_prefix,
-        )
         assert ar.convolution_identity_failure(t, 3000) is None
-        assert ar.convolution_identity_failure(bad, 3000) == 100
         assert ar.b_sum_identity_failure(t, 3000) is None
-        assert ar.b_sum_identity_failure(bad, 3000) == 100
+        ones = np.ones(3001, dtype=np.int64)
+        e = (np.arange(3001) == 1).astype(np.int64)
+
+        def first_bad(got, want):
+            bad = np.flatnonzero(got[1:] != want[1:])
+            return int(bad[0]) + 1 if len(bad) else None
+
+        for name in ("aK", "muK", "b"):
+            for n in (2, 54, 55, 100, 1500, 3000):
+                arr = getattr(t, name).copy()
+                arr[n] += 1
+                bad = dataclasses.replace(t, **{name: arr})
+                conv_ref = first_bad(_convolve_per_d(bad.aK, bad.muK, 3000), e)
+                bsum_ref = first_bad(_convolve_per_d(bad.b, ones, 3000), bad.aK)
+                assert (conv_ref, bsum_ref) == (n if name != "b" else None, n if name != "muK" else None)
+                assert ar.convolution_identity_failure(bad, 3000) == conv_ref, (name, n)
+                assert ar.b_sum_identity_failure(bad, 3000) == bsum_ref, (name, n)
 
     def test_b_growth_statistic(self, tables_nn2_small):
         assert ar.b_growth_statistic(tables_nn2_small) > 0

@@ -43,6 +43,14 @@ class TestSieve:
             assert rc == 2, argv
             assert "below the minimum" in err
 
+    def test_B_outside_range_rejected_before_sieving(self, tmp_path, capsys):
+        for B in ("5000", "500"):
+            out = tmp_path / "t.bin"
+            rc, stdout, err = run(["sieve", "--N", "2000", "--B", B, "--output", str(out)], capsys)
+            assert rc == 2, B
+            assert stdout == "" and not out.exists()
+            assert f"--B {B} outside [1000, 2000]" in err
+
     def test_csv_preview(self, tmp_path, capsys):
         rc, _, _ = run(
             ["sieve", "--N", "2000", "--output", str(tmp_path / "t.bin"),
@@ -102,6 +110,14 @@ class TestVerify:
         )
         assert rc == 2
         assert "table file is for field" in err
+
+    def test_tables_with_field_all_rejected_up_front(self, tmp_path, capsys):
+        table_path = tmp_path / "t.bin"
+        run(["sieve", "--N", "2000", "--output", str(table_path)], capsys)
+        rc, stdout, err = run(["verify", "--field", "all", "--tables", str(table_path)], capsys)
+        assert rc == 2
+        assert stdout == ""
+        assert "--field all" in err
 
 
 class TestExperiments:
