@@ -17,10 +17,11 @@ their values at prime powers depend only on the splitting shape of p:
 
 The sieve fills all tables in two passes over the whole array.  A prime
 p > sqrt(N) divides n <= N at most once, and then n = m p with m < sqrt(N),
-so the large-prime pass loops over the cofactor m and stores the values at
-all m p in one indexed assignment.  The small-prime pass multiplies the
-value at p^k into every n = p^k j with p not dividing j, for each prime
-power p^k <= N with p <= sqrt(N).
+so the large-prime pass loops over the cofactor m and stores the splitting
+code of p at all m p in one indexed assignment into an int8 array; each
+table is then one lookup of its values by code.  The small-prime pass
+multiplies the value at p^k into every n = p^k j with p not dividing j, for
+each prime power p^k <= N with p <= sqrt(N).
 
 The identities a_K * mu_K = e and 1 * b = a_K, and b = chi * conj(chi) on
 a cyclic field, are checked with one Dirichlet convolution split at the
@@ -124,21 +125,22 @@ def _sieve_multiplicative(N, ps, codes, locals_by_code, n_funcs):
     locals_by_code[code][j][k] is the value of function j at p^k for every
     prime p of splitting code `code`.
     """
-    arrays = [np.ones(N + 1, dtype=np.int64) for _ in range(n_funcs)]
     split_at = int(np.searchsorted(ps, math.isqrt(N), side="right"))
     # large primes p > sqrt(N) divide each n <= N at most once, and n = m p
-    # has cofactor m < sqrt(N); the arrays still hold ones there, so the
-    # values are stored rather than multiplied in
-    big = ps[split_at:]
-    lut = np.zeros((n_funcs, len(F_SHAPES)), dtype=np.int64)
-    for c, loc in locals_by_code.items():
-        lut[:, c] = [vals[1] for vals in loc]
-    big_vals = lut[:, codes[split_at:]]
+    # has cofactor m < sqrt(N): scatter the splitting code of p to every m p
+    # once, then read each function's value at p (or 1, in the slot for "no
+    # prime above sqrt(N)") through a lookup table
+    big, big_codes = ps[split_at:], codes[split_at:]
+    none = len(F_SHAPES)
+    code_at = np.full(N + 1, none, dtype=np.int8)
     for m in range(1, math.isqrt(N) + 1):
         cnt = int(np.searchsorted(big, N // m, side="right"))
-        idx = m * big[:cnt]
-        for arr, vals in zip(arrays, big_vals):
-            arr[idx] = vals[:cnt]
+        code_at[m * big[:cnt]] = big_codes[:cnt]
+    lut = np.ones((n_funcs, none + 1), dtype=np.int64)
+    for c, loc in locals_by_code.items():
+        lut[:, c] = [vals[1] for vals in loc]
+    arrays = [row.take(code_at) for row in lut]
+    del code_at
     # small primes: multiply the local value at p^k into n = p^k j, p not
     # dividing j, through the strided view of the multiples of p^k laid out
     # as rows of p (the last column holds the j divisible by p)
@@ -184,12 +186,13 @@ def _freeze(arr):
 
 
 def _guard_prefix_overflow(aK, muK):
-    # detect before wrapping: float estimates of the extreme prefix values
-    a_est = float(np.sum(aK, dtype=np.float64))
-    m_est = float(np.sum(np.abs(muK), dtype=np.float64))
-    if a_est > 2.0**62 or m_est > 2.0**62:
+    # detect before wrapping: |prefix| <= N max|value|, which is never below
+    # the sum of |value| and needs no temporary array
+    n = len(aK) - 1
+    a_bound, m_bound = (n * max(int(arr.max()), -int(arr.min())) for arr in (aK, muK))
+    if a_bound > 2**62 or m_bound > 2**62:
         raise ArithError(
-            f"prefix sums would overflow int64 (estimates {a_est:.3g}, {m_est:.3g}); "
+            f"prefix sums would overflow int64 (bounds N*max|value| = {a_bound:.3g}, {m_bound:.3g}); "
             "aborting instead of wrapping"
         )
 
@@ -469,18 +472,18 @@ def cubic_character(f: int):
 
 
 def b_from_cubic_character(f: int, nmax: int) -> np.ndarray:
-    """b(n) = sum_{xy = n} chi(x) conj(chi)(y), exact in Z[omega]; must be real.
+    """b(n) = sum_{xy = n} chi(x) conj(chi)(y), exact as integers.
 
-    With chi = u + v omega and conj(chi) = (u - v) - v omega, the product
-    splits into integer convolutions of the components."""
+    With chi = u + v omega and conj(chi) = (u - v) - v omega (omega^2 =
+    -1 - omega), the product is
+
+        u*(u - v) + v*v  +  (u*(-v) + v*(u - v) + v*v) omega,
+
+    and the omega part is v*u - u*v = 0 because Dirichlet convolution
+    commutes.  So b is real for any table of Eisenstein pairs, and two
+    integer convolutions give it."""
     u, v = np.array(cubic_character(f), dtype=np.int64)[np.arange(nmax + 1) % f].T
-    cu, cv = u - v, -v
-    vv = dirichlet_convolution(v, cv, nmax)
-    U = dirichlet_convolution(u, cu, nmax) - vv
-    V = dirichlet_convolution(u, cv, nmax) + dirichlet_convolution(v, cu, nmax) - vv
-    if np.any(V[1:]):
-        raise ArithError("character convolution produced a non-real value")
-    return U
+    return dirichlet_convolution(u, u - v, nmax) + dirichlet_convolution(v, v, nmax)
 
 
 def L1_cubic_character(f: int, terms: int = 10**6) -> complex:
@@ -511,7 +514,7 @@ def write_tables(tables: ArithTables, path) -> None:
         fh.write(name)
         fh.write(struct.pack("<Q", tables.N))
         for arr in (tables.aK, tables.muK, tables.b):
-            fh.write(arr[1:].astype("<i8").tobytes())
+            fh.write(arr[1:].astype("<i8", copy=False))  # no copy on a little-endian host
 
 
 def read_tables(path) -> ArithTables:

@@ -109,8 +109,16 @@ def _emit(cfg: RunConfig, columns, rows, meta, out=None):
         out.write(text)
 
 
-def _rho_meta(field, tables, cfg):
-    B = cfg.B or min(tables.N, 10**6)
+def _rho_B(cfg: RunConfig, N: int) -> int:
+    """The rho window: --B checked against the table length N, else min(N, 10^6)."""
+    if cfg.B is None:
+        return min(N, 10**6)
+    if not arith.N_MIN <= cfg.B <= N:
+        raise ConfigError(f"--B {cfg.B} outside [{arith.N_MIN}, {N}]")
+    return cfg.B
+
+
+def _rho_meta(field, tables, cfg, B):
     rho = arith.estimate_rho(field, tables, B, cfg.rho_method)
     return rho, {
         "field": field.name,
@@ -130,8 +138,7 @@ def cmd_sieve(cfg: RunConfig, out=None) -> int:
     field = fieldspec.load_field(cfg.field)
     if cfg.N < arith.N_MIN:
         raise ConfigError(f"--N {cfg.N} below the minimum {arith.N_MIN}")
-    if cfg.B is not None and not arith.N_MIN <= cfg.B <= cfg.N:
-        raise ConfigError(f"--B {cfg.B} outside [{arith.N_MIN}, {cfg.N}]")
+    B = _rho_B(cfg, cfg.N)
     tables = arith.build_tables(field, cfg.N)
     path = cfg.output or f"tables_{field.name}_{cfg.N}.bin"
     arith.write_tables(tables, path)
@@ -145,7 +152,6 @@ def cmd_sieve(cfg: RunConfig, out=None) -> int:
     row("aK(1..20): ", tables.aK)
     row("muK(1..20):", tables.muK)
     row("b(1..20):  ", tables.b)
-    B = cfg.B or min(tables.N, 10**6)
     for method in ("series_b_over_m", "regression_on_A"):
         est = arith.estimate_rho(field, tables, B, method)
         print(f"rho[{method}] = {est.value:.8f} +- {est.stderr:.2e} (B={est.B})", file=out)
@@ -203,8 +209,11 @@ def cmd_experiment(cfg: RunConfig, out=None) -> int:
     if name in ("tau-growth", "pair-sum", "s1"):
         return _field_free_experiment(cfg, name, out)
 
+    if not cfg.tables_path:
+        _rho_B(cfg, cfg.N)  # reject a bad --B before sieving
     tables = _load_tables(cfg, field)
-    rho, meta = _rho_meta(field, tables, cfg)
+    B = _rho_B(cfg, tables.N)
+    rho, meta = _rho_meta(field, tables, cfg, B)
     meta["experiment"] = name
 
     if name == "meansquare":
@@ -245,7 +254,7 @@ def cmd_experiment(cfg: RunConfig, out=None) -> int:
     if name == "rho":
         rows = []
         for method in ("series_b_over_m", "regression_on_A"):
-            est = arith.estimate_rho(field, tables, cfg.B or min(tables.N, 10**6), method)
+            est = arith.estimate_rho(field, tables, B, method)
             rows.append((method, est.value, est.stderr, est.B))
         _emit(cfg, ("method", "rho", "stderr", "B"), rows, meta, out)
         return EXIT_OK

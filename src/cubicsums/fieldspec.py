@@ -293,41 +293,53 @@ def _euclid_root_count(a, b, c, c0, c1, c2, p):
     return 1 if q == 0 else 0
 
 
+_LADDER_P_BOUND = 1 << 30  # _count_roots_vector needs every prime below this
+
+
 def _count_roots_vector(c0: int, c1: int, c2: int, ps: np.ndarray) -> np.ndarray:
-    """Distinct root counts of the cubic mod every prime in ps (int64, < 2^31).
+    """Distinct root counts of the cubic mod every prime in ps (int64, < 2^30).
 
     Square-and-multiply ladder for x^p mod (f, p), vectorized over primes of
-    equal bit length, followed by a branch-free Euclid tail.  All intermediate
-    products stay below 2^63 because operands are reduced mod p < 2^31 first.
+    equal bit length, followed by a branch-free Euclid tail.  Each bit squares
+    the state a x^2 + b x + c into residues s4..s0 of x^4..x^0, shifts them
+    up one degree where the bit of p is 1 (a 0/1 blend, no branch), and
+    reduces x^3, x^4, x^5 through fixed residue vectors.  The reduction sums
+    a residue and three residue products before its one `%`, 4 p^2 < 2^62 for
+    p < 2^30, so each bit costs 8 reductions; larger primes are refused.
     """
     ps = np.asarray(ps, dtype=np.int64)
+    if len(ps) and int(ps.max()) >= _LADDER_P_BOUND:
+        raise FieldConfigError(
+            f"prime {int(ps.max())} is outside the vector root count's range p < 2^30"
+        )
     counts = np.full(ps.shape, -1, dtype=np.int8)
-    for nbits in range(2, 32):
+    for nbits in range(2, _LADDER_P_BOUND.bit_length()):
         grp = (ps >> (nbits - 1)) == 1
         if not grp.any():
             continue
         p = ps[grp]
-        r2, r1, r0 = (-c2) % p, (-c1) % p, (-c0) % p
-        t2, t1, t0 = (r2 * r2 + r1) % p, (r2 * r1 + r0) % p, (r2 * r0) % p
+        r2, r1, r0 = (-c2) % p, (-c1) % p, (-c0) % p  # x^3 = r2 x^2 + r1 x + r0
+        t2, t1, t0 = (r2 * r2 + r1) % p, (r2 * r1 + r0) % p, (r2 * r0) % p  # x^4
+        u2, u1, u0 = (t2 * r2 + t1) % p, (t2 * r1 + t0) % p, (t2 * r0) % p  # x^5
         a = np.zeros_like(p)
         b = np.ones_like(p)
         c = np.zeros_like(p)
         for i in range(nbits - 2, -1, -1):
             s4 = a * a % p
-            s3 = 2 * (a * b % p) % p
-            s2 = (2 * (a * c % p) + b * b % p) % p
-            s1 = 2 * (b * c % p) % p
+            s3 = 2 * a * b % p
+            s2 = (2 * a * c + b * b) % p
+            s1 = 2 * b * c % p
             s0 = c * c % p
-            a = (s2 + s3 * r2 % p + s4 * t2 % p) % p
-            b = (s1 + s3 * r1 % p + s4 * t1 % p) % p
-            c = (s0 + s3 * r0 % p + s4 * t0 % p) % p
-            bit = (ps[grp] >> i) & 1
-            na = (b + a * r2) % p
-            nb = (c + a * r1) % p
-            nc = a * r0 % p
-            a = np.where(bit == 1, na, a)
-            b = np.where(bit == 1, nb, b)
-            c = np.where(bit == 1, nc, c)
+            k = (p >> i) & 1
+            e5 = k * s4
+            e4 = s4 + k * (s3 - s4)
+            e3 = s3 + k * (s2 - s3)
+            e2 = s2 + k * (s1 - s2)
+            e1 = s1 + k * (s0 - s1)
+            e0 = s0 - k * s0
+            a = (e2 + e3 * r2 + e4 * t2 + e5 * u2) % p
+            b = (e1 + e3 * r1 + e4 * t1 + e5 * u1) % p
+            c = (e0 + e3 * r0 + e4 * t0 + e5 * u0) % p
         b = (b - 1) % p  # g = x^p - x  (reduced)
         cnt = np.full(p.shape, -1, dtype=np.int8)
         is0 = (a == 0) & (b == 0)
@@ -631,13 +643,13 @@ def _euler_criterion_vector(dmod: np.ndarray, ps: np.ndarray) -> np.ndarray:
 
     Square-and-multiply over the bits of (p-1)/2, vectorized over all primes
     at once: the leading zero bits of a shorter exponent leave the result 1.
+    Each bit multiplies by 1 + k (d - 1), d or 1 for its bit k, not a branch.
     """
     e = ps >> 1
     r = np.ones_like(ps)
     nbits = int(e[-1]).bit_length() if len(ps) else 0
     for i in range(nbits - 1, -1, -1):
-        r = r * r % ps
-        r = np.where((e >> i) & 1 == 1, r * dmod % ps, r)
+        r = r * r % ps * (1 + ((e >> i) & 1) * (dmod - 1)) % ps
     return r
 
 

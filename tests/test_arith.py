@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -393,6 +394,28 @@ class TestTableIO:
         data = p.read_bytes()
         p.write_bytes(data[:-16])
         with pytest.raises(ar.ArithError, match="truncated"):
+            ar.read_tables(p)
+
+    def test_payload_layout(self, tables_nn2_small, tmp_path):
+        # after the header: a_K(1..N), mu_K(1..N), b(1..N) as little-endian int64
+        t = tables_nn2_small
+        p = tmp_path / "t.bin"
+        ar.write_tables(t, p)
+        name = t.field_name.encode("utf-8")
+        header = b"CBSM" + struct.pack("<II", 1, len(name)) + name + struct.pack("<Q", t.N)
+        payload = b"".join(np.array(arr[1:].tolist(), dtype="<i8").tobytes() for arr in (t.aK, t.muK, t.b))
+        assert p.read_bytes() == header + payload
+
+    def test_prefix_overflow_guard(self, tmp_path):
+        # one a_K entry near 2^60 in a table of N = 8: N * max|a_K| = 2^63
+        # exceeds the 2^62 headroom, though the sum of the entries does not
+        N = 8
+        aK = [1] * (N - 1) + [2**60]
+        muK = b = [1] * N
+        p = tmp_path / "crafted.bin"
+        p.write_bytes(b"CBSM" + struct.pack("<II", 1, 1) + b"x" + struct.pack("<Q", N)
+                      + np.array(aK + muK + b, dtype="<i8").tobytes())
+        with pytest.raises(ar.ArithError, match="would overflow"):
             ar.read_tables(p)
 
     def test_csv_export(self, tables_nn2_small, tmp_path):

@@ -187,6 +187,30 @@ class TestExperiments:
         assert rc == 0
         assert "series_b_over_m" in stdout and "regression_on_A" in stdout
 
+    def test_B_outside_range_rejected_before_sieving(self, capsys, monkeypatch):
+        # --B 0 is a value, not "use the default", and a bad --B is refused before any sieving
+        def no_sieve(*args):
+            raise AssertionError("sieved before checking --B")
+
+        monkeypatch.setattr(ar, "build_tables", no_sieve)
+        for B in ("0", "3e6"):
+            rc, stdout, err = run(["experiment", "rho", "--N", "2e6", "--B", B], capsys)
+            assert rc == 2, B
+            assert stdout == ""
+            assert f"--B {int(float(B))} outside [1000, 2000000]" in err
+
+    def test_B_checked_against_table_file(self, tmp_path, capsys):
+        table_path = tmp_path / "t.bin"
+        run(["sieve", "--N", "2000", "--output", str(table_path)], capsys)
+        for B in ("0", "3000"):
+            rc, stdout, err = run(["experiment", "rho", "--tables", str(table_path), "--B", B], capsys)
+            assert rc == 2, B
+            assert stdout == ""
+            assert f"--B {B} outside [1000, 2000]" in err
+        rc, stdout, _ = run(["experiment", "rho", "--tables", str(table_path), "--B", "1500"], capsys)
+        assert rc == 0
+        assert ",1500\n" in stdout
+
     def test_unknown_experiment(self, capsys):
         rc, _, err = run(["experiment", "florp", "--N", "1000"], capsys)
         assert rc == 2

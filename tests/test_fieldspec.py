@@ -207,6 +207,31 @@ class TestSplitting:
         for p, want in zip(ps.tolist(), vec.tolist()):
             assert fs._count_roots_py(c0, c1, c2, int(p)) == want
 
+    def test_vector_paths_at_top_of_domain(self, field_nn2, field_c7):
+        # the ladder's sums of residue products are exact only for p < 2^30;
+        # check both vector paths on the largest primes below that bound
+        bound = 2**30
+        top = []
+        n = bound - 1
+        while len(top) < 200:
+            if fs._is_prime(n):
+                top.append(n)
+            n -= 2
+        top.reverse()  # _euler_criterion_vector wants them ascending
+        ps = np.array(top, dtype=np.int64)
+        cubics = [(2, 2, 0), (1, -3, 0), (1, -5, 0)]  # D = -140, 81, 473
+        for c0, c1, c2 in (field_nn2.poly, field_c7.poly, *cubics):
+            vec = fs._count_roots_vector(c0, c1, c2, ps)
+            assert vec.tolist() == [fs._count_roots_py(c0, c1, c2, p) for p in top], (c0, c1, c2)
+            D = fs.discriminant_monic_cubic(c0, c1, c2)
+            euler = fs._euler_criterion_vector(D % ps, ps)
+            assert euler.tolist() == [pow(D, (p - 1) // 2, p) for p in top], D
+        above = bound + 1
+        while not fs._is_prime(above):
+            above += 2
+        with pytest.raises(fs.FieldConfigError, match="2\\^30"):
+            fs._count_roots_vector(*field_nn2.poly, np.array([3, above], dtype=np.int64))
+
     def test_large_prime_smoke(self, field_nn2):
         st = fs.splitting_type(field_nn2, 2**31 + 11)  # prime above the vector range
         assert st.degree == 3
