@@ -8,8 +8,9 @@ For a field K the tables hold, for 1 <= n <= N,
     b(n)     coefficients of zeta_K/zeta, so a_K = 1 * b  (Dirichlet product),
 
 together with prefix sums A_K(x) = sum_{n<=x} a_K(n) and
-M_K(x) = sum_{n<=x} mu_K(n).  All three functions are multiplicative and
-their values at prime powers depend only on the splitting shape of p:
+M_K(x) = sum_{n<=x} mu_K(n), built on first use.  All three functions are
+multiplicative and their values at prime powers depend only on the
+splitting shape of p:
 
     a_K(p^k) = #{x_i >= 0 : sum f_i x_i = k},
     mu_K(p^k) = [t^k] prod_i (1 - t^{f_i}),
@@ -45,7 +46,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -87,7 +88,7 @@ __all__ = [
     "L1_cubic_character",
 ]
 
-N_BUDGET = 10**8  # ~2.4 GB for the three value tables alone; prefixes double it
+N_BUDGET = 10**8  # ~2.4 GB for the three value tables alone; the prefix sums add 1.6 GB
 N_MIN = 10**3  # smallest rho window estimate_rho accepts, and the smallest table the CLI builds
 
 
@@ -169,15 +170,31 @@ def _sieve_multiplicative(N, ps, codes, locals_by_code, n_funcs):
 
 @dataclass(frozen=True)
 class ArithTables:
-    """Frozen value tables for one field; arrays are read-only views."""
+    """Frozen value tables for one field; arrays are read-only views.
+
+    The prefix sums are built on first use, so a run that reads neither
+    never holds them."""
 
     field_name: str
     N: int
     aK: np.ndarray
     muK: np.ndarray
     b: np.ndarray
-    A_prefix: np.ndarray
-    M_prefix: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.aK, self.muK, self.b):
+            _freeze(arr)
+        _guard_prefix_overflow(self.aK, self.muK)
+
+    @cached_property
+    def A_prefix(self) -> np.ndarray:
+        """A_K(x) for 0 <= x <= N."""
+        return _freeze(np.cumsum(self.aK))
+
+    @cached_property
+    def M_prefix(self) -> np.ndarray:
+        """M_K(x) for 0 <= x <= N."""
+        return _freeze(np.cumsum(self.muK))
 
 
 def _freeze(arr):
@@ -198,27 +215,14 @@ def _guard_prefix_overflow(aK, muK):
 
 
 def build_tables(field: FieldSpec, N: int) -> ArithTables:
-    """Sieve a_K, mu_K, b up to N and attach prefix sums."""
+    """Sieve a_K, mu_K, b up to N."""
     if not 1 <= N <= N_BUDGET:
         raise ArithError(f"N={N} outside the supported range 1..{N_BUDGET}")
     ps, codes = splitting_codes(field, N)
     kmax = max(1, N.bit_length())
     locs = _local_tables(set(codes.tolist()), kmax)
     aK, muK, b = _sieve_multiplicative(N, ps, codes, locs, 3)
-    _guard_prefix_overflow(aK, muK)
-    A_prefix = np.cumsum(aK)
-    M_prefix = np.cumsum(muK)
-    if A_prefix[-1] < 0 or (N >= 1 and int(A_prefix[0]) != 0):
-        raise ArithError("prefix sum overflow detected")
-    return ArithTables(
-        field_name=field.name,
-        N=N,
-        aK=_freeze(aK),
-        muK=_freeze(muK),
-        b=_freeze(b),
-        A_prefix=_freeze(A_prefix),
-        M_prefix=_freeze(M_prefix),
-    )
+    return ArithTables(field.name, N, aK, muK, b)
 
 
 def partial_A(tables: ArithTables, x) -> int:
@@ -433,10 +437,10 @@ def b_sum_identity_failure(tables: ArithTables, nmax: int):
     return int(bad[0]) + 1 if len(bad) else None
 
 
-def b_growth_statistic(tables: ArithTables, exponent: float = 0.1) -> float:
-    """max |b(m)| / m^exponent over the table (reported, not asserted)."""
+def b_growth_statistic(tables: ArithTables) -> float:
+    """max |b(m)| / m^0.1 over the table (reported, not asserted)."""
     m = np.arange(1, tables.N + 1, dtype=np.float64)
-    return float(np.max(np.abs(tables.b[1:]) / m**exponent))
+    return float(np.max(np.abs(tables.b[1:]) / m**0.1))
 
 
 # ----------------------------------------------------------------------------
@@ -534,16 +538,7 @@ def read_tables(path) -> ArithTables:
         aK, muK, b = (np.zeros(N + 1, dtype="<i8") for _ in range(3))
         for arr in (aK, muK, b):
             fh.readinto(arr[1:])
-    _guard_prefix_overflow(aK, muK)
-    return ArithTables(
-        field_name=name,
-        N=int(N),
-        aK=_freeze(aK),
-        muK=_freeze(muK),
-        b=_freeze(b),
-        A_prefix=_freeze(np.cumsum(aK)),
-        M_prefix=_freeze(np.cumsum(muK)),
-    )
+    return ArithTables(name, int(N), aK, muK, b)
 
 
 def export_csv(tables: ArithTables, path, nmax: int = 10**4) -> None:

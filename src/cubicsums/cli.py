@@ -15,7 +15,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -32,13 +32,16 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
+    """Every setting of a run; a subcommand that does not take an option
+    leaves its field at the default."""
+
     field: str
     N: int
-    rho_method: str
-    experiment: str | None
-    output: str | None
-    fmt: str
-    seed: int
+    rho_method: str = "series_b_over_m"
+    experiment: str | None = None
+    output: str | None = None
+    fmt: str = "csv"
+    seed: int = 0
     X: tuple | None = None
     Y: tuple | None = None
     T: tuple | None = None
@@ -164,6 +167,8 @@ def cmd_sieve(cfg: RunConfig, out=None) -> int:
 
 def cmd_verify(cfg: RunConfig, out=None) -> int:
     out = out or sys.stdout
+    if cfg.X and len(cfg.X) > 1:
+        raise ConfigError(f"verify takes one --X, got {len(cfg.X)}: {','.join(map(str, cfg.X))}")
     if cfg.N < arith.N_MIN:
         raise ConfigError(f"--N {cfg.N} below the minimum {arith.N_MIN}")
     if cfg.field == "all" and cfg.tables_path:
@@ -202,12 +207,11 @@ def cmd_experiment(cfg: RunConfig, out=None) -> int:
         raise ConfigError("experiment name required")
     if name.startswith("exponents-"):
         return _exponents_experiment(cfg, name.removeprefix("exponents-"), out)
+    if name in ("tau-growth", "pair-sum", "s1"):
+        return _field_free_experiment(cfg, name, out)
     field = fieldspec.load_field(cfg.field)
     if cfg.N < arith.N_MIN:
         raise ConfigError(f"--N {cfg.N} below the minimum {arith.N_MIN}")
-
-    if name in ("tau-growth", "pair-sum", "s1"):
-        return _field_free_experiment(cfg, name, out)
 
     if not cfg.tables_path:
         _rho_B(cfg, cfg.N)  # reject a bad --B before sieving
@@ -338,6 +342,47 @@ def _exponents_experiment(cfg: RunConfig, which, out) -> int:
 # entry point
 # ----------------------------------------------------------------------------
 
+def _int(text):
+    return int(float(text))
+
+
+# Each option is declared once; a subcommand takes exactly the options it reads.
+_OPTIONS = {
+    "--field": dict(default="cubic-nonnormal-2",
+                    help="preset name, config file path, or inline key=value text"),
+    "--N": dict(type=_int, default=10**5, help="table length"),
+    "--rho-method": dict(default="series_b_over_m", choices=("series_b_over_m", "regression_on_A")),
+    "--output": dict(help="output file (default stdout)"),
+    "--format": dict(dest="fmt", default="csv", choices=("csv", "json")),
+    "--seed": dict(type=int, default=0, help="seed of the sampled ideals"),
+    "--tables": dict(dest="tables_path", help="load tables from a binary file instead of sieving"),
+    "--B": dict(type=_int, help="rho window, in [1000, N] (default min(N, 10^6))"),
+    "--csv": dict(dest="csv_preview", help="also export n<=1e4 as CSV"),
+    "--X": dict(type=_parse_int_list, help="comma-separated X values; verify takes one"),
+    "--Y": dict(type=_parse_int_list, help="Y list for the cross-path check"),
+    "--T": dict(type=_parse_int_list),
+    "--y": dict(type=_parse_int_list),
+    "--samples": dict(type=int, default=4096),
+    "--l": dict(type=int, default=4),
+    "--q": dict(type=int, default=2),
+    "--expr": dict(help="bound expression for exponents-balance"),
+    "--var": dict(dest="balance_var", help="variable to balance away"),
+    "--h1": dict(help="lower range monomial (default 1)"),
+    "--h2": dict(help="upper range monomial (default 1)"),
+    "--cone": dict(help='cone relations, e.g. "T >= X >= 1"'),
+}
+
+_SUBCOMMANDS = {
+    "sieve": ("build tables, write the binary table file",
+              ("--field", "--N", "--B", "--output", "--csv")),
+    "verify": ("run the exact-identity suite (exit 1 on failure)",
+               ("--field", "--N", "--seed", "--tables", "--output", "--X", "--Y")),
+    "experiment": ("run one experiment and emit a report",
+                   ("--field", "--N", "--rho-method", "--output", "--format", "--tables", "--B", "--X", "--T",
+                    "--y", "--samples", "--l", "--q", "--expr", "--var", "--h1", "--h2", "--cone")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cubicsums",
@@ -345,73 +390,14 @@ def build_parser() -> argparse.ArgumentParser:
         "verification, and error-term experiments.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--field", default="cubic-nonnormal-2",
-                       help="preset name, config file path, or inline key=value text")
-        p.add_argument("--N", type=lambda s: int(float(s)), default=10**5, help="table length")
-        p.add_argument("--rho-method", default="series_b_over_m",
-                       choices=("series_b_over_m", "regression_on_A"))
-        p.add_argument("--output", default=None, help="output file (default stdout)")
-        p.add_argument("--format", dest="fmt", default="csv", choices=("csv", "json"))
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tables", dest="tables_path", default=None,
-                       help="load tables from a binary file instead of sieving")
-        p.add_argument("--B", type=lambda s: int(float(s)), default=None)
-
-    p = sub.add_parser("sieve", help="build tables, write the binary table file")
-    common(p)
-    p.add_argument("--csv", dest="csv_preview", default=None, help="also export n<=1e4 as CSV")
-
-    p = sub.add_parser("verify", help="run the exact-identity suite (exit 1 on failure)")
-    common(p)
-    p.add_argument("--X", type=_parse_int_list, default=None, help="max X for the cross-path check")
-    p.add_argument("--Y", type=_parse_int_list, default=None, help="Y list for the cross-path check")
-
-    p = sub.add_parser("experiment", help="run one experiment and emit a report")
-    common(p)
-    p.add_argument("experiment", help="meansquare | meansquare-p2 | voronoi | envelope | rho | cx | "
-                   "tau-growth | pair-sum | s1 | exponents-block | exponents-xy | exponents-xt")
-    p.add_argument("--X", type=_parse_int_list, default=None)
-    p.add_argument("--Y", type=_parse_int_list, default=None)
-    p.add_argument("--T", type=_parse_int_list, default=None)
-    p.add_argument("--y", type=_parse_int_list, default=None)
-    p.add_argument("--samples", type=int, default=4096)
-    p.add_argument("--l", type=int, default=4)
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--expr", default=None, help="bound expression for exponents-balance")
-    p.add_argument("--var", dest="balance_var", default=None, help="variable to balance away")
-    p.add_argument("--h1", default=None, help="lower range monomial (default 1)")
-    p.add_argument("--h2", default=None, help="upper range monomial (default 1)")
-    p.add_argument("--cone", default=None, help='cone relations, e.g. "T >= X >= 1"')
+    for command, (text, options) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        if command == "experiment":
+            p.add_argument("experiment", help="meansquare | meansquare-p2 | voronoi | envelope | rho | cx | "
+                           "tau-growth | pair-sum | s1 | exponents-block | exponents-xy | exponents-xt")
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
     return ap
-
-
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        field=args.field,
-        N=args.N,
-        rho_method=args.rho_method,
-        experiment=getattr(args, "experiment", None),
-        output=args.output,
-        fmt=args.fmt,
-        seed=args.seed,
-        X=getattr(args, "X", None),
-        Y=getattr(args, "Y", None),
-        T=getattr(args, "T", None),
-        y=getattr(args, "y", None),
-        samples=getattr(args, "samples", 4096),
-        B=args.B,
-        l=getattr(args, "l", 4),
-        q=getattr(args, "q", 2),
-        tables_path=args.tables_path,
-        csv_preview=getattr(args, "csv_preview", None),
-        expr=getattr(args, "expr", None),
-        balance_var=getattr(args, "balance_var", None),
-        h1=getattr(args, "h1", None),
-        h2=getattr(args, "h2", None),
-        cone=getattr(args, "cone", None),
-    )
 
 
 def main(argv=None) -> int:
@@ -420,7 +406,7 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_BAD_CONFIG if exc.code not in (0, None) else 0
-    cfg = _config_from_args(args)
+    cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)})
     try:
         if args.command == "sieve":
             return cmd_sieve(cfg)

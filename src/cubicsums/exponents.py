@@ -373,10 +373,9 @@ def numeric_envelope_check(
     H2: Monomial,
     cone: ConstraintCone,
     grid,
-    n_h: int = 64,
 ) -> float:
     """max over grid points of  min_{H in [H1,H2]} L(H) / balanced,
-    with the min taken over n_h log-spaced H values.
+    with the min taken over 64 log-spaced H values.
 
     The result must stay below m*n + m + n (m increasing, n decreasing
     terms), the constant with which the balanced expression envelopes L.
@@ -395,7 +394,7 @@ def numeric_envelope_check(
         hs = (
             [lo]
             if hi == lo
-            else [lo * (hi / lo) ** (k / (n_h - 1)) for k in range(n_h)]
+            else [lo * (hi / lo) ** (k / 63) for k in range(64)]
         )
         best = math.inf
         for hval in hs:
@@ -440,7 +439,7 @@ def _absorption_rows(expr: BoundExpr, kept: BoundExpr, cone: ConstraintCone, var
     return tuple(rows)
 
 
-def scenario_block_bound(envelope_grid=((2, 10**3), (2, 10**6), (8, 10**3), (8, 10**6))) -> ScenarioReport:
+def scenario_block_bound() -> ScenarioReport:
     """Balance the seven-term dyadic-block bound in (Y, M, y) over the
     truncation range y in (1, Y/M), then simplify under Y >= M >= 1.
 
@@ -465,7 +464,7 @@ def scenario_block_bound(envelope_grid=((2, 10**3), (2, 10**6), (8, 10**3), (8, 
         if t not in display and not any(dominates(t, u, cone) for u in display.terms):
             raise ExponentError(f"endpoint term {t} not absorbed by the display set")
     ratio = numeric_envelope_check(
-        L, simp, "y", H1, H2, cone, [{"M": m, "Y": y} for m, y in envelope_grid]
+        L, simp, "y", H1, H2, cone, [{"M": m, "Y": y} for m in (2, 8) for y in (10**3, 10**6)]
     )
     return ScenarioReport(
         name="block-bound",
@@ -480,7 +479,7 @@ def scenario_block_bound(envelope_grid=((2, 10**3), (2, 10**6), (8, 10**3), (8, 
     )
 
 
-def scenario_remainder_xy(envelope_grid=((4, 256), (4, 4096), (16, 4096), (16, 65536))) -> ScenarioReport:
+def scenario_remainder_xy() -> ScenarioReport:
     """Final simplification of the first-moment remainder bound in (X, Y):
     the six block-bound monomials with M -> X, plus the known-exponent
     comparison term X Y^{43/96}, under Y >= X >= 1."""
@@ -498,9 +497,8 @@ def scenario_remainder_xy(envelope_grid=((4, 256), (4, 4096), (16, 4096), (16, 6
     )
     H1 = Monomial({})
     H2 = parse_monomial("Y X^-1")
-    ratio = numeric_envelope_check(
-        block, simp, "y", H1, H2, cone, [{"X": x, "Y": y} for x, y in envelope_grid]
-    )
+    grid = [{"X": x, "Y": y} for x, y in ((4, 256), (4, 4096), (16, 4096), (16, 65536))]
+    ratio = numeric_envelope_check(block, simp, "y", H1, H2, cone, grid)
     return ScenarioReport(
         name="remainder-xy",
         input_expr=L,
@@ -513,7 +511,7 @@ def scenario_remainder_xy(envelope_grid=((4, 256), (4, 4096), (16, 4096), (16, 6
     )
 
 
-def scenario_mean_square_xt(envelope_grid=((3, 10**3), (3, 10**5), (10, 10**3), (10, 10**5))) -> ScenarioReport:
+def scenario_mean_square_xt() -> ScenarioReport:
     """Balance the mean-square error bound in (X, T) over the truncation
     range y in (1, (T/X)^{1/3}), then simplify under T >= X >= 1; the
     surviving pair is {X^{31/9} T^{14/9}, X^{26/9} T^{29/18}}."""
@@ -527,7 +525,7 @@ def scenario_mean_square_xt(envelope_grid=((3, 10**3), (3, 10**5), (10, 10**3), 
     bal = balance(L, "y", H1, H2)
     simp = simplify(bal, cone)
     ratio = numeric_envelope_check(
-        L, simp, "y", H1, H2, cone, [{"X": x, "T": t} for x, t in envelope_grid]
+        L, simp, "y", H1, H2, cone, [{"X": x, "T": t} for x in (3, 10) for t in (10**3, 10**5)]
     )
     return ScenarioReport(
         name="mean-square-xt",

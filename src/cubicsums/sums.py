@@ -108,8 +108,6 @@ class SumResult:
     Y: float
     value: int
     path: str
-    rho_used: RhoEstimate | None = None
-    main_plus_R: float | None = None  # rho*Y + R from the split form, if rho given
 
 
 def _floor_div(Y, m: int) -> int:
@@ -132,20 +130,14 @@ def S_K_direct(field: FieldSpec, tables: ArithTables, X, Y) -> SumResult:
     return SumResult(X=X, Y=Y, value=total, path="direct_ideal")
 
 
-def S_K_reduced(field: FieldSpec, tables: ArithTables, X, Y, rho: RhoEstimate | None = None) -> SumResult:
-    """S_K via the norm-collapsed convolution (exact integers).
-
-    With a rho estimate the split form rho*Y + sum m a_K(m) M_K(X/m) P_K(Y/m)
-    is also evaluated; it agrees with the exact value by construction up to
-    float rounding.
-    """
+def S_K_reduced(field: FieldSpec, tables: ArithTables, X, Y) -> SumResult:
+    """S_K via the norm-collapsed convolution (exact integers)."""
     Xi = int(X)
     if Xi > tables.N or int(Y) > tables.N:
         raise SumsError(f"tables too short for X={X}, Y={Y} (N={tables.N})")
     if Xi < 1 or Y < 1:
         return SumResult(X=X, Y=Y, value=0, path="reduced")
     total = 0
-    rsum = 0.0
     for m in range(1, Xi + 1):
         am = int(tables.aK[m])
         if am == 0:
@@ -155,10 +147,7 @@ def S_K_reduced(field: FieldSpec, tables: ArithTables, X, Y, rho: RhoEstimate | 
             continue
         Av = int(tables.A_prefix[_floor_div(Y, m)])
         total += m * am * Ml * Av
-        if rho is not None:
-            rsum += m * am * Ml * (Av - rho.value * Y / m)
-    main_plus_R = (rho.value * Y + rsum) if rho is not None else None
-    return SumResult(X=X, Y=Y, value=total, path="reduced", rho_used=rho, main_plus_R=main_plus_R)
+    return SumResult(X=X, Y=Y, value=total, path="reduced")
 
 
 def remainder_R(field: FieldSpec, tables: ArithTables, rho: RhoEstimate, X, Y) -> float:
@@ -564,13 +553,13 @@ def s1_regime_rows():
 # remainder envelope scan and fit helpers
 # ----------------------------------------------------------------------------
 
-def remainder_envelope_scan(field, tables, rho, X_values=(5, 8, 10), y_mult: float = 10.0):
+def remainder_envelope_scan(field, tables, rho, X_values=(5, 8, 10)):
     """|R_K(X, Y)| against the envelope X^{8/5} Y^{2/5} + X^{11/8} Y^{1/2}
-    at Y = y_mult * X^3 (inside the Y > X^{11/4} window); fitted constant
+    at Y = 10 X^3 (inside the Y > X^{11/4} window); fitted constant
     reported, nothing thresholded."""
     rows = []
     for X in X_values:
-        Y = int(y_mult * X**3)
+        Y = int(10 * X**3)
         if Y > tables.N:
             raise SumsError(f"Y={Y} beyond tables (N={tables.N})")
         R = remainder_R(field, tables, rho, X, Y)

@@ -406,6 +406,16 @@ class TestTableIO:
         payload = b"".join(np.array(arr[1:].tolist(), dtype="<i8").tobytes() for arr in (t.aK, t.muK, t.b))
         assert p.read_bytes() == header + payload
 
+    def test_prefix_sums_built_on_first_use(self, field_nn2, tmp_path):
+        t = ar.build_tables(field_nn2, 2000)
+        ar.write_tables(t, tmp_path / "t.bin")
+        for tables in (t, ar.read_tables(tmp_path / "t.bin")):
+            assert not {"A_prefix", "M_prefix"} & set(vars(tables))
+            assert np.array_equal(tables.M_prefix, np.cumsum(tables.muK))
+            assert not tables.M_prefix.flags.writeable
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                tables.A_prefix = tables.M_prefix
+
     def test_prefix_overflow_guard(self, tmp_path):
         # one a_K entry near 2^60 in a table of N = 8: N * max|a_K| = 2^63
         # exceeds the 2^62 headroom, though the sum of the entries does not

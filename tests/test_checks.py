@@ -12,10 +12,15 @@ from cubicsums import arith, checks, ideals, sums
 
 
 def _with(tables, name, index, delta):
-    """A copy of the tables with one array changed at index (int or slice)."""
+    """A copy of the tables with one array changed at index (int or slice);
+    every other array, the prefix sums included, is the original's."""
     arr = getattr(tables, name).copy()
     arr[index] += delta
-    return dataclasses.replace(tables, **{name: arr})
+    bad = dataclasses.replace(tables)
+    # the prefix sums are cached properties: set them as a cache that was filled before
+    vars(bad).update(A_prefix=tables.A_prefix, M_prefix=tables.M_prefix)
+    vars(bad)[name] = arr
+    return bad
 
 
 def test_character(tables_c7_small):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -88,6 +89,11 @@ class TestVerify:
         )
         assert rc == 1
         assert "convolution identity failed at n=" in stdout
+
+    def test_more_than_one_X_rejected(self, capsys):
+        rc, stdout, err = run(["verify", "--N", "2000", "--X", "5,40"], capsys)
+        assert rc == 2 and stdout == ""
+        assert "verify takes one --X, got 2: 5,40" in err
 
     def test_seed_changes_samples_not_verdict(self, capsys):
         outs = []
@@ -182,6 +188,13 @@ class TestExperiments:
         rc, stdout, _ = run(["experiment", "pair-sum", "--T", "100,400"], capsys)
         assert rc == 0
 
+    def test_field_free_experiments_read_no_field(self, capsys):
+        # like exponents-*, they run whatever --field and --N say
+        tau = ["tau-growth", "--X", "1000,10000", "--l", "2", "--q", "1"]
+        for argv in (["s1"], ["pair-sum", "--T", "100,400"], tau):
+            rc, _, err = run(["experiment", *argv, "--field", "florp", "--N", "10"], capsys)
+            assert rc == 0, (argv, err)
+
     def test_rho_experiment(self, capsys):
         rc, stdout, _ = run(["experiment", "rho", "--N", "5000", "--B", "5000"], capsys)
         assert rc == 0
@@ -225,6 +238,34 @@ class TestExperiments:
         assert rc == 2
 
 
+OPTIONS = {
+    "sieve": {"--field", "--N", "--B", "--output", "--csv"},
+    "verify": {"--field", "--N", "--seed", "--tables", "--output", "--X", "--Y"},
+    "experiment": {"--field", "--N", "--rho-method", "--output", "--format", "--tables", "--B", "--X", "--T",
+                   "--y", "--samples", "--l", "--q", "--expr", "--var", "--h1", "--h2", "--cone"},
+}
+
+
+class TestOptions:
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_help_lists_the_options_read(self, command, capsys):
+        rc, stdout, _ = run([command, "--help"], capsys)
+        assert rc == 0
+        assert set(re.findall(r"--[\w-]+", stdout)) - {"--help"} == OPTIONS[command]
+
+    @pytest.mark.parametrize("command,option,value", [
+        ("sieve", "--rho-method", "regression_on_A"), ("sieve", "--format", "json"), ("sieve", "--seed", "5"),
+        ("sieve", "--tables", "t.bin"), ("verify", "--rho-method", "regression_on_A"),
+        ("verify", "--format", "json"), ("verify", "--B", "2000"), ("experiment", "--Y", "10"),
+        ("experiment", "--seed", "5"),
+    ])
+    def test_option_not_read_is_rejected(self, command, option, value, capsys):
+        argv = [command, *(["s1"] if command == "experiment" else []), option, value]
+        rc, stdout, err = run(argv, capsys)
+        assert rc == 2 and stdout == ""
+        assert f"unrecognized arguments: {option} {value}" in err
+
+
 class TestConfigHash:
     def test_stable_and_sensitive(self):
         a = cli.RunConfig(field="x", N=1000, rho_method="series_b_over_m", experiment=None,
@@ -235,3 +276,9 @@ class TestConfigHash:
                           output=None, fmt="csv", seed=0)
         assert a.hash() == b.hash()
         assert a.hash() != c.hash()
+
+    def test_pinned(self, capsys):
+        # fields a subcommand does not take keep their defaults, so hashes survive option changes
+        rc, stdout, _ = run(["experiment", "rho", "--N", "3000"], capsys)
+        assert rc == 0
+        assert stdout.startswith("# config_hash=c2837eeacb96\n")

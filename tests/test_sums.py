@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -37,10 +38,6 @@ class TestCrossPath:
         for Y in (10, 100, 1000):
             want = 2 * ar.partial_A(t1000_nn2, Y // 2)
             assert sm.S_K_reduced(field_nn2, t1000_nn2, 2, Y).value == want
-
-    def test_split_form_consistency(self, field_nn2, t1000_nn2, rho_nn2):
-        r = sm.S_K_reduced(field_nn2, t1000_nn2, 37, 1000, rho=rho_nn2)
-        assert r.main_plus_R == pytest.approx(r.value, rel=1e-12)
 
     def test_direct_enumeration_cap(self, field_nn2, t1000_nn2):
         with pytest.raises(sm.SumsError):
@@ -94,15 +91,8 @@ class TestVoronoi:
 
     def test_zero_coefficients_give_zero(self, field_nn2):
         t = ar.build_tables(field_nn2, 1000)
-        zeroed = ar.ArithTables(
-            field_name=t.field_name,
-            N=t.N,
-            aK=np.zeros_like(t.aK),
-            muK=t.muK,
-            b=t.b,
-            A_prefix=t.A_prefix,
-            M_prefix=t.M_prefix,
-        )
+        zeroed = dataclasses.replace(t, aK=np.zeros_like(t.aK))
+        vars(zeroed)["A_prefix"] = t.A_prefix  # the original prefix, as a stale cache
         vals = sm.voronoi_P1_values(field_nn2, zeroed, np.array([500.5]), 100)
         assert vals[0] == 0.0
 
