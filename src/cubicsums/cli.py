@@ -69,6 +69,13 @@ def _parse_int_list(text):
     return tuple(int(float(t)) for t in str(text).split(",") if t.strip())
 
 
+def _one_value(values, default, option, command):
+    """The value of a list option that `command` reads only one value of."""
+    if values and len(values) > 1:
+        raise ConfigError(f"{command} takes one {option}, got {len(values)}: {','.join(map(str, values))}")
+    return values[0] if values else default
+
+
 def _load_tables(cfg: RunConfig, field):
     if cfg.tables_path:
         tables = arith.read_tables(cfg.tables_path)
@@ -167,8 +174,7 @@ def cmd_sieve(cfg: RunConfig, out=None) -> int:
 
 def cmd_verify(cfg: RunConfig, out=None) -> int:
     out = out or sys.stdout
-    if cfg.X and len(cfg.X) > 1:
-        raise ConfigError(f"verify takes one --X, got {len(cfg.X)}: {','.join(map(str, cfg.X))}")
+    X = _one_value(cfg.X, 50, "--X", "verify")
     if cfg.N < arith.N_MIN:
         raise ConfigError(f"--N {cfg.N} below the minimum {arith.N_MIN}")
     if cfg.field == "all" and cfg.tables_path:
@@ -181,7 +187,7 @@ def cmd_verify(cfg: RunConfig, out=None) -> int:
     for name in names:
         field = fieldspec.load_field(name)
         tables = _load_tables(cfg, field)
-        rows += checks.field_suite(field, tables, rng, (cfg.X or (50,))[0], cfg.Y or (10, 100, 1000))
+        rows += checks.field_suite(field, tables, rng, X, cfg.Y or (10, 100, 1000))
     rows += checks.classical_suite()
     rows = [(fname, name, "pass" if ok else "FAIL", detail) for fname, name, ok, detail in rows]
     for fname, name, status, detail in rows:
@@ -212,6 +218,9 @@ def cmd_experiment(cfg: RunConfig, out=None) -> int:
     field = fieldspec.load_field(cfg.field)
     if cfg.N < arith.N_MIN:
         raise ConfigError(f"--N {cfg.N} below the minimum {arith.N_MIN}")
+    # refuse a list where one value is read, before sieving
+    X = _one_value(cfg.X, 1, "--X", "experiment meansquare") if name == "meansquare" else None
+    lo = _one_value(cfg.T, 10**5, "--T", "experiment voronoi") if name == "voronoi" else None
 
     if not cfg.tables_path:
         _rho_B(cfg, cfg.N)  # reject a bad --B before sieving
@@ -221,7 +230,6 @@ def cmd_experiment(cfg: RunConfig, out=None) -> int:
     meta["experiment"] = name
 
     if name == "meansquare":
-        X = (cfg.X or (1,))[0]
         reports, _, trend = sums.meansquare_trend(field, tables, rho, X, cfg.T or (1000,), samples=cfg.samples)
         rows = [(X, r.T, r.integral_R2, r.main_term, r.ratio, r.quadrature_error_est) for r in reports]
         meta["cX"] = reports[0].cX
@@ -241,7 +249,6 @@ def cmd_experiment(cfg: RunConfig, out=None) -> int:
 
     if name == "voronoi":
         ys = cfg.y or (8, 64, 512)
-        lo = (cfg.T or (10**5,))[0]
         rep = sums.p2_truncation_scan(field, tables, rho, lo, 2 * lo, 100, ys)
         meta["fitted_decay_exponent"] = rep.fitted_exponent
         meta["predicted_exponent"] = -1 / 3
@@ -280,6 +287,9 @@ def _field_free_experiment(cfg: RunConfig, name, out) -> int:
     if name == "tau-growth":
         l, q = cfg.l, cfg.q
         xs = cfg.X or (10**4, 10**5, 10**6)
+        for option, value, least in (("--l", l, 2), ("--q", q, 1), ("--X", min(xs), 2)):
+            if value < least:
+                raise ConfigError(f"{option} {value} below the minimum {least}")
         rows = []
         for x in xs:
             s = arith.tau_power_sum(l, q, x)
@@ -320,10 +330,10 @@ def _exponents_experiment(cfg: RunConfig, which, out) -> int:
         simp = exponents.simplify(bal, cone)
         print(simp.format() + "  (+eps exponents)", file=out)
         return EXIT_OK
-    key = {"block": "block", "xy": "xy", "xt": "xt"}.get(which)
-    if key is None:
+    scenario = exponents.SCENARIOS.get(which)
+    if scenario is None:
         raise ConfigError(f"unknown exponents scenario {which!r}")
-    rep = exponents.SCENARIOS[key]()
+    rep = scenario()
     print(rep.format_result(), file=out)
     meta = {
         "experiment": f"exponents-{which}",

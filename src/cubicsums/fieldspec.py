@@ -231,7 +231,7 @@ def _integer_roots(c0: int, c1: int, c2: int):
 
 
 # ----------------------------------------------------------------------------
-# roots of the cubic mod p: scalar and bulk-vectorized paths
+# roots of the cubic mod p: root counts for one prime, the Frobenius test in bulk
 # ----------------------------------------------------------------------------
 
 def primes_upto(n: int) -> np.ndarray:
@@ -293,26 +293,27 @@ def _euclid_root_count(a, b, c, c0, c1, c2, p):
     return 1 if q == 0 else 0
 
 
-_LADDER_P_BOUND = 1 << 30  # _count_roots_vector needs every prime below this
+_LADDER_P_BOUND = 1 << 30  # _frobenius_fixes_x sums residue products exactly only below this
 
 
-def _count_roots_vector(c0: int, c1: int, c2: int, ps: np.ndarray) -> np.ndarray:
-    """Distinct root counts of the cubic mod every prime in ps (int64, < 2^30).
+def _frobenius_fixes_x(c0: int, c1: int, c2: int, ps: np.ndarray) -> np.ndarray:
+    """Whether x^p = x mod (f, p), for every prime p in ps (int64, < 2^30).
 
-    Square-and-multiply ladder for x^p mod (f, p), vectorized over primes of
-    equal bit length, followed by a branch-free Euclid tail.  Each bit squares
-    the state a x^2 + b x + c into residues s4..s0 of x^4..x^0, shifts them
-    up one degree where the bit of p is 1 (a 0/1 blend, no branch), and
-    reduces x^3, x^4, x^5 through fixed residue vectors.  The reduction sums
-    a residue and three residue products before its one `%`, 4 p^2 < 2^62 for
+    For p not dividing disc f this holds exactly when f has three distinct
+    roots mod p.  Square-and-multiply ladder for x^p mod (f, p), vectorized
+    over primes of equal bit length.  Each bit squares the state
+    a x^2 + b x + c into residues s4..s0 of x^4..x^0, shifts them up one
+    degree where the bit of p is 1 (a 0/1 blend, no branch), and reduces
+    x^3, x^4, x^5 through fixed residue vectors.  The reduction sums a
+    residue and three residue products before its one `%`, 4 p^2 < 2^62 for
     p < 2^30, so each bit costs 8 reductions; larger primes are refused.
     """
     ps = np.asarray(ps, dtype=np.int64)
     if len(ps) and int(ps.max()) >= _LADDER_P_BOUND:
         raise FieldConfigError(
-            f"prime {int(ps.max())} is outside the vector root count's range p < 2^30"
+            f"prime {int(ps.max())} is outside the Frobenius ladder's range p < 2^30"
         )
-    counts = np.full(ps.shape, -1, dtype=np.int8)
+    fixes = np.zeros(ps.shape, dtype=bool)
     for nbits in range(2, _LADDER_P_BOUND.bit_length()):
         grp = (ps >> (nbits - 1)) == 1
         if not grp.any():
@@ -340,39 +341,8 @@ def _count_roots_vector(c0: int, c1: int, c2: int, ps: np.ndarray) -> np.ndarray
             a = (e2 + e3 * r2 + e4 * t2 + e5 * u2) % p
             b = (e1 + e3 * r1 + e4 * t1 + e5 * u1) % p
             c = (e0 + e3 * r0 + e4 * t0 + e5 * u0) % p
-        b = (b - 1) % p  # g = x^p - x  (reduced)
-        cnt = np.full(p.shape, -1, dtype=np.int8)
-        is0 = (a == 0) & (b == 0)
-        cnt[is0 & (c == 0)] = 3
-        cnt[is0 & (c != 0)] = 0
-        lin = (a == 0) & (b != 0)
-        if lin.any():
-            bl, cl, pl = b[lin], c[lin], p[lin]
-            cc = (-cl) % pl
-            e = (
-                cc * cc % pl * cc % pl
-                + (c2 % pl) * cc % pl * cc % pl * bl % pl
-                + (c1 % pl) * cc % pl * bl % pl * bl % pl
-                + (c0 % pl) * bl % pl * bl % pl * bl % pl
-            ) % pl
-            cnt[lin] = np.where(e == 0, 1, 0).astype(np.int8)
-        quad = a != 0
-        if quad.any():
-            aq, bq, cq, pq = a[quad], b[quad], c[quad], p[quad]
-            d2 = (aq * ((c2) % pq) % pq - bq) % pq
-            d1 = (aq * ((c1) % pq) % pq - cq) % pq
-            d0 = aq * ((c0) % pq) % pq
-            rr1 = (aq * d1 % pq - d2 * bq % pq) % pq
-            rr0 = (aq * d0 % pq - d2 * cq % pq) % pq
-            qv = (aq * rr0 % pq * rr0 % pq - bq * rr0 % pq * rr1 % pq + cq * rr1 % pq * rr1 % pq) % pq
-            sub = np.where(
-                (rr1 == 0) & (rr0 == 0), 2, np.where(rr1 == 0, 0, np.where(qv == 0, 1, 0))
-            ).astype(np.int8)
-            cnt[quad] = sub
-        counts[grp] = cnt
-    if (counts < 0).any():
-        raise AssertionError("root-count ladder left primes unresolved")
-    return counts
+        fixes[grp] = (a == 0) & (b == 1) & (c == 0)
+    return fixes
 
 
 # ----------------------------------------------------------------------------
@@ -462,6 +432,8 @@ def _build_cubic(name, c0, c1, c2, disc=None, overrides=None) -> FieldSpec:
     # validate overrides before the Dedekind sweep so they can silence it
     ov = {}
     for p, st in overrides.items():
+        if not _is_prime(int(p)):
+            raise FieldConfigError(f"override at p={p}: {p} is not prime")
         st = st if isinstance(st, SplittingType) else SplittingType(tuple(st))
         if st.degree != 3:
             raise FieldConfigError(f"override at p={p} has total degree {st.degree}, want 3")
@@ -659,41 +631,28 @@ def splitting_codes(field: FieldSpec, N: int):
     Returns (primes, codes) as aligned int64/int8 arrays.  This is the bulk
     path the sieves use; for a single prime use splitting_type.
 
-    Stickelberger's theorem settles half the primes without factoring: for
-    odd p not dividing the polynomial discriminant D, (D/p) = (-1)^(3 - r)
-    with r the number of irreducible factors of f mod p, so (D/p) = -1
-    exactly when f has one root mod p.  The x^p ladder runs on the rest
-    (p = 2, p | D, and (D/p) = +1); for a square D that is every prime.
+    Stickelberger's theorem leaves one question per prime: for odd p not
+    dividing the polynomial discriminant D, (D/p) = (-1)^(3 - r) with r the
+    number of irreducible factors of f mod p.  So (D/p) = -1 means one root
+    (P1 P2), and (D/p) = +1 means split or inert, split exactly when
+    x^p = x mod (f, p).  For a square D every such p has (D/p) = +1.  The
+    few primes left, p = 2, p | D and the override primes, go to
+    splitting_type.
     """
     ps = primes_upto(N)
     if field.is_rational_hook:
         return ps, np.full(len(ps), T_RATIONAL, dtype=np.int8)
     D = field.poly_disc
     dmod = D % ps
-    ram = dmod == 0
-    counts = np.ones(len(ps), dtype=np.int8)  # right wherever (D/p) = -1
+    scalar = (dmod == 0) | (ps == 2) | np.isin(ps, list(field.index_divisor_overrides))
     if D > 0 and math.isqrt(D) ** 2 == D:
-        ladder = np.ones(len(ps), dtype=bool)
+        plus = ~scalar
     else:
-        ladder = (_euler_criterion_vector(dmod, ps) != ps - 1) | (ps == 2)
-    counts[ladder] = _count_roots_vector(*field.poly, ps[ladder])
-    codes = np.empty(len(ps), dtype=np.int8)
-    overridden = np.zeros(len(ps), dtype=bool)
-    for p, st in field.index_divisor_overrides.items():
-        if p <= N:
-            idx = int(np.searchsorted(ps, p))
-            codes[idx] = _code_from_splitting(st)
-            overridden[idx] = True
-    un = ~ram & ~overridden
-    ram &= ~overridden
-    codes[un & (counts == 3)] = T_SPLIT
-    codes[un & (counts == 1)] = T_PARTIAL
-    codes[un & (counts == 0)] = T_INERT
-    codes[ram & (counts == 1)] = T_RAM_13
-    codes[ram & (counts == 2)] = T_RAM_112
-    bad = (un & (counts == 2)) | (ram & ((counts == 0) | (counts == 3)))
-    if bad.any():
-        raise AssertionError(f"inconsistent factorization at p={ps[bad][0]} for {field.name}")
+        plus = ~scalar & (_euler_criterion_vector(dmod, ps) == 1)
+    codes = np.full(len(ps), T_PARTIAL, dtype=np.int8)
+    codes[plus] = np.where(_frobenius_fixes_x(*field.poly, ps[plus]), T_SPLIT, T_INERT)
+    for i in np.flatnonzero(scalar):
+        codes[i] = _code_from_splitting(splitting_type(field, int(ps[i])))
     return ps, codes
 
 

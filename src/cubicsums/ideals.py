@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import ArithTables, partial_A
-from .fieldspec import FieldSpec, splitting_codes, splitting_type
+from .fieldspec import _COMPONENTS, FieldSpec, splitting_codes, splitting_type
 
 __all__ = [
     "PrimeIdealLabel",
@@ -90,8 +90,6 @@ def _labels_from_components(p: int, comps) -> tuple:
 @lru_cache(maxsize=8)
 def _labels_upto(field: FieldSpec, B: int) -> tuple:
     """Labels of all prime ideals of norm <= B via the bulk splitting path."""
-    from .fieldspec import _COMPONENTS  # shared shape table
-
     ps, codes = splitting_codes(field, B)
     out = []
     for p, c in zip(ps.tolist(), codes.tolist()):

@@ -559,6 +559,8 @@ def remainder_envelope_scan(field, tables, rho, X_values=(5, 8, 10)):
     reported, nothing thresholded."""
     rows = []
     for X in X_values:
+        if X < 1:
+            raise SumsError(f"X={X} below the minimum 1")
         Y = int(10 * X**3)
         if Y > tables.N:
             raise SumsError(f"Y={Y} beyond tables (N={tables.N})")

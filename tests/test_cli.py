@@ -39,7 +39,10 @@ class TestSieve:
         assert a.read_bytes() == b.read_bytes()
 
     def test_below_minimum_is_config_error(self, tmp_path, capsys):
-        for argv in (["sieve", "--N", "10", "--output", str(tmp_path / "x.bin")], ["verify", "--N", "500"]):
+        tau = ["experiment", "tau-growth", "--X", "1000"]
+        for argv in (["sieve", "--N", "10", "--output", str(tmp_path / "x.bin")], ["verify", "--N", "500"],
+                     ["experiment", "tau-growth", "--X", "1"], [*tau, "--l", "1"], [*tau, "--q", "0"],
+                     ["experiment", "envelope", "--N", "1000", "--X", "0"]):
             rc, _, err = run(argv, capsys)
             assert rc == 2, argv
             assert "below the minimum" in err
@@ -211,6 +214,18 @@ class TestExperiments:
             assert rc == 2, B
             assert stdout == ""
             assert f"--B {int(float(B))} outside [1000, 2000000]" in err
+
+    def test_more_than_one_value_rejected_before_sieving(self, capsys, monkeypatch):
+        def no_sieve(*args):
+            raise AssertionError("sieved before checking the option")
+
+        monkeypatch.setattr(ar, "build_tables", no_sieve)
+        for argv, message in ((["meansquare", "--X", "1,2"], "experiment meansquare takes one --X, got 2: 1,2"),
+                              (["voronoi", "--T", "10000,20000"],
+                               "experiment voronoi takes one --T, got 2: 10000,20000")):
+            rc, stdout, err = run(["experiment", *argv, "--N", "50000"], capsys)
+            assert rc == 2 and stdout == "", argv
+            assert message in err
 
     def test_B_checked_against_table_file(self, tmp_path, capsys):
         table_path = tmp_path / "t.bin"

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cubicsums import fieldspec as fs
 
@@ -75,6 +77,11 @@ class TestParsing:
         st = fs.splitting_type(f, 2)
         assert st.components == ((1, 1), (1, 1), (1, 1))
         assert fs.local_aK(f, 2, 2) == [1, 3, 6]
+
+    def test_override_key_must_be_prime(self):
+        # a composite key names no prime ideal, so no prime's shape may be taken from it
+        with pytest.raises(fs.FieldConfigError, match="override at p=4: 4 is not prime"):
+            fs.parse_field_spec("poly = -2, 0, 0\noverride.4 = 1:1+1:1+1:1")
 
     def test_monogenic_square_disc_prime_no_override(self):
         # x^3 - x - 2 has disc -104 = -26*4 but stays 2-maximal
@@ -181,15 +188,18 @@ class TestSplitting:
                 assert st.n_degree_one() == len(fs.roots_mod_p(c0, c1, c2, p)), (f.name, p)
 
     def test_bulk_matches_scalar(self, field_nn2, field_c7, field_hook):
-        # the bulk path settles (D/p) = -1 primes by Stickelberger and ladders
-        # the rest; the scalar path ladders every prime.  Besides the presets:
-        # a negative D with 2 and 5 ramified, a square D (every unramified
-        # prime goes to the ladder) and a positive D with 2 inert and 3
-        # unramified (Euler's criterion means nothing at p = 2).
+        # the bulk path settles odd unramified primes by Stickelberger's sign
+        # and the Frobenius test and asks splitting_type about p = 2 and p | D;
+        # the scalar path counts roots at every prime.  Besides the presets:
+        # a negative D with 2 and 5 ramified, a square D (every odd unramified
+        # prime has (D/p) = +1), a positive D with 2 inert and 3 unramified,
+        # and an odd D = 5 mod 8 with 2 = P1 P2 (Euler's criterion means
+        # nothing at p = 2).
         cubics = [fs.parse_field_spec(f"name = {name}\npoly = {poly}")
                   for name, poly in (("neg-disc", "2, 2, 0"), ("square-disc", "1, -3, 0"),
-                                     ("disc-473", "1, -5, 0"))]
-        assert [f.poly_disc for f in cubics] == [-140, 81, 473]
+                                     ("disc-473", "1, -5, 0"), ("disc-83", "2, 1, 1"))]
+        assert [f.poly_disc for f in cubics] == [-140, 81, 473, -83]
+        assert fs.splitting_type(cubics[-1], 2).pattern == "P1*P2"
         for f in (field_nn2, field_c7, field_hook, *cubics):
             ps, codes = fs.splitting_codes(f, 2 * 10**4)
             for p, c in zip(ps.tolist(), codes.tolist()):
@@ -200,12 +210,28 @@ class TestSplitting:
                     roots = fs.roots_mod_p(*f.poly, p)
                     assert fs._splitting_from_code(c).n_degree_one() == len(roots), (f.name, p)
 
+    @settings(max_examples=60, deadline=None)
+    @given(coeffs=st.tuples(*[st.integers(-20, 20)] * 3))
+    def test_random_cubics_bulk_matches_scalar(self, coeffs):
+        c0, c1, c2 = coeffs
+        try:
+            f = fs.parse_field_spec(f"poly = {c0}, {c1}, {c2}")
+        except fs.FieldConfigError:
+            assume(False)  # reducible, or an index divisor that needs an override
+        ps, codes = fs.splitting_codes(f, 3000)
+        for p, c in zip(ps.tolist(), codes.tolist()):
+            shape = fs.splitting_type(f, p)
+            assert shape.components == fs._COMPONENTS[c], (coeffs, p)
+            assert shape.n_degree_one() == len(fs.roots_mod_p(c0, c1, c2, p)), (coeffs, p)
+
     def test_scalar_python_ladder_matches_vector(self, field_nn2):
+        # x^p = x mod (f, p) exactly when f has three distinct roots mod p,
+        # ramified primes included: a repeated root keeps f from dividing x^p - x
         c0, c1, c2 = field_nn2.poly
         ps = fs.primes_upto(3000)
-        vec = fs._count_roots_vector(c0, c1, c2, ps)
-        for p, want in zip(ps.tolist(), vec.tolist()):
-            assert fs._count_roots_py(c0, c1, c2, int(p)) == want
+        vec = fs._frobenius_fixes_x(c0, c1, c2, ps)
+        for p, fixes in zip(ps.tolist(), vec.tolist()):
+            assert fixes == (fs._count_roots_py(c0, c1, c2, int(p)) == 3), p
 
     def test_vector_paths_at_top_of_domain(self, field_nn2, field_c7):
         # the ladder's sums of residue products are exact only for p < 2^30;
@@ -221,8 +247,8 @@ class TestSplitting:
         ps = np.array(top, dtype=np.int64)
         cubics = [(2, 2, 0), (1, -3, 0), (1, -5, 0)]  # D = -140, 81, 473
         for c0, c1, c2 in (field_nn2.poly, field_c7.poly, *cubics):
-            vec = fs._count_roots_vector(c0, c1, c2, ps)
-            assert vec.tolist() == [fs._count_roots_py(c0, c1, c2, p) for p in top], (c0, c1, c2)
+            vec = fs._frobenius_fixes_x(c0, c1, c2, ps)
+            assert vec.tolist() == [fs._count_roots_py(c0, c1, c2, p) == 3 for p in top], (c0, c1, c2)
             D = fs.discriminant_monic_cubic(c0, c1, c2)
             euler = fs._euler_criterion_vector(D % ps, ps)
             assert euler.tolist() == [pow(D, (p - 1) // 2, p) for p in top], D
@@ -230,7 +256,7 @@ class TestSplitting:
         while not fs._is_prime(above):
             above += 2
         with pytest.raises(fs.FieldConfigError, match="2\\^30"):
-            fs._count_roots_vector(*field_nn2.poly, np.array([3, above], dtype=np.int64))
+            fs._frobenius_fixes_x(*field_nn2.poly, np.array([3, above], dtype=np.int64))
 
     def test_large_prime_smoke(self, field_nn2):
         st = fs.splitting_type(field_nn2, 2**31 + 11)  # prime above the vector range
