@@ -360,12 +360,33 @@ def tau_table(l: int, n: int) -> np.ndarray:
         raise ValueError("tau_l needs l >= 2")
     if not 1 <= n <= TAU_BUDGET:
         raise ArithError(f"tau table length {n} outside 1..{TAU_BUDGET}")
+    top = _max_tau(l, n)
+    if top >= 2**63:
+        raise ArithError(f"max tau_{l}(m) over m <= {n} is {top:.3g}, beyond int64")
     ps = primes_upto(n)
     codes = np.zeros(len(ps), dtype=np.int8)
     kmax = max(1, n.bit_length())
     loc = {0: (local_ideal_counts((1,) * l, kmax),)}
     (t,) = _sieve_multiplicative(n, ps, codes, loc, 1)
     return _freeze(t)
+
+
+def _max_tau(l: int, n: int) -> int:
+    """max_{m <= n} tau_l(m), exact.  tau_l(p^k) = C(k + l - 1, l - 1) grows
+    with k alone, so moving the exponents of m onto 2, 3, 5, ... in
+    non-increasing order keeps tau_l and does not raise m: the maximum sits
+    at a product of primorials, about 800 candidates for n <= 10^8."""
+    ps = primes_upto(100).tolist()  # their product is far beyond TAU_BUDGET
+
+    def best(i, m, kmax):
+        out = 1
+        k, mk = 1, m * ps[i]
+        while k <= kmax and mk <= n:
+            out = max(out, math.comb(k + l - 1, l - 1) * best(i + 1, mk, k))
+            k, mk = k + 1, mk * ps[i]
+        return out
+
+    return best(0, 1, n.bit_length())
 
 
 def tau_power_sum(l: int, q: int, x: int) -> int:

@@ -290,10 +290,18 @@ def _field_free_experiment(cfg: RunConfig, name, out) -> int:
         for option, value, least in (("--l", l, 2), ("--q", q, 1), ("--X", min(xs), 2)):
             if value < least:
                 raise ConfigError(f"{option} {value} below the minimum {least}")
-        rows = []
+        scales = []
         for x in xs:
+            try:
+                scales.append(x * math.log(x) ** (l**q - 1))
+            except OverflowError:
+                scales.append(math.inf)
+            if not 0 < scales[-1] < math.inf:
+                raise ConfigError(f"x log(x)^(l^q - 1) at x={x}, l^q={l**q} is not a finite positive float")
+        rows = []
+        for x, scale in zip(xs, scales):
             s = arith.tau_power_sum(l, q, x)
-            rows.append((x, s, s / (x * math.log(x) ** (l**q - 1))))
+            rows.append((x, s, s / scale))
         meta["l"], meta["q"] = l, q
         meta["loglog_slope"] = sums.fit_loglog_slope(
             np.log(np.array(xs, dtype=float)), np.array([r[1] / r[0] for r in rows])

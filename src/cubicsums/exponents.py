@@ -412,9 +412,6 @@ def numeric_envelope_check(
 
 @dataclass(frozen=True)
 class ScenarioReport:
-    name: str
-    input_expr: BoundExpr
-    balanced: BoundExpr | None
     simplified: BoundExpr
     cone: ConstraintCone
     var_order: tuple
@@ -467,9 +464,6 @@ def scenario_block_bound() -> ScenarioReport:
         L, simp, "y", H1, H2, cone, [{"M": m, "Y": y} for m in (2, 8) for y in (10**3, 10**6)]
     )
     return ScenarioReport(
-        name="block-bound",
-        input_expr=L,
-        balanced=bal,
         simplified=simp,
         cone=cone,
         var_order=("Y", "M", "y"),
@@ -500,9 +494,6 @@ def scenario_remainder_xy() -> ScenarioReport:
     grid = [{"X": x, "Y": y} for x, y in ((4, 256), (4, 4096), (16, 4096), (16, 65536))]
     ratio = numeric_envelope_check(block, simp, "y", H1, H2, cone, grid)
     return ScenarioReport(
-        name="remainder-xy",
-        input_expr=L,
-        balanced=None,
         simplified=simp,
         cone=cone,
         var_order=("X", "Y"),
@@ -528,9 +519,6 @@ def scenario_mean_square_xt() -> ScenarioReport:
         L, simp, "y", H1, H2, cone, [{"X": x, "T": t} for x in (3, 10) for t in (10**3, 10**5)]
     )
     return ScenarioReport(
-        name="mean-square-xt",
-        input_expr=L,
-        balanced=bal,
         simplified=simp,
         cone=cone,
         var_order=("X", "T", "y"),

@@ -151,38 +151,9 @@ def _code_from_splitting(st: SplittingType) -> int:
 # exact integer polynomial helpers
 # ----------------------------------------------------------------------------
 
-def _bareiss_det(m):
-    """Fraction-free determinant of a small integer matrix (list of lists)."""
-    a = [row[:] for row in m]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def discriminant_monic_cubic(c0: int, c1: int, c2: int) -> int:
-    """disc(x^3 + c2 x^2 + c1 x + c0) = -Res(f, f'), via a Sylvester determinant."""
-    syl = [
-        [1, c2, c1, c0, 0],
-        [0, 1, c2, c1, c0],
-        [3, 2 * c2, c1, 0, 0],
-        [0, 3, 2 * c2, c1, 0],
-        [0, 0, 3, 2 * c2, c1],
-    ]
-    return -_bareiss_det(syl)
+    """disc(x^3 + c2 x^2 + c1 x + c0), in closed form."""
+    return c2 * c2 * c1 * c1 - 4 * c1**3 - 4 * c2**3 * c0 - 27 * c0 * c0 + 18 * c2 * c1 * c0
 
 
 def factorize(n: int) -> dict:
@@ -247,7 +218,8 @@ def primes_upto(n: int) -> np.ndarray:
 
 
 def roots_mod_p(c0: int, c1: int, c2: int, p: int):
-    """All roots of the cubic mod p by exhaustive scan.  Oracle-grade; O(p)."""
+    """All roots of the cubic mod p by exhaustive scan, O(p): Dedekind's test
+    at p <= 3, and otherwise a test oracle."""
     xs = np.arange(p, dtype=np.int64)
     vals = (xs * xs % p * xs + c2 % p * (xs * xs % p) + c1 % p * xs + c0) % p
     return [int(r) for r in np.nonzero(vals == 0)[0]]
@@ -346,7 +318,7 @@ def _frobenius_fixes_x(c0: int, c1: int, c2: int, ps: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------------
-# Dedekind's p-maximality criterion (monic cubic, small p)
+# Dedekind's p-maximality criterion (monic cubic, any p)
 # ----------------------------------------------------------------------------
 
 def dedekind_p_maximal(c0: int, c1: int, c2: int, p: int) -> bool:
@@ -354,15 +326,22 @@ def dedekind_p_maximal(c0: int, c1: int, c2: int, p: int) -> bool:
 
     Dedekind's criterion for a monic cubic f: a repeated factor of f mod p
     is linear (its square has degree <= 3), and the order is p-maximal iff
-    p^2 does not divide f(r) for each root r of f mod p with f'(r) = 0 mod p.
-    Any lift of r gives the same verdict, since f(r + p s) = f(r) mod p^2
-    when p | f'(r).  Root-scan based, so p <= 10^5.
+    p^2 does not divide f(r) for the repeated root r of f mod p.  Any lift
+    of r gives the same verdict, since f(r + p s) = f(r) mod p^2 when
+    p | f'(r).  For p > 3 the root needs no search: x = y + s with
+    s = -c2/3 turns f into y^3 + P y + Q, P = f'(s), Q = f(s), whose only
+    candidate for a repeated root is y = 0 if p | P and y = -3Q/(2P)
+    otherwise.  A candidate that is no root fails p^2 | f(r), so p not
+    dividing disc f gives True.  For p <= 3 the residues are scanned.
     """
-    if p > 100000:
-        raise FieldConfigError(
-            f"p-maximality test at p={p} is out of the scan budget; supply an explicit override"
-        )
-    for r in roots_mod_p(c0, c1, c2, p):
+    if p <= 3:
+        candidates = roots_mod_p(c0, c1, c2, p)
+    else:
+        s = -c2 * pow(3, -1, p) % p
+        P = (3 * s * s + 2 * c2 * s + c1) % p
+        Q = ((s + c2) * s + c1) * s + c0
+        candidates = [s if P == 0 else (s - 3 * Q * pow(2 * P, -1, p)) % p]
+    for r in candidates:
         if (3 * r * r + 2 * c2 * r + c1) % p == 0 and (((r + c2) * r + c1) * r + c0) % (p * p) == 0:
             return False
     return True

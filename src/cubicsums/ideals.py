@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import ArithTables, partial_A
-from .fieldspec import _COMPONENTS, FieldSpec, splitting_codes, splitting_type
+from .fieldspec import FieldSpec, primes_upto, splitting_type
 
 __all__ = [
     "PrimeIdealLabel",
@@ -78,25 +78,15 @@ class PrimeIdealLabel:
 
 @lru_cache(maxsize=None)
 def labels_above(field: FieldSpec, p: int) -> tuple:
-    st = splitting_type(field, p)
-    return _labels_from_components(p, st.components)
-
-
-def _labels_from_components(p: int, comps) -> tuple:
-    comps = sorted(comps)  # (f, e) ascending fixes the index assignment
+    # components are sorted by (f, e), which fixes the index assignment
+    comps = splitting_type(field, p).components
     return tuple(PrimeIdealLabel(p=p, index=i, f=f, e=e) for i, (f, e) in enumerate(comps))
 
 
-@lru_cache(maxsize=8)
 def _labels_upto(field: FieldSpec, B: int) -> tuple:
-    """Labels of all prime ideals of norm <= B via the bulk splitting path."""
-    ps, codes = splitting_codes(field, B)
-    out = []
-    for p, c in zip(ps.tolist(), codes.tolist()):
-        for lab in _labels_from_components(int(p), _COMPONENTS[c]):
-            if lab.norm <= B:
-                out.append(lab)
-    return tuple(out)
+    """Labels of all prime ideals of norm <= B, from the scalar splitting
+    path, so the enumeration histogram checks the sieves' bulk codes."""
+    return tuple(lab for p in primes_upto(B).tolist() for lab in labels_above(field, p) if lab.norm <= B)
 
 
 @dataclass(frozen=True)

@@ -225,8 +225,8 @@ def _half_integer_grid(T: int, samples: int):
 
 def meansquare_P2(field: FieldSpec, tables: ArithTables, rho: RhoEstimate, T: int, y, samples: int = 4096) -> float:
     """Midpoint quadrature of |P2(Y; y)|^2 over [T, 2T]."""
-    if y < 1 or y > T ** (1.0 / 3.0):
-        raise SumsError(f"need 1 <= y <= T^(1/3); got y={y}, T={T}")
+    if T < 1 or y < 1 or y > T ** (1.0 / 3.0):
+        raise SumsError(f"need T >= 1 and 1 <= y <= T^(1/3); got y={y}, T={T}")
     if 2 * T > tables.N:
         raise SumsError(f"need 2T <= N; got T={T}, N={tables.N}")
     ys, h = _half_integer_grid(int(T), samples)
@@ -257,8 +257,10 @@ def p2_truncation_scan(
     fitted decay exponent of the median in y.  The mean square of P2 decays
     like y^{-1/3} up to log factors, so the median |P2| decays like
     y^{-1/6}."""
-    if Y_hi > tables.N:
-        raise SumsError("Y window beyond table range")
+    if not 1 <= Y_lo < Y_hi <= tables.N:
+        raise SumsError(f"need 1 <= Y_lo < Y_hi <= N; got [{Y_lo}, {Y_hi}], N={tables.N}")
+    if min(y_values) < 1:
+        raise SumsError(f"truncations y must be >= 1; got {tuple(y_values)}")
     step = (Y_hi - Y_lo) / n_samples
     ys = np.floor(Y_lo + (np.arange(n_samples) + 0.5) * step) + 0.5
     pk = tables.A_prefix[np.floor(ys).astype(np.int64)] - rho.value * ys

@@ -224,6 +224,14 @@ class TestTauSums:
             tau = [0] + [sum(tau[d] for d in divs[m]) for m in range(1, n + 1)]
         assert ar.tau_table(l, n).tolist() == tau
 
+    def test_max_tau_guards_int64(self):
+        # the maximum over products of primorials is the table's maximum
+        for l, n in ((2, 5040), (4, 10**4), (20, 10**5)):
+            assert ar._max_tau(l, n) == int(ar.tau_table(l, n).max()), (l, n)
+        # tau_60 at n = 414720 = 2^10 3^4 5 wraps int64
+        with pytest.raises(ar.ArithError, match="beyond int64"):
+            ar.tau_table(60, 10**6)
+
     def test_growth_ratio_bounded(self):
         # ratio sum / (x log^15 x) stays bounded (decreasing) on a dyadic grid
         ratios = [

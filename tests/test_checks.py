@@ -8,7 +8,7 @@ import dataclasses
 import random
 
 
-from cubicsums import arith, checks, ideals, sums
+from cubicsums import arith, checks, fieldspec, ideals, sums
 
 
 def _with(tables, name, index, delta):
@@ -31,6 +31,25 @@ def test_character(tables_c7_small):
 def test_histogram(field_nn2, tables_nn2_small):
     assert checks.histogram_failure(field_nn2, tables_nn2_small, 2000) is None
     assert checks.histogram_failure(field_nn2, _with(tables_nn2_small, "aK", 1234, -1), 2000) == 1234
+
+
+def test_histogram_compares_scalar_and_bulk_splitting(field_nn2, monkeypatch):
+    # the tables come from the bulk splitting_codes, the enumerated ideals
+    # from the scalar splitting_type: flip the bulk code of p = 31 (split
+    # for x^3 - 2) wherever it is bound, and the histogram must see it
+    real = fieldspec.splitting_codes
+
+    def flipped(field, N):
+        ps, codes = real(field, N)
+        codes[ps == 31] = fieldspec.T_INERT
+        return ps, codes
+
+    for mod in (fieldspec, arith, ideals, sums):
+        if hasattr(mod, "splitting_codes"):
+            monkeypatch.setattr(mod, "splitting_codes", flipped)
+    assert fieldspec.splitting_type(field_nn2, 31).pattern == "P1*P1'*P1''"
+    tables = arith.build_tables(field_nn2, 10**4)
+    assert checks.histogram_failure(field_nn2, tables, 10**4) == 31
 
 
 def test_cross_path(field_nn2, tables_nn2_small):

@@ -46,6 +46,14 @@ class TestSieve:
             rc, _, err = run(argv, capsys)
             assert rc == 2, argv
             assert "below the minimum" in err
+        # x log(x)^(l^q - 1) overflows or underflows the float range, or tau_l overflows int64
+        for args, message in ((["--X", "100", "--l", "30", "--q", "3"], "not a finite positive float"),
+                              (["--X", "2,3", "--l", "30", "--q", "3"], "not a finite positive float"),
+                              (["--l", "100"], "not a finite positive float"),
+                              (["--X", "1e6", "--l", "60", "--q", "1"], "beyond int64")):
+            rc, stdout, err = run(["experiment", "tau-growth", *args], capsys)
+            assert rc == 2 and stdout == "", args
+            assert message in err, args
 
     def test_B_outside_range_rejected_before_sieving(self, tmp_path, capsys):
         for B in ("5000", "500"):
@@ -214,6 +222,15 @@ class TestExperiments:
             assert rc == 2, B
             assert stdout == ""
             assert f"--B {int(float(B))} outside [1000, 2000000]" in err
+
+    def test_p2_window_outside_table_rejected(self, capsys):
+        window = "need 1 <= Y_lo < Y_hi <= N"
+        for argv, message in ((["voronoi", "--T", "0"], window), (["voronoi", "--T", "-100"], window),
+                              (["voronoi", "--T", "2000", "--y", "0"], "truncations y must be >= 1"),
+                              (["meansquare-p2", "--T", "-100"], "need T >= 1")):
+            rc, stdout, err = run(["experiment", *argv, "--N", "5000"], capsys)
+            assert rc == 2 and stdout == "", argv
+            assert message in err, argv
 
     def test_more_than_one_value_rejected_before_sieving(self, capsys, monkeypatch):
         def no_sieve(*args):

@@ -9,25 +9,18 @@ from hypothesis import strategies as st
 from cubicsums import fieldspec as fs
 
 
-def disc_closed_form(c0, c1, c2):
-    # independent oracle for the resultant-based implementation
-    return (
-        18 * c2 * c1 * c0
-        - 4 * c2**3 * c0
-        + c2**2 * c1**2
-        - 4 * c1**3
-        - 27 * c0**2
-    )
-
-
 class TestDiscriminant:
     @pytest.mark.parametrize(
         "coeffs",
         [(-2, 0, 0), (-1, -2, 1), (8, -2, 1), (2, -1, 3), (-7, 5, -4), (1, 1, 1)],
     )
     def test_matches_closed_form(self, coeffs):
+        # independent oracle: disc f = prod_{i<j} (r_i - r_j)^2 over the complex roots
         c0, c1, c2 = coeffs
-        assert fs.discriminant_monic_cubic(c0, c1, c2) == disc_closed_form(c0, c1, c2)
+        r = np.roots([1, c2, c1, c0])
+        disc = ((r[0] - r[1]) * (r[0] - r[2]) * (r[1] - r[2])) ** 2
+        assert abs(disc.imag) < 1e-6
+        assert fs.discriminant_monic_cubic(c0, c1, c2) == round(disc.real)
 
     def test_preset_values(self, field_nn2, field_c7):
         assert (field_nn2.disc, field_nn2.disc_sqfree_part, field_nn2.conductor_f) == (-108, -3, 6)
@@ -151,9 +144,32 @@ class TestDedekind:
                     cases += 1
         assert cases > 500
 
-    def test_scan_budget(self):
-        with pytest.raises(fs.FieldConfigError, match="scan budget"):
-            fs.dedekind_p_maximal(-2, 0, 0, 100003)
+    def test_against_root_scan(self):
+        # the closed-form repeated root against a scan of all residues:
+        # p divides the index iff some root r has f'(r) = 0 mod p and p^2 | f(r)
+        cases = 0
+        for c0, c1, c2 in itertools.product(range(-10, 11), repeat=3):
+            disc = fs.discriminant_monic_cubic(c0, c1, c2)
+            if disc == 0:
+                continue
+            f = lambda r: ((r + c2) * r + c1) * r + c0
+            for p, k in fs.factorize(abs(disc)).items():
+                if k < 2:
+                    continue
+                want = not any((3 * r * r + 2 * c2 * r + c1) % p == 0 and f(r) % (p * p) == 0
+                               for r in fs.roots_mod_p(c0, c1, c2, p))
+                assert fs.dedekind_p_maximal(c0, c1, c2, p) == want, (c0, c1, c2, p)
+                cases += 1
+        assert cases > 7000
+
+    def test_large_prime(self):
+        # 500015 = 5 * 100003: x^3 - 500015 is 100003-maximal; x^3 - 2 * 100003^2 is not
+        f = fs.parse_field_spec("poly = -500015, 0, 0")
+        assert f.poly_disc == -27 * 500015**2
+        with pytest.raises(fs.FieldConfigError, match="override for p=100003"):
+            fs.parse_field_spec("poly = -20001200018, 0, 0")
+        f = fs.parse_field_spec("poly = -20001200018, 0, 0\noverride.100003 = 1:3")
+        assert fs.splitting_type(f, 100003).pattern == "P1^3"
 
 
 class TestSplitting:

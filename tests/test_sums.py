@@ -136,6 +136,13 @@ class TestVoronoi:
         assert rep.medians[0] > rep.medians[1] > rep.medians[2]
         assert rep.fitted_exponent < 0
 
+    def test_truncation_scan_window_guards(self, field_nn2, tables_nn2_small, rho_nn2):
+        # negative indices would read A_K from the end of the table
+        for lo, hi, ys in ((0, 0, (8,)), (-100, -200, (8,)), (5000, 4000, (8,)), (5000, 2 * 10**4, (8,)),
+                           (1000, 2000, (0, 8))):
+            with pytest.raises(sm.SumsError):
+                sm.p2_truncation_scan(field_nn2, tables_nn2_small, rho_nn2, lo, hi, 10, ys)
+
 
 class TestMeanSquareP2:
     def test_y_one_positive(self, field_nn2, tables_nn2_1m, rho_nn2):
@@ -150,6 +157,8 @@ class TestMeanSquareP2:
             sm.meansquare_P2(field_nn2, tables_nn2_1m, rho_nn2, 10**4, 50)  # y > T^(1/3)
         with pytest.raises(sm.SumsError):
             sm.meansquare_P2(field_nn2, tables_nn2_1m, rho_nn2, 6 * 10**5, 4)  # 2T > N
+        with pytest.raises(sm.SumsError, match="T >= 1"):
+            sm.meansquare_P2(field_nn2, tables_nn2_1m, rho_nn2, -100, 4)  # no real cube root
 
     def test_grid_exponents(self, field_nn2, tables_nn2_1m, rho_nn2):
         rows, t_exp, y_exp = sm.p2_meansquare_grid(
