@@ -52,9 +52,12 @@ import numpy as np
 
 from .fieldspec import (
     F_SHAPES,
+    FieldConfigError,
     FieldSpec,
     factorize,
+    format_field_spec,
     local_ideal_counts,
+    parse_field_spec,
     primes_upto,
     splitting_codes,
 )
@@ -175,7 +178,7 @@ class ArithTables:
     The prefix sums are built on first use, so a run that reads neither
     never holds them."""
 
-    field_name: str
+    field: FieldSpec
     N: int
     aK: np.ndarray
     muK: np.ndarray
@@ -222,7 +225,7 @@ def build_tables(field: FieldSpec, N: int) -> ArithTables:
     kmax = max(1, N.bit_length())
     locs = _local_tables(set(codes.tolist()), kmax)
     aK, muK, b = _sieve_multiplicative(N, ps, codes, locs, 3)
-    return ArithTables(field.name, N, aK, muK, b)
+    return ArithTables(field, N, aK, muK, b)
 
 
 def partial_A(tables: ArithTables, x) -> int:
@@ -284,11 +287,11 @@ def _rho_regression(tables: ArithTables, B: int) -> RhoEstimate:
     return RhoEstimate(value=value, stderr=stderr, method="regression_on_A", B=B)
 
 
-def estimate_rho(field: FieldSpec, tables: ArithTables, B: int, method: str = "series_b_over_m") -> RhoEstimate:
-    """Estimate rho_K from the tables; both methods are run and cross-checked.
+def estimate_rho(tables: ArithTables, B: int) -> tuple[RhoEstimate, RhoEstimate]:
+    """The (series, regression) estimates of rho_K from the tables.
 
-    Raises RhoDisagreement when the series and regression values differ by
-    more than 3 combined standard errors (never silently averaged).
+    Raises RhoDisagreement when the two values differ by more than 3
+    combined standard errors (never silently averaged).
     """
     if B < N_MIN:
         raise ArithError(f"B={B} too small; need B >= {N_MIN}")
@@ -302,11 +305,7 @@ def estimate_rho(field: FieldSpec, tables: ArithTables, B: int, method: str = "s
             f"rho estimators disagree: series {ser.value:.8f} (+-{ser.stderr:.2g}) vs "
             f"regression {reg.value:.8f} (+-{reg.stderr:.2g}), tolerance {tol:.2g}"
         )
-    if method == "series_b_over_m":
-        return ser
-    if method == "regression_on_A":
-        return reg
-    raise ArithError(f"unknown rho method {method!r}")
+    return ser, reg
 
 
 # ----------------------------------------------------------------------------
@@ -511,14 +510,18 @@ def b_from_cubic_character(f: int, nmax: int) -> np.ndarray:
     return dirichlet_convolution(u, u - v, nmax) + dirichlet_convolution(v, v, nmax)
 
 
-def L1_cubic_character(f: int, terms: int = 10**6) -> complex:
-    """L(1, chi) by direct series over a whole number of periods."""
-    chi = cubic_character(f)
+def L1_cubic_character(f: int) -> complex:
+    """L(1, chi) by the finite formula for an even primitive character,
+
+        L(1, chi) = -(tau(chi)/f) sum_{0<a<f} conj(chi)(a) log|1 - e^{2 pi i a/f}|,
+
+    tau(chi) the Gauss sum; chi(-1) = 1 since chi(-1)^2 = chi(-1)^3 = 1."""
     omega = complex(-0.5, math.sqrt(3) / 2)
-    cvals = np.array([u + v * omega for (u, v) in chi], dtype=np.complex128)
-    terms -= terms % f  # complete periods keep the tail O(f/terms)
-    n = np.arange(1, terms + 1)
-    return complex(np.sum(cvals[n % f] / n))
+    chi = np.array([u + v * omega for (u, v) in cubic_character(f)], dtype=np.complex128)
+    a = np.arange(f)
+    tau = np.sum(chi * np.exp(2j * math.pi * a / f))
+    logs = np.log(2.0 * np.sin(math.pi * a[1:] / f))  # |1 - e^{i t}| = 2 sin(t/2)
+    return complex(-tau / f * np.dot(np.conj(chi[1:]), logs))
 
 
 # ----------------------------------------------------------------------------
@@ -526,17 +529,19 @@ def L1_cubic_character(f: int, terms: int = 10**6) -> complex:
 # ----------------------------------------------------------------------------
 
 _MAGIC = b"CBSM"
-_VERSION = 1
+_VERSION = 2
 
 
 def write_tables(tables: ArithTables, path) -> None:
-    """Flat binary dump: header (magic, version, field name, N) then the
-    little-endian int64 arrays a_K, mu_K, b for n = 1..N."""
-    name = tables.field_name.encode("utf-8")
+    """Flat binary dump: header (magic, version, length of the field
+    document, the field's format_field_spec document as UTF-8, N) then the
+    little-endian int64 arrays a_K, mu_K, b for n = 1..N.  read_tables
+    parses the document back, so the tables carry their field."""
+    doc = format_field_spec(tables.field).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _VERSION, len(name)))
-        fh.write(name)
+        fh.write(struct.pack("<II", _VERSION, len(doc)))
+        fh.write(doc)
         fh.write(struct.pack("<Q", tables.N))
         for arr in (tables.aK, tables.muK, tables.b):
             fh.write(arr[1:].astype("<i8", copy=False))  # no copy on a little-endian host
@@ -546,10 +551,13 @@ def read_tables(path) -> ArithTables:
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ArithError(f"{path}: not a table file (bad magic)")
-        version, namelen = struct.unpack("<II", fh.read(8))
+        version, doclen = struct.unpack("<II", fh.read(8))
         if version != _VERSION:
             raise ArithError(f"{path}: unsupported table version {version}")
-        name = fh.read(namelen).decode("utf-8")
+        try:
+            field = parse_field_spec(fh.read(doclen).decode("utf-8"))
+        except (UnicodeDecodeError, FieldConfigError) as exc:
+            raise ArithError(f"{path}: bad field document in the header: {exc}") from None
         (N,) = struct.unpack("<Q", fh.read(8))
         have = os.fstat(fh.fileno()).st_size - fh.tell()
         want = 3 * 8 * N
@@ -559,7 +567,7 @@ def read_tables(path) -> ArithTables:
         aK, muK, b = (np.zeros(N + 1, dtype="<i8") for _ in range(3))
         for arr in (aK, muK, b):
             fh.readinto(arr[1:])
-    return ArithTables(name, int(N), aK, muK, b)
+    return ArithTables(field, int(N), aK, muK, b)
 
 
 def export_csv(tables: ArithTables, path, nmax: int = 10**4) -> None:

@@ -43,19 +43,19 @@ def character_failure(f, tables, nmax):
     return _first_mismatch(arith.b_from_cubic_character(f, nmax)[1:], tables.b[1 : nmax + 1])
 
 
-def histogram_failure(field, tables, B):
+def histogram_failure(tables, B):
     """First norm n <= B whose number of enumerated ideals is not a_K(n), or None."""
-    hist = ideals.histogram_by_norm(ideals.enumerate_ideals(field, B), B)
+    hist = ideals.histogram_by_norm(ideals.enumerate_ideals(tables.field, B), B)
     return _first_mismatch(hist[1:], tables.aK[1 : B + 1])
 
 
-def cross_path_failure(field, tables, x_max, ys):
+def cross_path_failure(tables, x_max, ys):
     """First (X, Y, direct, reduced) over X <= x_max, Y in ys where the two
     evaluations of S_K(X, Y) differ, or None."""
     for X in range(1, x_max + 1):
         for Y in ys:
-            d = sums.S_K_direct(field, tables, X, Y).value
-            r = sums.S_K_reduced(field, tables, X, Y).value
+            d = sums.S_K_direct(tables, X, Y).value
+            r = sums.S_K_reduced(tables, X, Y).value
             if d != r:
                 return (X, Y, d, r)
     return None
@@ -73,14 +73,15 @@ def ideal_sample_failure(field, samples):
     return None
 
 
-def collapse_failure(field, tables, Js):
+def collapse_failure(tables, Js):
     """First (J, Y, naive, collapsed), Y in {10, 100, 500}, where summing
     c_J(I) over the enumerated I of norm <= Y differs from the divisor
     collapse, or None."""
+    field = tables.field
     for J in Js:
         for Y in (10, 100, 500):
             naive = sum(ideals.ramanujan_ideal(field, J, I) for I in ideals.enumerate_ideals(field, Y))
-            coll = ideals.sum_cJ_over_I(field, tables, J, Y)
+            coll = ideals.sum_cJ_over_I(tables, J, Y)
             if naive != coll:
                 return (str(J), Y, naive, coll)
     return None
@@ -98,27 +99,27 @@ def multiplicativity_failure(tables, lim):
     return None
 
 
-def restriction_failure(field, tables, n_small):
+def restriction_failure(tables, n_small):
     """First n <= n_small where a fresh sieve to n_small disagrees with the
     tables in a_K or mu_K (n_small itself when the tables are shorter), or None."""
     if n_small > tables.N:
         return n_small
-    small = arith.build_tables(field, n_small)
+    small = arith.build_tables(tables.field, n_small)
     bad = [_first_mismatch(getattr(small, k)[1:], getattr(tables, k)[1 : n_small + 1]) for k in ("aK", "muK")]
     return min((n for n in bad if n is not None), default=None)
 
 
-def remainder_failure(field, tables, rho, Y):
+def remainder_failure(tables, rho, Y):
     """(R_K(1, Y), P_K(Y)) if they differ by 1e-9 or more, else None."""
-    lhs = sums.remainder_R(field, tables, rho, 1, Y)
+    lhs = sums.remainder_R(tables, rho, 1, Y)
     rhs = arith.error_P(tables, rho, Y)
     return None if abs(lhs - rhs) < 1e-9 else (lhs, rhs)
 
 
-def voronoi_split_failure(field, tables, rho, Y, y):
+def voronoi_split_failure(tables, rho, Y, y):
     """(P1 + P2, P_K(Y)) if the truncated expansion and its residual miss
     P_K(Y) by more than 1e-9 relative, else None."""
-    p1, p2 = sums.voronoi_P1(field, tables, rho, Y, y)
+    p1, p2 = sums.voronoi_P1(tables, rho, Y, y)
     pk = arith.error_P(tables, rho, Y)
     return None if abs((p1 + p2) - pk) <= 1e-9 * max(1.0, abs(pk)) else (p1 + p2, pk)
 
@@ -139,7 +140,7 @@ def exponential_sum_failure(size):
     return None
 
 
-def field_suite(field, tables, rng, x_max, ys):
+def field_suite(tables, rng, x_max, ys):
     """Every per-field check, as (field name, check, ok, detail) rows.
 
     A failed convolution identity ends the suite, since every later check
@@ -147,6 +148,7 @@ def field_suite(field, tables, rng, x_max, ys):
     and the Y in ys within the tables.  The last two rows are reports and
     always pass.
     """
+    field = tables.field
     rows = []
 
     def add(name, bad, detail):
@@ -165,12 +167,12 @@ def field_suite(field, tables, rng, x_max, ys):
         bad = character_failure(field.conductor_f, tables, ncheck)
         add("b = chi * conj(chi)", bad, f"character identity failed at n={bad}" if bad else f"n<= {ncheck}")
     B = min(tables.N, 10**4)
-    bad = histogram_failure(field, tables, B)
+    bad = histogram_failure(tables, B)
     add("enumeration histogram = aK", bad, f"histogram mismatch at norm {bad}" if bad else f"B={B}")
     if field.degree == 3:
         x_max = min(x_max, 50)
         ys = [y for y in ys if y <= tables.N]
-        bad = cross_path_failure(field, tables, x_max, ys)
+        bad = cross_path_failure(tables, x_max, ys)
         add("cross-path S_K direct=reduced", bad, f"S_K mismatch at {bad}" if bad else f"X<={x_max}, Y in {ys}")
 
     # seeded samples, drawn lazily so a failure stops the draws where it occurs
@@ -180,20 +182,20 @@ def field_suite(field, tables, rng, x_max, ys):
     bad = ideal_sample_failure(field, itertools.chain([first], samples))
     add("c_J(I) gcd dependence + norms", bad,
         str(bad) if bad else f"30 seeded samples; first={(str(first[0]), str(first[1]))}")
-    bad = collapse_failure(field, tables, (draw(field, rng, 50) for _ in range(5)))
+    bad = collapse_failure(tables, (draw(field, rng, 50) for _ in range(5)))
     add("sum_cJ collapse = naive", bad, str(bad) if bad else "5 seeded J, Y in {10,100,500}")
 
     lim = min(tables.N, 5000)
     bad = multiplicativity_failure(tables, lim)
     add("aK multiplicative", bad, str(bad) if bad else f"exhaustive mn<={lim}")
     n_small = max(arith.N_MIN, tables.N // 10)
-    add("restriction bit-exact", restriction_failure(field, tables, n_small), f"N'={n_small}")
+    add("restriction bit-exact", restriction_failure(tables, n_small), f"N'={n_small}")
 
     if field.degree == 3 and tables.N >= arith.N_MIN:
-        rho = arith.estimate_rho(field, tables, min(tables.N, 10**5))
+        rho, _ = arith.estimate_rho(tables, min(tables.N, 10**5))
         Y = min(tables.N, 54321)
-        add("remainder_R(1,Y) = P_K(Y)", remainder_failure(field, tables, rho, Y), f"Y={Y}")
-        add("P1 + P2 = P_K", voronoi_split_failure(field, tables, rho, Y, min(64, Y)), f"Y={Y}")
+        add("remainder_R(1,Y) = P_K(Y)", remainder_failure(tables, rho, Y), f"Y={Y}")
+        add("P1 + P2 = P_K", voronoi_split_failure(tables, rho, Y, min(64, Y)), f"Y={Y}")
 
     x = np.arange(1, tables.N + 1, dtype=np.float64)
     mbound = float(np.max(np.abs(tables.M_prefix[1:]) / x))

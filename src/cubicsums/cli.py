@@ -79,10 +79,10 @@ def _one_value(values, default, option, command):
 def _load_tables(cfg: RunConfig, field):
     if cfg.tables_path:
         tables = arith.read_tables(cfg.tables_path)
-        if tables.field_name != field.name:
-            raise ConfigError(
-                f"table file is for field {tables.field_name!r}, not {field.name!r}"
-            )
+        if tables.field != field:
+            have, want = (fieldspec.format_field_spec(f).strip().replace("\n", "; ")
+                          for f in (tables.field, field))
+            raise ConfigError(f"table file is for field [{have}], not --field [{want}]")
         return tables
     return arith.build_tables(field, cfg.N)
 
@@ -128,10 +128,12 @@ def _rho_B(cfg: RunConfig, N: int) -> int:
     return cfg.B
 
 
-def _rho_meta(field, tables, cfg, B):
-    rho = arith.estimate_rho(field, tables, B, cfg.rho_method)
-    return rho, {
-        "field": field.name,
+def _rho_meta(tables, cfg, B):
+    """Both rho estimates, the one --rho-method picks, and the report header."""
+    estimates = arith.estimate_rho(tables, B)
+    rho = next(est for est in estimates if est.method == cfg.rho_method)
+    return estimates, rho, {
+        "field": tables.field.name,
         "N": tables.N,
         "rho": rho.value,
         "rho_stderr": rho.stderr,
@@ -162,9 +164,8 @@ def cmd_sieve(cfg: RunConfig, out=None) -> int:
     row("aK(1..20): ", tables.aK)
     row("muK(1..20):", tables.muK)
     row("b(1..20):  ", tables.b)
-    for method in ("series_b_over_m", "regression_on_A"):
-        est = arith.estimate_rho(field, tables, B, method)
-        print(f"rho[{method}] = {est.value:.8f} +- {est.stderr:.2e} (B={est.B})", file=out)
+    for est in arith.estimate_rho(tables, B):
+        print(f"rho[{est.method}] = {est.value:.8f} +- {est.stderr:.2e} (B={est.B})", file=out)
     return EXIT_OK
 
 
@@ -187,7 +188,7 @@ def cmd_verify(cfg: RunConfig, out=None) -> int:
     for name in names:
         field = fieldspec.load_field(name)
         tables = _load_tables(cfg, field)
-        rows += checks.field_suite(field, tables, rng, X, cfg.Y or (10, 100, 1000))
+        rows += checks.field_suite(tables, rng, X, cfg.Y or (10, 100, 1000))
     rows += checks.classical_suite()
     rows = [(fname, name, "pass" if ok else "FAIL", detail) for fname, name, ok, detail in rows]
     for fname, name, status, detail in rows:
@@ -226,11 +227,11 @@ def cmd_experiment(cfg: RunConfig, out=None) -> int:
         _rho_B(cfg, cfg.N)  # reject a bad --B before sieving
     tables = _load_tables(cfg, field)
     B = _rho_B(cfg, tables.N)
-    rho, meta = _rho_meta(field, tables, cfg, B)
+    estimates, rho, meta = _rho_meta(tables, cfg, B)
     meta["experiment"] = name
 
     if name == "meansquare":
-        reports, _, trend = sums.meansquare_trend(field, tables, rho, X, cfg.T or (1000,), samples=cfg.samples)
+        reports, _, trend = sums.meansquare_trend(tables, rho, X, cfg.T or (1000,), samples=cfg.samples)
         rows = [(X, r.T, r.integral_R2, r.main_term, r.ratio, r.quadrature_error_est) for r in reports]
         meta["cX"] = reports[0].cX
         meta["ratio_trend"] = trend
@@ -241,7 +242,7 @@ def cmd_experiment(cfg: RunConfig, out=None) -> int:
     if name == "meansquare-p2":
         Ts = cfg.T or (10**5, 2 * 10**5, 4 * 10**5)
         ys = cfg.y or (4, 32)
-        rows, t_exp, y_exp = sums.p2_meansquare_grid(field, tables, rho, Ts, ys, samples=cfg.samples)
+        rows, t_exp, y_exp = sums.p2_meansquare_grid(tables, rho, Ts, ys, samples=cfg.samples)
         meta["fitted_T_exponent"] = t_exp
         meta["fitted_y_exponent"] = y_exp
         _emit(cfg, ("T", "y", "integral_P2sq"), rows, meta, out)
@@ -249,7 +250,7 @@ def cmd_experiment(cfg: RunConfig, out=None) -> int:
 
     if name == "voronoi":
         ys = cfg.y or (8, 64, 512)
-        rep = sums.p2_truncation_scan(field, tables, rho, lo, 2 * lo, 100, ys)
+        rep = sums.p2_truncation_scan(tables, rho, lo, 2 * lo, 100, ys)
         meta["fitted_decay_exponent"] = rep.fitted_exponent
         meta["predicted_exponent"] = -1 / 3
         rows = list(zip(rep.y_values, rep.medians))
@@ -257,23 +258,20 @@ def cmd_experiment(cfg: RunConfig, out=None) -> int:
         return EXIT_OK
 
     if name == "envelope":
-        rows, fitted = sums.remainder_envelope_scan(field, tables, rho, cfg.X or (5, 8, 10))
+        rows, fitted = sums.remainder_envelope_scan(tables, rho, cfg.X or (5, 8, 10))
         meta["fitted_constant"] = fitted
         _emit(cfg, ("X", "Y", "R", "envelope", "ratio"), rows, meta, out)
         return EXIT_OK
 
     if name == "rho":
-        rows = []
-        for method in ("series_b_over_m", "regression_on_A"):
-            est = arith.estimate_rho(field, tables, B, method)
-            rows.append((method, est.value, est.stderr, est.B))
+        rows = [(est.method, est.value, est.stderr, est.B) for est in estimates]
         _emit(cfg, ("method", "rho", "stderr", "B"), rows, meta, out)
         return EXIT_OK
 
     if name == "cx":
         rows = []
         for X in cfg.X or (10, 100, 1000):
-            r = sums.compute_cX(field, tables, X)
+            r = sums.compute_cX(tables, X=X)
             rows.append((X, r.value, r.tail_bound, abs(r.value) / X ** (7 / 3)))
         _emit(cfg, ("X", "cX", "tail_bound", "abs_cX_over_X73"), rows, meta, out)
         return EXIT_OK

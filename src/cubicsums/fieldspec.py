@@ -38,6 +38,7 @@ __all__ = [
     "factorize",
     "squarefree_decompose",
     "parse_field_spec",
+    "format_field_spec",
     "get_preset",
     "load_field",
     "preset_names",
@@ -471,6 +472,13 @@ def preset_names():
 _OVERRIDE_RE = re.compile(r"^override\.(\d+)$")
 
 
+def _config_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise FieldConfigError(f"{what} must be an integer, got {text!r}") from None
+
+
 def parse_field_spec(text: str) -> FieldSpec:
     """Parse a plain key=value field document.
 
@@ -492,15 +500,12 @@ def parse_field_spec(text: str) -> FieldSpec:
         return _build_rationals()
     if "poly" not in kv:
         raise FieldConfigError("missing poly = c0, c1, c2")
-    try:
-        coeffs = [int(t) for t in re.split(r"[,\s]+", kv.pop("poly")) if t]
-    except ValueError as exc:
-        raise FieldConfigError(f"poly coefficients must be integers: {exc}") from None
+    coeffs = [_config_int(t, "poly coefficient") for t in re.split(r"[,\s]+", kv.pop("poly")) if t]
     if len(coeffs) != 3:
         raise FieldConfigError("poly needs exactly three integers c0, c1, c2")
     disc = None
     if "disc" in kv:
-        disc = int(kv.pop("disc"))
+        disc = _config_int(kv.pop("disc"), "disc")
     overrides = {}
     for k in list(kv):
         m = _OVERRIDE_RE.match(k)
@@ -512,9 +517,20 @@ def parse_field_spec(text: str) -> FieldSpec:
             fe = tok.strip().split(":")
             if len(fe) != 2:
                 raise FieldConfigError(f"override component {tok!r} is not f:e")
-            comps.append((int(fe[0]), int(fe[1])))
+            comps.append(tuple(_config_int(x, f"override.{p} component") for x in fe))
         overrides[p] = SplittingType(tuple(comps))
     return _build_cubic(name, coeffs[0], coeffs[1], coeffs[2], disc=disc, overrides=overrides)
+
+
+def format_field_spec(field: FieldSpec) -> str:
+    """The parse_field_spec document of a field: parsing it gives back an
+    equal FieldSpec with the same name."""
+    if field.is_rational_hook:
+        return "name = rationals\n"
+    lines = [f"name = {field.name}", "poly = " + ", ".join(map(str, field.poly)), f"disc = {field.disc}"]
+    for p, st in sorted(field.index_divisor_overrides.items()):
+        lines.append(f"override.{p} = " + "+".join(f"{f}:{e}" for f, e in st.components))
+    return "\n".join(lines) + "\n"
 
 
 def load_field(spec: str) -> FieldSpec:

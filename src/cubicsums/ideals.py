@@ -200,12 +200,12 @@ def ramanujan_ideal(field: FieldSpec, J: FactoredIdeal, I: FactoredIdeal) -> int
     return total
 
 
-def sum_cJ_over_I(field: FieldSpec, tables: ArithTables, J: FactoredIdeal, Y) -> int:
+def sum_cJ_over_I(tables: ArithTables, J: FactoredIdeal, Y) -> int:
     """sum_{N(I) <= Y} c_J(I) via the divisor collapse to A_K.
 
     Requires tables long enough for every A_K(Y / N(M)), M | J.
     """
-    _check_field(field, J)
+    _check_field(tables.field, J)
     if Y < 1:
         return 0
     total = 0

@@ -118,19 +118,19 @@ def _floor_div(Y, m: int) -> int:
     return math.floor(Y / m)
 
 
-def S_K_direct(field: FieldSpec, tables: ArithTables, X, Y) -> SumResult:
+def S_K_direct(tables: ArithTables, X, Y) -> SumResult:
     """S_K by enumerating every J of norm <= X (exact integers)."""
     if X > 10**3:
         raise SumsError(f"direct path enumerates J; X={X} exceeds 1000")
     if X < 1:
         return SumResult(X=X, Y=Y, value=0, path="direct_ideal")
     total = 0
-    for J in enumerate_ideals(field, int(X)):
-        total += sum_cJ_over_I(field, tables, J, Y)
+    for J in enumerate_ideals(tables.field, int(X)):
+        total += sum_cJ_over_I(tables, J, Y)
     return SumResult(X=X, Y=Y, value=total, path="direct_ideal")
 
 
-def S_K_reduced(field: FieldSpec, tables: ArithTables, X, Y) -> SumResult:
+def S_K_reduced(tables: ArithTables, X, Y) -> SumResult:
     """S_K via the norm-collapsed convolution (exact integers)."""
     Xi = int(X)
     if Xi > tables.N or int(Y) > tables.N:
@@ -150,12 +150,12 @@ def S_K_reduced(field: FieldSpec, tables: ArithTables, X, Y) -> SumResult:
     return SumResult(X=X, Y=Y, value=total, path="reduced")
 
 
-def remainder_R(field: FieldSpec, tables: ArithTables, rho: RhoEstimate, X, Y) -> float:
+def remainder_R(tables: ArithTables, rho: RhoEstimate, X, Y) -> float:
     """R_K(X, Y) = S_K(X, Y) - rho_K Y (reduced path)."""
-    return S_K_reduced(field, tables, X, Y).value - rho.value * Y
+    return S_K_reduced(tables, X, Y).value - rho.value * Y
 
 
-def remainder_values(field: FieldSpec, tables: ArithTables, rho: RhoEstimate, X, ys: np.ndarray) -> np.ndarray:
+def remainder_values(tables: ArithTables, rho: RhoEstimate, X, ys: np.ndarray) -> np.ndarray:
     """R_K(X, Y) on an array of Y values (float path for quadrature)."""
     ys = np.asarray(ys, dtype=np.float64)
     if ys.size and (ys.max() > tables.N or ys.min() < 1):
@@ -178,18 +178,18 @@ def remainder_values(field: FieldSpec, tables: ArithTables, rho: RhoEstimate, X,
 # truncated oscillating expansion of P_K
 # ----------------------------------------------------------------------------
 
-def voronoi_P1(field: FieldSpec, tables: ArithTables, rho: RhoEstimate, Y, y_trunc):
+def voronoi_P1(tables: ArithTables, rho: RhoEstimate, Y, y_trunc):
     """Truncated cube-root expansion P1(Y; y) and the residual P2 = P_K - P1."""
     if not 1 <= y_trunc <= Y:
         raise SumsError(f"need 1 <= y_trunc <= Y, got y_trunc={y_trunc}, Y={Y}")
     if Y > tables.N:
         raise SumsError(f"Y={Y} beyond table range {tables.N}")
-    p1 = float(voronoi_P1_values(field, tables, np.array([float(Y)]), y_trunc)[0])
+    p1 = float(voronoi_P1_values(tables, ys=np.array([float(Y)]), y_trunc=y_trunc)[0])
     pk = partial_A(tables, math.floor(Y)) - rho.value * Y
     return p1, pk - p1
 
 
-def voronoi_P1_values(field: FieldSpec, tables: ArithTables, ys: np.ndarray, y_trunc) -> np.ndarray:
+def voronoi_P1_values(tables: ArithTables, ys: np.ndarray, y_trunc) -> np.ndarray:
     """P1(Y; y) on an array of Y values (vectorized, deterministic order).
 
     The kernel carries the field's functional-equation data: frequencies
@@ -200,8 +200,8 @@ def voronoi_P1_values(field: FieldSpec, tables: ArithTables, ys: np.ndarray, y_t
     against P_K by direct amplitude/phase correlation in the test suite.
     """
     ys = np.asarray(ys, dtype=np.float64)
-    D = abs(field.disc)
-    phase = -0.5 * math.pi * field.complex_places
+    D = abs(tables.field.disc)
+    phase = -0.5 * math.pi * tables.field.complex_places
     ymax = int(y_trunc)
     n = np.arange(1, ymax + 1, dtype=np.float64)
     coeff = tables.aK[1 : ymax + 1].astype(np.float64) / n ** (2.0 / 3.0)
@@ -223,7 +223,7 @@ def _half_integer_grid(T: int, samples: int):
     return ys, T / m
 
 
-def meansquare_P2(field: FieldSpec, tables: ArithTables, rho: RhoEstimate, T: int, y, samples: int = 4096) -> float:
+def meansquare_P2(tables: ArithTables, rho: RhoEstimate, T: int, y, samples: int = 4096) -> float:
     """Midpoint quadrature of |P2(Y; y)|^2 over [T, 2T]."""
     if T < 1 or y < 1 or y > T ** (1.0 / 3.0):
         raise SumsError(f"need T >= 1 and 1 <= y <= T^(1/3); got y={y}, T={T}")
@@ -231,7 +231,7 @@ def meansquare_P2(field: FieldSpec, tables: ArithTables, rho: RhoEstimate, T: in
         raise SumsError(f"need 2T <= N; got T={T}, N={tables.N}")
     ys, h = _half_integer_grid(int(T), samples)
     pk = tables.A_prefix[np.floor(ys).astype(np.int64)] - rho.value * ys
-    p2 = pk - voronoi_P1_values(field, tables, ys, y)
+    p2 = pk - voronoi_P1_values(tables, ys=ys, y_trunc=y)
     return h * math.fsum((p2 * p2).tolist())
 
 
@@ -245,7 +245,6 @@ class P2ScanReport:
 
 
 def p2_truncation_scan(
-    field: FieldSpec,
     tables: ArithTables,
     rho: RhoEstimate,
     Y_lo: int,
@@ -266,7 +265,7 @@ def p2_truncation_scan(
     pk = tables.A_prefix[np.floor(ys).astype(np.int64)] - rho.value * ys
     medians = []
     for y in y_values:
-        p2 = pk - voronoi_P1_values(field, tables, ys, y)
+        p2 = pk - voronoi_P1_values(tables, ys=ys, y_trunc=y)
         medians.append(float(np.median(np.abs(p2))))
     slope = fit_loglog_slope(np.array(y_values, dtype=float), np.array(medians))
     return P2ScanReport(
@@ -278,12 +277,12 @@ def p2_truncation_scan(
     )
 
 
-def p2_meansquare_grid(field, tables, rho, T_values, y_values, samples: int = 2048):
+def p2_meansquare_grid(tables, rho, T_values, y_values, samples: int = 2048):
     """Grid of meansquare_P2 values plus fitted T- and y-exponents."""
     rows = []
     for T in T_values:
         for y in y_values:
-            rows.append((T, y, meansquare_P2(field, tables, rho, T, y, samples=samples)))
+            rows.append((T, y, meansquare_P2(tables, rho, T, y, samples=samples)))
     tv = sorted(set(r[0] for r in rows))
     yv = sorted(set(r[1] for r in rows))
     by = {(r[0], r[1]): r[2] for r in rows}
@@ -373,7 +372,7 @@ def _h_values(field: FieldSpec, X: int) -> np.ndarray:
     return h
 
 
-def compute_cX(field: FieldSpec, tables: ArithTables, X: int) -> CXResult:
+def compute_cX(tables: ArithTables, X: int) -> CXResult:
     """c(X) from the Euler product of its inner n-sum.
 
     a_K is multiplicative and gcd(m1, m2) = 1, so the n-sum is
@@ -391,8 +390,8 @@ def compute_cX(field: FieldSpec, tables: ArithTables, X: int) -> CXResult:
         raise SumsError(f"c(X) supports 1 <= X <= {_X_MAX}, got {X}")
     if X > tables.N:
         raise SumsError(f"c(X) needs a_K and M_K up to X={X} > N={tables.N}")
-    Z, window = _euler_Z(field)
-    h = _h_values(field, X)
+    Z, window = _euler_Z(tables.field)
+    h = _h_values(tables.field, X)
     mu = mobius_sieve(X)
     terms = []
     for m in range(1, X + 1):
@@ -431,18 +430,17 @@ class MeanSquareReport:
         return self.integral_R2 / self.main_term if self.main_term else math.inf
 
 
-def _quad_R2(field, tables, rho, X, T, samples):
+def _quad_R2(tables, rho, X, T, samples):
     ys, h = _half_integer_grid(int(T), samples)
     chunk = 8192
     parts = []
     for lo in range(0, len(ys), chunk):
-        r = remainder_values(field, tables, rho, X, ys[lo : lo + chunk])
+        r = remainder_values(tables, rho, X, ys[lo : lo + chunk])
         parts.append(float(np.dot(r, r)))
     return h * math.fsum(parts), len(ys)
 
 
 def meansquare_R(
-    field: FieldSpec,
     tables: ArithTables,
     rho: RhoEstimate,
     X: int,
@@ -457,10 +455,10 @@ def meansquare_R(
         raise SumsError(f"need 2T <= N, got T={T}, N={tables.N}")
     if samples < 33:
         raise SumsError("samples >= 33 required")
-    integral, n_used = _quad_R2(field, tables, rho, X, T, samples)
-    coarse, _ = _quad_R2(field, tables, rho, X, T, max(17, n_used // 2))
+    integral, n_used = _quad_R2(tables, rho, X, T, samples)
+    coarse, _ = _quad_R2(tables, rho, X, T, max(17, n_used // 2))
     err = 2.0 * abs(integral - coarse) + 1e-9 * abs(integral)
-    cx = compute_cX(field, tables, X)
+    cx = compute_cX(tables, X=X)
     main = cx.value * 0.6 * ((2.0 * T) ** (5.0 / 3.0) - float(T) ** (5.0 / 3.0))
     return MeanSquareReport(
         X=int(X),
@@ -492,9 +490,9 @@ def exact_PK_square_integral(tables: ArithTables, rho: RhoEstimate, T: int) -> f
     return float(np.sum((lo**3 - hi**3) / (3.0 * r)))
 
 
-def meansquare_trend(field, tables, rho, X, T_values, samples=4096):
+def meansquare_trend(tables, rho, X, T_values, samples=4096):
     """Ratio integral/main tabulated over a grid of T (monotone-trend report)."""
-    rows = [meansquare_R(field, tables, rho, X, T, samples=samples) for T in T_values]
+    rows = [meansquare_R(tables, rho, X, T, samples=samples) for T in T_values]
     ratios = [r.ratio for r in rows]
     if all(b < a for a, b in zip(ratios, ratios[1:])):
         trend = "decreasing"
@@ -555,7 +553,7 @@ def s1_regime_rows():
 # remainder envelope scan and fit helpers
 # ----------------------------------------------------------------------------
 
-def remainder_envelope_scan(field, tables, rho, X_values=(5, 8, 10)):
+def remainder_envelope_scan(tables, rho, X_values=(5, 8, 10)):
     """|R_K(X, Y)| against the envelope X^{8/5} Y^{2/5} + X^{11/8} Y^{1/2}
     at Y = 10 X^3 (inside the Y > X^{11/4} window); fitted constant
     reported, nothing thresholded."""
@@ -566,7 +564,7 @@ def remainder_envelope_scan(field, tables, rho, X_values=(5, 8, 10)):
         Y = int(10 * X**3)
         if Y > tables.N:
             raise SumsError(f"Y={Y} beyond tables (N={tables.N})")
-        R = remainder_R(field, tables, rho, X, Y)
+        R = remainder_R(tables, rho, X, Y)
         envelope = X ** (8 / 5) * Y ** (2 / 5) + X ** (11 / 8) * Y ** (1 / 2)
         rows.append((X, Y, R, envelope, abs(R) / envelope))
     fitted = max(r[4] for r in rows)

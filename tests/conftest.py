@@ -40,9 +40,9 @@ def tables_c7_small(field_c7):
 
 @pytest.fixture(scope="session")
 def rho_nn2(field_nn2, tables_nn2_1m):
-    return arith.estimate_rho(field_nn2, tables_nn2_1m, 10**6)
+    return arith.estimate_rho(tables_nn2_1m, 10**6)[0]
 
 
 @pytest.fixture(scope="session")
 def rho_c7(field_c7, tables_c7_1m):
-    return arith.estimate_rho(field_c7, tables_c7_1m, 10**6)
+    return arith.estimate_rho(tables_c7_1m, 10**6)[0]

@@ -37,7 +37,7 @@ def test_criterion_01_cross_path_identity(field_nn2, tables_nn2_1m, field_c7, ta
     t0 = time.perf_counter()
     mismatches = []
     for field, tables in ((field_nn2, tables_nn2_1m), (field_c7, tables_c7_1m)):
-        bad = ck.cross_path_failure(field, tables, 50, (10, 100, 1000))
+        bad = ck.cross_path_failure(tables, 50, (10, 100, 1000))
         if bad is not None:
             mismatches.append((field.name, *bad))
     elapsed = time.perf_counter() - t0
@@ -54,9 +54,9 @@ def test_criterion_02_convolution_identities(field_nn2, tables_nn2_1m, field_c7,
     t0 = time.perf_counter()
     for tables in (tables_nn2_1m, tables_c7_1m):
         bad = ar.convolution_identity_failure(tables, 10**6)
-        assert bad is None, f"{tables.field_name}: convolution identity failed at n={bad}"
+        assert bad is None, f"{tables.field.name}: convolution identity failed at n={bad}"
         bad = ar.b_sum_identity_failure(tables, 10**6)
-        assert bad is None, f"{tables.field_name}: divisor-sum identity failed at n={bad}"
+        assert bad is None, f"{tables.field.name}: divisor-sum identity failed at n={bad}"
     bad = ck.character_failure(7, tables_c7_1m, 10**4)
     assert bad is None, f"character identity failed at n={bad}"
     elapsed = time.perf_counter() - t0
@@ -68,7 +68,7 @@ def test_criterion_03_enumeration_sieve_equivalence(field_nn2, tables_nn2_1m, fi
     """Histogram of enumerate_ideals(B=1e4) equals a_K(1..1e4) entrywise on
     both presets."""
     for field, tables in ((field_nn2, tables_nn2_1m), (field_c7, tables_c7_1m)):
-        bad = ck.histogram_failure(field, tables, 10**4)
+        bad = ck.histogram_failure(tables, 10**4)
         assert bad is None, f"{field.name}: enumeration histogram differs from the sieve at norm {bad}"
     _report(3, True, "enumeration histogram = sieve at B=1e4, both presets")
 
@@ -125,7 +125,7 @@ def test_criterion_06_truncation_scaling(
         (field_nn2, tables_nn2_1m, rho_nn2),
         (field_c7, tables_c7_1m, rho_c7),
     ):
-        rep = sm.p2_truncation_scan(field, tables, rho, 10**5, 2 * 10**5, 100, (8, 64, 512))
+        rep = sm.p2_truncation_scan(tables, rho, 10**5, 2 * 10**5, 100, (8, 64, 512))
         measured[field.name] = rep.fitted_exponent
     elapsed = time.perf_counter() - t0
     ok = all(-0.6 <= e <= -0.15 for e in measured.values()) and elapsed < 120
@@ -176,12 +176,12 @@ def test_criterion_08_numeric_envelopes():
         assert r <= 10, f"{name}: envelope ratio {r} exceeds 10"
 
 
-def test_criterion_09_meansquare_self_consistency(field_nn2, tables_nn2_1m, rho_nn2):
+def test_criterion_09_meansquare_self_consistency(tables_nn2_1m, rho_nn2):
     """At X=1, T=1e4 the harness integral equals an independent direct
     quadrature of |P_K|^2 within 0.1% relative; the main term equals
     c(X) (3/5)((2T)^{5/3} - T^{5/3}) in closed form; the ratio trend across
     T in {1e3, 1e4, 1e5} at X=5 is tabulated with populated trend fields."""
-    rep = sm.meansquare_R(field_nn2, tables_nn2_1m, rho_nn2, 1, 10**4, samples=10**4)
+    rep = sm.meansquare_R(tables_nn2_1m, rho_nn2, 1, 10**4, samples=10**4)
     direct = sm.quadrature_PK_squared(tables_nn2_1m, rho_nn2, 10**4, 10**4)
     rel = abs(rep.integral_R2 - direct) / direct
     assert rel < 1e-3, f"harness vs direct |P_K|^2 quadrature differ by {rel:.2e}"
@@ -189,7 +189,7 @@ def test_criterion_09_meansquare_self_consistency(field_nn2, tables_nn2_1m, rho_
     closed = rep.cX * 0.6 * ((2 * T) ** (5 / 3) - T ** (5 / 3))
     assert rep.main_term == closed, "main term is not the closed form"
     rows, ratios, trend = sm.meansquare_trend(
-        field_nn2, tables_nn2_1m, rho_nn2, 5, (10**3, 10**4, 10**5), samples=8192
+        tables_nn2_1m, rho_nn2, 5, (10**3, 10**4, 10**5), samples=8192
     )
     assert len(rows) == 3 and all(r.integral_R2 > 0 for r in rows)
     assert trend in ("increasing", "decreasing", "mixed")

@@ -133,24 +133,22 @@ class TestPartials:
 class TestRho:
     def test_hook_exact(self, field_hook):
         t = ar.build_tables(field_hook, 10**4)
-        for method in ("series_b_over_m", "regression_on_A"):
-            est = ar.estimate_rho(field_hook, t, 10**4, method)
+        for est in ar.estimate_rho(t, 10**4):
             assert est.value == pytest.approx(1.0, abs=1e-12)
             assert est.stderr <= 1e-12
 
-    def test_B_too_small(self, field_nn2, tables_nn2_small):
+    def test_B_too_small(self, tables_nn2_small):
         with pytest.raises(ar.ArithError, match="too small"):
-            ar.estimate_rho(field_nn2, tables_nn2_small, 999)
+            ar.estimate_rho(tables_nn2_small, 999)
 
     def test_methods_agree_presets(self, field_nn2, tables_nn2_1m, field_c7, tables_c7_1m):
         for f, t in ((field_nn2, tables_nn2_1m), (field_c7, tables_c7_1m)):
-            ser = ar.estimate_rho(f, t, 10**6, "series_b_over_m")
-            reg = ar.estimate_rho(f, t, 10**6, "regression_on_A")
+            ser, reg = ar.estimate_rho(t, 10**6)
             assert abs(ser.value - reg.value) <= 3 * math.hypot(ser.stderr, reg.stderr)
             assert abs(ser.value - reg.value) / ser.value < 1e-3
 
     def test_cyclic_rho_equals_L1_squared(self, field_c7, tables_c7_1m, rho_c7):
-        L = ar.L1_cubic_character(7, 10**6)
+        L = ar.L1_cubic_character(7)
         target = abs(L) ** 2
         assert rho_c7.value == pytest.approx(target, abs=max(3 * rho_c7.stderr, 1e-4))
 
@@ -375,9 +373,18 @@ class TestCharacter:
         assert np.array_equal(bchar[1:], tables_c7_small.b[1:])
 
     def test_L1_series_stable(self):
-        a = ar.L1_cubic_character(7, 10**5)
-        b = ar.L1_cubic_character(7, 2 * 10**5)
-        assert abs(a - b) < 1e-4
+        # the closed form against the series over whole periods; chi is even,
+        # so the tail after n terms is O((f/n)^2)
+        omega = complex(-0.5, math.sqrt(3) / 2)
+        chi = np.array([u + v * omega for (u, v) in ar.cubic_character(7)])
+        n = np.arange(1, 2 * 10**5 - 2 * 10**5 % 7 + 1)
+        series = complex(np.sum(chi[n % 7] / n))
+        assert abs(ar.L1_cubic_character(7) - series) < 1e-9
+
+    def test_L1_squared_constants(self):
+        # |L(1, chi)|^2 = rho_K for the cyclic cubic fields of conductor 7 and 13
+        assert abs(ar.L1_cubic_character(7)) ** 2 == pytest.approx(0.30025981835575566, abs=1e-12)
+        assert abs(ar.L1_cubic_character(13)) ** 2 == pytest.approx(0.42001534387519485, abs=1e-12)
 
 
 class TestTableIO:
@@ -385,7 +392,8 @@ class TestTableIO:
         p = tmp_path / "t.bin"
         ar.write_tables(tables_nn2_small, p)
         back = ar.read_tables(p)
-        assert back.field_name == tables_nn2_small.field_name
+        assert back.field == tables_nn2_small.field
+        assert back.field.name == tables_nn2_small.field.name
         assert back.N == tables_nn2_small.N
         for name in ("aK", "muK", "b", "A_prefix", "M_prefix"):
             assert np.array_equal(getattr(back, name), getattr(tables_nn2_small, name))
@@ -394,6 +402,19 @@ class TestTableIO:
         p = tmp_path / "junk.bin"
         p.write_bytes(b"NOPE" + b"\x00" * 100)
         with pytest.raises(ar.ArithError, match="magic"):
+            ar.read_tables(p)
+
+    def test_v1_header_and_bad_field_document(self, tmp_path):
+        # a v1 file names its field only; a v2 document must parse to a field
+        N = 4
+        payload = struct.pack("<Q", N) + np.ones(3 * N, dtype="<i8").tobytes()
+        p = tmp_path / "t.bin"
+        p.write_bytes(b"CBSM" + struct.pack("<II", 1, 9) + b"rationals" + payload)
+        with pytest.raises(ar.ArithError, match="unsupported table version 1"):
+            ar.read_tables(p)
+        doc = b"name = w\npoly = 1, 2\n"
+        p.write_bytes(b"CBSM" + struct.pack("<II", 2, len(doc)) + doc + payload)
+        with pytest.raises(ar.ArithError, match="bad field document.*three integers"):
             ar.read_tables(p)
 
     def test_truncated(self, tables_nn2_small, tmp_path):
@@ -409,8 +430,8 @@ class TestTableIO:
         t = tables_nn2_small
         p = tmp_path / "t.bin"
         ar.write_tables(t, p)
-        name = t.field_name.encode("utf-8")
-        header = b"CBSM" + struct.pack("<II", 1, len(name)) + name + struct.pack("<Q", t.N)
+        doc = b"name = cubic-nonnormal-2\npoly = -2, 0, 0\ndisc = -108\n"
+        header = b"CBSM" + struct.pack("<II", 2, len(doc)) + doc + struct.pack("<Q", t.N)
         payload = b"".join(np.array(arr[1:].tolist(), dtype="<i8").tobytes() for arr in (t.aK, t.muK, t.b))
         assert p.read_bytes() == header + payload
 
@@ -431,7 +452,8 @@ class TestTableIO:
         aK = [1] * (N - 1) + [2**60]
         muK = b = [1] * N
         p = tmp_path / "crafted.bin"
-        p.write_bytes(b"CBSM" + struct.pack("<II", 1, 1) + b"x" + struct.pack("<Q", N)
+        doc = b"name = rationals\n"
+        p.write_bytes(b"CBSM" + struct.pack("<II", 2, len(doc)) + doc + struct.pack("<Q", N)
                       + np.array(aK + muK + b, dtype="<i8").tobytes())
         with pytest.raises(ar.ArithError, match="would overflow"):
             ar.read_tables(p)

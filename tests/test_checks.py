@@ -28,9 +28,9 @@ def test_character(tables_c7_small):
     assert checks.character_failure(7, _with(tables_c7_small, "b", 4321, 1), 10**4) == 4321
 
 
-def test_histogram(field_nn2, tables_nn2_small):
-    assert checks.histogram_failure(field_nn2, tables_nn2_small, 2000) is None
-    assert checks.histogram_failure(field_nn2, _with(tables_nn2_small, "aK", 1234, -1), 2000) == 1234
+def test_histogram(tables_nn2_small):
+    assert checks.histogram_failure(tables_nn2_small, 2000) is None
+    assert checks.histogram_failure(_with(tables_nn2_small, "aK", 1234, -1), 2000) == 1234
 
 
 def test_histogram_compares_scalar_and_bulk_splitting(field_nn2, monkeypatch):
@@ -49,13 +49,13 @@ def test_histogram_compares_scalar_and_bulk_splitting(field_nn2, monkeypatch):
             monkeypatch.setattr(mod, "splitting_codes", flipped)
     assert fieldspec.splitting_type(field_nn2, 31).pattern == "P1*P1'*P1''"
     tables = arith.build_tables(field_nn2, 10**4)
-    assert checks.histogram_failure(field_nn2, tables, 10**4) == 31
+    assert checks.histogram_failure(tables, 10**4) == 31
 
 
-def test_cross_path(field_nn2, tables_nn2_small):
-    assert checks.cross_path_failure(field_nn2, tables_nn2_small, 10, (10, 100)) is None
+def test_cross_path(tables_nn2_small):
+    assert checks.cross_path_failure(tables_nn2_small, 10, (10, 100)) is None
     # a_K(7) = 0 for x^3 - 2; only the reduced path reads a_K
-    bad = checks.cross_path_failure(field_nn2, _with(tables_nn2_small, "aK", 7, 1), 10, (10, 100))
+    bad = checks.cross_path_failure(_with(tables_nn2_small, "aK", 7, 1), 10, (10, 100))
     assert bad[:2] == (7, 10) and bad[3] == bad[2] + 7
 
 
@@ -77,8 +77,8 @@ def test_ideal_samples(field_nn2, monkeypatch):
 
 def test_collapse(field_nn2, tables_nn2_small):
     Js = [ideals.UNIT_IDEAL, _prime_ideal(field_nn2, 5)]
-    assert checks.collapse_failure(field_nn2, tables_nn2_small, Js) is None
-    bad = checks.collapse_failure(field_nn2, _with(tables_nn2_small, "A_prefix", slice(50, None), 1), Js)
+    assert checks.collapse_failure(tables_nn2_small, Js) is None
+    bad = checks.collapse_failure(_with(tables_nn2_small, "A_prefix", slice(50, None), 1), Js)
     assert bad[:2] == (str(ideals.UNIT_IDEAL), 100) and bad[3] == bad[2] + 1
 
 
@@ -87,25 +87,25 @@ def test_multiplicativity(tables_nn2_small):
     assert checks.multiplicativity_failure(_with(tables_nn2_small, "aK", 6, 1), 2000) == (2, 3)
 
 
-def test_restriction(field_nn2, tables_nn2_small):
-    assert checks.restriction_failure(field_nn2, tables_nn2_small, 1000) is None
-    assert checks.restriction_failure(field_nn2, _with(tables_nn2_small, "muK", 777, 1), 1000) == 777
-    assert checks.restriction_failure(field_nn2, tables_nn2_small, 2 * 10**4) == 2 * 10**4
+def test_restriction(tables_nn2_small):
+    assert checks.restriction_failure(tables_nn2_small, 1000) is None
+    assert checks.restriction_failure(_with(tables_nn2_small, "muK", 777, 1), 1000) == 777
+    assert checks.restriction_failure(tables_nn2_small, 2 * 10**4) == 2 * 10**4
 
 
-def test_remainder(field_nn2, tables_nn2_small):
-    rho = arith.estimate_rho(field_nn2, tables_nn2_small, 10**4)
-    assert checks.remainder_failure(field_nn2, tables_nn2_small, rho, 5432) is None
+def test_remainder(tables_nn2_small):
+    rho, _ = arith.estimate_rho(tables_nn2_small, 10**4)
+    assert checks.remainder_failure(tables_nn2_small, rho, 5432) is None
     # M_K(1) = 2 doubles the reduced S_K(1, Y)
-    assert checks.remainder_failure(field_nn2, _with(tables_nn2_small, "M_prefix", 1, 1), rho, 5432) is not None
+    assert checks.remainder_failure(_with(tables_nn2_small, "M_prefix", 1, 1), rho, 5432) is not None
 
 
-def test_voronoi_split(field_nn2, tables_nn2_small, monkeypatch):
-    rho = arith.estimate_rho(field_nn2, tables_nn2_small, 10**4)
-    assert checks.voronoi_split_failure(field_nn2, tables_nn2_small, rho, 5432, 64) is None
+def test_voronoi_split(tables_nn2_small, monkeypatch):
+    rho, _ = arith.estimate_rho(tables_nn2_small, 10**4)
+    assert checks.voronoi_split_failure(tables_nn2_small, rho, 5432, 64) is None
     real = sums.voronoi_P1
     monkeypatch.setattr(sums, "voronoi_P1", lambda *a: (real(*a)[0], real(*a)[1] + 0.5))
-    assert checks.voronoi_split_failure(field_nn2, tables_nn2_small, rho, 5432, 64) is not None
+    assert checks.voronoi_split_failure(tables_nn2_small, rho, 5432, 64) is not None
 
 
 def test_exponential_sum(monkeypatch):
@@ -116,9 +116,9 @@ def test_exponential_sum(monkeypatch):
 
 
 def test_field_suite_stops_at_broken_convolution(field_nn2, tables_nn2_small):
-    rows = checks.field_suite(field_nn2, tables_nn2_small, random.Random(1), 5, (10,))
+    rows = checks.field_suite(tables_nn2_small, random.Random(1), 5, (10,))
     assert all(ok for _, _, ok, _ in rows) and len(rows) == 12
-    rows = checks.field_suite(field_nn2, _with(tables_nn2_small, "aK", 500, 1), random.Random(1), 5, (10,))
+    rows = checks.field_suite(_with(tables_nn2_small, "aK", 500, 1), random.Random(1), 5, (10,))
     assert rows == [(field_nn2.name, "convolution aK*muK=e", False, "convolution identity failed at n=500")]
 
 

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 
@@ -89,8 +90,9 @@ class TestVerify:
         rc, _, _ = run(["sieve", "--N", "5000", "--output", str(table_path)], capsys)
         assert rc == 0
         data = bytearray(table_path.read_bytes())
-        # flip one a_K value inside the payload (header is 4+8+len(name)+8 bytes)
-        header = 4 + 8 + len("cubic-nonnormal-2") + 8
+        # flip one a_K value inside the payload (header is 4+8+len(field document)+8 bytes)
+        (doclen,) = struct.unpack("<I", data[8:12])
+        header = 4 + 8 + doclen + 8
         data[header + 8 * 499] ^= 0x01  # a_K(500)
         table_path.write_bytes(bytes(data))
         rc, stdout, _ = run(
@@ -255,6 +257,29 @@ class TestExperiments:
         rc, stdout, _ = run(["experiment", "rho", "--tables", str(table_path), "--B", "1500"], capsys)
         assert rc == 0
         assert ",1500\n" in stdout
+
+    def test_table_file_for_another_field_rejected(self, tmp_path, capsys):
+        # same name and polynomial, another splitting of the index divisor 3
+        doc = "name = w\npoly = -10, 0, 0\noverride.3 = {}\n"
+        table_path = tmp_path / "t.bin"
+        rc, _, _ = run(["sieve", "--field", doc.format("1:1+1:2"), "--N", "2000", "--output", str(table_path)],
+                       capsys)
+        assert rc == 0
+        rc, stdout, err = run(["experiment", "rho", "--field", doc.format("1:3"), "--N", "2000",
+                               "--tables", str(table_path)], capsys)
+        assert rc == 2 and stdout == ""
+        assert "override.3 = 1:1+1:2" in err and "override.3 = 1:3" in err
+
+    def test_v1_table_file_rejected(self, tmp_path, capsys):
+        table_path = tmp_path / "t.bin"
+        run(["sieve", "--N", "2000", "--output", str(table_path)], capsys)
+        data = table_path.read_bytes()
+        name = b"cubic-nonnormal-2"
+        (doclen,) = struct.unpack("<I", data[8:12])
+        table_path.write_bytes(b"CBSM" + struct.pack("<II", 1, len(name)) + name + data[12 + doclen :])
+        rc, stdout, err = run(["experiment", "rho", "--tables", str(table_path)], capsys)
+        assert rc == 2 and stdout == ""
+        assert "unsupported table version 1" in err
 
     def test_unknown_experiment(self, capsys):
         rc, _, err = run(["experiment", "florp", "--N", "1000"], capsys)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -36,6 +37,17 @@ class TestDiscriminant:
         assert fs.squarefree_decompose(1) == (1, 1)
         assert fs.squarefree_decompose(-8) == (-2, 2)
         assert fs.squarefree_decompose(-140) == (-35, 2)  # primes to the first power
+
+
+# valid documents beside the presets: the index divisor 3 of x^3 - 10 split
+# two ways (once with the field discriminant), and x^3 - 500015, whose
+# discriminant holds the square of the prime 100003
+FIELD_DOCS = (
+    "name = w\npoly = -10, 0, 0\noverride.3 = 1:1+1:2\n",
+    "name = w\npoly = -10, 0, 0\noverride.3 = 1:3\n",
+    "name = w\npoly = -10, 0, 0\ndisc = -300\noverride.3 = 1:1+1:2\n",
+    "name = pure-500015\npoly = -500015, 0, 0\n",
+)
 
 
 class TestParsing:
@@ -90,6 +102,48 @@ class TestParsing:
     def test_load_inline_text(self):
         f = fs.load_field("poly=-2,0,0")
         assert f.disc == -108
+
+    def test_non_integer_values_are_config_errors(self):
+        for doc in ("poly = -2, 0, 0\ndisc = abc", "poly = -2, 0, 0\noverride.2 = x:1", "poly = -2, z, 0"):
+            with pytest.raises(fs.FieldConfigError, match="must be an integer"):
+                fs.parse_field_spec(doc)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_documents_fail_typed(self, data):
+        # one token of a valid document replaced, integers kept to |c| <= 10^4 so
+        # factorization stays fast: the parser returns a field or raises
+        # FieldConfigError, nothing else (x^3 - 500015 exceeds the bound)
+        doc = data.draw(st.sampled_from(FIELD_DOCS[:3]) | st.builds(
+            lambda c: f"name = r\npoly = {c[0]}, {c[1]}, {c[2]}\n", st.tuples(*[st.integers(-20, 20)] * 3)))
+        tokens = re.findall(r"\d+|[A-Za-z_]+|\s+|.", doc)
+        i = data.draw(st.integers(0, len(tokens) - 1))
+        tokens[i] = data.draw(st.integers(-10**4, 10**4).map(str) | st.text("ab.:+=,#-0123456789 \n", max_size=4))
+        mutated = "".join(tokens)
+        assume(all(int(d) <= 10**4 for d in re.findall(r"\d+", mutated)))
+        try:
+            assert isinstance(fs.parse_field_spec(mutated), fs.FieldSpec)
+        except fs.FieldConfigError:
+            pass
+
+
+class TestFormat:
+    def test_round_trip(self):
+        fields = [fs.get_preset(n) for n in fs.preset_names()] + [fs.parse_field_spec(d) for d in FIELD_DOCS]
+        assert len(set(fields)) == len(fields)
+        for f in fields:
+            back = fs.parse_field_spec(fs.format_field_spec(f))
+            assert back == f and back.name == f.name
+
+    @settings(max_examples=60, deadline=None)
+    @given(coeffs=st.tuples(*[st.integers(-20, 20)] * 3))
+    def test_round_trip_random_cubics(self, coeffs):
+        try:
+            f = fs.parse_field_spec("name = c\npoly = {}, {}, {}".format(*coeffs))
+        except fs.FieldConfigError:
+            assume(False)  # reducible, or an index divisor that needs an override
+        back = fs.parse_field_spec(fs.format_field_spec(f))
+        assert back == f and back.name == f.name
 
 
 def _p_divides_index(c0, c1, c2, p):

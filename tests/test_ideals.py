@@ -145,16 +145,16 @@ class TestRamanujanIdeal:
 
 
 class TestSumCJ:
-    def test_unit_gives_A(self, field_nn2, tables_nn2_small):
+    def test_unit_gives_A(self, tables_nn2_small):
         for Y in (1, 10, 500):
-            assert idl.sum_cJ_over_I(field_nn2, tables_nn2_small, idl.UNIT_IDEAL, Y) == ar.partial_A(
+            assert idl.sum_cJ_over_I(tables_nn2_small, idl.UNIT_IDEAL, Y) == ar.partial_A(
                 tables_nn2_small, Y
             )
 
     def test_Y_below_one(self, field_nn2, tables_nn2_small):
         P = idl.labels_above(field_nn2, 2)[0]
         J = idl.FactoredIdeal(((P, 1),))
-        assert idl.sum_cJ_over_I(field_nn2, tables_nn2_small, J, 0.5) == 0
+        assert idl.sum_cJ_over_I(tables_nn2_small, J, 0.5) == 0
 
     def test_naive_oracle_random(self, field_nn2, tables_nn2_small):
         rng = random.Random(12345)
@@ -165,9 +165,9 @@ class TestSumCJ:
                 naive = sum(
                     idl.ramanujan_ideal(field_nn2, J, I) for I in ids500 if I.norm <= Y
                 )
-                assert idl.sum_cJ_over_I(field_nn2, tables_nn2_small, J, Y) == naive
+                assert idl.sum_cJ_over_I(tables_nn2_small, J, Y) == naive
 
     def test_tables_too_short(self, field_nn2):
         t = ar.build_tables(field_nn2, 100)
         with pytest.raises(idl.IdealError, match="too short"):
-            idl.sum_cJ_over_I(field_nn2, t, idl.UNIT_IDEAL, 500)
+            idl.sum_cJ_over_I(t, idl.UNIT_IDEAL, 500)

@@ -20,87 +20,86 @@ class TestCrossPath:
             t = ar.build_tables(f, 1000)
             for X in range(1, 13):
                 for Y in (10, 100, 1000):
-                    d = sm.S_K_direct(f, t, X, Y)
-                    r = sm.S_K_reduced(f, t, X, Y)
+                    d = sm.S_K_direct(t, X, Y)
+                    r = sm.S_K_reduced(t, X, Y)
                     assert d.value == r.value, (f.name, X, Y)
                     assert d.path == "direct_ideal" and r.path == "reduced"
 
-    def test_X1_is_A(self, field_nn2, t1000_nn2):
+    def test_X1_is_A(self, t1000_nn2):
         for Y in (1, 77, 1000):
-            assert sm.S_K_reduced(field_nn2, t1000_nn2, 1, Y).value == ar.partial_A(t1000_nn2, Y)
+            assert sm.S_K_reduced(t1000_nn2, 1, Y).value == ar.partial_A(t1000_nn2, Y)
 
-    def test_Y1_is_M(self, field_nn2, t1000_nn2):
+    def test_Y1_is_M(self, t1000_nn2):
         for X in (1, 20, 50):
-            assert sm.S_K_direct(field_nn2, t1000_nn2, X, 1).value == ar.partial_M(t1000_nn2, X)
+            assert sm.S_K_direct(t1000_nn2, X, 1).value == ar.partial_M(t1000_nn2, X)
 
-    def test_X2_hand_expansion(self, field_nn2, t1000_nn2):
+    def test_X2_hand_expansion(self, t1000_nn2):
         # (m,l) in {(1,1),(1,2),(2,1)}: A(Y) - A(Y) + 2 A(Y/2)
         for Y in (10, 100, 1000):
             want = 2 * ar.partial_A(t1000_nn2, Y // 2)
-            assert sm.S_K_reduced(field_nn2, t1000_nn2, 2, Y).value == want
+            assert sm.S_K_reduced(t1000_nn2, 2, Y).value == want
 
-    def test_direct_enumeration_cap(self, field_nn2, t1000_nn2):
+    def test_direct_enumeration_cap(self, t1000_nn2):
         with pytest.raises(sm.SumsError):
-            sm.S_K_direct(field_nn2, t1000_nn2, 1001, 10)
+            sm.S_K_direct(t1000_nn2, 1001, 10)
 
-    def test_tables_too_short(self, field_nn2, t1000_nn2):
+    def test_tables_too_short(self, t1000_nn2):
         with pytest.raises(sm.SumsError):
-            sm.S_K_reduced(field_nn2, t1000_nn2, 10, 10**5)
+            sm.S_K_reduced(t1000_nn2, 10, 10**5)
 
 
 class TestRemainder:
-    def test_X1_is_PK(self, field_nn2, tables_nn2_1m, rho_nn2):
+    def test_X1_is_PK(self, tables_nn2_1m, rho_nn2):
         for Y in (1234, 31337, 999999):
-            assert sm.remainder_R(field_nn2, tables_nn2_1m, rho_nn2, 1, Y) == pytest.approx(
+            assert sm.remainder_R(tables_nn2_1m, rho_nn2, 1, Y) == pytest.approx(
                 ar.error_P(tables_nn2_1m, rho_nn2, Y), abs=1e-9
             )
 
-    def test_vectorized_matches_scalar(self, field_nn2, tables_nn2_1m, rho_nn2):
+    def test_vectorized_matches_scalar(self, tables_nn2_1m, rho_nn2):
         ys = np.array([1000.5, 5000.5, 99999.5])
-        vec = sm.remainder_values(field_nn2, tables_nn2_1m, rho_nn2, 7, ys)
+        vec = sm.remainder_values(tables_nn2_1m, rho_nn2, 7, ys)
         for y, v in zip(ys, vec):
             assert v == pytest.approx(
-                sm.remainder_R(field_nn2, tables_nn2_1m, rho_nn2, 7, float(y)), rel=1e-12
+                sm.remainder_R(tables_nn2_1m, rho_nn2, 7, float(y)), rel=1e-12
             )
 
-    def test_rho_method_insensitive(self, field_nn2, tables_nn2_1m):
-        r1 = ar.estimate_rho(field_nn2, tables_nn2_1m, 10**6, "series_b_over_m")
-        r2 = ar.estimate_rho(field_nn2, tables_nn2_1m, 10**6, "regression_on_A")
+    def test_rho_method_insensitive(self, tables_nn2_1m):
+        r1, r2 = ar.estimate_rho(tables_nn2_1m, 10**6)
         Y = 10**5
-        a = sm.remainder_R(field_nn2, tables_nn2_1m, r1, 10, Y)
-        b = sm.remainder_R(field_nn2, tables_nn2_1m, r2, 10, Y)
+        a = sm.remainder_R(tables_nn2_1m, r1, 10, Y)
+        b = sm.remainder_R(tables_nn2_1m, r2, 10, Y)
         assert abs(a - b) <= 3 * (r1.stderr + r2.stderr) * Y
 
-    def test_envelope_scan(self, field_nn2, tables_nn2_1m, rho_nn2):
-        rows, fitted = sm.remainder_envelope_scan(field_nn2, tables_nn2_1m, rho_nn2, (5, 8, 10))
+    def test_envelope_scan(self, tables_nn2_1m, rho_nn2):
+        rows, fitted = sm.remainder_envelope_scan(tables_nn2_1m, rho_nn2, (5, 8, 10))
         assert len(rows) == 3
         assert 0 < fitted < 1  # loose sanity; reported, not thresholded
 
 
 class TestVoronoi:
-    def test_decomposition_exact(self, field_nn2, tables_nn2_1m, rho_nn2):
+    def test_decomposition_exact(self, tables_nn2_1m, rho_nn2):
         Y = 2 * 10**5
-        p1, p2 = sm.voronoi_P1(field_nn2, tables_nn2_1m, rho_nn2, Y, 64)
+        p1, p2 = sm.voronoi_P1(tables_nn2_1m, rho_nn2, Y, 64)
         pk = ar.error_P(tables_nn2_1m, rho_nn2, Y)
         assert p1 + p2 == pytest.approx(pk, abs=1e-12)
 
-    def test_deterministic(self, field_nn2, tables_nn2_1m, rho_nn2):
-        a = sm.voronoi_P1(field_nn2, tables_nn2_1m, rho_nn2, 12345.5, 100)
-        b = sm.voronoi_P1(field_nn2, tables_nn2_1m, rho_nn2, 12345.5, 100)
+    def test_deterministic(self, tables_nn2_1m, rho_nn2):
+        a = sm.voronoi_P1(tables_nn2_1m, rho_nn2, 12345.5, 100)
+        b = sm.voronoi_P1(tables_nn2_1m, rho_nn2, 12345.5, 100)
         assert a == b  # bit-identical
 
     def test_zero_coefficients_give_zero(self, field_nn2):
         t = ar.build_tables(field_nn2, 1000)
         zeroed = dataclasses.replace(t, aK=np.zeros_like(t.aK))
         vars(zeroed)["A_prefix"] = t.A_prefix  # the original prefix, as a stale cache
-        vals = sm.voronoi_P1_values(field_nn2, zeroed, np.array([500.5]), 100)
+        vals = sm.voronoi_P1_values(zeroed, np.array([500.5]), 100)
         assert vals[0] == 0.0
 
-    def test_bounds(self, field_nn2, tables_nn2_1m, rho_nn2):
+    def test_bounds(self, tables_nn2_1m, rho_nn2):
         with pytest.raises(sm.SumsError):
-            sm.voronoi_P1(field_nn2, tables_nn2_1m, rho_nn2, 100, 0.5)
+            sm.voronoi_P1(tables_nn2_1m, rho_nn2, 100, 0.5)
         with pytest.raises(sm.SumsError):
-            sm.voronoi_P1(field_nn2, tables_nn2_1m, rho_nn2, 100, 200)
+            sm.voronoi_P1(tables_nn2_1m, rho_nn2, 100, 200)
 
     def test_kernel_amplitude_and_phase(self, field_nn2, tables_nn2_1m, rho_nn2,
                                         field_c7, tables_c7_1m, rho_c7):
@@ -131,38 +130,38 @@ class TestVoronoi:
                 delta = abs((phase - want_phase + math.pi) % (2 * math.pi) - math.pi)
                 assert delta < 0.05 * math.pi, (field.name, n)
 
-    def test_truncation_scan_decays(self, field_nn2, tables_nn2_1m, rho_nn2):
-        rep = sm.p2_truncation_scan(field_nn2, tables_nn2_1m, rho_nn2, 10**5, 2 * 10**5, 100)
+    def test_truncation_scan_decays(self, tables_nn2_1m, rho_nn2):
+        rep = sm.p2_truncation_scan(tables_nn2_1m, rho_nn2, 10**5, 2 * 10**5, 100)
         assert rep.medians[0] > rep.medians[1] > rep.medians[2]
         assert rep.fitted_exponent < 0
 
-    def test_truncation_scan_window_guards(self, field_nn2, tables_nn2_small, rho_nn2):
+    def test_truncation_scan_window_guards(self, tables_nn2_small, rho_nn2):
         # negative indices would read A_K from the end of the table
         for lo, hi, ys in ((0, 0, (8,)), (-100, -200, (8,)), (5000, 4000, (8,)), (5000, 2 * 10**4, (8,)),
                            (1000, 2000, (0, 8))):
             with pytest.raises(sm.SumsError):
-                sm.p2_truncation_scan(field_nn2, tables_nn2_small, rho_nn2, lo, hi, 10, ys)
+                sm.p2_truncation_scan(tables_nn2_small, rho_nn2, lo, hi, 10, ys)
 
 
 class TestMeanSquareP2:
-    def test_y_one_positive(self, field_nn2, tables_nn2_1m, rho_nn2):
-        v = sm.meansquare_P2(field_nn2, tables_nn2_1m, rho_nn2, 10**4, 1, samples=512)
+    def test_y_one_positive(self, tables_nn2_1m, rho_nn2):
+        v = sm.meansquare_P2(tables_nn2_1m, rho_nn2, 10**4, 1, samples=512)
         assert v > 0
 
-    def test_nonnegative(self, field_nn2, tables_nn2_1m, rho_nn2):
-        assert sm.meansquare_P2(field_nn2, tables_nn2_1m, rho_nn2, 10**5, 16, samples=256) >= 0
+    def test_nonnegative(self, tables_nn2_1m, rho_nn2):
+        assert sm.meansquare_P2(tables_nn2_1m, rho_nn2, 10**5, 16, samples=256) >= 0
 
-    def test_window_guards(self, field_nn2, tables_nn2_1m, rho_nn2):
+    def test_window_guards(self, tables_nn2_1m, rho_nn2):
         with pytest.raises(sm.SumsError):
-            sm.meansquare_P2(field_nn2, tables_nn2_1m, rho_nn2, 10**4, 50)  # y > T^(1/3)
+            sm.meansquare_P2(tables_nn2_1m, rho_nn2, 10**4, 50)  # y > T^(1/3)
         with pytest.raises(sm.SumsError):
-            sm.meansquare_P2(field_nn2, tables_nn2_1m, rho_nn2, 6 * 10**5, 4)  # 2T > N
+            sm.meansquare_P2(tables_nn2_1m, rho_nn2, 6 * 10**5, 4)  # 2T > N
         with pytest.raises(sm.SumsError, match="T >= 1"):
-            sm.meansquare_P2(field_nn2, tables_nn2_1m, rho_nn2, -100, 4)  # no real cube root
+            sm.meansquare_P2(tables_nn2_1m, rho_nn2, -100, 4)  # no real cube root
 
-    def test_grid_exponents(self, field_nn2, tables_nn2_1m, rho_nn2):
+    def test_grid_exponents(self, tables_nn2_1m, rho_nn2):
         rows, t_exp, y_exp = sm.p2_meansquare_grid(
-            field_nn2, tables_nn2_1m, rho_nn2, (10**5, 2 * 10**5, 4 * 10**5), (4, 32), samples=1024
+            tables_nn2_1m, rho_nn2, (10**5, 2 * 10**5, 4 * 10**5), (4, 32), samples=1024
         )
         assert len(rows) == 6
         assert 1.0 < t_exp < 2.5  # against the T^{5/3} reference
@@ -208,11 +207,11 @@ class TestComputeCX:
         assert np.all(t.aK[1:] == 1)
         assert np.array_equal(t.M_prefix, np.cumsum(ar.mobius_sieve(1000)))
         want = _pair_loop_cX(t, 200, lambda m1, m2: 3.600937750458863)
-        assert sm.compute_cX(field_hook, t, 200).value == pytest.approx(want, rel=1e-12)
+        assert sm.compute_cX(t, 200).value == pytest.approx(want, rel=1e-12)
 
     def test_X1_direct_formula(self, field_nn2, tables_nn2_1m):
         # c(1) = Z / (6 pi^2), and Z = sum a_K(n)^2 n^{-4/3} bounds every partial sum
-        r = sm.compute_cX(field_nn2, tables_nn2_1m, 1)
+        r = sm.compute_cX(tables_nn2_1m, 1)
         Z, _ = sm._euler_Z(field_nn2)
         assert r.value == pytest.approx(Z / (6 * math.pi**2), rel=1e-15)
         n = np.arange(1, 10**6 + 1, dtype=np.float64)
@@ -225,7 +224,7 @@ class TestComputeCX:
         for field, tables in ((field_nn2, tables_nn2_1m), (field_c7, tables_c7_1m)):
             Z, h = sm._euler_Z(field)[0], sm._h_values(field, X)
             want = _pair_loop_cX(tables, X, lambda m1, m2: Z * h[m1] * h[m2])
-            assert sm.compute_cX(field, tables, X).value == pytest.approx(want, rel=1e-12), field.name
+            assert sm.compute_cX(tables, X).value == pytest.approx(want, rel=1e-12), field.name
 
     @pytest.mark.parametrize("preset", ["cubic-nonnormal-2", "cubic-cyclic-7"])
     def test_h_against_truncated_sums(self, preset, tables_nn2_1m, tables_c7_1m):
@@ -240,10 +239,10 @@ class TestComputeCX:
                 if math.gcd(m1, m2) == 1:
                     assert inner(m1, m2) / base == pytest.approx(h[m1] * h[m2], rel=0.03, abs=0), (m1, m2)
 
-    def test_truncated_sum_converges_to_euler_product(self, field_nn2, tables_nn2_1m):
+    def test_truncated_sum_converges_to_euler_product(self, tables_nn2_1m):
         # the gap to the n-sum cut at n <= cut shrinks by a near-constant
         # factor per doubling of cut (about 2^{-1/3} up to logs)
-        value = sm.compute_cX(field_nn2, tables_nn2_1m, 5).value
+        value = sm.compute_cX(tables_nn2_1m, 5).value
         cuts = (25000, 50000, 10**5, 2 * 10**5)
         gaps = [value - _pair_loop_cX(tables_nn2_1m, 5, _truncated_inner(tables_nn2_1m, cut)) for cut in cuts]
         assert all(g > 0 for g in gaps)
@@ -263,16 +262,16 @@ class TestComputeCX:
 
     def test_guards(self, field_nn2, tables_nn2_1m):
         with pytest.raises(sm.SumsError):
-            sm.compute_cX(field_nn2, tables_nn2_1m, 0)
+            sm.compute_cX(tables_nn2_1m, 0)
         with pytest.raises(sm.SumsError):
-            sm.compute_cX(field_nn2, tables_nn2_1m, 1001)
+            sm.compute_cX(tables_nn2_1m, 1001)
         with pytest.raises(sm.SumsError):
-            sm.compute_cX(field_nn2, ar.build_tables(field_nn2, 500), 600)
+            sm.compute_cX(ar.build_tables(field_nn2, 500), 600)
 
 
 class TestMeanSquareR:
-    def test_X1_matches_direct_quadrature(self, field_nn2, tables_nn2_1m, rho_nn2):
-        rep = sm.meansquare_R(field_nn2, tables_nn2_1m, rho_nn2, 1, 10**4, samples=10**4)
+    def test_X1_matches_direct_quadrature(self, tables_nn2_1m, rho_nn2):
+        rep = sm.meansquare_R(tables_nn2_1m, rho_nn2, 1, 10**4, samples=10**4)
         direct = sm.quadrature_PK_squared(tables_nn2_1m, rho_nn2, 10**4, 10**4)
         assert rep.integral_R2 == pytest.approx(direct, rel=1e-12)
 
@@ -281,29 +280,29 @@ class TestMeanSquareR:
         exact = sm.exact_PK_square_integral(tables_nn2_1m, rho_nn2, 10**4)
         assert quad == pytest.approx(exact, rel=2e-3)
 
-    def test_main_term_closed_form(self, field_nn2, tables_nn2_1m, rho_nn2):
-        rep = sm.meansquare_R(field_nn2, tables_nn2_1m, rho_nn2, 5, 10**3, samples=256)
+    def test_main_term_closed_form(self, tables_nn2_1m, rho_nn2):
+        rep = sm.meansquare_R(tables_nn2_1m, rho_nn2, 5, 10**3, samples=256)
         T = 10**3
         assert rep.main_term == pytest.approx(
             rep.cX * 0.6 * ((2 * T) ** (5 / 3) - T ** (5 / 3)), rel=1e-15
         )
 
-    def test_error_estimate_covers_refinement(self, field_nn2, tables_nn2_1m, rho_nn2):
-        r1 = sm.meansquare_R(field_nn2, tables_nn2_1m, rho_nn2, 5, 10**4, samples=2048)
-        r2 = sm.meansquare_R(field_nn2, tables_nn2_1m, rho_nn2, 5, 10**4, samples=4096)
+    def test_error_estimate_covers_refinement(self, tables_nn2_1m, rho_nn2):
+        r1 = sm.meansquare_R(tables_nn2_1m, rho_nn2, 5, 10**4, samples=2048)
+        r2 = sm.meansquare_R(tables_nn2_1m, rho_nn2, 5, 10**4, samples=4096)
         assert abs(r1.integral_R2 - r2.integral_R2) <= r1.quadrature_error_est
 
-    def test_guards(self, field_nn2, tables_nn2_1m, rho_nn2):
+    def test_guards(self, tables_nn2_1m, rho_nn2):
         with pytest.raises(sm.SumsError):
-            sm.meansquare_R(field_nn2, tables_nn2_1m, rho_nn2, 5, 40)  # T < 10X
+            sm.meansquare_R(tables_nn2_1m, rho_nn2, 5, 40)  # T < 10X
         with pytest.raises(sm.SumsError):
-            sm.meansquare_R(field_nn2, tables_nn2_1m, rho_nn2, 1, 10**6)  # 2T > N
+            sm.meansquare_R(tables_nn2_1m, rho_nn2, 1, 10**6)  # 2T > N
         with pytest.raises(sm.SumsError):
-            sm.meansquare_R(field_nn2, tables_nn2_1m, rho_nn2, 1, 10**3, samples=16)
+            sm.meansquare_R(tables_nn2_1m, rho_nn2, 1, 10**3, samples=16)
 
-    def test_trend_fields(self, field_nn2, tables_nn2_1m, rho_nn2):
+    def test_trend_fields(self, tables_nn2_1m, rho_nn2):
         rows, ratios, trend = sm.meansquare_trend(
-            field_nn2, tables_nn2_1m, rho_nn2, 5, (10**3, 10**4), samples=1024
+            tables_nn2_1m, rho_nn2, 5, (10**3, 10**4), samples=1024
         )
         assert len(rows) == 2 and len(ratios) == 2
         assert trend in ("increasing", "decreasing", "mixed")
