@@ -51,9 +51,10 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .fieldspec import (
-    F_SHAPES,
+    SHAPES,
     FieldConfigError,
     FieldSpec,
+    _is_prime,
     factorize,
     format_field_spec,
     local_ideal_counts,
@@ -111,7 +112,7 @@ def _local_tables(codes_present, kmax):
     """Per splitting shape: a_K, mu_K and b at p^0..p^kmax."""
     out = {}
     for code in codes_present:
-        shape = F_SHAPES[code]
+        shape = SHAPES[code].f_shape
         a = local_ideal_counts(shape, kmax)
         mu = [0] * (kmax + 1)
         mu[0] = 1
@@ -135,7 +136,7 @@ def _sieve_multiplicative(N, ps, codes, locals_by_code, n_funcs):
     # once, then read each function's value at p (or 1, in the slot for "no
     # prime above sqrt(N)") through a lookup table
     big, big_codes = ps[split_at:], codes[split_at:]
-    none = len(F_SHAPES)
+    none = len(SHAPES)
     code_at = np.full(N + 1, none, dtype=np.int8)
     for m in range(1, math.isqrt(N) + 1):
         cnt = int(np.searchsorted(big, N // m, side="right"))
@@ -271,7 +272,7 @@ def _rho_series(tables: ArithTables, B: int) -> RhoEstimate:
     s = np.cumsum(tables.b[1 : B + 1] / m)
     window = s[B // 2 - 1 :]
     value = float(np.mean(window))
-    stderr = float(np.std(window, ddof=1)) if len(window) > 1 else 0.0
+    stderr = float(np.std(window, ddof=1))  # estimate_rho's B >= N_MIN leaves > 500 partial sums
     return RhoEstimate(value=value, stderr=stderr, method="series_b_over_m", B=B)
 
 
@@ -476,16 +477,11 @@ def cubic_character(f: int):
     Conjugating the character (the other choice of omega) gives the same
     two-character product b = chi * conj(chi).
     """
-    if f < 3 or f % 3 != 1 or factorize(f) != {f: 1}:
+    if f % 3 != 1 or not _is_prime(f):
         raise ArithError(f"conductor {f} is not a prime = 1 mod 3")
-    # find a generator of (Z/f)*
+    # a generator of (Z/f)*
     order_facs = factorize(f - 1)
-    g = None
-    for cand in range(2, f):
-        if all(pow(cand, (f - 1) // q, f) != 1 for q in order_facs):
-            g = cand
-            break
-    assert g is not None
+    g = next(g for g in range(2, f) if all(pow(g, (f - 1) // q, f) != 1 for q in order_facs))
     omega_pow = [(1, 0), (0, 1), (-1, -1)]
     vals = [(0, 0)] * f
     acc = 1
@@ -547,18 +543,25 @@ def write_tables(tables: ArithTables, path) -> None:
             fh.write(arr[1:].astype("<i8", copy=False))  # no copy on a little-endian host
 
 
+def _read_header(fh, n: int, path) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise ArithError(f"{path}: table file ends inside its header")
+    return data
+
+
 def read_tables(path) -> ArithTables:
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ArithError(f"{path}: not a table file (bad magic)")
-        version, doclen = struct.unpack("<II", fh.read(8))
+        version, doclen = struct.unpack("<II", _read_header(fh, 8, path))
         if version != _VERSION:
             raise ArithError(f"{path}: unsupported table version {version}")
         try:
-            field = parse_field_spec(fh.read(doclen).decode("utf-8"))
+            field = parse_field_spec(_read_header(fh, doclen, path).decode("utf-8"))
         except (UnicodeDecodeError, FieldConfigError) as exc:
             raise ArithError(f"{path}: bad field document in the header: {exc}") from None
-        (N,) = struct.unpack("<Q", fh.read(8))
+        (N,) = struct.unpack("<Q", _read_header(fh, 8, path))
         have = os.fstat(fh.fileno()).st_size - fh.tell()
         want = 3 * 8 * N
         if have != want:

@@ -26,13 +26,14 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 __all__ = [
     "FieldSpec",
     "SplittingType",
+    "SHAPES",
     "FieldConfigError",
     "discriminant_monic_cubic",
     "factorize",
@@ -66,30 +67,12 @@ class FieldConfigError(ValueError):
 # splitting-shape codes shared with the sieves
 # ----------------------------------------------------------------------------
 
-T_SPLIT = 0      # p = P1 P1' P1''          f-shape (1,1,1)
-T_PARTIAL = 1    # p = P1 P2                f-shape (1,2)
-T_INERT = 2      # p = P3                   f-shape (3,)
-T_RAM_112 = 3    # p = P1^2 P1'             f-shape (1,1)
-T_RAM_13 = 4     # p = P1^3                 f-shape (1,)
-T_RATIONAL = 5   # degree-1 hook: p = (p)   f-shape (1,)
-
-F_SHAPES = {
-    T_SPLIT: (1, 1, 1),
-    T_PARTIAL: (1, 2),
-    T_INERT: (3,),
-    T_RAM_112: (1, 1),
-    T_RAM_13: (1,),
-    T_RATIONAL: (1,),
-}
-
-_COMPONENTS = {
-    T_SPLIT: ((1, 1), (1, 1), (1, 1)),
-    T_PARTIAL: ((1, 1), (2, 1)),
-    T_INERT: ((3, 1),),
-    T_RAM_112: ((1, 1), (1, 2)),
-    T_RAM_13: ((1, 3),),
-    T_RATIONAL: ((1, 1),),
-}
+T_SPLIT = 0      # p = P1 P1' P1''
+T_PARTIAL = 1    # p = P1 P2
+T_INERT = 2      # p = P3
+T_RAM_112 = 3    # p = P1^2 P1'
+T_RAM_13 = 4     # p = P1^3
+T_RATIONAL = 5   # degree-1 hook: p = (p)
 
 
 @dataclass(frozen=True)
@@ -115,10 +98,6 @@ class SplittingType:
     def f_shape(self) -> tuple:
         return tuple(sorted(f for f, _ in self.components))
 
-    @property
-    def ramified(self) -> bool:
-        return any(e > 1 for _, e in self.components)
-
     def n_degree_one(self) -> int:
         """Number of components with residue degree 1 (= distinct roots mod p)."""
         return sum(1 for f, _ in self.components if f == 1)
@@ -137,15 +116,15 @@ class SplittingType:
         return self.pattern
 
 
-def _splitting_from_code(code: int) -> SplittingType:
-    return SplittingType(_COMPONENTS[code])
-
-
-def _code_from_splitting(st: SplittingType) -> int:
-    for code, comps in _COMPONENTS.items():
-        if code != T_RATIONAL and st.components == tuple(sorted(comps)):
-            return code
-    raise FieldConfigError(f"splitting type {st} is not a cubic shape")
+# the (f, e) components of each code's shape, indexed by the code
+SHAPES = tuple(SplittingType(c) for c in (
+    ((1, 1), (1, 1), (1, 1)),   # T_SPLIT
+    ((1, 1), (2, 1)),           # T_PARTIAL
+    ((3, 1),),                  # T_INERT
+    ((1, 1), (1, 2)),           # T_RAM_112
+    ((1, 3),),                  # T_RAM_13
+    ((1, 1),),                  # T_RATIONAL
+))
 
 
 # ----------------------------------------------------------------------------
@@ -354,16 +333,14 @@ def dedekind_p_maximal(c0: int, c1: int, c2: int, p: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Immutable description of a cubic field (or the degree-1 test hook)."""
+    """Immutable description of a cubic field (or the degree-1 test hook).
+
+    Only what defines the field is stored; its degree and discriminant data
+    are derived from poly and disc, so two equal specs cannot disagree on them."""
 
     name: str
     poly: tuple | None          # (c0, c1, c2) of x^3 + c2 x^2 + c1 x + c0; None for "rationals"
     disc: int                   # discriminant used for d, f, normality
-    disc_sqfree_part: int       # d with disc = d * conductor_f^2, d squarefree
-    conductor_f: int
-    normal: bool
-    degree: int = 3
-    poly_disc: int = 0          # discriminant of the defining polynomial
     index_divisor_overrides: dict = dataclass_field(default_factory=dict)
 
     def __post_init__(self):
@@ -379,16 +356,37 @@ class FieldSpec:
         return isinstance(other, FieldSpec) and self._key == other._key
 
     @property
+    def degree(self) -> int:
+        return 1 if self.poly is None else 3
+
+    @cached_property
+    def poly_disc(self) -> int:
+        """Discriminant of the defining polynomial (1 for the rationals hook)."""
+        return 1 if self.poly is None else discriminant_monic_cubic(*self.poly)
+
+    @cached_property
+    def disc_sqfree_part(self) -> int:
+        """d with disc = d * conductor_f^2, d squarefree."""
+        return squarefree_decompose(self.disc)[0]
+
+    @property
+    def conductor_f(self) -> int:
+        return math.isqrt(self.disc // self.disc_sqfree_part)
+
+    @property
+    def normal(self) -> bool:
+        """A cubic field is normal iff its discriminant is a square."""
+        return self.disc_sqfree_part == 1
+
+    @property
     def is_rational_hook(self) -> bool:
         return self.degree == 1
 
     @property
     def complex_places(self) -> int:
         """r2 in the signature (r1, r2); a cubic has one complex place iff
-        its discriminant is negative."""
-        if self.degree == 1:
-            return 0
-        return 1 if self.disc < 0 else 0
+        its discriminant is negative (the rationals hook has disc 1)."""
+        return int(self.disc < 0)
 
 
 def _build_cubic(name, c0, c1, c2, disc=None, overrides=None) -> FieldSpec:
@@ -399,7 +397,6 @@ def _build_cubic(name, c0, c1, c2, disc=None, overrides=None) -> FieldSpec:
     pdisc = discriminant_monic_cubic(c0, c1, c2)
     if pdisc == 0:
         raise FieldConfigError("polynomial has zero discriminant")
-    D = pdisc if disc is None else disc
     if disc is not None:
         if disc == 0 or pdisc % disc != 0:
             raise FieldConfigError(f"supplied disc {disc} does not divide the polynomial discriminant {pdisc}")
@@ -427,31 +424,7 @@ def _build_cubic(name, c0, c1, c2, disc=None, overrides=None) -> FieldSpec:
                 f"prime {p} divides the index of the generated order; "
                 f"an index_divisor_override for p={p} is required"
             )
-    d, f = squarefree_decompose(D)
-    return FieldSpec(
-        name=name,
-        poly=(c0, c1, c2),
-        disc=D,
-        disc_sqfree_part=d,
-        conductor_f=f,
-        normal=(d == 1),
-        degree=3,
-        poly_disc=pdisc,
-        index_divisor_overrides=ov,
-    )
-
-
-def _build_rationals() -> FieldSpec:
-    return FieldSpec(
-        name="rationals",
-        poly=None,
-        disc=1,
-        disc_sqfree_part=1,
-        conductor_f=1,
-        normal=True,
-        degree=1,
-        poly_disc=1,
-    )
+    return FieldSpec(name, (c0, c1, c2), pdisc if disc is None else disc, ov)
 
 
 @lru_cache(maxsize=None)
@@ -461,7 +434,7 @@ def get_preset(name: str) -> FieldSpec:
     if name == "cubic-cyclic-7":
         return _build_cubic("cubic-cyclic-7", -1, -2, 1)
     if name == "rationals":
-        return _build_rationals()
+        return FieldSpec("rationals", None, 1)
     raise FieldConfigError(f"unknown preset {name!r}; known: {', '.join(preset_names())}")
 
 
@@ -497,7 +470,7 @@ def parse_field_spec(text: str) -> FieldSpec:
         kv[k.strip()] = v.strip()
     name = kv.pop("name", "unnamed-field")
     if name == "rationals" and "poly" not in kv:
-        return _build_rationals()
+        return FieldSpec("rationals", None, 1)
     if "poly" not in kv:
         raise FieldConfigError("missing poly = c0, c1, c2")
     coeffs = [_config_int(t, "poly coefficient") for t in re.split(r"[,\s]+", kv.pop("poly")) if t]
@@ -575,33 +548,22 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# the code of a prime not dividing (False) or dividing (True) the poly disc,
+# from the number of distinct roots of f mod p: an unramified cubic has 0, 1
+# or 3 roots, a ramified one 2 (a double and a simple root) or 1 (a triple)
+_CODE_BY_ROOTS = {(3, False): T_SPLIT, (1, False): T_PARTIAL, (0, False): T_INERT,
+                  (2, True): T_RAM_112, (1, True): T_RAM_13}
+
+
 def splitting_type(field: FieldSpec, p: int) -> SplittingType:
     """Decomposition shape of the prime p in the field (exact, single prime)."""
     if not _is_prime(p):
         raise FieldConfigError(f"{p} is not prime")
     if field.is_rational_hook:
-        return _splitting_from_code(T_RATIONAL)
+        return SHAPES[T_RATIONAL]
     if p in field.index_divisor_overrides:
         return field.index_divisor_overrides[p]
-    nroots = _count_roots_py(*field.poly, p)
-    ramified = field.poly_disc % p == 0
-    return _splitting_from_code(_code_for(nroots, ramified, p, field))
-
-
-def _code_for(nroots: int, ramified: bool, p, field) -> int:
-    if not ramified:
-        if nroots == 3:
-            return T_SPLIT
-        if nroots == 1:
-            return T_PARTIAL
-        if nroots == 0:
-            return T_INERT
-        raise AssertionError(f"unramified prime {p} of {field.name} reports {nroots} roots")
-    if nroots == 1:
-        return T_RAM_13
-    if nroots == 2:
-        return T_RAM_112
-    raise AssertionError(f"ramified prime {p} of {field.name} reports {nroots} roots")
+    return SHAPES[_CODE_BY_ROOTS[_count_roots_py(*field.poly, p), field.poly_disc % p == 0]]
 
 
 def _euler_criterion_vector(dmod: np.ndarray, ps: np.ndarray) -> np.ndarray:
@@ -647,7 +609,7 @@ def splitting_codes(field: FieldSpec, N: int):
     codes = np.full(len(ps), T_PARTIAL, dtype=np.int8)
     codes[plus] = np.where(_frobenius_fixes_x(*field.poly, ps[plus]), T_SPLIT, T_INERT)
     for i in np.flatnonzero(scalar):
-        codes[i] = _code_from_splitting(splitting_type(field, int(ps[i])))
+        codes[i] = SHAPES.index(splitting_type(field, int(ps[i])))
     return ps, codes
 
 

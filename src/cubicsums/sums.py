@@ -60,7 +60,7 @@ from .arith import (
     mobius_sieve,
     partial_A,
 )
-from .fieldspec import F_SHAPES, FieldSpec, local_ideal_counts, splitting_codes
+from .fieldspec import SHAPES, FieldSpec, local_ideal_counts, splitting_codes
 from .ideals import enumerate_ideals, sum_cJ_over_I
 
 __all__ = [
@@ -327,7 +327,7 @@ def _zeta(s: float) -> float:
 
 def _local_series(code: int, extra: int = 0) -> np.ndarray:
     """a_K(p^k), k < _KMAX + extra, for a prime of splitting code `code`."""
-    return np.array(local_ideal_counts(F_SHAPES[code], _KMAX + extra - 1), dtype=np.float64)
+    return np.array(local_ideal_counts(SHAPES[code].f_shape, _KMAX + extra - 1), dtype=np.float64)
 
 
 @lru_cache(maxsize=4)

@@ -152,6 +152,15 @@ class TestRho:
         target = abs(L) ** 2
         assert rho_c7.value == pytest.approx(target, abs=max(3 * rho_c7.stderr, 1e-4))
 
+    def test_nonnormal_rho_equals_class_number_formula(self, tables_nn2_1m):
+        # x^3 - 2: h = 1, one real and one complex place, fundamental unit
+        # 1 + 2^(1/3) + 2^(2/3), so rho = 2 pi log(unit) / sqrt(108)
+        unit = 1 + 2 ** (1 / 3) + 2 ** (2 / 3)
+        target = 2 * math.pi * math.log(unit) / math.sqrt(108)
+        assert target == pytest.approx(0.814624059261141, abs=1e-15)
+        for est in ar.estimate_rho(tables_nn2_1m, 10**6):
+            assert abs(est.value - target) <= 3 * est.stderr, est
+
     def test_positive_enforced(self):
         with pytest.raises(ar.ArithError):
             ar.RhoEstimate(value=-1.0, stderr=0.0, method="series_b_over_m", B=1000)
@@ -416,6 +425,17 @@ class TestTableIO:
         p.write_bytes(b"CBSM" + struct.pack("<II", 2, len(doc)) + doc + payload)
         with pytest.raises(ar.ArithError, match="bad field document.*three integers"):
             ar.read_tables(p)
+
+    def test_cut_inside_header(self, tables_nn2_small, tmp_path):
+        # the file ends inside version/doclen, the field document or N
+        p = tmp_path / "t.bin"
+        ar.write_tables(tables_nn2_small, p)
+        data = p.read_bytes()
+        (doclen,) = struct.unpack("<I", data[8:12])
+        for cut in (6, 12 + doclen - 3, 12 + doclen + 5):
+            p.write_bytes(data[:cut])
+            with pytest.raises(ar.ArithError, match="ends inside its header"):
+                ar.read_tables(p)
 
     def test_truncated(self, tables_nn2_small, tmp_path):
         p = tmp_path / "t.bin"

@@ -281,6 +281,13 @@ class TestExperiments:
         assert rc == 2 and stdout == ""
         assert "unsupported table version 1" in err
 
+    def test_table_file_cut_inside_header(self, tmp_path, capsys):
+        table_path = tmp_path / "t.bin"
+        table_path.write_bytes(b"CBSM\x02\x00")
+        rc, stdout, err = run(["experiment", "rho", "--tables", str(table_path)], capsys)
+        assert rc == 2 and stdout == ""
+        assert "ends inside its header" in err and "Traceback" not in err
+
     def test_unknown_experiment(self, capsys):
         rc, _, err = run(["experiment", "florp", "--N", "1000"], capsys)
         assert rc == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -7,7 +8,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cubicsums import arith, checks
 from cubicsums import fieldspec as fs
+
+# monic cubics x^3 + c2 x^2 + c1 x + c0 with |c_i| <= 20
+RANDOM_COEFFS = st.tuples(*[st.integers(-20, 20)] * 3)
+
+
+def _random_field(coeffs):
+    try:
+        return fs.parse_field_spec("poly = {}, {}, {}".format(*coeffs))
+    except fs.FieldConfigError:
+        assume(False)  # reducible, or an index divisor that needs an override
 
 
 class TestDiscriminant:
@@ -37,6 +49,26 @@ class TestDiscriminant:
         assert fs.squarefree_decompose(1) == (1, 1)
         assert fs.squarefree_decompose(-8) == (-2, 2)
         assert fs.squarefree_decompose(-140) == (-35, 2)  # primes to the first power
+
+    def test_stores_only_what_defines_the_field(self, field_nn2):
+        fields = [f.name for f in dataclasses.fields(fs.FieldSpec)]
+        assert fields == ["name", "poly", "disc", "index_divisor_overrides"]
+        # a spec that equals x^3 - 2 can no longer claim other invariants
+        with pytest.raises(TypeError):
+            fs.FieldSpec(name="x", poly=(-2, 0, 0), disc=-108, disc_sqfree_part=1, conductor_f=6, normal=True)
+        same = fs.FieldSpec("x", (-2, 0, 0), -108)
+        assert same == field_nn2 and hash(same) == hash(field_nn2)
+        assert (same.disc_sqfree_part, same.conductor_f, same.normal) == (-3, 6, False)
+
+    @settings(max_examples=100, deadline=None)
+    @given(coeffs=RANDOM_COEFFS)
+    def test_random_cubics_derived_invariants(self, coeffs):
+        f = _random_field(coeffs)
+        d = f.disc_sqfree_part
+        assert d * f.conductor_f**2 == f.disc
+        assert all(k == 1 for k in fs.factorize(abs(d)).values())
+        assert f.normal == (f.disc > 0 and math.isqrt(f.disc) ** 2 == f.disc)
+        assert f.poly_disc == fs.discriminant_monic_cubic(*f.poly)
 
 
 # valid documents beside the presets: the index divisor 3 of x^3 - 10 split
@@ -274,25 +306,30 @@ class TestSplitting:
             ps, codes = fs.splitting_codes(f, 2 * 10**4)
             for p, c in zip(ps.tolist(), codes.tolist()):
                 st = fs.splitting_type(f, int(p))
-                assert st.components == fs._COMPONENTS[c], (f.name, p)
+                assert st.components == fs.SHAPES[c].components, (f.name, p)
                 if f.poly is not None and p < 2000:
                     assert not f.index_divisor_overrides
                     roots = fs.roots_mod_p(*f.poly, p)
-                    assert fs._splitting_from_code(c).n_degree_one() == len(roots), (f.name, p)
+                    assert fs.SHAPES[c].n_degree_one() == len(roots), (f.name, p)
 
     @settings(max_examples=60, deadline=None)
-    @given(coeffs=st.tuples(*[st.integers(-20, 20)] * 3))
+    @given(coeffs=RANDOM_COEFFS)
     def test_random_cubics_bulk_matches_scalar(self, coeffs):
         c0, c1, c2 = coeffs
-        try:
-            f = fs.parse_field_spec(f"poly = {c0}, {c1}, {c2}")
-        except fs.FieldConfigError:
-            assume(False)  # reducible, or an index divisor that needs an override
+        f = _random_field(coeffs)
         ps, codes = fs.splitting_codes(f, 3000)
         for p, c in zip(ps.tolist(), codes.tolist()):
             shape = fs.splitting_type(f, p)
-            assert shape.components == fs._COMPONENTS[c], (coeffs, p)
+            assert shape.components == fs.SHAPES[c].components, (coeffs, p)
             assert shape.n_degree_one() == len(fs.roots_mod_p(c0, c1, c2, p)), (coeffs, p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(coeffs=RANDOM_COEFFS)
+    def test_random_cubics_sieve_matches_enumeration(self, coeffs):
+        # the sieve reads the bulk splitting codes and the enumeration the
+        # scalar splitting types: each norm's ideal count must be a_K
+        tables = arith.build_tables(_random_field(coeffs), 2000)
+        assert checks.histogram_failure(tables, 2000) is None
 
     def test_scalar_python_ladder_matches_vector(self, field_nn2):
         # x^p = x mod (f, p) exactly when f has three distinct roots mod p,

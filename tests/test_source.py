@@ -1,0 +1,22 @@
+"""Rules for the package source, checked on its syntax trees."""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cubicsums"
+
+
+def _raises_assertion_error(node):
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
+def test_no_bare_assertions():
+    # out-of-domain input fails with the module's own typed error: an assert
+    # statement vanishes under python -O, and an AssertionError names no module
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assert) or (isinstance(node, ast.Raise) and _raises_assertion_error(node)):
+                sites.append(f"{path.name}:{node.lineno}")
+    assert sites == []
