@@ -405,20 +405,27 @@ def tau4_cuberoot_pair_sum(T: int) -> float:
     """sum over m != n <= T of tau_4(m)^2 tau_4(n)^2 / ((mn)^{2/3} |m^{1/3} - n^{1/3}|).
 
     The off-diagonal pair sum that controls interference between cube-root
-    oscillation frequencies.  Full O(T^2) pair enumeration; the values feed a
-    growth-exponent fit (expected well below T^{1/3+eps} slopes).
+    oscillation frequencies; the values feed a growth-exponent fit (expected
+    well below T^{1/3+eps} slopes).  With t = tau_4^2, c_n = n^{1/3} and
+    1/(c_n - c_m) = (c_n^2 + c_n c_m + c_m^2)/(n - m), a pair m < n adds
+    t_m t_n (1/c_m^2 + 1/(c_m c_n) + 1/c_n^2)/(n - m).  So the sum is
+    2 sum_n t_n [(A2 * K)(n) + (A1 * K)(n)/c_n + (A0 * K)(n)/c_n^2] with
+    A2 = t/c^2, A1 = t/c, A0 = t and the kernel K(d) = 1/d for d >= 1: three
+    convolutions, done by one real FFT of length 2^ceil(log2 2T) each.  The
+    integer gap n - m has none of the cancellation of c_n - c_m.
     """
     if not 2 <= T <= 10**5:
         raise ArithError(f"T={T} outside the supported range 2..1e5")
-    t4 = tau_table(4, T)[: T + 1].astype(np.float64)
-    k = np.arange(T + 1, dtype=np.float64)
-    c = np.cbrt(k)
-    g = np.zeros(T + 1, dtype=np.float64)
-    g[1:] = t4[1:] ** 2 / k[1:] ** (2.0 / 3.0)
-    out = np.zeros(T + 1, dtype=np.float64)
-    for n in range(2, T + 1):
-        out[n] = g[n] * float(np.dot(g[1:n], 1.0 / (c[n] - c[1:n])))
-    return 2.0 * math.fsum(out.tolist())
+    n = np.arange(1, T + 1, dtype=np.float64)
+    t = tau_table(4, T)[1 : T + 1].astype(np.float64) ** 2
+    c = np.cbrt(n)
+    size = 1 << (2 * T - 1).bit_length()  # >= 2T - 1 terms of the linear convolution: no wrap-around
+    kernel = np.fft.rfft(np.concatenate(([0.0], 1.0 / n[:-1])), size)  # K(0) = 0, K(d) = 1/d
+
+    def conv(a):
+        return np.fft.irfft(np.fft.rfft(a, size) * kernel, size)[:T]
+
+    return 2.0 * math.fsum((t * (conv(t / c**2) + conv(t / c) / c + conv(t) / c**2)).tolist())
 
 
 # ----------------------------------------------------------------------------

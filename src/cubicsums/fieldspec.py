@@ -14,7 +14,7 @@ We restrict to the monogenic case.  Primes that do divide the index cannot
 be factored through f mod p (Dedekind), so they must be declared explicitly
 via ``index_divisor_overrides``; the constructor runs Dedekind's p-maximality
 criterion at every candidate prime and refuses to build a field whose index
-divisors are not covered.
+divisors are not covered, or whose disc puts a p-maximal prime in the index.
 
 The degenerate ``rationals`` field (degree 1, one prime of norm p above
 every p) is included as a test hook: on it every ideal-level operation must
@@ -344,8 +344,20 @@ class FieldSpec:
     index_divisor_overrides: dict = dataclass_field(default_factory=dict)
 
     def __post_init__(self):
-        ov = dict(self.index_divisor_overrides)
+        ov = {}
+        for p, st in dict(self.index_divisor_overrides).items():
+            if not _is_prime(int(p)):
+                raise FieldConfigError(f"override at p={p}: {p} is not prime")
+            st = st if isinstance(st, SplittingType) else SplittingType(tuple(st))
+            if st.degree != 3:
+                raise FieldConfigError(f"override at p={p} has total degree {st.degree}, want 3")
+            ov[int(p)] = st
         object.__setattr__(self, "index_divisor_overrides", ov)
+        if self.poly is None:
+            if self.disc != 1 or ov:
+                raise FieldConfigError("the rationals hook has disc 1 and no index-divisor overrides")
+        else:
+            _check_cubic(*self.poly, self.disc, ov)
         # the field's mathematical identity; the name labels it and is not part of it
         object.__setattr__(self, "_key", (self.poly, self.disc, self.degree, tuple(sorted(ov.items()))))
 
@@ -389,33 +401,24 @@ class FieldSpec:
         return int(self.disc < 0)
 
 
-def _build_cubic(name, c0, c1, c2, disc=None, overrides=None) -> FieldSpec:
-    overrides = overrides or {}
+def _check_cubic(c0, c1, c2, disc, ov):
+    """Refuse a cubic field that poly, disc and the overrides ov cannot define."""
     roots = _integer_roots(c0, c1, c2)
     if roots:
         raise FieldConfigError(f"polynomial x^3+{c2}x^2+{c1}x+{c0} is reducible (root {roots[0]})")
     pdisc = discriminant_monic_cubic(c0, c1, c2)
     if pdisc == 0:
         raise FieldConfigError("polynomial has zero discriminant")
-    if disc is not None:
-        if disc == 0 or pdisc % disc != 0:
-            raise FieldConfigError(f"supplied disc {disc} does not divide the polynomial discriminant {pdisc}")
-        q = pdisc // disc
-        r = math.isqrt(abs(q))
-        if q < 0 or r * r != q:
-            raise FieldConfigError(
-                f"poly disc / field disc = {q} is not a square; disc {disc} cannot be the field discriminant"
-            )
-    # validate overrides before the Dedekind sweep so they can silence it
-    ov = {}
-    for p, st in overrides.items():
-        if not _is_prime(int(p)):
-            raise FieldConfigError(f"override at p={p}: {p} is not prime")
-        st = st if isinstance(st, SplittingType) else SplittingType(tuple(st))
-        if st.degree != 3:
-            raise FieldConfigError(f"override at p={p} has total degree {st.degree}, want 3")
-        ov[int(p)] = st
-    # any index divisor p satisfies p^2 | poly_disc
+    if disc == 0 or pdisc % disc != 0:
+        raise FieldConfigError(f"supplied disc {disc} does not divide the polynomial discriminant {pdisc}")
+    q = pdisc // disc
+    index = math.isqrt(abs(q))
+    if q < 0 or index * index != q:
+        raise FieldConfigError(
+            f"poly disc / field disc = {q} is not a square; disc {disc} cannot be the field discriminant"
+        )
+    # poly disc = index^2 * disc, so any index divisor p has p^2 | poly disc;
+    # an override stands for Dedekind's verdict at its prime
     for p, k in factorize(abs(pdisc)).items():
         if k < 2 or p in ov:
             continue
@@ -424,7 +427,17 @@ def _build_cubic(name, c0, c1, c2, disc=None, overrides=None) -> FieldSpec:
                 f"prime {p} divides the index of the generated order; "
                 f"an index_divisor_override for p={p} is required"
             )
-    return FieldSpec(name, (c0, c1, c2), pdisc if disc is None else disc, ov)
+        if index % p == 0:
+            raise FieldConfigError(
+                f"disc {disc} makes {p} divide the index {index} of the generated order, "
+                f"but the order is {p}-maximal"
+            )
+
+
+def _build_cubic(name, c0, c1, c2, disc=None, overrides=None) -> FieldSpec:
+    """The field of x^3 + c2 x^2 + c1 x + c0; disc defaults to the poly disc."""
+    return FieldSpec(name, (c0, c1, c2), discriminant_monic_cubic(c0, c1, c2) if disc is None else disc,
+                     overrides or {})
 
 
 @lru_cache(maxsize=None)
@@ -567,8 +580,8 @@ def splitting_type(field: FieldSpec, p: int) -> SplittingType:
 
 
 def _euler_criterion_vector(dmod: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """d^((p-1)/2) mod p for every prime p in ps (ascending int64, < 2^31),
-    given dmod = d mod p.
+    """d^((p-1)/2) mod p for every prime p in ps (int64, < 2^31), given
+    dmod = d mod p.
 
     Square-and-multiply over the bits of (p-1)/2, vectorized over all primes
     at once: the leading zero bits of a shorter exponent leave the result 1.
@@ -576,7 +589,7 @@ def _euler_criterion_vector(dmod: np.ndarray, ps: np.ndarray) -> np.ndarray:
     """
     e = ps >> 1
     r = np.ones_like(ps)
-    nbits = int(e[-1]).bit_length() if len(ps) else 0
+    nbits = int(e.max()).bit_length() if len(ps) else 0
     for i in range(nbits - 1, -1, -1):
         r = r * r % ps * (1 + ((e >> i) & 1) * (dmod - 1)) % ps
     return r
@@ -592,7 +605,8 @@ def splitting_codes(field: FieldSpec, N: int):
     dividing the polynomial discriminant D, (D/p) = (-1)^(3 - r) with r the
     number of irreducible factors of f mod p.  So (D/p) = -1 means one root
     (P1 P2), and (D/p) = +1 means split or inert, split exactly when
-    x^p = x mod (f, p).  For a square D every such p has (D/p) = +1.  The
+    x^p = x mod (f, p).  For a square D every such p has (D/p) = +1; else
+    (D/p) is computed once per residue class of p mod 4|D|.  The
     few primes left, p = 2, p | D and the override primes, go to
     splitting_type.
     """
@@ -600,12 +614,16 @@ def splitting_codes(field: FieldSpec, N: int):
     if field.is_rational_hook:
         return ps, np.full(len(ps), T_RATIONAL, dtype=np.int8)
     D = field.poly_disc
-    dmod = D % ps
-    scalar = (dmod == 0) | (ps == 2) | np.isin(ps, list(field.index_divisor_overrides))
+    scalar = (D % ps == 0) | (ps == 2) | np.isin(ps, list(field.index_divisor_overrides))
     if D > 0 and math.isqrt(D) ** 2 == D:
         plus = ~scalar
     else:
-        plus = ~scalar & (_euler_criterion_vector(dmod, ps) == 1)
+        # for odd p not dividing D, (D/p) depends only on p mod 4|D| (quadratic
+        # reciprocity): one Euler test per residue class, at one of its primes
+        classes, cls = np.unique(ps % (4 * abs(D)), return_inverse=True)
+        rep = np.empty(len(classes), dtype=np.int64)
+        rep[cls] = ps
+        plus = ~scalar & (_euler_criterion_vector(D % rep, rep)[cls] == 1)
     codes = np.full(len(ps), T_PARTIAL, dtype=np.int8)
     codes[plus] = np.where(_frobenius_fixes_x(*field.poly, ps[plus]), T_SPLIT, T_INERT)
     for i in np.flatnonzero(scalar):

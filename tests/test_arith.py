@@ -294,7 +294,7 @@ class TestPairSum:
         assert ar.tau4_cuberoot_pair_sum(60) == pytest.approx(self.brute(60), rel=1e-9)
 
     def test_paths_agree(self):
-        # the per-n loop against the dense T x T matrix of all pair terms
+        # the FFT convolutions against the dense T x T matrix of all pair terms
         T = 2500
         k = np.arange(1, T + 1, dtype=np.float64)
         g = ar.tau_table(4, T)[1 : T + 1].astype(np.float64) ** 2 / k ** (2 / 3)
@@ -303,6 +303,25 @@ class TestPairSum:
         np.fill_diagonal(gap, np.inf)
         want = float(np.sum(g[:, None] * g[None, :] / gap))
         assert ar.tau4_cuberoot_pair_sum(T) == pytest.approx(want, rel=1e-10)
+
+    def test_exact_sum_in_integer_gap_form(self):
+        # every pair term t_m t_n (c_m^2 + c_m c_n + c_n^2) / ((c_m c_n)^2 (n - m)),
+        # m < n, correctly rounded by one math.fsum over all of them
+        T = 3000
+        k = np.arange(1, T + 1, dtype=np.float64)
+        t = ar.tau_table(4, T)[1 : T + 1].astype(np.float64) ** 2
+        c = np.cbrt(k)
+
+        def row(i):  # the pairs (m, n = i + 1) with m < n
+            cm, cn = c[:i], c[i]
+            return (t[:i] * t[i] * (cm * cm + cm * cn + cn * cn) / ((cm * cn) ** 2 * (k[i] - k[:i]))).tolist()
+
+        want = 2.0 * math.fsum(itertools.chain.from_iterable(row(i) for i in range(1, T)))
+        assert ar.tau4_cuberoot_pair_sum(T) == pytest.approx(want, rel=1e-12)
+
+    def test_top_of_range_finishes(self):
+        top = ar.tau4_cuberoot_pair_sum(10**5)
+        assert math.isfinite(top) and top > ar.tau4_cuberoot_pair_sum(10**4) > 0
 
     def test_range_guard(self):
         with pytest.raises(ar.ArithError):

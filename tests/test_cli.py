@@ -201,6 +201,13 @@ class TestExperiments:
         rc, stdout, _ = run(["experiment", "pair-sum", "--T", "100,400"], capsys)
         assert rc == 0
 
+    def test_pair_sum_default_T_list(self, capsys):
+        # T = 10^3, 10^4, 10^5: the top of the pair sum's range
+        rc, stdout, _ = run(["experiment", "pair-sum", "--format", "json"], capsys)
+        assert rc == 0
+        payload = json.loads(stdout)
+        assert [row[0] for row in payload["rows"]] == [10**3, 10**4, 10**5] and payload["columns"][0] == "T"
+
     def test_field_free_experiments_read_no_field(self, capsys):
         # like exponents-*, they run whatever --field and --N say
         tau = ["tau-growth", "--X", "1000,10000", "--l", "2", "--q", "1"]

@@ -159,6 +159,46 @@ class TestParsing:
             pass
 
 
+class TestSelfValidation:
+    def test_constructor_refuses_bad_fields(self):
+        split = fs.SHAPES[fs.T_SPLIT]
+        bad = (
+            (("y", (0, 0, 0), 5), "reducible"),  # x^3, zero discriminant
+            (("x", (-2, 0, 0), 7), "does not divide"),
+            (("x", (-2, 0, 0), -54), "not a square"),
+            (("x", (-2, 0, 0), -108, {4: split}), "4 is not prime"),
+            (("x", (-2, 0, 0), -108, {2: ((1, 1), (1, 1))}), "total degree 2"),
+            (("x", (8, -2, 1), fs.discriminant_monic_cubic(8, -2, 1)), "override for p=2"),
+            (("r", None, 5), "rationals hook"),
+            (("r", None, 1, {2: split}), "rationals hook"),
+        )
+        for args, match in bad:
+            with pytest.raises(fs.FieldConfigError, match=match):
+                fs.FieldSpec(*args)
+        assert fs.FieldSpec("rationals", None, 1) == fs.get_preset("rationals")
+
+    def test_disc_with_a_maximal_index_prime_refused(self):
+        # Z[2^(1/3)] is 2- and 3-maximal, so x^3 - 2 defines a field of disc -108 only
+        with pytest.raises(fs.FieldConfigError, match="2-maximal"):
+            fs.parse_field_spec("poly = -2, 0, 0\ndisc = -3")
+        with pytest.raises(fs.FieldConfigError, match="3-maximal"):
+            fs.parse_field_spec("poly = -2, 0, 0\ndisc = -12")
+        # 3 divides the index of Z[10^(1/3)]: the field disc is -2700 / 3^2
+        f = fs.parse_field_spec("poly = -10, 0, 0\ndisc = -300\noverride.3 = 1:1+1:2")
+        assert (f.disc, f.poly_disc) == (-300, -2700)
+
+    @settings(max_examples=60, deadline=None)
+    @given(coeffs=RANDOM_COEFFS)
+    def test_random_cubics_refuse_every_smaller_disc(self, coeffs):
+        # built without overrides, Z[theta] is maximal at every prime, so the
+        # poly disc is the field disc and poly disc / p^2 is refused
+        f = _random_field(coeffs)
+        for p, k in fs.factorize(abs(f.poly_disc)).items():
+            if k >= 2:
+                with pytest.raises(fs.FieldConfigError, match=f" {p}-maximal"):
+                    fs.FieldSpec("c", f.poly, f.poly_disc // p**2)
+
+
 class TestFormat:
     def test_round_trip(self):
         fields = [fs.get_preset(n) for n in fs.preset_names()] + [fs.parse_field_spec(d) for d in FIELD_DOCS]
@@ -325,6 +365,19 @@ class TestSplitting:
 
     @settings(max_examples=40, deadline=None)
     @given(coeffs=RANDOM_COEFFS)
+    def test_random_cubics_legendre_per_prime(self, coeffs):
+        # the bulk path takes (D/p) once per residue class of p mod 4|D|; an odd
+        # unramified prime must get P1 P2 exactly when Euler's criterion at p
+        # itself says (D/p) = -1
+        f = _random_field(coeffs)
+        ps, codes = fs.splitting_codes(f, 10**5)
+        D = f.poly_disc
+        odd = (ps != 2) & (D % ps != 0)
+        minus = fs._euler_criterion_vector(D % ps[odd], ps[odd]) == ps[odd] - 1
+        assert np.array_equal(codes[odd] == fs.T_PARTIAL, minus), coeffs
+
+    @settings(max_examples=40, deadline=None)
+    @given(coeffs=RANDOM_COEFFS)
     def test_random_cubics_sieve_matches_enumeration(self, coeffs):
         # the sieve reads the bulk splitting codes and the enumeration the
         # scalar splitting types: each norm's ideal count must be a_K
@@ -350,7 +403,6 @@ class TestSplitting:
             if fs._is_prime(n):
                 top.append(n)
             n -= 2
-        top.reverse()  # _euler_criterion_vector wants them ascending
         ps = np.array(top, dtype=np.int64)
         cubics = [(2, 2, 0), (1, -3, 0), (1, -5, 0)]  # D = -140, 81, 473
         for c0, c1, c2 in (field_nn2.poly, field_c7.poly, *cubics):
