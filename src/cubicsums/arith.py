@@ -36,8 +36,11 @@ residue is estimated numerically two independent ways (Cesaro-averaged
 partial sums of sum b(m)/m, and a regression of A_K on x) which must agree
 within 3 combined standard errors.
 
-Everything here is exact integer arithmetic except the rho estimates;
-overflow of the 64-bit prefix sums is detected up front and aborts.
+Everything here is exact integer arithmetic except the rho estimates.  The
+value tables are int32: |a_K(n)|, |mu_K(n)| and |b(n)| are at most
+tau_3(n) <= _max_tau(3, N_BUDGET) = 58320.  The prefix sums are int64, and
+since ArithTables refuses N > N_BUDGET, |prefix| <= 10^8 2^31 < 2^58 cannot
+overflow.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ __all__ = [
     "L1_cubic_character",
 ]
 
-N_BUDGET = 10**8  # ~2.4 GB for the three value tables alone; the prefix sums add 1.6 GB
+N_BUDGET = 10**8  # 1.2 GB for the three int32 value tables; each int64 prefix sum adds 0.8 GB
 N_MIN = 10**3  # smallest rho window estimate_rho accepts, and the smallest table the CLI builds
 
 
@@ -124,11 +127,17 @@ def _local_tables(codes_present, kmax):
     return out
 
 
-def _sieve_multiplicative(N, ps, codes, locals_by_code, n_funcs):
+_TAKE_CHUNK = 1 << 16  # codes widened to intp per lookup step, not all N + 1 at once
+
+
+def _sieve_multiplicative(N, ps, codes, locals_by_code, n_funcs, dtype):
     """Fill n_funcs multiplicative tables of length N+1 (index 0 zeroed).
 
     locals_by_code[code][j][k] is the value of function j at p^k for every
-    prime p of splitting code `code`.
+    prime p of splitting code `code`.  The tables have the given dtype, which
+    must hold every value: each local value is 0 or at least 1 in absolute
+    value, so no partial product in the small-prime pass exceeds the final
+    value.
     """
     split_at = int(np.searchsorted(ps, math.isqrt(N), side="right"))
     # large primes p > sqrt(N) divide each n <= N at most once, and n = m p
@@ -141,10 +150,14 @@ def _sieve_multiplicative(N, ps, codes, locals_by_code, n_funcs):
     for m in range(1, math.isqrt(N) + 1):
         cnt = int(np.searchsorted(big, N // m, side="right"))
         code_at[m * big[:cnt]] = big_codes[:cnt]
-    lut = np.ones((n_funcs, none + 1), dtype=np.int64)
+    lut = np.ones((n_funcs, none + 1), dtype=dtype)
     for c, loc in locals_by_code.items():
         lut[:, c] = [vals[1] for vals in loc]
-    arrays = [row.take(code_at) for row in lut]
+    arrays = [np.empty(N + 1, dtype=dtype) for _ in range(n_funcs)]
+    for lo in range(0, N + 1, _TAKE_CHUNK):
+        idx = code_at[lo : lo + _TAKE_CHUNK].astype(np.intp)
+        for row, arr in zip(lut, arrays):
+            row.take(idx, out=arr[lo : lo + _TAKE_CHUNK])
     del code_at
     # small primes: multiply the local value at p^k into n = p^k j, p not
     # dividing j, through the strided view of the multiples of p^k laid out
@@ -176,8 +189,9 @@ def _sieve_multiplicative(N, ps, codes, locals_by_code, n_funcs):
 class ArithTables:
     """Frozen value tables for one field; arrays are read-only views.
 
-    The prefix sums are built on first use, so a run that reads neither
-    never holds them."""
+    The value tables must be int32 and N at most N_BUDGET, so the int64
+    prefix sums cannot overflow (see the module docstring).  The prefix sums
+    are built on first use, so a run that reads neither never holds them."""
 
     field: FieldSpec
     N: int
@@ -186,19 +200,22 @@ class ArithTables:
     b: np.ndarray
 
     def __post_init__(self):
+        if self.N > N_BUDGET:
+            raise ArithError(f"N={self.N} exceeds N_BUDGET = {N_BUDGET}")
         for arr in (self.aK, self.muK, self.b):
+            if arr.dtype != np.int32:
+                raise ArithError(f"value tables must be int32, got {arr.dtype}")
             _freeze(arr)
-        _guard_prefix_overflow(self.aK, self.muK)
 
     @cached_property
     def A_prefix(self) -> np.ndarray:
         """A_K(x) for 0 <= x <= N."""
-        return _freeze(np.cumsum(self.aK))
+        return _freeze(_prefix_sum(self.aK))
 
     @cached_property
     def M_prefix(self) -> np.ndarray:
         """M_K(x) for 0 <= x <= N."""
-        return _freeze(np.cumsum(self.muK))
+        return _freeze(_prefix_sum(self.muK))
 
 
 def _freeze(arr):
@@ -206,16 +223,11 @@ def _freeze(arr):
     return arr
 
 
-def _guard_prefix_overflow(aK, muK):
-    # detect before wrapping: |prefix| <= N max|value|, which is never below
-    # the sum of |value| and needs no temporary array
-    n = len(aK) - 1
-    a_bound, m_bound = (n * max(int(arr.max()), -int(arr.min())) for arr in (aK, muK))
-    if a_bound > 2**62 or m_bound > 2**62:
-        raise ArithError(
-            f"prefix sums would overflow int64 (bounds N*max|value| = {a_bound:.3g}, {m_bound:.3g}); "
-            "aborting instead of wrapping"
-        )
+def _prefix_sum(arr):
+    # widen once, then sum in place: np.cumsum(arr, dtype=np.int64) is
+    # about 2.5 times slower
+    x = arr.astype(np.int64)
+    return np.cumsum(x, out=x)
 
 
 def build_tables(field: FieldSpec, N: int) -> ArithTables:
@@ -225,7 +237,7 @@ def build_tables(field: FieldSpec, N: int) -> ArithTables:
     ps, codes = splitting_codes(field, N)
     kmax = max(1, N.bit_length())
     locs = _local_tables(set(codes.tolist()), kmax)
-    aK, muK, b = _sieve_multiplicative(N, ps, codes, locs, 3)
+    aK, muK, b = _sieve_multiplicative(N, ps, codes, locs, 3, np.int32)
     return ArithTables(field, N, aK, muK, b)
 
 
@@ -278,7 +290,10 @@ def _rho_series(tables: ArithTables, B: int) -> RhoEstimate:
 
 def _rho_regression(tables: ArithTables, B: int) -> RhoEstimate:
     xs = np.unique(np.geomspace(max(8, B // 8), B, 33).astype(np.int64))
-    a = tables.A_prefix[xs].astype(np.float64)
+    # A_K at the 33 points by summing the blocks between them, with no prefix
+    # sum over the whole table
+    starts = np.concatenate(([0], xs[:-1] + 1))
+    a = np.cumsum(np.add.reduceat(tables.aK[: xs[-1] + 1], starts, dtype=np.int64)).astype(np.float64)
     x = xs.astype(np.float64)
     sxx = float(np.dot(x, x))
     value = float(np.dot(x, a) / sxx)
@@ -367,7 +382,7 @@ def tau_table(l: int, n: int) -> np.ndarray:
     codes = np.zeros(len(ps), dtype=np.int8)
     kmax = max(1, n.bit_length())
     loc = {0: (local_ideal_counts((1,) * l, kmax),)}
-    (t,) = _sieve_multiplicative(n, ps, codes, loc, 1)
+    (t,) = _sieve_multiplicative(n, ps, codes, loc, 1, np.int64)
     return _freeze(t)
 
 
@@ -437,13 +452,15 @@ def dirichlet_convolution(f, g, nmax: int) -> np.ndarray:
 
     f and g are indexed from 1 and need at least nmax + 1 entries.  Split at
     the hyperbola point r = isqrt(nmax), as the module docstring describes.
+    Each product is taken in int64, so int32 inputs do not wrap.
     """
     out = np.zeros(nmax + 1, dtype=np.int64)
     r = math.isqrt(nmax)
     for d in (np.flatnonzero(f[1 : r + 1]) + 1).tolist():
-        out[d::d] += f[d] * g[1 : nmax // d + 1]
+        out[d::d] += np.multiply(f[d], g[1 : nmax // d + 1], dtype=np.int64)
     for j in (np.flatnonzero(g[1 : nmax // (r + 1) + 1]) + 1).tolist():
-        out[j * (r + 1) :: j] += g[j] * f[r + 1 : nmax // j + 1]  # n = j d, r < d <= nmax // j
+        # n = j d, r < d <= nmax // j
+        out[j * (r + 1) :: j] += np.multiply(g[j], f[r + 1 : nmax // j + 1], dtype=np.int64)
     return out
 
 
@@ -532,14 +549,16 @@ def L1_cubic_character(f: int) -> complex:
 # ----------------------------------------------------------------------------
 
 _MAGIC = b"CBSM"
-_VERSION = 2
+_VERSION = 3
 
 
 def write_tables(tables: ArithTables, path) -> None:
     """Flat binary dump: header (magic, version, length of the field
     document, the field's format_field_spec document as UTF-8, N) then the
-    little-endian int64 arrays a_K, mu_K, b for n = 1..N.  read_tables
-    parses the document back, so the tables carry their field."""
+    little-endian int32 arrays a_K, mu_K, b for n = 1..N, 12 bytes per n.
+    The version fixes the width; files of versions 1 and 2 (int64 payload)
+    are refused.  read_tables parses the document back, so the tables carry
+    their field."""
     doc = format_field_spec(tables.field).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -547,7 +566,7 @@ def write_tables(tables: ArithTables, path) -> None:
         fh.write(doc)
         fh.write(struct.pack("<Q", tables.N))
         for arr in (tables.aK, tables.muK, tables.b):
-            fh.write(arr[1:].astype("<i8", copy=False))  # no copy on a little-endian host
+            fh.write(arr[1:].astype("<i4", copy=False))  # no copy on a little-endian host
 
 
 def _read_header(fh, n: int, path) -> bytes:
@@ -569,12 +588,14 @@ def read_tables(path) -> ArithTables:
         except (UnicodeDecodeError, FieldConfigError) as exc:
             raise ArithError(f"{path}: bad field document in the header: {exc}") from None
         (N,) = struct.unpack("<Q", _read_header(fh, 8, path))
+        if N > N_BUDGET:  # refused before allocating N + 1 entries
+            raise ArithError(f"{path}: N={N} in the header exceeds N_BUDGET = {N_BUDGET}")
         have = os.fstat(fh.fileno()).st_size - fh.tell()
-        want = 3 * 8 * N
+        want = 3 * 4 * N
         if have != want:
             raise ArithError(f"{path}: truncated table file ({have} != {want} bytes)")
         # the file bytes go straight into the tables, with no intermediate copy
-        aK, muK, b = (np.zeros(N + 1, dtype="<i8") for _ in range(3))
+        aK, muK, b = (np.zeros(N + 1, dtype="<i4") for _ in range(3))
         for arr in (aK, muK, b):
             fh.readinto(arr[1:])
     return ArithTables(field, int(N), aK, muK, b)

@@ -89,7 +89,7 @@ def collapse_failure(tables, Js):
 
 def multiplicativity_failure(tables, lim):
     """First coprime (m, n), 1 < m < n, mn <= lim, with a_K(mn) != a_K(m) a_K(n), or None."""
-    aK = tables.aK
+    aK = tables.aK[: lim + 1].tolist()  # python ints: an int32 product could wrap
     for m in range(2, lim):
         if m * (m + 1) > lim:
             break

@@ -248,6 +248,19 @@ def _euclid_root_count(a, b, c, c0, c1, c2, p):
 _LADDER_P_BOUND = 1 << 30  # _frobenius_fixes_x sums residue products exactly only below this
 
 
+def _residues(x: int, ps: np.ndarray) -> np.ndarray:
+    """x mod p for every p in ps (int64, < 2^32), exact for any Python int x.
+
+    Horner over the 30-bit limbs of |x|: each step forms r 2^30 + limb with
+    r < p, below 2^62, so no int64 conversion of x can overflow.
+    """
+    mag = abs(x)
+    r = np.zeros_like(ps)
+    for shift in range(30 * ((mag.bit_length() - 1) // 30), -1, -30):
+        r = ((r << 30) + ((mag >> shift) & (2**30 - 1))) % ps
+    return r if x >= 0 else -r % ps
+
+
 def _frobenius_fixes_x(c0: int, c1: int, c2: int, ps: np.ndarray) -> np.ndarray:
     """Whether x^p = x mod (f, p), for every prime p in ps (int64, < 2^30).
 
@@ -271,7 +284,7 @@ def _frobenius_fixes_x(c0: int, c1: int, c2: int, ps: np.ndarray) -> np.ndarray:
         if not grp.any():
             continue
         p = ps[grp]
-        r2, r1, r0 = (-c2) % p, (-c1) % p, (-c0) % p  # x^3 = r2 x^2 + r1 x + r0
+        r2, r1, r0 = (_residues(-c, p) for c in (c2, c1, c0))  # x^3 = r2 x^2 + r1 x + r0
         t2, t1, t0 = (r2 * r2 + r1) % p, (r2 * r1 + r0) % p, (r2 * r0) % p  # x^4
         u2, u1, u0 = (t2 * r2 + t1) % p, (t2 * r1 + t0) % p, (t2 * r0) % p  # x^5
         a = np.zeros_like(p)
@@ -606,7 +619,8 @@ def splitting_codes(field: FieldSpec, N: int):
     number of irreducible factors of f mod p.  So (D/p) = -1 means one root
     (P1 P2), and (D/p) = +1 means split or inert, split exactly when
     x^p = x mod (f, p).  For a square D every such p has (D/p) = +1; else
-    (D/p) is computed once per residue class of p mod 4|D|.  The
+    (D/p) is computed once per residue class of p mod 4|D| (mod N + 1 when
+    that is smaller: then every prime is a class of its own).  The
     few primes left, p = 2, p | D and the override primes, go to
     splitting_type.
     """
@@ -614,16 +628,16 @@ def splitting_codes(field: FieldSpec, N: int):
     if field.is_rational_hook:
         return ps, np.full(len(ps), T_RATIONAL, dtype=np.int8)
     D = field.poly_disc
-    scalar = (D % ps == 0) | (ps == 2) | np.isin(ps, list(field.index_divisor_overrides))
+    scalar = (_residues(D, ps) == 0) | (ps == 2) | np.isin(ps, list(field.index_divisor_overrides))
     if D > 0 and math.isqrt(D) ** 2 == D:
         plus = ~scalar
     else:
         # for odd p not dividing D, (D/p) depends only on p mod 4|D| (quadratic
         # reciprocity): one Euler test per residue class, at one of its primes
-        classes, cls = np.unique(ps % (4 * abs(D)), return_inverse=True)
+        classes, cls = np.unique(ps % min(4 * abs(D), N + 1), return_inverse=True)
         rep = np.empty(len(classes), dtype=np.int64)
         rep[cls] = ps
-        plus = ~scalar & (_euler_criterion_vector(D % rep, rep)[cls] == 1)
+        plus = ~scalar & (_euler_criterion_vector(_residues(D, rep), rep)[cls] == 1)
     codes = np.full(len(ps), T_PARTIAL, dtype=np.int8)
     codes[plus] = np.where(_frobenius_fixes_x(*field.poly, ps[plus]), T_SPLIT, T_INERT)
     for i in np.flatnonzero(scalar):

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,29 @@ class TestBuildTables:
             ratio = t.aK[1:].astype(np.float64) / tau[1:].astype(np.float64) ** 2
             c = float(ratio.max())
             assert c <= 1.0, f"implied constant {c} exceeds 1"
+
+    def test_int32_values_int64_prefix_sums(self, tables_nn2_small):
+        t = tables_nn2_small
+        assert t.aK.dtype == t.muK.dtype == t.b.dtype == np.int32
+        assert t.A_prefix.dtype == t.M_prefix.dtype == np.int64
+
+    def test_values_fit_int32_up_to_budget(self):
+        # |a_K|, |mu_K|, |b| <= tau_3, and N_BUDGET * 2^31 < 2^58 bounds the prefix sums
+        assert ar._max_tau(3, ar.N_BUDGET) == 58320 < 2**31
+
+    def test_peak_memory_per_entry(self, field_nn2):
+        # three int32 tables are 12 bytes per n; the int8 codes and the
+        # chunked lookup add little, and no int64 prefix sum is built
+        N = 10**6
+        tracemalloc.start()
+        try:
+            t = ar.build_tables(field_nn2, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * N, peak / N
+        ar.estimate_rho(t, N)
+        assert "A_prefix" not in vars(t)
 
     def test_trivial_M_bound(self, tables_nn2_1m, tables_c7_1m):
         for t in (tables_nn2_1m, tables_c7_1m):
@@ -353,6 +377,18 @@ class TestDirichletConvolution:
             assert np.array_equal(got, _convolve_per_d(f, g, nmax)), nmax
             assert np.array_equal(ar.dirichlet_convolution(g, f, nmax), got), nmax
 
+    def test_int32_products_do_not_wrap(self):
+        # values near 60000, as large as a table value gets: each product is
+        # about 2^32, beyond int32
+        rng = np.random.default_rng(7)
+        nmax = 200
+        f, g = rng.integers(-60000, 60001, (2, nmax + 1)).astype(np.int32)
+        want = [0] * (nmax + 1)
+        for d in range(1, nmax + 1):
+            for e in range(1, nmax // d + 1):
+                want[d * e] += int(f[d]) * int(g[e])
+        assert ar.dirichlet_convolution(f, g, nmax).tolist() == want
+
 
 class TestIdentityChecks:
     def test_detects_corruption(self, field_nn2):
@@ -433,15 +469,22 @@ class TestTableIO:
             ar.read_tables(p)
 
     def test_v1_header_and_bad_field_document(self, tmp_path):
-        # a v1 file names its field only; a v2 document must parse to a field
+        # a v1 file names its field only, a v2 file holds int64 values; a v3
+        # document must parse to a field
         N = 4
-        payload = struct.pack("<Q", N) + np.ones(3 * N, dtype="<i8").tobytes()
+        doc = b"name = rationals\n"
         p = tmp_path / "t.bin"
-        p.write_bytes(b"CBSM" + struct.pack("<II", 1, 9) + b"rationals" + payload)
+        p.write_bytes(b"CBSM" + struct.pack("<II", 1, 9) + b"rationals" + struct.pack("<Q", N)
+                      + np.ones(3 * N, dtype="<i8").tobytes())
         with pytest.raises(ar.ArithError, match="unsupported table version 1"):
             ar.read_tables(p)
+        p.write_bytes(b"CBSM" + struct.pack("<II", 2, len(doc)) + doc + struct.pack("<Q", N)
+                      + np.ones(3 * N, dtype="<i8").tobytes())
+        with pytest.raises(ar.ArithError, match="unsupported table version 2"):
+            ar.read_tables(p)
         doc = b"name = w\npoly = 1, 2\n"
-        p.write_bytes(b"CBSM" + struct.pack("<II", 2, len(doc)) + doc + payload)
+        p.write_bytes(b"CBSM" + struct.pack("<II", 3, len(doc)) + doc + struct.pack("<Q", N)
+                      + np.ones(3 * N, dtype="<i4").tobytes())
         with pytest.raises(ar.ArithError, match="bad field document.*three integers"):
             ar.read_tables(p)
 
@@ -465,13 +508,13 @@ class TestTableIO:
             ar.read_tables(p)
 
     def test_payload_layout(self, tables_nn2_small, tmp_path):
-        # after the header: a_K(1..N), mu_K(1..N), b(1..N) as little-endian int64
+        # after the header: a_K(1..N), mu_K(1..N), b(1..N) as little-endian int32
         t = tables_nn2_small
         p = tmp_path / "t.bin"
         ar.write_tables(t, p)
         doc = b"name = cubic-nonnormal-2\npoly = -2, 0, 0\ndisc = -108\n"
-        header = b"CBSM" + struct.pack("<II", 2, len(doc)) + doc + struct.pack("<Q", t.N)
-        payload = b"".join(np.array(arr[1:].tolist(), dtype="<i8").tobytes() for arr in (t.aK, t.muK, t.b))
+        header = b"CBSM" + struct.pack("<II", 3, len(doc)) + doc + struct.pack("<Q", t.N)
+        payload = b"".join(np.array(arr[1:].tolist(), dtype="<i4").tobytes() for arr in (t.aK, t.muK, t.b))
         assert p.read_bytes() == header + payload
 
     def test_prefix_sums_built_on_first_use(self, field_nn2, tmp_path):
@@ -484,17 +527,20 @@ class TestTableIO:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 tables.A_prefix = tables.M_prefix
 
-    def test_prefix_overflow_guard(self, tmp_path):
-        # one a_K entry near 2^60 in a table of N = 8: N * max|a_K| = 2^63
-        # exceeds the 2^62 headroom, though the sum of the entries does not
-        N = 8
-        aK = [1] * (N - 1) + [2**60]
-        muK = b = [1] * N
+    def test_prefix_overflow_guard(self, tables_nn2_small, tmp_path):
+        # the prefix sums cannot overflow int64 because the tables are int32
+        # and N <= N_BUDGET: anything else is refused
+        t = tables_nn2_small
+        with pytest.raises(ar.ArithError, match="must be int32"):
+            dataclasses.replace(t, aK=t.aK.astype(np.int64))
+        with pytest.raises(ar.ArithError, match="exceeds N_BUDGET"):
+            dataclasses.replace(t, N=ar.N_BUDGET + 1)
+        # a header claiming more entries is refused before any allocation
         p = tmp_path / "crafted.bin"
         doc = b"name = rationals\n"
-        p.write_bytes(b"CBSM" + struct.pack("<II", 2, len(doc)) + doc + struct.pack("<Q", N)
-                      + np.array(aK + muK + b, dtype="<i8").tobytes())
-        with pytest.raises(ar.ArithError, match="would overflow"):
+        p.write_bytes(b"CBSM" + struct.pack("<II", 3, len(doc)) + doc + struct.pack("<Q", ar.N_BUDGET + 1)
+                      + np.ones(24, dtype="<i4").tobytes())
+        with pytest.raises(ar.ArithError, match="exceeds N_BUDGET"):
             ar.read_tables(p)
 
     def test_csv_export(self, tables_nn2_small, tmp_path):

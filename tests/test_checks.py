@@ -85,6 +85,9 @@ def test_collapse(field_nn2, tables_nn2_small):
 def test_multiplicativity(tables_nn2_small):
     assert checks.multiplicativity_failure(tables_nn2_small, 2000) is None
     assert checks.multiplicativity_failure(_with(tables_nn2_small, "aK", 6, 1), 2000) == (2, 3)
+    # a_K(2) = a_K(3) = 2^16 and a_K(6) = 0: the int32 product 2^32 wraps to 0
+    wrapped = _with(_with(tables_nn2_small, "aK", [2, 3], 2**16 - 1), "aK", 6, -1)
+    assert checks.multiplicativity_failure(wrapped, 2000) == (2, 3)
 
 
 def test_restriction(tables_nn2_small):

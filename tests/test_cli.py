@@ -287,6 +287,11 @@ class TestExperiments:
         rc, stdout, err = run(["experiment", "rho", "--tables", str(table_path)], capsys)
         assert rc == 2 and stdout == ""
         assert "unsupported table version 1" in err
+        # a v2 file (int64 values) is refused the same way
+        table_path.write_bytes(data[:4] + struct.pack("<I", 2) + data[8:])
+        rc, stdout, err = run(["experiment", "rho", "--tables", str(table_path)], capsys)
+        assert rc == 2 and stdout == ""
+        assert "unsupported table version 2" in err
 
     def test_table_file_cut_inside_header(self, tmp_path, capsys):
         table_path = tmp_path / "t.bin"

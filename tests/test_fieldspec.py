@@ -417,6 +417,19 @@ class TestSplitting:
         with pytest.raises(fs.FieldConfigError, match="2\\^30"):
             fs._frobenius_fixes_x(*field_nn2.poly, np.array([3, above], dtype=np.int64))
 
+    def test_codes_beyond_int64_discriminant(self):
+        # |poly disc| = 27 * 20001200018^2 is about 2^73: D and the residue
+        # classes must be reduced mod p without an int64 conversion
+        f = fs.parse_field_spec("poly = -20001200018, 0, 0\noverride.100003 = 1:3")
+        assert abs(f.poly_disc) >= 2**63
+        ps, codes = fs.splitting_codes(f, 10**4)
+        assert codes.tolist() == [fs.SHAPES.index(fs.splitting_type(f, p)) for p in ps.tolist()]
+
+    def test_residues_exact_for_any_int(self):
+        ps = fs.primes_upto(10**4)
+        for x in (0, 1, -1, 2**30 - 1, 2**30, -(2**60) - 7, 2**63, -27 * 20001200018**2, 3**100):
+            assert fs._residues(x, ps).tolist() == [x % p for p in ps.tolist()], x
+
     def test_large_prime_smoke(self, field_nn2):
         st = fs.splitting_type(field_nn2, 2**31 + 11)  # prime above the vector range
         assert st.degree == 3
