@@ -90,6 +90,7 @@ __all__ = [
     "convolution_identity_failure",
     "b_sum_identity_failure",
     "b_growth_statistic",
+    "max_abs_ratio",
     "cubic_character",
     "b_from_cubic_character",
     "L1_cubic_character",
@@ -127,7 +128,7 @@ def _local_tables(codes_present, kmax):
     return out
 
 
-_TAKE_CHUNK = 1 << 16  # codes widened to intp per lookup step, not all N + 1 at once
+_TAKE_CHUNK = 1 << 16  # entries per step of the chunked passes, not all N + 1 at once
 
 
 def _sieve_multiplicative(N, ps, codes, locals_by_code, n_funcs, dtype):
@@ -279,9 +280,11 @@ class RhoEstimate:
 
 
 def _rho_series(tables: ArithTables, B: int) -> RhoEstimate:
-    # partial sums of sum b(m)/m tend to the residue; average over [B/2, B]
-    m = np.arange(1, B + 1, dtype=np.float64)
-    s = np.cumsum(tables.b[1 : B + 1] / m)
+    # partial sums of sum b(m)/m tend to the residue; average over [B/2, B].
+    # One B-length array: m, then b(m)/m, then the running sum, in place
+    s = np.arange(1, B + 1, dtype=np.float64)
+    np.divide(tables.b[1 : B + 1], s, out=s)
+    np.cumsum(s, out=s)
     window = s[B // 2 - 1 :]
     value = float(np.mean(window))
     stderr = float(np.std(window, ddof=1))  # estimate_rho's B >= N_MIN leaves > 500 partial sums
@@ -482,10 +485,20 @@ def b_sum_identity_failure(tables: ArithTables, nmax: int):
     return int(bad[0]) + 1 if len(bad) else None
 
 
+def max_abs_ratio(values: np.ndarray, s: float) -> float:
+    """max |values[m]| / m^s over 1 <= m < len(values), 2^16 entries at a
+    time: the same quotients as one N-length pass, so the same max."""
+    best = 0.0
+    for lo in range(1, len(values), _TAKE_CHUNK):
+        v = values[lo : lo + _TAKE_CHUNK]
+        m = np.arange(lo, lo + len(v), dtype=np.float64)
+        best = max(best, float(np.max(np.abs(v) / m**s)))
+    return best
+
+
 def b_growth_statistic(tables: ArithTables) -> float:
     """max |b(m)| / m^0.1 over the table (reported, not asserted)."""
-    m = np.arange(1, tables.N + 1, dtype=np.float64)
-    return float(np.max(np.abs(tables.b[1:]) / m**0.1))
+    return max_abs_ratio(tables.b, 0.1)
 
 
 # ----------------------------------------------------------------------------

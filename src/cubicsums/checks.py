@@ -197,8 +197,7 @@ def field_suite(tables, rng, x_max, ys):
         add("remainder_R(1,Y) = P_K(Y)", remainder_failure(tables, rho, Y), f"Y={Y}")
         add("P1 + P2 = P_K", voronoi_split_failure(tables, rho, Y, min(64, Y)), f"Y={Y}")
 
-    x = np.arange(1, tables.N + 1, dtype=np.float64)
-    mbound = float(np.max(np.abs(tables.M_prefix[1:]) / x))
+    mbound = arith.max_abs_ratio(tables.M_prefix, 1)
     rows.append((field.name, "report max|M_K(x)|/x", True,
                  f"{mbound:.6f}" + (" (>1: bound violated)" if mbound > 1 else "")))
     rows.append((field.name, "report max|b(m)|/m^0.1", True, f"{arith.b_growth_statistic(tables):.6f}"))

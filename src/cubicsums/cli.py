@@ -189,6 +189,7 @@ def cmd_verify(cfg: RunConfig, out=None) -> int:
         field = fieldspec.load_field(name)
         tables = _load_tables(cfg, field)
         rows += checks.field_suite(tables, rng, X, cfg.Y or (10, 100, 1000))
+        del tables  # freed before the next field is sieved
     rows += checks.classical_suite()
     rows = [(fname, name, "pass" if ok else "FAIL", detail) for fname, name, ok, detail in rows]
     for fname, name, status, detail in rows:

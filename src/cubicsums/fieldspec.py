@@ -182,7 +182,7 @@ def _integer_roots(c0: int, c1: int, c2: int):
 
 
 # ----------------------------------------------------------------------------
-# roots of the cubic mod p: root counts for one prime, the Frobenius test in bulk
+# roots of the cubic mod p: root counts for one prime, Cardano's cube test in bulk
 # ----------------------------------------------------------------------------
 
 def primes_upto(n: int) -> np.ndarray:
@@ -245,7 +245,7 @@ def _euclid_root_count(a, b, c, c0, c1, c2, p):
     return 1 if q == 0 else 0
 
 
-_LADDER_P_BOUND = 1 << 30  # _frobenius_fixes_x sums residue products exactly only below this
+_LADDER_P_BOUND = 1 << 30  # _cardano_splits sums residue products exactly only below this
 
 
 def _residues(x: int, ps: np.ndarray) -> np.ndarray:
@@ -261,53 +261,70 @@ def _residues(x: int, ps: np.ndarray) -> np.ndarray:
     return r if x >= 0 else -r % ps
 
 
-def _frobenius_fixes_x(c0: int, c1: int, c2: int, ps: np.ndarray) -> np.ndarray:
-    """Whether x^p = x mod (f, p), for every prime p in ps (int64, < 2^30).
+def _cardano_invariants(c0: int, c1: int, c2: int) -> tuple:
+    """(P3, Q27, D') of the cubic: x = y - c2/3 turns it into y^3 + P y + Q
+    with 3P = P3 and 27Q = Q27, and D' = Q27^2 + 4 P3^3 = -27 disc."""
+    P3 = 3 * c1 - c2 * c2
+    Q27 = 2 * c2**3 - 9 * c1 * c2 + 27 * c0
+    return P3, Q27, Q27 * Q27 + 4 * P3**3
 
-    For p not dividing disc f this holds exactly when f has three distinct
-    roots mod p.  Square-and-multiply ladder for x^p mod (f, p), vectorized
-    over primes of equal bit length.  Each bit squares the state
-    a x^2 + b x + c into residues s4..s0 of x^4..x^0, shifts them up one
-    degree where the bit of p is 1 (a 0/1 blend, no branch), and reduces
-    x^3, x^4, x^5 through fixed residue vectors.  The reduction sums a
-    residue and three residue products before its one `%`, 4 p^2 < 2^62 for
-    p < 2^30, so each bit costs 8 reductions; larger primes are refused.
+
+def _cardano_splits(c0: int, c1: int, c2: int, ps: np.ndarray) -> np.ndarray:
+    """Whether the cubic has three roots mod p, for every prime p in ps with
+    p > 3, p not dividing disc and (disc/p) = +1 (int64, p < 2^30).
+
+    Cardano's cube test in A = F_p[R]/(R^2 - D') (_cardano_invariants):
+    the roots are u - P/(3u) for the cube roots u of Cardano's value
+    z = (-Q27 + R)/54, and Z = 6^3 z = -4 Q27 + 4 R is a cube exactly when
+    z is (Z = -Q27 where p | P3: then f = y^3 + Q and the other value is 0).
+    With e = (p + 1) // 3 (so (p - 1)/3 when p = 1 mod 3) and W = Z^e, p
+    splits exactly when W has R-part 0 and (p = 2 mod 3 or W = 1):
+
+    - p = 1 mod 3: (D'/p) = (-3/p)(disc/p) = 1, so A = F_p x F_p and
+      Z = (z1, z2) with z1 z2 = -64 P3^3 a nonzero cube.  So z1 and z2 are
+      cubes together; if z1 = u^3 in F_p all three roots are in F_p (the
+      cube roots of unity are), else Frobenius moves u, and every root,
+      by a cube root of unity.  W has R-part 0 when z1^e = z2^e, so
+      z1^(2e) = 1 and z1^e = 1: W = 1 says exactly that z1 is a cube.
+    - p = 2 mod 3: A = F_p^2, and z is a cube there iff W^(p-1) = 1, i.e.
+      W in F_p.  Then the roots lie in F_p^2, so Frobenius has order <= 2;
+      it is even ((disc/p) = 1), so it is trivial.  If z is no cube, the
+      resolvent u is not in F_p^2 and the roots cannot all be in F_p.
+
+    Square-and-multiply over the bits of e, vectorized over primes whose e
+    has equal bit length.  Each bit squares W = w0 + w1 R into
+    (w0^2 + D' w1^2, 2 w0 w1) and multiplies by Z where its bit is 1 (a 0/1
+    blend, no branch).  Each product of residues is below 2^60 and each sum
+    of two below 2^61, so each bit costs 5 reductions; larger primes are
+    refused.
     """
     ps = np.asarray(ps, dtype=np.int64)
     if len(ps) and int(ps.max()) >= _LADDER_P_BOUND:
         raise FieldConfigError(
-            f"prime {int(ps.max())} is outside the Frobenius ladder's range p < 2^30"
+            f"prime {int(ps.max())} is outside the cube test's range p < 2^30"
         )
-    fixes = np.zeros(ps.shape, dtype=bool)
-    for nbits in range(2, _LADDER_P_BOUND.bit_length()):
-        grp = (ps >> (nbits - 1)) == 1
+    P3, Q27, Dp = _cardano_invariants(c0, c1, c2)
+    e = (ps + 1) // 3
+    splits = np.zeros(ps.shape, dtype=bool)
+    for nbits in range(1, _LADDER_P_BOUND.bit_length()):
+        grp = (e >> (nbits - 1)) == 1
         if not grp.any():
             continue
-        p = ps[grp]
-        r2, r1, r0 = (_residues(-c, p) for c in (c2, c1, c0))  # x^3 = r2 x^2 + r1 x + r0
-        t2, t1, t0 = (r2 * r2 + r1) % p, (r2 * r1 + r0) % p, (r2 * r0) % p  # x^4
-        u2, u1, u0 = (t2 * r2 + t1) % p, (t2 * r1 + t0) % p, (t2 * r0) % p  # x^5
-        a = np.zeros_like(p)
-        b = np.ones_like(p)
-        c = np.zeros_like(p)
+        p, eg = ps[grp], e[grp]
+        d, q = _residues(Dp, p), _residues(-Q27, p)
+        flat = _residues(P3, p) == 0
+        z0 = np.where(flat, q, 4 * q % p)
+        z1 = np.where(flat, 0, 4)
+        dz1 = d * z1 % p
+        w0, w1 = z0, z1
         for i in range(nbits - 2, -1, -1):
-            s4 = a * a % p
-            s3 = 2 * a * b % p
-            s2 = (2 * a * c + b * b) % p
-            s1 = 2 * b * c % p
-            s0 = c * c % p
-            k = (p >> i) & 1
-            e5 = k * s4
-            e4 = s4 + k * (s3 - s4)
-            e3 = s3 + k * (s2 - s3)
-            e2 = s2 + k * (s1 - s2)
-            e1 = s1 + k * (s0 - s1)
-            e0 = s0 - k * s0
-            a = (e2 + e3 * r2 + e4 * t2 + e5 * u2) % p
-            b = (e1 + e3 * r1 + e4 * t1 + e5 * u1) % p
-            c = (e0 + e3 * r0 + e4 * t0 + e5 * u0) % p
-        fixes[grp] = (a == 0) & (b == 1) & (c == 0)
-    return fixes
+            s0 = (w0 * w0 + d * (w1 * w1 % p)) % p
+            s1 = 2 * w0 * w1 % p
+            k = (eg >> i) & 1
+            w0 = s0 + k * ((s0 * z0 + s1 * dz1) % p - s0)
+            w1 = s1 + k * ((s0 * z1 + s1 * z0) % p - s1)
+        splits[grp] = (w1 == 0) & ((p % 3 == 2) | (w0 == 1))
+    return splits
 
 
 # ----------------------------------------------------------------------------
@@ -618,17 +635,17 @@ def splitting_codes(field: FieldSpec, N: int):
     dividing the polynomial discriminant D, (D/p) = (-1)^(3 - r) with r the
     number of irreducible factors of f mod p.  So (D/p) = -1 means one root
     (P1 P2), and (D/p) = +1 means split or inert, split exactly when
-    x^p = x mod (f, p).  For a square D every such p has (D/p) = +1; else
-    (D/p) is computed once per residue class of p mod 4|D| (mod N + 1 when
-    that is smaller: then every prime is a class of its own).  The
-    few primes left, p = 2, p | D and the override primes, go to
-    splitting_type.
+    Cardano's value is a cube (_cardano_splits).  For a square D every such
+    p has (D/p) = +1; else (D/p) is computed once per residue class of p
+    mod 4|D| (mod N + 1 when that is smaller: then every prime is a class
+    of its own).  The few primes left, p <= 3 (Cardano divides by 3),
+    p | D and the override primes, go to splitting_type.
     """
     ps = primes_upto(N)
     if field.is_rational_hook:
         return ps, np.full(len(ps), T_RATIONAL, dtype=np.int8)
     D = field.poly_disc
-    scalar = (_residues(D, ps) == 0) | (ps == 2) | np.isin(ps, list(field.index_divisor_overrides))
+    scalar = (_residues(D, ps) == 0) | (ps <= 3) | np.isin(ps, list(field.index_divisor_overrides))
     if D > 0 and math.isqrt(D) ** 2 == D:
         plus = ~scalar
     else:
@@ -639,7 +656,7 @@ def splitting_codes(field: FieldSpec, N: int):
         rep[cls] = ps
         plus = ~scalar & (_euler_criterion_vector(_residues(D, rep), rep)[cls] == 1)
     codes = np.full(len(ps), T_PARTIAL, dtype=np.int8)
-    codes[plus] = np.where(_frobenius_fixes_x(*field.poly, ps[plus]), T_SPLIT, T_INERT)
+    codes[plus] = np.where(_cardano_splits(*field.poly, ps[plus]), T_SPLIT, T_INERT)
     for i in np.flatnonzero(scalar):
         codes[i] = SHAPES.index(splitting_type(field, int(ps[i])))
     return ps, codes

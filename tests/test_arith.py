@@ -132,6 +132,35 @@ class TestBuildTables:
         ar.estimate_rho(t, N)
         assert "A_prefix" not in vars(t)
 
+    def test_rho_series_peak_memory(self, tables_nn2_1m):
+        # the series estimate keeps one B-length float64 array (8 bytes per
+        # entry); np.std's window temporaries add the rest
+        N = tables_nn2_1m.N
+        tracemalloc.start()
+        try:
+            ar.estimate_rho(tables_nn2_1m, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12.5 * N, peak / N
+
+    def test_max_abs_ratio_chunked(self, tables_nn2_1m, tables_c7_1m):
+        # the same quotients as one N-length pass, so the same max, bit for bit,
+        # with no N-length float64 temporary
+        for t in (tables_nn2_1m, tables_c7_1m):
+            m = np.arange(1, t.N + 1, dtype=np.float64)
+            M = t.M_prefix
+            assert ar.max_abs_ratio(M, 1) == float(np.max(np.abs(M[1:]) / m))
+            assert ar.b_growth_statistic(t) == float(np.max(np.abs(t.b[1:]) / m**0.1))
+            tracemalloc.start()
+            try:
+                ar.max_abs_ratio(M, 1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 5 * 8 * 2**16, peak  # a few 2^16-entry temporaries, not 24 bytes per n
+        assert ar.max_abs_ratio(np.array([7, -3, 4]), 1) == 3.0  # index 0 is skipped
+
     def test_trivial_M_bound(self, tables_nn2_1m, tables_c7_1m):
         for t in (tables_nn2_1m, tables_c7_1m):
             x = np.arange(1, t.N + 1, dtype=np.float64)

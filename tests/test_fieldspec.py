@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -330,8 +331,8 @@ class TestSplitting:
                 assert st.n_degree_one() == len(fs.roots_mod_p(c0, c1, c2, p)), (f.name, p)
 
     def test_bulk_matches_scalar(self, field_nn2, field_c7, field_hook):
-        # the bulk path settles odd unramified primes by Stickelberger's sign
-        # and the Frobenius test and asks splitting_type about p = 2 and p | D;
+        # the bulk path settles unramified p > 3 by Stickelberger's sign and
+        # Cardano's cube test and asks splitting_type about p <= 3 and p | D;
         # the scalar path counts roots at every prime.  Besides the presets:
         # a negative D with 2 and 5 ramified, a square D (every odd unramified
         # prime has (D/p) = +1), a positive D with 2 inert and 3 unramified,
@@ -384,17 +385,44 @@ class TestSplitting:
         tables = arith.build_tables(_random_field(coeffs), 2000)
         assert checks.histogram_failure(tables, 2000) is None
 
-    def test_scalar_python_ladder_matches_vector(self, field_nn2):
-        # x^p = x mod (f, p) exactly when f has three distinct roots mod p,
-        # ramified primes included: a repeated root keeps f from dividing x^p - x
-        c0, c1, c2 = field_nn2.poly
-        ps = fs.primes_upto(3000)
-        vec = fs._frobenius_fixes_x(c0, c1, c2, ps)
-        for p, fixes in zip(ps.tolist(), vec.tolist()):
-            assert fixes == (fs._count_roots_py(c0, c1, c2, int(p)) == 3), p
+    @settings(max_examples=200, deadline=None)
+    @given(coeffs=st.tuples(*[st.one_of(st.integers(-20, 20), st.integers(-(2**40), 2**40),
+                                        st.integers(2**40 - 1000, 2**40),
+                                        st.integers(-(2**40), 1000 - 2**40))] * 3))
+    def test_cardano_invariants(self, coeffs):
+        # x = y - c2/3 gives y^3 + P y + Q with 3P = P3 and 27Q = Q27, and
+        # D' = Q27^2 + 4 P3^3 is -27 times the discriminant
+        c0, c1, c2 = coeffs
+        P3, Q27, Dp = fs._cardano_invariants(c0, c1, c2)
+        for y in map(Fraction, range(4)):  # a cubic identity holds if it holds at 4 points
+            x = y - Fraction(c2, 3)
+            assert 27 * (((x + c2) * x + c1) * x + c0) == 27 * y**3 + 9 * P3 * y + Q27
+        assert Dp == -27 * fs.discriminant_monic_cubic(c0, c1, c2)
 
-    def test_vector_paths_at_top_of_domain(self, field_nn2, field_c7):
-        # the ladder's sums of residue products are exact only for p < 2^30;
+    @staticmethod
+    def _cube_test_agrees(poly, ps):
+        # on the primes it is asked about (p > 3, p not dividing D, (D/p) = +1)
+        # Cardano's cube test says split exactly when f has three roots mod p
+        D = fs.discriminant_monic_cubic(*poly)
+        dom = [p for p in ps if p > 3 and D % p and pow(D, (p - 1) // 2, p) == 1]
+        assert dom
+        splits = fs._cardano_splits(*poly, np.array(dom, dtype=np.int64))
+        assert splits.tolist() == [fs._count_roots_py(*poly, p) == 3 for p in dom], poly
+        return splits
+
+    # the presets, the four cubics of test_bulk_matches_scalar, and
+    # (x + 1)^3 - 2, where P3 = 0 but c2 != 0
+    CUBE_TEST_POLYS = [(-2, 0, 0), (-1, -2, 1), (2, 2, 0), (1, -3, 0), (1, -5, 0), (2, 1, 1), (-1, 3, 3)]
+
+    def test_cube_test_matches_root_count(self):
+        assert fs._cardano_invariants(-1, 3, 3)[0] == 0
+        ps = fs.primes_upto(3 * 10**4).tolist()
+        for poly in self.CUBE_TEST_POLYS:
+            splits = self._cube_test_agrees(poly, ps)
+            assert splits.any() and not splits.all(), poly
+
+    def test_vector_paths_at_top_of_domain(self):
+        # the cube test's sums of residue products are exact only for p < 2^30;
         # check both vector paths on the largest primes below that bound
         bound = 2**30
         top = []
@@ -404,18 +432,34 @@ class TestSplitting:
                 top.append(n)
             n -= 2
         ps = np.array(top, dtype=np.int64)
-        cubics = [(2, 2, 0), (1, -3, 0), (1, -5, 0)]  # D = -140, 81, 473
-        for c0, c1, c2 in (field_nn2.poly, field_c7.poly, *cubics):
-            vec = fs._frobenius_fixes_x(c0, c1, c2, ps)
-            assert vec.tolist() == [fs._count_roots_py(c0, c1, c2, p) == 3 for p in top], (c0, c1, c2)
-            D = fs.discriminant_monic_cubic(c0, c1, c2)
+        for poly in self.CUBE_TEST_POLYS:
+            self._cube_test_agrees(poly, top)
+            D = fs.discriminant_monic_cubic(*poly)
             euler = fs._euler_criterion_vector(D % ps, ps)
             assert euler.tolist() == [pow(D, (p - 1) // 2, p) for p in top], D
         above = bound + 1
         while not fs._is_prime(above):
             above += 2
         with pytest.raises(fs.FieldConfigError, match="2\\^30"):
-            fs._frobenius_fixes_x(*field_nn2.poly, np.array([3, above], dtype=np.int64))
+            fs._cardano_splits(-2, 0, 0, np.array([5, above], dtype=np.int64))
+
+    @pytest.mark.parametrize("name", ["cubic-nonnormal-2", "cubic-cyclic-7"])
+    def test_vector_path_covers_other_primes(self, name, monkeypatch):
+        # splitting_codes asks splitting_type about p <= 3 (Cardano divides by
+        # 3; on cyclic-7, 3 is unramified) and otherwise only about p | D and
+        # override primes; every other prime stays on the vector path
+        field = fs.get_preset(name)
+        asked = []
+        real = fs.splitting_type
+
+        def recording(f, p):
+            asked.append(p)
+            return real(f, p)
+
+        monkeypatch.setattr(fs, "splitting_type", recording)
+        fs.splitting_codes(field, 10**5)
+        assert {2, 3} <= set(asked)
+        assert all(p <= 3 or field.poly_disc % p == 0 or p in field.index_divisor_overrides for p in asked)
 
     def test_codes_beyond_int64_discriminant(self):
         # |poly disc| = 27 * 20001200018^2 is about 2^73: D and the residue
