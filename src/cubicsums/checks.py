@@ -52,9 +52,8 @@ def histogram_failure(tables, B):
 def cross_path_failure(tables, x_max, ys):
     """First (X, Y, direct, reduced) over X <= x_max, Y in ys where the two
     evaluations of S_K(X, Y) differ, or None."""
-    for X in range(1, x_max + 1):
-        for Y in ys:
-            d = sums.S_K_direct(tables, X, Y).value
+    for X, row in enumerate(sums.S_K_direct_grid(tables, x_max, ys), start=1):
+        for Y, d in zip(ys, row):
             r = sums.S_K_reduced(tables, X, Y).value
             if d != r:
                 return (X, Y, d, r)
@@ -78,9 +77,10 @@ def collapse_failure(tables, Js):
     c_J(I) over the enumerated I of norm <= Y differs from the divisor
     collapse, or None."""
     field = tables.field
+    pool = ideals.enumerate_ideals(field, 500)  # one enumeration serves every Y
     for J in Js:
         for Y in (10, 100, 500):
-            naive = sum(ideals.ramanujan_ideal(field, J, I) for I in ideals.enumerate_ideals(field, Y))
+            naive = sum(ideals.ramanujan_ideal(field, J, I) for I in pool if I.norm <= Y)
             coll = ideals.sum_cJ_over_I(tables, J, Y)
             if naive != coll:
                 return (str(J), Y, naive, coll)

@@ -110,6 +110,16 @@ class FactoredIdeal:
                 raise IdealError("ideal norm exceeds 64 bits")
         object.__setattr__(self, "_norm", n)
 
+    @classmethod
+    def _trusted(cls, factors: tuple, norm: int) -> FactoredIdeal:
+        """The ideal with these factors and norm, unchecked: for factors this
+        module built sorted by label, with distinct labels and exponents >= 1,
+        and their known norm.  Every other caller goes through the checks."""
+        I = object.__new__(cls)
+        object.__setattr__(I, "factors", factors)
+        object.__setattr__(I, "_norm", norm)
+        return I
+
     @property
     def norm(self) -> int:
         return self._norm
@@ -148,10 +158,13 @@ def ideal_norm(I: FactoredIdeal) -> int:
 def ideal_gcd(I: FactoredIdeal, J: FactoredIdeal) -> FactoredIdeal:
     ej = dict(J.factors)
     out = []
+    norm = 1
     for lab, e in I.factors:
         if lab in ej:
-            out.append((lab, min(e, ej[lab])))
-    return FactoredIdeal(tuple(out))
+            k = min(e, ej[lab])
+            out.append((lab, k))
+            norm *= lab.norm**k
+    return FactoredIdeal._trusted(tuple(out), norm)
 
 
 def ideal_mul(I: FactoredIdeal, J: FactoredIdeal) -> FactoredIdeal:
@@ -172,7 +185,8 @@ def ideal_divide(J: FactoredIdeal, M: FactoredIdeal) -> FactoredIdeal:
             del acc[lab]
         else:
             acc[lab] = have - e
-    return FactoredIdeal(tuple(acc.items()))
+    # deleting and updating keys keeps J's label order
+    return FactoredIdeal._trusted(tuple(acc.items()), J.norm // M.norm)
 
 
 def ideal_mobius(I: FactoredIdeal) -> int:
@@ -183,10 +197,11 @@ def ideal_mobius(I: FactoredIdeal) -> int:
 
 def _divisors(I: FactoredIdeal):
     """All divisors of I (factored), deterministic order."""
-    divs = [()]
+    divs = [((), 1)]
     for lab, e in I.factors:
-        divs = [d + ((lab, k),) if k else d for d in divs for k in range(e + 1)]
-    return [FactoredIdeal(d) for d in divs]
+        q = lab.norm
+        divs = [(d + ((lab, k),), n * q**k) if k else (d, n) for d, n in divs for k in range(e + 1)]
+    return [FactoredIdeal._trusted(d, n) for d, n in divs]
 
 
 def ramanujan_ideal(field: FieldSpec, J: FactoredIdeal, I: FactoredIdeal) -> int:
@@ -240,8 +255,9 @@ def enumerate_ideals(field: FieldSpec, B: int):
     all_labels = _labels_upto(field, B)
     out = []
 
+    # labels ascend, so each `current` is sorted with distinct labels
     def extend(i, current, norm):
-        out.append(FactoredIdeal(tuple(current)))
+        out.append(FactoredIdeal._trusted(tuple(current), norm))
         for j in range(i, len(all_labels)):
             lab = all_labels[j]
             if lab.p * norm > B:

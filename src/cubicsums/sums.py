@@ -47,6 +47,7 @@ combined with math.fsum in a fixed chunk order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -67,6 +68,7 @@ __all__ = [
     "SumResult",
     "SumsError",
     "S_K_direct",
+    "S_K_direct_grid",
     "S_K_reduced",
     "remainder_R",
     "remainder_values",
@@ -120,14 +122,29 @@ def _floor_div(Y, m: int) -> int:
 
 def S_K_direct(tables: ArithTables, X, Y) -> SumResult:
     """S_K by enumerating every J of norm <= X (exact integers)."""
-    if X > 10**3:
-        raise SumsError(f"direct path enumerates J; X={X} exceeds 1000")
-    if X < 1:
-        return SumResult(X=X, Y=Y, value=0, path="direct_ideal")
-    total = 0
-    for J in enumerate_ideals(tables.field, int(X)):
-        total += sum_cJ_over_I(tables, J, Y)
-    return SumResult(X=X, Y=Y, value=total, path="direct_ideal")
+    rows = S_K_direct_grid(tables, X, (Y,))
+    return SumResult(X=X, Y=Y, value=rows[-1][0] if rows else 0, path="direct_ideal")
+
+
+def S_K_direct_grid(tables: ArithTables, x_max, ys) -> list:
+    """Direct-path S_K(X, Y) for every integer X in 1..x_max and Y in ys, as
+    rows [S_K(X, Y) for Y in ys], X ascending.
+
+    One enumeration to x_max serves every X: each J's collapsed inner sum
+    goes into the bucket of its norm, and a running sum over norms gives
+    S_K(X, Y) for each X in turn.
+    """
+    if x_max > 10**3:
+        raise SumsError(f"direct path enumerates J; X={x_max} exceeds 1000")
+    x_max, ys = int(x_max), tuple(ys)
+    if x_max < 1:
+        return []
+    buckets = [[0] * len(ys) for _ in range(x_max)]
+    for J in enumerate_ideals(tables.field, x_max):
+        bucket = buckets[J.norm - 1]
+        for k, Y in enumerate(ys):
+            bucket[k] += sum_cJ_over_I(tables, J, Y)
+    return list(itertools.accumulate(buckets, lambda run, b: [s + v for s, v in zip(run, b)]))
 
 
 def S_K_reduced(tables: ArithTables, X, Y) -> SumResult:

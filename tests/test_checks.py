@@ -59,6 +59,18 @@ def test_cross_path(tables_nn2_small):
     assert bad[:2] == (7, 10) and bad[3] == bad[2] + 7
 
 
+def test_cross_path_sees_a_dropped_J(tables_nn2_small, monkeypatch):
+    # the direct path enumerates J once for every X: a J it loses must show
+    # at X = N(J), the first X whose sum includes it
+    real = sums.enumerate_ideals
+    dropped = next(J for J in real(tables_nn2_small.field, 10) if J.norm == 5)
+    lost = ideals.sum_cJ_over_I(tables_nn2_small, dropped, 10)
+    assert lost != 0
+    monkeypatch.setattr(sums, "enumerate_ideals", lambda field, B: [J for J in real(field, B) if J != dropped])
+    bad = checks.cross_path_failure(tables_nn2_small, 10, (10, 100))
+    assert bad[:2] == (5, 10) and bad[3] == bad[2] + lost
+
+
 def _prime_ideal(field, p):
     return ideals.FactoredIdeal(((ideals.labels_above(field, p)[0], 1),))
 

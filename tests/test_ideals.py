@@ -2,6 +2,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_fieldspec import RANDOM_COEFFS, _random_field
 
 from cubicsums import arith as ar
 from cubicsums import fieldspec as fs
@@ -171,3 +174,38 @@ class TestSumCJ:
         t = ar.build_tables(field_nn2, 100)
         with pytest.raises(idl.IdealError, match="too short"):
             idl.sum_cJ_over_I(t, idl.UNIT_IDEAL, 500)
+
+
+def _same_as_checked(I):
+    J = idl.FactoredIdeal(I.factors)
+    assert (I.factors, I.norm, hash(I)) == (J.factors, J.norm, hash(J)), str(I)
+
+
+def _trusted_builds_match_checked(field, seed):
+    ids = idl.enumerate_ideals(field, 2000)
+    for I in ids:
+        _same_as_checked(I)
+    # enumerated ideals share small primes, so their gcds are rarely the unit
+    rng = random.Random(seed)
+    for _ in range(40):
+        I, J = rng.choice(ids), rng.choice(ids)
+        K = idl.random_factored_ideal(field, rng, 2000)
+        for A, B in ((I, J), (J, I), (I, K)):
+            _same_as_checked(idl.ideal_gcd(A, B))
+        for M in idl._divisors(I):
+            _same_as_checked(M)
+            _same_as_checked(idl.ideal_divide(I, M))
+
+
+class TestTrustedConstruction:
+    """Enumeration, divisors, gcd and quotients build their ideals without
+    the public constructor's checks; each must equal its checked rebuild."""
+
+    @pytest.mark.parametrize("preset", ["cubic-nonnormal-2", "cubic-cyclic-7"])
+    def test_presets(self, preset):
+        _trusted_builds_match_checked(fs.get_preset(preset), 11)
+
+    @settings(max_examples=15, deadline=None)
+    @given(coeffs=RANDOM_COEFFS, seed=st.integers(0, 2**32 - 1))
+    def test_random_fields(self, coeffs, seed):
+        _trusted_builds_match_checked(_random_field(coeffs), seed)

@@ -3,7 +3,8 @@
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cubicsums"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cubicsums"
 
 
 def _raises_assertion_error(node):
@@ -20,3 +21,16 @@ def test_no_bare_assertions():
             if isinstance(node, ast.Assert) or (isinstance(node, ast.Raise) and _raises_assertion_error(node)):
                 sites.append(f"{path.name}:{node.lineno}")
     assert sites == []
+
+
+def test_unchecked_constructor_stays_in_ideals():
+    # FactoredIdeal._trusted skips the public constructor's checks; only
+    # ideals.py, which builds its factors sorted and valid, may use it
+    sites = {}
+    for path in sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr == "_trusted") or (
+                isinstance(node, ast.Name) and node.id == "_trusted"
+            ):
+                sites.setdefault(path.relative_to(ROOT).as_posix(), []).append(node.lineno)
+    assert list(sites) == ["src/cubicsums/ideals.py"], sites

@@ -18,12 +18,23 @@ class TestCrossPath:
     def test_small_grid_both_presets(self, field_nn2, field_c7):
         for f in (field_nn2, field_c7):
             t = ar.build_tables(f, 1000)
+            grid = sm.S_K_direct_grid(t, 50, (10, 100, 1000))
+            assert len(grid) == 50
+            for X, row in enumerate(grid, start=1):
+                assert row == [sm.S_K_reduced(t, X, Y).value for Y in (10, 100, 1000)], (f.name, X)
             for X in range(1, 13):
                 for Y in (10, 100, 1000):
                     d = sm.S_K_direct(t, X, Y)
                     r = sm.S_K_reduced(t, X, Y)
                     assert d.value == r.value, (f.name, X, Y)
                     assert d.path == "direct_ideal" and r.path == "reduced"
+
+    def test_direct_is_classical_on_rationals(self, field_hook):
+        # over Q the direct path is S1(X, Y); classical_S1 reads no field tables
+        t = ar.build_tables(field_hook, 1000)
+        for Y in (10, 100, 1000):
+            for X in range(1, 41):
+                assert sm.S_K_direct(t, X, Y).value == sm.classical_S1(X, Y), (X, Y)
 
     def test_X1_is_A(self, t1000_nn2):
         for Y in (1, 77, 1000):
