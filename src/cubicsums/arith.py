@@ -77,7 +77,6 @@ __all__ = [
     "error_P",
     "estimate_rho",
     "classical_ramanujan",
-    "mobius",
     "factorize",
     "mobius_sieve",
     "tau_power_sum",
@@ -249,6 +248,14 @@ def partial_A(tables: ArithTables, x) -> int:
     return int(tables.A_prefix[int(x)])
 
 
+def _floor_div(Y, m: int) -> int:
+    # floor(Y / m), exact for integral Y (int or np.integer); for half-integer
+    # Y the quotient is never integral, so float floor cannot straddle a boundary
+    if isinstance(Y, (int, np.integer)):
+        return int(Y) // m
+    return math.floor(Y / m)
+
+
 def partial_M(tables: ArithTables, x) -> int:
     """M_K(x) = sum_{n <= x} mu_K(n)."""
     if x < 0 or x > tables.N:
@@ -331,26 +338,22 @@ def estimate_rho(tables: ArithTables, B: int) -> tuple[RhoEstimate, RhoEstimate]
 # classical (rational) arithmetic helpers
 # ----------------------------------------------------------------------------
 
-def mobius(n: int) -> int:
-    f = factorize(n)
-    if any(e > 1 for e in f.values()):
-        return 0
-    return -1 if len(f) % 2 else 1
-
-
-def divisors(n: int):
-    ds = [1]
-    for p, e in factorize(n).items():
-        ds = [d * p**k for d in ds for k in range(e + 1)]
-    return sorted(ds)
-
-
 def classical_ramanujan(m: int, n: int) -> int:
-    """c_m(n) = sum_{d | gcd(m,n)} d mu(m/d), exact."""
+    """c_m(n) = sum_{d | gcd(m,n)} d mu(m/d), exact, by Hoelder's local
+    factors: c is multiplicative in m, and over p^a || m the factor is
+    p^a - p^(a-1) when p^a | n, -p^(a-1) when p^(a-1) || n, and 0 otherwise."""
     if m < 1 or n < 1:
         raise ValueError("classical_ramanujan needs m, n >= 1")
-    g = math.gcd(m, n)
-    return sum(d * mobius(m // d) for d in divisors(g))
+    c = 1
+    for p, a in factorize(m).items():
+        low = p ** (a - 1)
+        if n % (low * p) == 0:
+            c *= low * p - low
+        elif n % low == 0:
+            c *= -low
+        else:
+            return 0
+    return c
 
 
 def mobius_sieve(n: int) -> np.ndarray:

@@ -21,13 +21,12 @@ which ties the ideal level to the sieved prefix sums.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .arith import ArithTables, partial_A
+from .arith import ArithTables, _floor_div, partial_A
 from .fieldspec import FieldSpec, primes_upto, splitting_type
 
 __all__ = [
@@ -195,41 +194,39 @@ def ideal_mobius(I: FactoredIdeal) -> int:
     return -1 if len(I.factors) % 2 else 1
 
 
-def _divisors(I: FactoredIdeal):
-    """All divisors of I (factored), deterministic order."""
-    divs = [((), 1)]
-    for lab, e in I.factors:
-        q = lab.norm
-        divs = [(d + ((lab, k),), n * q**k) if k else (d, n) for d, n in divs for k in range(e + 1)]
-    return [FactoredIdeal._trusted(d, n) for d, n in divs]
+def _mobius_support(J: FactoredIdeal, I: FactoredIdeal | None = None) -> list:
+    """(N(M), mu(J/M)) over the divisors M of J with mu(J/M) != 0, and M | I
+    when I is given.  At each P^a || J such an M has exponent a (local Moebius
+    factor 1) or a - 1 (factor -1), and M | I keeps those <= v_P(I)."""
+    vI = None if I is None else dict(I.factors)
+    terms = [(1, 1)]
+    for lab, a in J.factors:
+        v = a if vI is None else vI.get(lab, 0)
+        if v < a - 1:
+            return []
+        low = lab.norm ** (a - 1)
+        local = ((low, -1), (low * lab.norm, 1)) if v >= a else ((low, -1),)
+        terms = [(n * m, s * t) for n, s in terms for m, t in local]
+    return terms
 
 
 def ramanujan_ideal(field: FieldSpec, J: FactoredIdeal, I: FactoredIdeal) -> int:
-    """c_J(I) = sum over M | gcd(I, J) of N(M) mu(J/M), exact."""
+    """c_J(I) = sum over M | gcd(I, J) of N(M) mu(J/M), exact, over the M with mu(J/M) != 0."""
     _check_field(field, J)
     _check_field(field, I)
-    g = ideal_gcd(I, J)
-    total = 0
-    for M in _divisors(g):
-        total += M.norm * ideal_mobius(ideal_divide(J, M))
-    return total
+    return sum(n * s for n, s in _mobius_support(J, I))
 
 
 def sum_cJ_over_I(tables: ArithTables, J: FactoredIdeal, Y) -> int:
-    """sum_{N(I) <= Y} c_J(I) via the divisor collapse to A_K.
-
-    Requires tables long enough for every A_K(Y / N(M)), M | J.
-    """
+    """sum_{N(I) <= Y} c_J(I) via the divisor collapse to A_K, over the
+    M | J with mu(J/M) != 0; the tables must reach A_K(Y)."""
     _check_field(tables.field, J)
     if Y < 1:
         return 0
-    total = 0
-    for M in _divisors(J):
-        t = int(Y // M.norm) if isinstance(Y, int) else math.floor(Y / M.norm)
-        if t > tables.N:
-            raise IdealError(f"tables too short: need A_K({t}) but N={tables.N}")
-        total += M.norm * ideal_mobius(ideal_divide(J, M)) * partial_A(tables, t)
-    return total
+    top = _floor_div(Y, 1)
+    if top > tables.N:
+        raise IdealError(f"tables too short: need A_K({top}) but N={tables.N}")
+    return sum(n * s * partial_A(tables, _floor_div(Y, n)) for n, s in _mobius_support(J))
 
 
 def _check_field(field: FieldSpec, I: FactoredIdeal) -> None:
@@ -246,10 +243,10 @@ ENUM_BUDGET = 10**6
 
 
 def enumerate_ideals(field: FieldSpec, B: int):
-    """All integral ideals of norm <= B, each exactly once, sorted by
-    (norm, factorization string).  The histogram by norm must reproduce the
-    sieved a_K table entrywise; that equivalence is the module's master test.
-    """
+    """All integral ideals of norm <= B, each exactly once, sorted by norm;
+    the sort is stable, so ideals of equal norm keep the depth-first label
+    order of `extend`.  The histogram by norm must reproduce the sieved a_K
+    table entrywise; that equivalence is the module's master test."""
     if not 1 <= B <= ENUM_BUDGET:
         raise IdealError(f"B={B} outside 1..{ENUM_BUDGET}")
     all_labels = _labels_upto(field, B)
@@ -274,7 +271,7 @@ def enumerate_ideals(field: FieldSpec, B: int):
                 e += 1
                 n2 *= q
     extend(0, [], 1)
-    out.sort(key=lambda I: (I.norm, I.label_string()))
+    out.sort(key=lambda I: I.norm)
     return out
 
 

@@ -58,6 +58,7 @@ from .arith import (
     ArithTables,
     ArithError,
     RhoEstimate,
+    _floor_div,
     mobius_sieve,
     partial_A,
 )
@@ -110,14 +111,6 @@ class SumResult:
     Y: float
     value: int
     path: str
-
-
-def _floor_div(Y, m: int) -> int:
-    # exact for integral Y; for half-integer Y the quotient is never integral,
-    # so float floor cannot straddle a boundary
-    if isinstance(Y, (int, np.integer)):
-        return int(Y) // m
-    return math.floor(Y / m)
 
 
 def S_K_direct(tables: ArithTables, X, Y) -> SumResult:

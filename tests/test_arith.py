@@ -219,11 +219,31 @@ class TestRho:
             ar.RhoEstimate(value=-1.0, stderr=0.0, method="series_b_over_m", B=1000)
 
 
+def _mobius(n):
+    f = fs.factorize(n)
+    return 0 if any(e > 1 for e in f.values()) else (-1) ** len(f)
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
 class TestClassicalRamanujan:
     def test_trivia(self):
+        mu = ar.mobius_sieve(300)
         assert all(ar.classical_ramanujan(1, n) == 1 for n in range(1, 30))
-        assert all(ar.classical_ramanujan(m, 1) == ar.mobius(m) for m in range(1, 30))
+        assert all(ar.classical_ramanujan(m, 1) == mu[m] for m in range(1, 301))
         assert ar.classical_ramanujan(6, 4) == -1
+        # 8 || m: p^3 | n gives 8 - 4, p^2 || n gives -4, p^1 || n gives 0
+        assert [ar.classical_ramanujan(8, n) for n in (8, 4, 2, 1)] == [4, -4, 0, 0]
+
+    def test_full_divisor_sum(self):
+        # the definition summed over every d | gcd(m, n), zero terms included
+        mu = [0] + [_mobius(n) for n in range(1, 301)]
+        for m in range(1, 301):
+            for n in range(1, 301):
+                want = sum(d * mu[m // d] for d in _divisors(math.gcd(m, n)))
+                assert ar.classical_ramanujan(m, n) == want, (m, n)
 
     def test_exponential_sum_oracle(self):
         for m in range(1, 61):
@@ -243,7 +263,7 @@ class TestClassicalRamanujan:
     def test_mobius_sieve_matches(self):
         mu = ar.mobius_sieve(3000)
         for n in range(1, 3001):
-            assert mu[n] == ar.mobius(n)
+            assert mu[n] == _mobius(n)
 
 
 class TestTauSums:

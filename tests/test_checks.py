@@ -71,6 +71,16 @@ def test_cross_path_sees_a_dropped_J(tables_nn2_small, monkeypatch):
     assert bad[:2] == (5, 10) and bad[3] == bad[2] + lost
 
 
+def test_cross_path_sees_a_dropped_support_term(tables_nn2_small, monkeypatch):
+    # the direct path sums N(M) mu(J/M) over the Moebius support of each J:
+    # with its last pair lost, the unit J, whose support is M = (1) alone,
+    # adds nothing, and X = 1 shows the whole of A_K(Y)
+    real = ideals._mobius_support
+    monkeypatch.setattr(ideals, "_mobius_support", lambda J, I=None: real(J, I)[:-1])
+    bad = checks.cross_path_failure(tables_nn2_small, 10, (10, 100))
+    assert bad == (1, 10, 0, arith.partial_A(tables_nn2_small, 10))
+
+
 def _prime_ideal(field, p):
     return ideals.FactoredIdeal(((ideals.labels_above(field, p)[0], 1),))
 

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import numpy as np
@@ -9,6 +11,17 @@ from test_fieldspec import RANDOM_COEFFS, _random_field
 from cubicsums import arith as ar
 from cubicsums import fieldspec as fs
 from cubicsums import ideals as idl
+
+
+def _seeded_random_field(seed):
+    """The first cubic with coefficients in [-20, 20] drawn from a seeded rng
+    that makes a valid field document."""
+    rng = random.Random(seed)
+    while True:
+        try:
+            return fs.parse_field_spec("poly = {}, {}, {}".format(*(rng.randint(-20, 20) for _ in range(3))))
+        except fs.FieldConfigError:
+            continue
 
 
 class TestFieldIdentity:
@@ -95,6 +108,14 @@ class TestEnumeration:
         b = idl.enumerate_ideals(field_c7, 300)
         assert [i.label_string() for i in a] == [i.label_string() for i in b]
 
+    @pytest.mark.parametrize("preset", ["cubic-nonnormal-2", "cubic-cyclic-7", "seeded-random"])
+    def test_sorted_by_norm_and_repeatable(self, preset):
+        field = _seeded_random_field(5) if preset == "seeded-random" else fs.get_preset(preset)
+        ids = idl.enumerate_ideals(field, 2000)
+        norms = [I.norm for I in ids]
+        assert norms == sorted(norms)
+        assert ids == idl.enumerate_ideals(field, 2000)
+
     def test_budget(self, field_nn2):
         with pytest.raises(idl.IdealError):
             idl.enumerate_ideals(field_nn2, 10**6 + 1)
@@ -106,6 +127,57 @@ class TestEnumeration:
         assert lines[0] == "norm,factorization"
         assert lines[1] == "1,(1)"
         assert len(lines) == 10
+
+
+def _all_divisors(I):
+    """Every divisor of I, through the checked constructor."""
+    divs = [()]
+    for lab, e in I.factors:
+        divs = [d + ((lab, k),) if k else d for d in divs for k in range(e + 1)]
+    return [idl.FactoredIdeal(d) for d in divs]
+
+
+def _c_full(J, I):
+    # the definition over every M | gcd(I, J), zero terms included
+    g = idl.ideal_gcd(I, J)
+    return sum(M.norm * idl.ideal_mobius(idl.ideal_divide(J, M)) for M in _all_divisors(g))
+
+
+def _sum_full(tables, J, Y):
+    # the divisor collapse over every M | J, zero terms included
+    return sum(
+        M.norm * idl.ideal_mobius(idl.ideal_divide(J, M)) * ar.partial_A(tables, Y // M.norm)
+        for M in _all_divisors(J)
+    )
+
+
+def _support_sums_match_full_sums(field, seed):
+    tables = ar.build_tables(field, 2000)
+    ids = idl.enumerate_ideals(field, 2000)
+    small = [J for J in ids if J.norm <= 200]
+    primes = [I.factors[0][0] for I in ids if len(I.factors) == 1 and I.factors[0][1] == 1][:3]
+    rng = random.Random(seed)
+    for _ in range(60):
+        J, I = rng.choice(small), rng.choice(ids)
+        assert idl.ramanujan_ideal(field, J, I) == _c_full(J, I), (str(J), str(I))
+    # J = P^a and P^a Q against I = P^b and P^b Q: zero exactly when b < a - 1
+    zeros = 0
+    for P, Q in itertools.permutations(primes, 2):
+        for a in range(1, 4):
+            for J in (idl.FactoredIdeal(((P, a),)), idl.FactoredIdeal(((P, a), (Q, 1)))):
+                for b in range(a + 2):
+                    Pb = ((P, b),) if b else ()
+                    for I in (idl.FactoredIdeal(Pb), idl.FactoredIdeal(Pb + ((Q, 1),))):
+                        c = idl.ramanujan_ideal(field, J, I)
+                        assert c == _c_full(J, I), (str(J), str(I))
+                        if b < a - 1:
+                            assert c == 0, (str(J), str(I))
+                            zeros += 1
+    assert zeros > 0
+    cubes = [idl.FactoredIdeal(((P, 3), (Q, 1))) for P, Q in itertools.permutations(primes, 2)]
+    for J in [rng.choice(small) for _ in range(10)] + cubes:
+        for Y in (1, 10, 100, 2000):
+            assert idl.sum_cJ_over_I(tables, J, Y) == _sum_full(tables, J, Y), (str(J), Y)
 
 
 class TestRamanujanIdeal:
@@ -145,6 +217,20 @@ class TestRamanujanIdeal:
         J = idl.FactoredIdeal(((P, 1),))
         with pytest.raises(idl.IdealError, match="does not belong"):
             idl.ramanujan_ideal(field_nn2, J, idl.UNIT_IDEAL)
+
+
+class TestSupportAgainstFullSums:
+    """ramanujan_ideal and sum_cJ_over_I sum over the Moebius support only;
+    the definitions over every divisor must give the same integers."""
+
+    @pytest.mark.parametrize("preset", ["cubic-nonnormal-2", "cubic-cyclic-7"])
+    def test_presets(self, preset):
+        _support_sums_match_full_sums(fs.get_preset(preset), 3)
+
+    @settings(max_examples=15, deadline=None)
+    @given(coeffs=RANDOM_COEFFS, seed=st.integers(0, 2**32 - 1))
+    def test_random_fields(self, coeffs, seed):
+        _support_sums_match_full_sums(_random_field(coeffs), seed)
 
 
 class TestSumCJ:
@@ -192,13 +278,15 @@ def _trusted_builds_match_checked(field, seed):
         K = idl.random_factored_ideal(field, rng, 2000)
         for A, B in ((I, J), (J, I), (I, K)):
             _same_as_checked(idl.ideal_gcd(A, B))
-        for M in idl._divisors(I):
-            _same_as_checked(M)
+        # the divisors of I, taken from the enumeration
+        divs = [M for M in ids if all(I.exponent(lab) >= e for lab, e in M.factors)]
+        assert len(divs) == math.prod(e + 1 for _, e in I.factors)
+        for M in divs:
             _same_as_checked(idl.ideal_divide(I, M))
 
 
 class TestTrustedConstruction:
-    """Enumeration, divisors, gcd and quotients build their ideals without
+    """Enumeration, gcd and quotients build their ideals without
     the public constructor's checks; each must equal its checked rebuild."""
 
     @pytest.mark.parametrize("preset", ["cubic-nonnormal-2", "cubic-cyclic-7"])

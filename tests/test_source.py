@@ -1,6 +1,7 @@
 """Rules for the package source, checked on its syntax trees."""
 
 import ast
+import importlib
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -34,3 +35,14 @@ def test_unchecked_constructor_stays_in_ideals():
             ):
                 sites.setdefault(path.relative_to(ROOT).as_posix(), []).append(node.lineno)
     assert list(sites) == ["src/cubicsums/ideals.py"], sites
+
+
+def test_every_exported_name_resolves():
+    # `import *` and the benchmark tracer read every name in a module's
+    # __all__ with getattr, so a stale entry breaks both
+    missing = []
+    for path in sorted(SRC.glob("*.py")):
+        name = "cubicsums" if path.stem == "__init__" else f"cubicsums.{path.stem}"
+        mod = importlib.import_module(name)
+        missing += [f"{name}.{n}" for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
+    assert missing == []

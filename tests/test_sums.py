@@ -6,6 +6,7 @@ import pytest
 
 from cubicsums import arith as ar
 from cubicsums import fieldspec as fs
+from cubicsums import ideals as idl
 from cubicsums import sums as sm
 
 
@@ -35,6 +36,19 @@ class TestCrossPath:
         for Y in (10, 100, 1000):
             for X in range(1, 41):
                 assert sm.S_K_direct(t, X, Y).value == sm.classical_S1(X, Y), (X, Y)
+
+    def test_numpy_integer_Y(self, t1000_nn2):
+        # both paths take floor(Y / n) through arith._floor_div, which treats
+        # np.integer as integral, so np.int64 and int Y give the same values
+        field = t1000_nn2.field
+        for Y in (1, 10, 100, 999):
+            assert sm.S_K_reduced(t1000_nn2, 30, np.int64(Y)).value == sm.S_K_reduced(t1000_nn2, 30, Y).value
+            for J in idl.enumerate_ideals(field, 30):
+                assert idl.sum_cJ_over_I(t1000_nn2, J, np.int64(Y)) == idl.sum_cJ_over_I(t1000_nn2, J, Y)
+        # beyond 2^53 a float quotient would round
+        assert ar._floor_div(np.int64(2**53 + 1), 1) == 2**53 + 1
+        assert ar._floor_div(2**53 + 1, 1) == 2**53 + 1
+        assert ar._floor_div(10.5, 2) == 5
 
     def test_X1_is_A(self, t1000_nn2):
         for Y in (1, 77, 1000):
