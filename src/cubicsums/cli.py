@@ -1,9 +1,12 @@
 """Command-line front end: sieve tables, verify exact identities, run
 experiments, emit CSV/JSON reports.
 
-Exit codes: 0 success, 1 check failure, 2 bad configuration.  Every report
-embeds the full run configuration and a short hash of it; given the same
-configuration and seed the outputs are byte-identical.
+Exit codes: 0 success, 1 check failure, 2 bad configuration.  Each
+subcommand and each experiment takes only the options it reads; any other
+option exits 2.  Every report embeds the full run configuration and a short
+hash of it; given the same configuration and seed the outputs are
+byte-identical.  `experiment exponents-balance` prints its result and writes
+no report.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import math
 import random
 import sys
 from dataclasses import asdict, dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,11 +36,11 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Every setting of a run; a subcommand that does not take an option
-    leaves its field at the default."""
+    """Every setting of a run with its one default; an option that a command
+    line leaves out, or that its subcommand does not take, keeps it."""
 
-    field: str
-    N: int
+    field: str = "cubic-nonnormal-2"
+    N: int = 10**5
     rho_method: str = "series_b_over_m"
     experiment: str | None = None
     output: str | None = None
@@ -64,8 +68,6 @@ class RunConfig:
 
 
 def _parse_int_list(text):
-    if text is None:
-        return None
     return tuple(int(float(t)) for t in str(text).split(",") if t.strip())
 
 
@@ -211,79 +213,49 @@ def cmd_verify(cfg: RunConfig, out=None) -> int:
 def cmd_experiment(cfg: RunConfig, out=None) -> int:
     out = out or sys.stdout
     name = cfg.experiment
-    if name is None:
-        raise ConfigError("experiment name required")
-    if name.startswith("exponents-"):
-        return _exponents_experiment(cfg, name.removeprefix("exponents-"), out)
-    if name in ("tau-growth", "pair-sum", "s1"):
-        return _field_free_experiment(cfg, name, out)
-    field = fieldspec.load_field(cfg.field)
-    if cfg.N < arith.N_MIN:
-        raise ConfigError(f"--N {cfg.N} below the minimum {arith.N_MIN}")
-    # refuse a list where one value is read, before sieving
-    X = _one_value(cfg.X, 1, "--X", "experiment meansquare") if name == "meansquare" else None
-    lo = _one_value(cfg.T, 10**5, "--T", "experiment voronoi") if name == "voronoi" else None
-
-    if not cfg.tables_path:
-        _rho_B(cfg, cfg.N)  # reject a bad --B before sieving
-    tables = _load_tables(cfg, field)
-    B = _rho_B(cfg, tables.N)
-    estimates, rho, meta = _rho_meta(tables, cfg, B)
-    meta["experiment"] = name
+    meta = {"experiment": name}
+    if "--tables" in _EXPERIMENTS[name][1]:
+        field = fieldspec.load_field(cfg.field)
+        if cfg.N < arith.N_MIN:
+            raise ConfigError(f"--N {cfg.N} below the minimum {arith.N_MIN}")
+        # refuse a list where one value is read, before sieving
+        X = _one_value(cfg.X, 1, "--X", "experiment meansquare") if name == "meansquare" else None
+        lo = _one_value(cfg.T, 10**5, "--T", "experiment voronoi") if name == "voronoi" else None
+        if not cfg.tables_path:
+            _rho_B(cfg, cfg.N)  # reject a bad --B before sieving
+        tables = _load_tables(cfg, field)
+        estimates, rho, meta = _rho_meta(tables, cfg, _rho_B(cfg, tables.N))
+        meta["experiment"] = name
+    # the printed result of an exponents scenario stands for its CSV report on stdout
+    emit, footer = True, []
 
     if name == "meansquare":
         reports, _, trend = sums.meansquare_trend(tables, rho, X, cfg.T or (1000,), samples=cfg.samples)
+        columns = ("X", "T", "integral_R2", "main_term", "ratio", "error_est")
         rows = [(X, r.T, r.integral_R2, r.main_term, r.ratio, r.quadrature_error_est) for r in reports]
-        meta["cX"] = reports[0].cX
-        meta["ratio_trend"] = trend
-        meta["disc_cbrt"] = abs(field.disc) ** (1 / 3)
-        _emit(cfg, ("X", "T", "integral_R2", "main_term", "ratio", "error_est"), rows, meta, out)
-        return EXIT_OK
-
-    if name == "meansquare-p2":
+        meta.update(cX=reports[0].cX, ratio_trend=trend, disc_cbrt=abs(field.disc) ** (1 / 3))
+    elif name == "meansquare-p2":
         Ts = cfg.T or (10**5, 2 * 10**5, 4 * 10**5)
-        ys = cfg.y or (4, 32)
-        rows, t_exp, y_exp = sums.p2_meansquare_grid(tables, rho, Ts, ys, samples=cfg.samples)
-        meta["fitted_T_exponent"] = t_exp
-        meta["fitted_y_exponent"] = y_exp
-        _emit(cfg, ("T", "y", "integral_P2sq"), rows, meta, out)
-        return EXIT_OK
-
-    if name == "voronoi":
-        ys = cfg.y or (8, 64, 512)
-        rep = sums.p2_truncation_scan(tables, rho, lo, 2 * lo, 100, ys)
-        meta["fitted_decay_exponent"] = rep.fitted_exponent
-        meta["predicted_exponent"] = -1 / 3
-        rows = list(zip(rep.y_values, rep.medians))
-        _emit(cfg, ("y", "median_abs_P2"), rows, meta, out)
-        return EXIT_OK
-
-    if name == "envelope":
+        rows, t_exp, y_exp = sums.p2_meansquare_grid(tables, rho, Ts, cfg.y or (4, 32), samples=cfg.samples)
+        columns = ("T", "y", "integral_P2sq")
+        meta.update(fitted_T_exponent=t_exp, fitted_y_exponent=y_exp)
+    elif name == "voronoi":
+        rep = sums.p2_truncation_scan(tables, rho, lo, 2 * lo, 100, cfg.y or (8, 64, 512))
+        columns, rows = ("y", "median_abs_P2"), list(zip(rep.y_values, rep.medians))
+        meta.update(fitted_decay_exponent=rep.fitted_exponent, predicted_exponent=-1 / 3)
+    elif name == "envelope":
         rows, fitted = sums.remainder_envelope_scan(tables, rho, cfg.X or (5, 8, 10))
+        columns = ("X", "Y", "R", "envelope", "ratio")
         meta["fitted_constant"] = fitted
-        _emit(cfg, ("X", "Y", "R", "envelope", "ratio"), rows, meta, out)
-        return EXIT_OK
-
-    if name == "rho":
+    elif name == "rho":
+        columns = ("method", "rho", "stderr", "B")
         rows = [(est.method, est.value, est.stderr, est.B) for est in estimates]
-        _emit(cfg, ("method", "rho", "stderr", "B"), rows, meta, out)
-        return EXIT_OK
-
-    if name == "cx":
-        rows = []
+    elif name == "cx":
+        columns, rows = ("X", "cX", "tail_bound", "abs_cX_over_X73"), []
         for X in cfg.X or (10, 100, 1000):
             r = sums.compute_cX(tables, X=X)
             rows.append((X, r.value, r.tail_bound, abs(r.value) / X ** (7 / 3)))
-        _emit(cfg, ("X", "cX", "tail_bound", "abs_cX_over_X73"), rows, meta, out)
-        return EXIT_OK
-
-    raise ConfigError(f"unknown experiment {name!r}")
-
-
-def _field_free_experiment(cfg: RunConfig, name, out) -> int:
-    out = out or sys.stdout
-    meta = {"experiment": name}
-    if name == "tau-growth":
+    elif name == "tau-growth":
         l, q = cfg.l, cfg.q
         xs = cfg.X or (10**4, 10**5, 10**6)
         for option, value, least in (("--l", l, 2), ("--q", q, 1), ("--X", min(xs), 2)):
@@ -301,32 +273,22 @@ def _field_free_experiment(cfg: RunConfig, name, out) -> int:
         for x, scale in zip(xs, scales):
             s = arith.tau_power_sum(l, q, x)
             rows.append((x, s, s / scale))
+        columns = ("x", "sum", "ratio_to_x_log_power")
         meta["l"], meta["q"] = l, q
         meta["loglog_slope"] = sums.fit_loglog_slope(
             np.log(np.array(xs, dtype=float)), np.array([r[1] / r[0] for r in rows])
         )
         meta["reference_exponent"] = l**q - 1
-        _emit(cfg, ("x", "sum", "ratio_to_x_log_power"), rows, meta, out)
-        return EXIT_OK
-    if name == "pair-sum":
+    elif name == "pair-sum":
         Ts = cfg.T or (10**3, 10**4, 10**5)
-        rows = [(T, arith.tau4_cuberoot_pair_sum(T)) for T in Ts]
+        columns, rows = ("T", "pair_sum"), [(T, arith.tau4_cuberoot_pair_sum(T)) for T in Ts]
         meta["fitted_slope"] = sums.fit_loglog_slope(
             np.array([r[0] for r in rows], dtype=float), np.array([r[1] for r in rows])
         )
         meta["reference_exponent"] = 1 / 3
-        _emit(cfg, ("T", "pair_sum"), rows, meta, out)
-        return EXIT_OK
-    if name == "s1":
-        rows = sums.s1_regime_rows()
-        _emit(cfg, ("regime", "X", "Y", "S1", "reference", "relative_gap"), rows, meta, out)
-        return EXIT_OK
-    raise ConfigError(f"unknown experiment {name!r}")
-
-
-def _exponents_experiment(cfg: RunConfig, which, out) -> int:
-    out = out or sys.stdout
-    if which == "balance":
+    elif name == "s1":
+        columns, rows = ("regime", "X", "Y", "S1", "reference", "relative_gap"), sums.s1_regime_rows()
+    elif name == "exponents-balance":
         if not (cfg.expr and cfg.balance_var and cfg.cone):
             raise ConfigError("exponents-balance needs --expr, --var and --cone")
         L = exponents.parse_bound_expr(cfg.expr)
@@ -334,24 +296,22 @@ def _exponents_experiment(cfg: RunConfig, which, out) -> int:
         h1 = exponents.parse_monomial(cfg.h1 or "1")
         h2 = exponents.parse_monomial(cfg.h2 or "1")
         bal = exponents.balance(L, cfg.balance_var, h1, h2)
-        simp = exponents.simplify(bal, cone)
-        print(simp.format() + "  (+eps exponents)", file=out)
+        print(exponents.simplify(bal, cone).format() + "  (+eps exponents)", file=out)
         return EXIT_OK
-    scenario = exponents.SCENARIOS.get(which)
-    if scenario is None:
-        raise ConfigError(f"unknown exponents scenario {which!r}")
-    rep = scenario()
-    print(rep.format_result(), file=out)
-    meta = {
-        "experiment": f"exponents-{which}",
-        "cone": rep.cone.format(),
-        "envelope_ratio": rep.envelope_ratio,
-    }
-    rows = [(t.format(rep.var_order),) for t in rep.simplified.sorted_terms(rep.var_order)]
-    if cfg.output or cfg.fmt == "json":
-        _emit(cfg, ("term",), rows, meta, out)
-    for absorbed, by, gens in rep.absorptions:
-        print(f"absorbed: {absorbed} << {by}  [generator exponents {','.join(gens)}]", file=out)
+    else:
+        rep = exponents.SCENARIOS[name.removeprefix("exponents-")]()
+        print(rep.format_result(), file=out)
+        meta.update(cone=rep.cone.format(), envelope_ratio=rep.envelope_ratio)
+        columns = ("term",)
+        rows = [(t.format(rep.var_order),) for t in rep.simplified.sorted_terms(rep.var_order)]
+        emit = cfg.output or cfg.fmt == "json"
+        footer = [f"absorbed: {absorbed} << {by}  [generator exponents {','.join(gens)}]"
+                  for absorbed, by, gens in rep.absorptions]
+
+    if emit:
+        _emit(cfg, columns, rows, meta, out)
+    for line in footer:
+        print(line, file=out)
     return EXIT_OK
 
 
@@ -363,15 +323,16 @@ def _int(text):
     return int(float(text))
 
 
-# Each option is declared once; a subcommand takes exactly the options it reads.
+# Each option is declared once, without a default: an option left off the
+# command line keeps its RunConfig default.  A subcommand, and each experiment,
+# takes exactly the options it reads.
 _OPTIONS = {
-    "--field": dict(default="cubic-nonnormal-2",
-                    help="preset name, config file path, or inline key=value text"),
-    "--N": dict(type=_int, default=10**5, help="table length"),
-    "--rho-method": dict(default="series_b_over_m", choices=("series_b_over_m", "regression_on_A")),
+    "--field": dict(help="preset name, config file path, or inline key=value text"),
+    "--N": dict(type=_int, help="table length"),
+    "--rho-method": dict(choices=("series_b_over_m", "regression_on_A")),
     "--output": dict(help="output file (default stdout)"),
-    "--format": dict(dest="fmt", default="csv", choices=("csv", "json")),
-    "--seed": dict(type=int, default=0, help="seed of the sampled ideals"),
+    "--format": dict(dest="fmt", choices=("csv", "json")),
+    "--seed": dict(type=int, help="seed of the sampled ideals"),
     "--tables": dict(dest="tables_path", help="load tables from a binary file instead of sieving"),
     "--B": dict(type=_int, help="rho window, in [1000, N] (default min(N, 10^6))"),
     "--csv": dict(dest="csv_preview", help="also export n<=1e4 as CSV"),
@@ -379,9 +340,9 @@ _OPTIONS = {
     "--Y": dict(type=_parse_int_list, help="Y list for the cross-path check"),
     "--T": dict(type=_parse_int_list),
     "--y": dict(type=_parse_int_list),
-    "--samples": dict(type=int, default=4096),
-    "--l": dict(type=int, default=4),
-    "--q": dict(type=int, default=2),
+    "--samples": dict(type=int),
+    "--l": dict(type=int),
+    "--q": dict(type=int),
     "--expr": dict(help="bound expression for exponents-balance"),
     "--var": dict(dest="balance_var", help="variable to balance away"),
     "--h1": dict(help="lower range monomial (default 1)"),
@@ -394,27 +355,50 @@ _SUBCOMMANDS = {
               ("--field", "--N", "--B", "--output", "--csv")),
     "verify": ("run the exact-identity suite (exit 1 on failure)",
                ("--field", "--N", "--seed", "--tables", "--output", "--X", "--Y")),
-    "experiment": ("run one experiment and emit a report",
-                   ("--field", "--N", "--rho-method", "--output", "--format", "--tables", "--B", "--X", "--T",
-                    "--y", "--samples", "--l", "--q", "--expr", "--var", "--h1", "--h2", "--cone")),
+}
+
+# The experiments that read a field's tables are those that take --tables.
+_REPORT = ("--output", "--format")
+_TABLES = ("--field", "--N", "--rho-method", "--tables", "--B", *_REPORT)
+_EXPERIMENTS = {
+    "meansquare": ("mean square of R_K over [T, 2T] against c(X) T^{5/3}", (*_TABLES, "--X", "--T", "--samples")),
+    "meansquare-p2": ("mean square of P2 on a (T, y) grid", (*_TABLES, "--T", "--y", "--samples")),
+    "voronoi": ("median |P2| over [T, 2T] against the truncation y", (*_TABLES, "--T", "--y")),
+    "envelope": ("|R_K(X, 10 X^3)| against its envelope", (*_TABLES, "--X")),
+    "rho": ("both rho_K estimates", _TABLES),
+    "cx": ("c(X) with its tail bound", (*_TABLES, "--X")),
+    "tau-growth": ("growth of the sum of tau_l(n)^q over n <= x", (*_REPORT, "--X", "--l", "--q")),
+    "pair-sum": ("the tau_4 cube-root pair sum at each T", (*_REPORT, "--T")),
+    "s1": ("the classical S1 against its regime references", _REPORT),
+    "exponents-block": ("balance the dyadic-block bound in (Y, M, y)", _REPORT),
+    "exponents-xy": ("simplify the remainder bound in (X, Y)", _REPORT),
+    "exponents-xt": ("balance the mean-square bound in (X, T)", _REPORT),
+    "exponents-balance": ("balance one variable of a bound; prints the result",
+                          ("--expr", "--var", "--h1", "--h2", "--cone")),
 }
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: its ~100 arguments take some 5 ms
+    to add, and one process may run many command lines through `main`."""
     ap = argparse.ArgumentParser(
         prog="cubicsums",
         description="Ramanujan sums over cubic number fields: sieves, exact identity "
         "verification, and error-term experiments.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for command, (text, options) in _SUBCOMMANDS.items():
-        p = sub.add_parser(command, help=text)
-        if command == "experiment":
-            p.add_argument("experiment", help="meansquare | meansquare-p2 | voronoi | envelope | rho | cx | "
-                           "tau-growth | pair-sum | s1 | exponents-block | exponents-xy | exponents-xt")
+    _add_parsers(sub, _SUBCOMMANDS)
+    experiment = sub.add_parser("experiment", help="run one experiment and emit a report")
+    _add_parsers(experiment.add_subparsers(dest="experiment", required=True), _EXPERIMENTS)
+    return ap
+
+
+def _add_parsers(subparsers, table):
+    for name, (text, options) in table.items():
+        p = subparsers.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
         for option in options:
             p.add_argument(option, **_OPTIONS[option])
-    return ap
 
 
 def main(argv=None) -> int:
@@ -425,13 +409,7 @@ def main(argv=None) -> int:
         return EXIT_BAD_CONFIG if exc.code not in (0, None) else 0
     cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)})
     try:
-        if args.command == "sieve":
-            return cmd_sieve(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "experiment":
-            return cmd_experiment(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return {"sieve": cmd_sieve, "verify": cmd_verify, "experiment": cmd_experiment}[args.command](cfg)
     except (ConfigError, fieldspec.FieldConfigError, arith.ArithError, sums.SumsError,
             ideals.IdealError, exponents.ExponentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,6 +23,7 @@ collapse to its classical integer counterpart.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field as dataclass_field
@@ -136,22 +137,59 @@ def discriminant_monic_cubic(c0: int, c1: int, c2: int) -> int:
     return c2 * c2 * c1 * c1 - 4 * c1**3 - 4 * c2**3 * c0 - 27 * c0 * c0 + 18 * c2 * c1 * c0
 
 
+# trial division runs to this bound; every n <= _TRIAL_LIMIT^2 is factored by it alone
+_TRIAL_LIMIT = 1000
+
+
 def factorize(n: int) -> dict:
-    """Prime factorization {p: e} by trial division; fine for the desk-scale
-    inputs (discriminants, conductors, Ramanujan-sum arguments)."""
+    """Prime factorization {p: e} with p ascending: trial division by p up to
+    _TRIAL_LIMIT, then a cofactor left over is split by Miller-Rabin and
+    Pollard's rho, so coefficients far beyond desk scale still factor."""
     if n < 1:
         raise ValueError("factorize needs n >= 1")
     out = {}
     m = n
     p = 2
-    while p * p <= m:
+    while p * p <= m and p <= _TRIAL_LIMIT:
         while m % p == 0:
             out[p] = out.get(p, 0) + 1
             m //= p
         p += 1 if p == 2 else 2
-    if m > 1:
+    if m > 1 and p * p > m:  # m is prime
         out[m] = out.get(m, 0) + 1
+    elif m > 1:  # no prime factor of m is up to _TRIAL_LIMIT
+        for q in sorted(_large_prime_factors(m)):
+            out[q] = out.get(q, 0) + 1
     return out
+
+
+def _large_prime_factors(m: int) -> list:
+    """The prime factors of m, with multiplicity, when m has none up to
+    _TRIAL_LIMIT (so m is odd).  A square goes through its root: a poly disc
+    is index^2 times the field disc, and rho needs about p^(1/2) steps to
+    find the p of a p^2."""
+    if _is_prime(m):
+        return [m]
+    r = math.isqrt(m)
+    if r * r == m:
+        return 2 * _large_prime_factors(r)
+    d = _pollard_rho(m)
+    return _large_prime_factors(d) + _large_prime_factors(m // d)
+
+
+def _pollard_rho(n: int) -> int:
+    """A proper factor of the odd composite n by Pollard's rho (Floyd's cycle
+    finding), trying x^2 + c for c = 1, 2, ... until one gives a factor."""
+    for c in itertools.count(1):
+        x = y = 2
+        g = 1
+        while g == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = math.gcd(x - y, n)
+        if g != n:
+            return g
 
 
 def squarefree_decompose(D: int) -> tuple:
@@ -167,18 +205,14 @@ def squarefree_decompose(D: int) -> tuple:
 
 
 def _integer_roots(c0: int, c1: int, c2: int):
-    """Integer roots of the monic cubic (enough to decide irreducibility)."""
+    """Integer roots of the monic cubic (enough to decide irreducibility):
+    the divisors of c0 and their negatives that are roots."""
     if c0 == 0:
         return [0]
-    roots = []
-    a = abs(c0)
-    for r in range(1, math.isqrt(a) + 1):
-        if a % r:
-            continue
-        for cand in {r, -r, a // r, -(a // r)}:
-            if ((cand + c2) * cand + c1) * cand + c0 == 0:
-                roots.append(cand)
-    return sorted(set(roots))
+    divisors = [1]
+    for p, e in factorize(abs(c0)).items():
+        divisors = [d * p**k for d in divisors for k in range(e + 1)]
+    return sorted(r for d in divisors for r in (d, -d) if ((r + c2) * r + c1) * r + c0 == 0)
 
 
 # ----------------------------------------------------------------------------

@@ -1,16 +1,19 @@
 import json
 import os
 import re
+import shlex
 import struct
 import subprocess
 import sys
+import types
 
 import pytest
 
 from cubicsums import arith as ar
 from cubicsums import cli
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 
 def run(argv, capsys):
@@ -145,6 +148,8 @@ class TestExperiments:
         assert rc == 0
         assert "X^{31/9} T^{14/9}" in stdout and "X^{26/9} T^{29/18}" in stdout
         assert "+eps" in stdout
+        # on stdout as CSV the printed result stands for the report: no table
+        assert "config_hash" not in stdout and stdout.splitlines()[1].startswith("absorbed: ")
 
     def test_exponents_report_independent_of_hash_seed(self):
         # frozenset order follows string hashing; summed in that order with plain
@@ -161,9 +166,12 @@ class TestExperiments:
 
     def test_exponents_block_csv(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
-        rc, _, _ = run(["experiment", "exponents-block", "--output", str(out)], capsys)
+        rc, stdout, _ = run(["experiment", "exponents-block", "--output", str(out)], capsys)
         assert rc == 0
         assert "term" in out.read_text()
+        # the result, then the report's path, then the absorptions
+        lines = stdout.splitlines()
+        assert lines[1] == f"wrote {out}" and lines[2].startswith("absorbed: ")
 
     def test_meansquare_small(self, capsys):
         rc, stdout, _ = run(
@@ -209,11 +217,12 @@ class TestExperiments:
         assert [row[0] for row in payload["rows"]] == [10**3, 10**4, 10**5] and payload["columns"][0] == "T"
 
     def test_field_free_experiments_read_no_field(self, capsys):
-        # like exponents-*, they run whatever --field and --N say
+        # like exponents-*, they take no --field and no --N
         tau = ["tau-growth", "--X", "1000,10000", "--l", "2", "--q", "1"]
         for argv in (["s1"], ["pair-sum", "--T", "100,400"], tau):
-            rc, _, err = run(["experiment", *argv, "--field", "florp", "--N", "10"], capsys)
-            assert rc == 0, (argv, err)
+            rc, stdout, err = run(["experiment", *argv, "--field", "florp"], capsys)
+            assert rc == 2 and stdout == "", argv
+            assert "unrecognized arguments: --field florp" in err, argv
 
     def test_rho_experiment(self, capsys):
         rc, stdout, _ = run(["experiment", "rho", "--N", "5000", "--B", "5000"], capsys)
@@ -301,9 +310,9 @@ class TestExperiments:
         assert "ends inside its header" in err and "Traceback" not in err
 
     def test_unknown_experiment(self, capsys):
-        rc, _, err = run(["experiment", "florp", "--N", "1000"], capsys)
-        assert rc == 2
-        assert "unknown experiment" in err
+        rc, stdout, err = run(["experiment", "florp", "--N", "1000"], capsys)
+        assert rc == 2 and stdout == ""
+        assert "invalid choice: 'florp'" in err
 
     def test_unknown_field(self, capsys):
         rc, _, err = run(["experiment", "rho", "--field", "florp", "--N", "1000"], capsys)
@@ -314,32 +323,83 @@ class TestExperiments:
         assert rc == 2
 
 
+REPORT = {"--output", "--format"}
+TABLES = {"--field", "--N", "--rho-method", "--tables", "--B"} | REPORT
 OPTIONS = {
     "sieve": {"--field", "--N", "--B", "--output", "--csv"},
     "verify": {"--field", "--N", "--seed", "--tables", "--output", "--X", "--Y"},
-    "experiment": {"--field", "--N", "--rho-method", "--output", "--format", "--tables", "--B", "--X", "--T",
-                   "--y", "--samples", "--l", "--q", "--expr", "--var", "--h1", "--h2", "--cone"},
+    "experiment meansquare": TABLES | {"--X", "--T", "--samples"},
+    "experiment meansquare-p2": TABLES | {"--T", "--y", "--samples"},
+    "experiment voronoi": TABLES | {"--T", "--y"},
+    "experiment envelope": TABLES | {"--X"},
+    "experiment rho": TABLES,
+    "experiment cx": TABLES | {"--X"},
+    "experiment tau-growth": REPORT | {"--X", "--l", "--q"},
+    "experiment pair-sum": REPORT | {"--T"},
+    "experiment s1": REPORT,
+    "experiment exponents-block": REPORT,
+    "experiment exponents-xy": REPORT,
+    "experiment exponents-xt": REPORT,
+    "experiment exponents-balance": {"--expr", "--var", "--h1", "--h2", "--cone"},
 }
 
 
+def _readme_command_lines():
+    """The `cubicsums ...` lines of README's CLI block, continuations joined."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        block = fh.read().split("## CLI\n", 1)[1].split("\n##", 1)[0]
+    text = block.replace("\\\n", " ")
+    return [shlex.split(line, comments=True)[1:] for line in text.splitlines()
+            if line.strip().startswith("cubicsums ")]
+
+
 class TestOptions:
-    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    @pytest.mark.parametrize("command", OPTIONS, ids=lambda command: command.replace(" ", "-"))
     def test_help_lists_the_options_read(self, command, capsys):
-        rc, stdout, _ = run([command, "--help"], capsys)
+        rc, stdout, _ = run([*command.split(), "--help"], capsys)
         assert rc == 0
         assert set(re.findall(r"--[\w-]+", stdout)) - {"--help"} == OPTIONS[command]
+
+    def test_every_experiment_is_listed(self, capsys):
+        rc, stdout, _ = run(["experiment", "--help"], capsys)
+        assert rc == 0
+        names = {command.split()[1] for command in OPTIONS if command.startswith("experiment ")}
+        assert set(cli._EXPERIMENTS) == names and all(name in stdout for name in names)
+        assert sum(len(options) for _, options in cli._EXPERIMENTS.values()) == 73
 
     @pytest.mark.parametrize("command,option,value", [
         ("sieve", "--rho-method", "regression_on_A"), ("sieve", "--format", "json"), ("sieve", "--seed", "5"),
         ("sieve", "--tables", "t.bin"), ("verify", "--rho-method", "regression_on_A"),
         ("verify", "--format", "json"), ("verify", "--B", "2000"), ("experiment", "--Y", "10"),
-        ("experiment", "--seed", "5"),
+        ("experiment", "--seed", "5"), ("experiment rho", "--samples", "99"), ("experiment s1", "--field", "florp"),
+        ("experiment voronoi", "--X", "5"), ("experiment exponents-balance", "--output", "b.txt"),
+        ("experiment pair-sum", "--N", "1000"), ("experiment tau-growth", "--tables", "t.bin"),
+        ("experiment exponents-xt", "--B", "2000"),
     ])
     def test_option_not_read_is_rejected(self, command, option, value, capsys):
-        argv = [command, *(["s1"] if command == "experiment" else []), option, value]
+        # a bare "experiment" stands for s1
+        argv = [*command.split(), *(["s1"] if command == "experiment" else []), option, value]
         rc, stdout, err = run(argv, capsys)
         assert rc == 2 and stdout == ""
         assert f"unrecognized arguments: {option} {value}" in err
+
+    @pytest.mark.parametrize("workload", ["sieve", "verify", "errorterm"])
+    def test_benchmark_command_lines_parse(self, workload):
+        # executed from its source, so no bytecode cache is written beside it
+        path = os.path.join(ROOT, "perfbench", "workloads.py")
+        workloads = types.ModuleType("workloads")
+        with open(path, encoding="utf-8") as fh:
+            exec(compile(fh.read(), path, "exec"), vars(workloads))
+        argvs = [step["argv"] for step in workloads.setup_steps(workload, "t.bin") + workloads.steps(workload, 0, "t.bin")]
+        assert argvs
+        for argv in argvs:
+            cli.build_parser().parse_args(argv)
+
+    def test_readme_command_lines_parse(self):
+        argvs = _readme_command_lines()
+        assert len(argvs) >= 7 and ["experiment", "s1", "--format", "json"] in argvs
+        for argv in argvs:
+            cli.build_parser().parse_args(argv)
 
 
 class TestConfigHash:
@@ -358,3 +418,7 @@ class TestConfigHash:
         rc, stdout, _ = run(["experiment", "rho", "--N", "3000"], capsys)
         assert rc == 0
         assert stdout.startswith("# config_hash=c2837eeacb96\n")
+        # with every option left at its RunConfig default
+        rc, stdout, _ = run(["experiment", "s1"], capsys)
+        assert rc == 0
+        assert stdout.startswith("# config_hash=434b02a41d93\n")

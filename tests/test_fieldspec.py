@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -298,6 +299,45 @@ class TestDedekind:
         f = fs.parse_field_spec("poly = -20001200018, 0, 0\noverride.100003 = 1:3")
         assert fs.splitting_type(f, 100003).pattern == "P1^3"
 
+    def test_large_coefficients_finish(self):
+        # c0 = 10000000019 is a prime = 2 mod 9, so x^3 - c0 is a valid pure cubic;
+        # the reducible cubic has the root 10^18 + 3
+        start = time.perf_counter()
+        f = fs.parse_field_spec("poly = -10000000019, 0, 0")
+        assert f.disc == -27 * 10000000019**2
+        assert time.perf_counter() - start < 2
+        start = time.perf_counter()
+        with pytest.raises(fs.FieldConfigError, match="reducible \\(root 1000000000000000003\\)"):
+            fs.parse_field_spec("poly = -1000000000000000003, -1000000000000000002, -1000000000000000002")
+        assert time.perf_counter() - start < 2
+
+
+def _trial_division(n):
+    out, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+class TestFactorize:
+    def test_matches_trial_division(self):
+        for n in range(1, 10**5 + 1):
+            assert list(fs.factorize(n).items()) == list(_trial_division(n).items()), n
+
+    def test_products_of_primes_near_1e9(self):
+        # beyond the trial-division bound the cofactor goes to Pollard's rho
+        ps = [p for p in range(10**9 - 100, 10**9 + 100) if fs._is_prime(p)]
+        assert len(ps) >= 6
+        for p in ps[:3]:
+            for q in ps[-3:]:
+                assert list(fs.factorize(p * q).items()) == [(p, 1), (q, 1)]
+            assert fs.factorize(12 * p * p) == {2: 2, 3: 1, p: 2}
+
 
 class TestSplitting:
     def test_nn2_examples(self, field_nn2):
@@ -473,6 +513,29 @@ class TestSplitting:
         ps = fs.primes_upto(10**4)
         for x in (0, 1, -1, 2**30 - 1, 2**30, -(2**60) - 7, 2**63, -27 * 20001200018**2, 3**100):
             assert fs._residues(x, ps).tolist() == [x % p for p in ps.tolist()], x
+
+    def test_shanks_simplest_cubics(self):
+        # x^3 - a x^2 - (a + 3) x - 1 is cyclic with poly disc (a^2 + 3a + 9)^2
+        # (Shanks, Math. Comp. 28, 1974): bulk codes match splitting_type, and
+        # the code of an unramified p > 3 depends only on p mod a^2 + 3a + 9
+        refused = []
+        for a in range(-1, 40):
+            try:
+                f = fs.parse_field_spec(f"poly = -1, {-(a + 3)}, {-a}")
+            except fs.FieldConfigError:
+                refused.append(a)
+                continue
+            m = a * a + 3 * a + 9
+            assert f.poly_disc == m * m
+            ps, codes = fs.splitting_codes(f, 3000)
+            for p, c in zip(ps.tolist(), codes.tolist()):
+                assert fs.splitting_type(f, p).components == fs.SHAPES[c].components, (a, p)
+            code_of_class = {}
+            ps, codes = fs.splitting_codes(f, 10**5)
+            for p, c in zip(ps.tolist(), codes.tolist()):
+                if p > 3 and m % p:
+                    assert code_of_class.setdefault(p % m, c) == c, (a, p)
+        assert refused == [3, 5, 12, 21, 30, 39]
 
     def test_large_prime_smoke(self, field_nn2):
         st = fs.splitting_type(field_nn2, 2**31 + 11)  # prime above the vector range

@@ -222,6 +222,13 @@ def _truncated_inner(tables, cut):
     return inner
 
 
+# besides the presets, Shanks' simplest cubic at a = 1 (disc 169, normal) and
+# the seeded random field of test_ideals (disc 12577, not normal)
+CX_FIELDS = ["cubic-nonnormal-2", "cubic-cyclic-7",
+             pytest.param("name = shanks-1\npoly = -1, -4, -1", id="shanks-1"),
+             pytest.param("name = random-12577\npoly = -5, -17, -10", id="random-12577")]
+
+
 class TestComputeCX:
     def test_rationals_hook_is_classical(self, field_hook):
         Z, _ = sm._euler_Z(field_hook)
@@ -251,12 +258,14 @@ class TestComputeCX:
             want = _pair_loop_cX(tables, X, lambda m1, m2: Z * h[m1] * h[m2])
             assert sm.compute_cX(tables, X).value == pytest.approx(want, rel=1e-12), field.name
 
-    @pytest.mark.parametrize("preset", ["cubic-nonnormal-2", "cubic-cyclic-7"])
-    def test_h_against_truncated_sums(self, preset, tables_nn2_1m, tables_c7_1m):
+    @pytest.mark.parametrize("spec", CX_FIELDS)
+    def test_h_against_truncated_sums(self, spec, request):
         # sum_n a_K(n m1) a_K(n m2) n^{-4/3} / sum_n a_K(n)^2 n^{-4/3} -> h(m1) h(m2),
         # with both sums cut at the same n; exactly 0 where an inert prime splits m1, m2
-        tables = tables_nn2_1m if preset == "cubic-nonnormal-2" else tables_c7_1m
-        h = sm._h_values(fs.get_preset(preset), 30)
+        field = fs.load_field(spec)
+        fixture = {"cubic-nonnormal-2": "tables_nn2_1m", "cubic-cyclic-7": "tables_c7_1m"}.get(spec)
+        tables = request.getfixturevalue(fixture) if fixture else ar.build_tables(field, 10**6)
+        h = sm._h_values(field, 30)
         inner = _truncated_inner(tables, tables.N // 30)
         base = inner(1, 1)
         for m1 in range(1, 31):
@@ -274,9 +283,9 @@ class TestComputeCX:
         ratios = [b / a for a, b in zip(gaps, gaps[1:])]
         assert all(0.75 <= r <= 0.9 for r in ratios), ratios
 
-    @pytest.mark.parametrize("preset", ["cubic-nonnormal-2", "cubic-cyclic-7"])
-    def test_tail_window_estimates_truncation(self, preset):
-        field = fs.get_preset(preset)
+    @pytest.mark.parametrize("spec", CX_FIELDS)
+    def test_tail_window_estimates_truncation(self, spec):
+        field = fs.load_field(spec)
         Z5, window5 = sm._euler_Z(field, 10**5)
         Z6, _ = sm._euler_Z(field)
         err = abs(Z5 - Z6) / Z6
