@@ -6,112 +6,4 @@ error term, mean-square experiments, and an exact-rational calculus for
 balancing asymptotic bound expressions.
 """
 
-from .arith import (
-    ArithTables,
-    RhoEstimate,
-    build_tables,
-    classical_ramanujan,
-    error_P,
-    estimate_rho,
-    partial_A,
-    partial_M,
-    read_tables,
-    tau4_cuberoot_pair_sum,
-    tau_power_sum,
-    write_tables,
-)
-from .exponents import (
-    BoundExpr,
-    ConstraintCone,
-    Monomial,
-    balance,
-    dominates,
-    numeric_envelope_check,
-    parse_bound_expr,
-    parse_monomial,
-    simplify,
-)
-from .fieldspec import (
-    FieldSpec,
-    SplittingType,
-    get_preset,
-    load_field,
-    local_aK,
-    parse_field_spec,
-    splitting_type,
-)
-from .ideals import (
-    FactoredIdeal,
-    PrimeIdealLabel,
-    UNIT_IDEAL,
-    enumerate_ideals,
-    ideal_gcd,
-    ideal_divide,
-    ideal_mobius,
-    ideal_norm,
-    ramanujan_ideal,
-    sum_cJ_over_I,
-)
-from .sums import (
-    MeanSquareReport,
-    S_K_direct,
-    S_K_reduced,
-    classical_S1,
-    compute_cX,
-    meansquare_P2,
-    meansquare_R,
-    remainder_R,
-    voronoi_P1,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ArithTables",
-    "BoundExpr",
-    "ConstraintCone",
-    "FactoredIdeal",
-    "FieldSpec",
-    "MeanSquareReport",
-    "Monomial",
-    "PrimeIdealLabel",
-    "RhoEstimate",
-    "SplittingType",
-    "UNIT_IDEAL",
-    "S_K_direct",
-    "S_K_reduced",
-    "balance",
-    "build_tables",
-    "classical_S1",
-    "classical_ramanujan",
-    "compute_cX",
-    "dominates",
-    "enumerate_ideals",
-    "error_P",
-    "estimate_rho",
-    "get_preset",
-    "ideal_divide",
-    "ideal_gcd",
-    "ideal_mobius",
-    "ideal_norm",
-    "load_field",
-    "local_aK",
-    "meansquare_P2",
-    "meansquare_R",
-    "numeric_envelope_check",
-    "parse_bound_expr",
-    "parse_field_spec",
-    "parse_monomial",
-    "partial_A",
-    "partial_M",
-    "ramanujan_ideal",
-    "read_tables",
-    "remainder_R",
-    "simplify",
-    "splitting_type",
-    "sum_cJ_over_I",
-    "tau4_cuberoot_pair_sum",
-    "tau_power_sum",
-    "voronoi_P1",
-    "write_tables",
-]

@@ -88,7 +88,6 @@ __all__ = [
     "dirichlet_convolution",
     "convolution_identity_failure",
     "b_sum_identity_failure",
-    "b_growth_statistic",
     "max_abs_ratio",
     "cubic_character",
     "b_from_cubic_character",
@@ -497,11 +496,6 @@ def max_abs_ratio(values: np.ndarray, s: float) -> float:
         m = np.arange(lo, lo + len(v), dtype=np.float64)
         best = max(best, float(np.max(np.abs(v) / m**s)))
     return best
-
-
-def b_growth_statistic(tables: ArithTables) -> float:
-    """max |b(m)| / m^0.1 over the table (reported, not asserted)."""
-    return max_abs_ratio(tables.b, 0.1)
 
 
 # ----------------------------------------------------------------------------

@@ -54,7 +54,7 @@ def cross_path_failure(tables, x_max, ys):
     evaluations of S_K(X, Y) differ, or None."""
     for X, row in enumerate(sums.S_K_direct_grid(tables, x_max, ys), start=1):
         for Y, d in zip(ys, row):
-            r = sums.S_K_reduced(tables, X, Y).value
+            r = sums.S_K_reduced(tables, X, Y)
             if d != r:
                 return (X, Y, d, r)
     return None
@@ -67,7 +67,7 @@ def ideal_sample_failure(field, samples):
         g = ideals.ideal_gcd(I, J)
         if ideals.ramanujan_ideal(field, J, I) != ideals.ramanujan_ideal(field, J, g):
             return ("gcd-dependence", str(J), str(I))
-        if ideals.ideal_norm(ideals.ideal_mul(I, Icop)) != I.norm * Icop.norm:
+        if ideals.ideal_mul(I, Icop).norm != I.norm * Icop.norm:
             return ("norm multiplicativity", str(I), str(Icop))
     return None
 
@@ -118,7 +118,12 @@ def remainder_failure(tables, rho, Y):
 
 def voronoi_split_failure(tables, rho, Y, y):
     """(P1 + P2, P_K(Y)) if the truncated expansion and its residual miss
-    P_K(Y) by more than 1e-9 relative, else None."""
+    P_K(Y) by more than 1e-9 relative, else None.
+
+    This row cannot fail: sums.voronoi_P1 defines P2 as P_K - P1, so the sum
+    is P_K up to rounding.  It stays because the benchmark reference pins its
+    name "P1 + P2 = P_K"; a check of P1 against an independently computed
+    value is still to be written."""
     p1, p2 = sums.voronoi_P1(tables, rho, Y, y)
     pk = arith.error_P(tables, rho, Y)
     return None if abs((p1 + p2) - pk) <= 1e-9 * max(1.0, abs(pk)) else (p1 + p2, pk)
@@ -200,7 +205,7 @@ def field_suite(tables, rng, x_max, ys):
     mbound = arith.max_abs_ratio(tables.M_prefix, 1)
     rows.append((field.name, "report max|M_K(x)|/x", True,
                  f"{mbound:.6f}" + (" (>1: bound violated)" if mbound > 1 else "")))
-    rows.append((field.name, "report max|b(m)|/m^0.1", True, f"{arith.b_growth_statistic(tables):.6f}"))
+    rows.append((field.name, "report max|b(m)|/m^0.1", True, f"{arith.max_abs_ratio(tables.b, 0.1):.6f}"))
     return rows
 
 

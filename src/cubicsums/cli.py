@@ -336,9 +336,9 @@ _OPTIONS = {
     "--tables": dict(dest="tables_path", help="load tables from a binary file instead of sieving"),
     "--B": dict(type=_int, help="rho window, in [1000, N] (default min(N, 10^6))"),
     "--csv": dict(dest="csv_preview", help="also export n<=1e4 as CSV"),
-    "--X": dict(type=_parse_int_list, help="comma-separated X values; verify takes one"),
+    "--X": dict(type=_parse_int_list, help="comma-separated X values; verify and experiment meansquare read one"),
     "--Y": dict(type=_parse_int_list, help="Y list for the cross-path check"),
-    "--T": dict(type=_parse_int_list),
+    "--T": dict(type=_parse_int_list, help="comma-separated T values; experiment voronoi reads one"),
     "--y": dict(type=_parse_int_list),
     "--samples": dict(type=int),
     "--l": dict(type=int),

@@ -46,7 +46,6 @@ __all__ = [
     "preset_names",
     "splitting_type",
     "splitting_codes",
-    "local_aK",
     "local_ideal_counts",
     "dedekind_p_maximal",
     "primes_upto",
@@ -709,11 +708,3 @@ def local_ideal_counts(f_shape, kmax: int):
         for k in range(f, kmax + 1):
             out[k] += out[k - f]
     return out
-
-
-def local_aK(field: FieldSpec, p: int, kmax: int):
-    """a_K(p^k) for k = 0..kmax, from the splitting of p."""
-    if kmax < 0:
-        raise ValueError("kmax must be >= 0")
-    st = splitting_type(field, p)
-    return local_ideal_counts(st.f_shape, kmax)

@@ -35,7 +35,6 @@ __all__ = [
     "IdealError",
     "labels_above",
     "enumerate_ideals",
-    "ideal_norm",
     "ideal_gcd",
     "ideal_mul",
     "ideal_divide",
@@ -43,7 +42,6 @@ __all__ = [
     "ramanujan_ideal",
     "sum_cJ_over_I",
     "random_factored_ideal",
-    "ideals_to_csv",
 ]
 
 _NORM_LIMIT = 2**63 - 1
@@ -123,10 +121,6 @@ class FactoredIdeal:
     def norm(self) -> int:
         return self._norm
 
-    @property
-    def is_unit(self) -> bool:
-        return not self.factors
-
     def exponent(self, lab: PrimeIdealLabel) -> int:
         for l2, e in self.factors:
             if l2 == lab:
@@ -137,7 +131,7 @@ class FactoredIdeal:
         return self.label_string()
 
     def label_string(self) -> str:
-        """Deterministic factorization string "p^e(f)*..." used by CSV export."""
+        """Deterministic factorization string "p^e(f)*..."."""
         if not self.factors:
             return "(1)"
         parts = []
@@ -148,10 +142,6 @@ class FactoredIdeal:
 
 
 UNIT_IDEAL = FactoredIdeal()
-
-
-def ideal_norm(I: FactoredIdeal) -> int:
-    return I.norm
 
 
 def ideal_gcd(I: FactoredIdeal, J: FactoredIdeal) -> FactoredIdeal:
@@ -281,13 +271,6 @@ def histogram_by_norm(ideals, B: int) -> np.ndarray:
         if I.norm <= B:
             h[I.norm] += 1
     return h
-
-
-def ideals_to_csv(ideals, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("norm,factorization\n")
-        for I in ideals:
-            fh.write(f"{I.norm},{I.label_string()}\n")
 
 
 def random_factored_ideal(field: FieldSpec, rng, norm_bound: int) -> FactoredIdeal:

@@ -66,7 +66,6 @@ from .fieldspec import SHAPES, FieldSpec, local_ideal_counts, splitting_codes
 from .ideals import enumerate_ideals, sum_cJ_over_I
 
 __all__ = [
-    "SumResult",
     "SumsError",
     "S_K_direct",
     "S_K_direct_grid",
@@ -105,18 +104,10 @@ class SumsError(RuntimeError):
 # the two exact evaluation paths for S_K
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SumResult:
-    X: float
-    Y: float
-    value: int
-    path: str
-
-
-def S_K_direct(tables: ArithTables, X, Y) -> SumResult:
+def S_K_direct(tables: ArithTables, X, Y) -> int:
     """S_K by enumerating every J of norm <= X (exact integers)."""
     rows = S_K_direct_grid(tables, X, (Y,))
-    return SumResult(X=X, Y=Y, value=rows[-1][0] if rows else 0, path="direct_ideal")
+    return rows[-1][0] if rows else 0
 
 
 def S_K_direct_grid(tables: ArithTables, x_max, ys) -> list:
@@ -140,29 +131,29 @@ def S_K_direct_grid(tables: ArithTables, x_max, ys) -> list:
     return list(itertools.accumulate(buckets, lambda run, b: [s + v for s, v in zip(run, b)]))
 
 
-def S_K_reduced(tables: ArithTables, X, Y) -> SumResult:
-    """S_K via the norm-collapsed convolution (exact integers)."""
+def _reduced_weights(tables: ArithTables, X) -> list:
+    """(m, m a_K(m) M_K(X/m)) for every m <= X whose weight is nonzero."""
     Xi = int(X)
-    if Xi > tables.N or int(Y) > tables.N:
-        raise SumsError(f"tables too short for X={X}, Y={Y} (N={tables.N})")
-    if Xi < 1 or Y < 1:
-        return SumResult(X=X, Y=Y, value=0, path="reduced")
-    total = 0
+    out = []
     for m in range(1, Xi + 1):
-        am = int(tables.aK[m])
-        if am == 0:
-            continue
-        Ml = int(tables.M_prefix[Xi // m])
-        if Ml == 0:
-            continue
-        Av = int(tables.A_prefix[_floor_div(Y, m)])
-        total += m * am * Ml * Av
-    return SumResult(X=X, Y=Y, value=total, path="reduced")
+        w = m * int(tables.aK[m]) * int(tables.M_prefix[Xi // m])
+        if w:
+            out.append((m, w))
+    return out
+
+
+def S_K_reduced(tables: ArithTables, X, Y) -> int:
+    """S_K via the norm-collapsed convolution (exact integers)."""
+    if int(X) > tables.N or int(Y) > tables.N:
+        raise SumsError(f"tables too short for X={X}, Y={Y} (N={tables.N})")
+    if Y < 1:
+        return 0
+    return sum(w * int(tables.A_prefix[_floor_div(Y, m)]) for m, w in _reduced_weights(tables, X))
 
 
 def remainder_R(tables: ArithTables, rho: RhoEstimate, X, Y) -> float:
     """R_K(X, Y) = S_K(X, Y) - rho_K Y (reduced path)."""
-    return S_K_reduced(tables, X, Y).value - rho.value * Y
+    return S_K_reduced(tables, X, Y) - rho.value * Y
 
 
 def remainder_values(tables: ArithTables, rho: RhoEstimate, X, ys: np.ndarray) -> np.ndarray:
@@ -170,17 +161,9 @@ def remainder_values(tables: ArithTables, rho: RhoEstimate, X, ys: np.ndarray) -
     ys = np.asarray(ys, dtype=np.float64)
     if ys.size and (ys.max() > tables.N or ys.min() < 1):
         raise SumsError("Y values outside table range")
-    Xi = int(X)
     acc = np.zeros_like(ys)
-    for m in range(1, Xi + 1):
-        am = int(tables.aK[m])
-        if am == 0:
-            continue
-        Ml = int(tables.M_prefix[Xi // m])
-        if Ml == 0:
-            continue
-        idx = np.floor(ys / m).astype(np.int64)
-        acc += float(m * am * Ml) * tables.A_prefix[idx]
+    for m, w in _reduced_weights(tables, X):
+        acc += float(w) * tables.A_prefix[np.floor(ys / m).astype(np.int64)]
     return acc - rho.value * ys
 
 

@@ -360,6 +360,20 @@ class TestOptions:
         assert rc == 0
         assert set(re.findall(r"--[\w-]+", stdout)) - {"--help"} == OPTIONS[command]
 
+    @pytest.mark.parametrize("command", [c for c in OPTIONS if OPTIONS[c] & {"--X", "--T"}],
+                             ids=lambda command: command.replace(" ", "-"))
+    def test_help_names_the_commands_that_read_one_value(self, command, capsys):
+        # the note after ";" in the help of --X and --T names exactly the
+        # commands that refuse a list for that option
+        one_value = {("verify", "--X"), ("experiment meansquare", "--X"), ("experiment voronoi", "--T")}
+        rc, stdout, _ = run([*command.split(), "--help"], capsys)
+        assert rc == 0
+        text = " ".join(stdout.split())
+        for option in sorted(OPTIONS[command] & {"--X", "--T"}):
+            note = text.split(f"{option} {option[2:]} ")[-1].split(" --", 1)[0].split(";")[1]
+            assert re.fullmatch(r" .* reads? one", note), note
+            assert (command in note) == ((command, option) in one_value), (command, option, note)
+
     def test_every_experiment_is_listed(self, capsys):
         rc, stdout, _ = run(["experiment", "--help"], capsys)
         assert rc == 0

@@ -115,7 +115,7 @@ class TestParsing:
         f = fs.parse_field_spec("poly = 8, -2, 1\noverride.2 = 1:1+1:1+1:1")
         st = fs.splitting_type(f, 2)
         assert st.components == ((1, 1), (1, 1), (1, 1))
-        assert fs.local_aK(f, 2, 2) == [1, 3, 6]
+        assert fs.local_ideal_counts(st.f_shape, 2) == [1, 3, 6]
 
     def test_override_key_must_be_prime(self):
         # a composite key names no prime ideal, so no prime's shape may be taken from it
@@ -549,7 +549,7 @@ class TestSplitting:
             if field_c7.poly_disc % p == 0:
                 continue
             nroots = len(fs.roots_mod_p(c0, c1, c2, p))
-            aKp = fs.local_aK(field_c7, p, 1)[1]
+            aKp = fs.local_ideal_counts(fs.splitting_type(field_c7, p).f_shape, 1)[1]
             assert aKp in (0, 3)
             assert (aKp == 3) == (nroots == 3)
 
@@ -586,7 +586,3 @@ class TestLocalCounts:
                 sum(series[i] * geo[k - i] for i in range(k + 1)) for k in range(kmax + 1)
             ]
         assert fs.local_ideal_counts(shape, kmax) == series
-
-    def test_kmax_negative(self, field_nn2):
-        with pytest.raises(ValueError):
-            fs.local_aK(field_nn2, 2, -1)

@@ -46,3 +46,18 @@ def test_every_exported_name_resolves():
         mod = importlib.import_module(name)
         missing += [f"{name}.{n}" for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
     assert missing == []
+
+
+def _binds_library_names(node):
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").split(".")[0] == "cubicsums"
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "cubicsums" for alias in node.names)
+    return isinstance(node, ast.Name) and node.id == "__all__"
+
+
+def test_package_init_binds_no_library_names():
+    # callers import each name from the module that defines it
+    # (`from cubicsums import sums`); the package namespace re-exports nothing
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree) if _binds_library_names(node)] == []

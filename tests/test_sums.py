@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from test_fieldspec import RANDOM_COEFFS, _random_field
 
 from cubicsums import arith as ar
 from cubicsums import fieldspec as fs
@@ -22,27 +24,24 @@ class TestCrossPath:
             grid = sm.S_K_direct_grid(t, 50, (10, 100, 1000))
             assert len(grid) == 50
             for X, row in enumerate(grid, start=1):
-                assert row == [sm.S_K_reduced(t, X, Y).value for Y in (10, 100, 1000)], (f.name, X)
+                assert row == [sm.S_K_reduced(t, X, Y) for Y in (10, 100, 1000)], (f.name, X)
             for X in range(1, 13):
                 for Y in (10, 100, 1000):
-                    d = sm.S_K_direct(t, X, Y)
-                    r = sm.S_K_reduced(t, X, Y)
-                    assert d.value == r.value, (f.name, X, Y)
-                    assert d.path == "direct_ideal" and r.path == "reduced"
+                    assert sm.S_K_direct(t, X, Y) == sm.S_K_reduced(t, X, Y), (f.name, X, Y)
 
     def test_direct_is_classical_on_rationals(self, field_hook):
         # over Q the direct path is S1(X, Y); classical_S1 reads no field tables
         t = ar.build_tables(field_hook, 1000)
         for Y in (10, 100, 1000):
             for X in range(1, 41):
-                assert sm.S_K_direct(t, X, Y).value == sm.classical_S1(X, Y), (X, Y)
+                assert sm.S_K_direct(t, X, Y) == sm.classical_S1(X, Y), (X, Y)
 
     def test_numpy_integer_Y(self, t1000_nn2):
         # both paths take floor(Y / n) through arith._floor_div, which treats
         # np.integer as integral, so np.int64 and int Y give the same values
         field = t1000_nn2.field
         for Y in (1, 10, 100, 999):
-            assert sm.S_K_reduced(t1000_nn2, 30, np.int64(Y)).value == sm.S_K_reduced(t1000_nn2, 30, Y).value
+            assert sm.S_K_reduced(t1000_nn2, 30, np.int64(Y)) == sm.S_K_reduced(t1000_nn2, 30, Y)
             for J in idl.enumerate_ideals(field, 30):
                 assert idl.sum_cJ_over_I(t1000_nn2, J, np.int64(Y)) == idl.sum_cJ_over_I(t1000_nn2, J, Y)
         # beyond 2^53 a float quotient would round
@@ -52,17 +51,17 @@ class TestCrossPath:
 
     def test_X1_is_A(self, t1000_nn2):
         for Y in (1, 77, 1000):
-            assert sm.S_K_reduced(t1000_nn2, 1, Y).value == ar.partial_A(t1000_nn2, Y)
+            assert sm.S_K_reduced(t1000_nn2, 1, Y) == ar.partial_A(t1000_nn2, Y)
 
     def test_Y1_is_M(self, t1000_nn2):
         for X in (1, 20, 50):
-            assert sm.S_K_direct(t1000_nn2, X, 1).value == ar.partial_M(t1000_nn2, X)
+            assert sm.S_K_direct(t1000_nn2, X, 1) == ar.partial_M(t1000_nn2, X)
 
     def test_X2_hand_expansion(self, t1000_nn2):
         # (m,l) in {(1,1),(1,2),(2,1)}: A(Y) - A(Y) + 2 A(Y/2)
         for Y in (10, 100, 1000):
             want = 2 * ar.partial_A(t1000_nn2, Y // 2)
-            assert sm.S_K_reduced(t1000_nn2, 2, Y).value == want
+            assert sm.S_K_reduced(t1000_nn2, 2, Y) == want
 
     def test_direct_enumeration_cap(self, t1000_nn2):
         with pytest.raises(sm.SumsError):
@@ -257,6 +256,20 @@ class TestComputeCX:
             Z, h = sm._euler_Z(field)[0], sm._h_values(field, X)
             want = _pair_loop_cX(tables, X, lambda m1, m2: Z * h[m1] * h[m2])
             assert sm.compute_cX(tables, X).value == pytest.approx(want, rel=1e-12), field.name
+
+    @settings(max_examples=15, deadline=None)
+    @given(coeffs=RANDOM_COEFFS)
+    def test_random_cubics_pair_loop_and_multiplicative_h(self, coeffs):
+        field = _random_field(coeffs)
+        t = ar.build_tables(field, 1000)
+        Z, h = sm._euler_Z(field)[0], sm._h_values(field, 30)
+        want = _pair_loop_cX(t, 30, lambda m1, m2: Z * h[m1] * h[m2])
+        assert sm.compute_cX(t, 30).value == pytest.approx(want, rel=1e-12)
+        assert h[1] == 1
+        for m1 in range(2, 31):
+            for m2 in range(m1 + 1, 30 // m1 + 1):
+                if math.gcd(m1, m2) == 1:
+                    assert h[m1 * m2] == pytest.approx(h[m1] * h[m2], rel=1e-12), (m1, m2)
 
     @pytest.mark.parametrize("spec", CX_FIELDS)
     def test_h_against_truncated_sums(self, spec, request):
