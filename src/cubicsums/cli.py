@@ -178,8 +178,12 @@ def cmd_sieve(cfg: RunConfig, out=None) -> int:
 def cmd_verify(cfg: RunConfig, out=None) -> int:
     out = out or sys.stdout
     X = _one_value(cfg.X, 50, "--X", "verify")
+    Ys = cfg.Y or (10, 100, 1000)
     if cfg.N < arith.N_MIN:
         raise ConfigError(f"--N {cfg.N} below the minimum {arith.N_MIN}")
+    for option, value in (("--X", X), ("--Y", min(Ys))):
+        if value < 1:
+            raise ConfigError(f"{option} {value} below the minimum 1")
     if cfg.field == "all" and cfg.tables_path:
         raise ConfigError("--tables holds one field's tables; name that field instead of --field all")
     names = (
@@ -190,7 +194,7 @@ def cmd_verify(cfg: RunConfig, out=None) -> int:
     for name in names:
         field = fieldspec.load_field(name)
         tables = _load_tables(cfg, field)
-        rows += checks.field_suite(tables, rng, X, cfg.Y or (10, 100, 1000))
+        rows += checks.field_suite(tables, rng, X, Ys)
         del tables  # freed before the next field is sieved
     rows += checks.classical_suite()
     rows = [(fname, name, "pass" if ok else "FAIL", detail) for fname, name, ok, detail in rows]

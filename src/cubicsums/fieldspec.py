@@ -278,7 +278,7 @@ def _euclid_root_count(a, b, c, c0, c1, c2, p):
     return 1 if q == 0 else 0
 
 
-_LADDER_P_BOUND = 1 << 30  # _cardano_splits sums residue products exactly only below this
+_LADDER_P_BOUND = 1 << 30  # _power_vector sums residue products exactly only below this
 
 
 def _residues(x: int, ps: np.ndarray) -> np.ndarray:
@@ -292,6 +292,31 @@ def _residues(x: int, ps: np.ndarray) -> np.ndarray:
     for shift in range(30 * ((mag.bit_length() - 1) // 30), -1, -30):
         r = ((r << 30) + ((mag >> shift) & (2**30 - 1))) % ps
     return r if x >= 0 else -r % ps
+
+
+def _power_vector(z0, z1, d, e, ps) -> tuple:
+    """(z0 + z1 R)^e in F_p[R]/(R^2 - d) for every prime p in ps (int64,
+    p < 2^30), as the pair (w0, w1) of its coefficients in [0, p).
+
+    z0, z1 and d are residues mod p (scalars or arrays aligned with ps) and
+    e is an array of exponents >= 0.  Square-and-multiply from the top bit
+    of max(e), starting at W = 1: the leading zero bits of a shorter
+    exponent leave W unchanged.  Each bit squares W = w0 + w1 R into
+    (w0^2 + d w1^2, 2 w0 w1) and multiplies by z where its bit is 1 (a 0/1
+    blend, no branch).  Each product of residues is below 2^60 and each sum
+    of two below 2^61, so larger primes are refused.
+    """
+    if int(ps.max(initial=0)) >= _LADDER_P_BOUND:
+        raise FieldConfigError(f"prime {int(ps.max())} is outside the power ladder's range p < 2^30")
+    dz1 = d * z1 % ps
+    w0, w1 = np.ones_like(ps), np.zeros_like(ps)
+    for i in range(int(e.max(initial=0)).bit_length() - 1, -1, -1):
+        s0 = (w0 * w0 + d * (w1 * w1 % ps)) % ps
+        s1 = 2 * w0 * w1 % ps
+        k = (e >> i) & 1
+        w0 = s0 + k * ((s0 * z0 + s1 * dz1) % ps - s0)
+        w1 = s1 + k * ((s0 * z1 + s1 * z0) % ps - s1)
+    return w0, w1
 
 
 def _cardano_invariants(c0: int, c1: int, c2: int) -> tuple:
@@ -324,40 +349,13 @@ def _cardano_splits(c0: int, c1: int, c2: int, ps: np.ndarray) -> np.ndarray:
       it is even ((disc/p) = 1), so it is trivial.  If z is no cube, the
       resolvent u is not in F_p^2 and the roots cannot all be in F_p.
 
-    Square-and-multiply over the bits of e, vectorized over primes whose e
-    has equal bit length.  Each bit squares W = w0 + w1 R into
-    (w0^2 + D' w1^2, 2 w0 w1) and multiplies by Z where its bit is 1 (a 0/1
-    blend, no branch).  Each product of residues is below 2^60 and each sum
-    of two below 2^61, so each bit costs 5 reductions; larger primes are
-    refused.
+    W comes from one _power_vector ladder over all the primes at once.
     """
-    ps = np.asarray(ps, dtype=np.int64)
-    if len(ps) and int(ps.max()) >= _LADDER_P_BOUND:
-        raise FieldConfigError(
-            f"prime {int(ps.max())} is outside the cube test's range p < 2^30"
-        )
     P3, Q27, Dp = _cardano_invariants(c0, c1, c2)
-    e = (ps + 1) // 3
-    splits = np.zeros(ps.shape, dtype=bool)
-    for nbits in range(1, _LADDER_P_BOUND.bit_length()):
-        grp = (e >> (nbits - 1)) == 1
-        if not grp.any():
-            continue
-        p, eg = ps[grp], e[grp]
-        d, q = _residues(Dp, p), _residues(-Q27, p)
-        flat = _residues(P3, p) == 0
-        z0 = np.where(flat, q, 4 * q % p)
-        z1 = np.where(flat, 0, 4)
-        dz1 = d * z1 % p
-        w0, w1 = z0, z1
-        for i in range(nbits - 2, -1, -1):
-            s0 = (w0 * w0 + d * (w1 * w1 % p)) % p
-            s1 = 2 * w0 * w1 % p
-            k = (eg >> i) & 1
-            w0 = s0 + k * ((s0 * z0 + s1 * dz1) % p - s0)
-            w1 = s1 + k * ((s0 * z1 + s1 * z0) % p - s1)
-        splits[grp] = (w1 == 0) & ((p % 3 == 2) | (w0 == 1))
-    return splits
+    q, flat = _residues(-Q27, ps), _residues(P3, ps) == 0
+    z0, z1 = np.where(flat, q, 4 * q % ps), np.where(flat, 0, 4)
+    w0, w1 = _power_vector(z0, z1, _residues(Dp, ps), (ps + 1) // 3, ps)
+    return (w1 == 0) & ((ps % 3 == 2) | (w0 == 1))
 
 
 # ----------------------------------------------------------------------------
@@ -642,22 +640,6 @@ def splitting_type(field: FieldSpec, p: int) -> SplittingType:
     return SHAPES[_CODE_BY_ROOTS[_count_roots_py(*field.poly, p), field.poly_disc % p == 0]]
 
 
-def _euler_criterion_vector(dmod: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """d^((p-1)/2) mod p for every prime p in ps (int64, < 2^31), given
-    dmod = d mod p.
-
-    Square-and-multiply over the bits of (p-1)/2, vectorized over all primes
-    at once: the leading zero bits of a shorter exponent leave the result 1.
-    Each bit multiplies by 1 + k (d - 1), d or 1 for its bit k, not a branch.
-    """
-    e = ps >> 1
-    r = np.ones_like(ps)
-    nbits = int(e.max()).bit_length() if len(ps) else 0
-    for i in range(nbits - 1, -1, -1):
-        r = r * r % ps * (1 + ((e >> i) & 1) * (dmod - 1)) % ps
-    return r
-
-
 def splitting_codes(field: FieldSpec, N: int):
     """Splitting-shape codes for every prime p <= N.
 
@@ -668,26 +650,23 @@ def splitting_codes(field: FieldSpec, N: int):
     dividing the polynomial discriminant D, (D/p) = (-1)^(3 - r) with r the
     number of irreducible factors of f mod p.  So (D/p) = -1 means one root
     (P1 P2), and (D/p) = +1 means split or inert, split exactly when
-    Cardano's value is a cube (_cardano_splits).  For a square D every such
-    p has (D/p) = +1; else (D/p) is computed once per residue class of p
-    mod 4|D| (mod N + 1 when that is smaller: then every prime is a class
-    of its own).  The few primes left, p <= 3 (Cardano divides by 3),
-    p | D and the override primes, go to splitting_type.
+    Cardano's value is a cube (_cardano_splits).  (D/p) is Euler's
+    criterion D^((p-1)/2) mod p by _power_vector, taken once per residue
+    class of p mod 4|D| (mod N + 1 when that is smaller: then every prime is
+    a class of its own).  The few primes left, p <= 3 (Cardano divides by
+    3), p | D and the override primes, go to splitting_type.
     """
     ps = primes_upto(N)
     if field.is_rational_hook:
         return ps, np.full(len(ps), T_RATIONAL, dtype=np.int8)
     D = field.poly_disc
     scalar = (_residues(D, ps) == 0) | (ps <= 3) | np.isin(ps, list(field.index_divisor_overrides))
-    if D > 0 and math.isqrt(D) ** 2 == D:
-        plus = ~scalar
-    else:
-        # for odd p not dividing D, (D/p) depends only on p mod 4|D| (quadratic
-        # reciprocity): one Euler test per residue class, at one of its primes
-        classes, cls = np.unique(ps % min(4 * abs(D), N + 1), return_inverse=True)
-        rep = np.empty(len(classes), dtype=np.int64)
-        rep[cls] = ps
-        plus = ~scalar & (_euler_criterion_vector(_residues(D, rep), rep)[cls] == 1)
+    # for odd p not dividing D, (D/p) depends only on p mod 4|D| (quadratic
+    # reciprocity): one Euler test per residue class, at one of its primes
+    classes, cls = np.unique(ps % min(4 * abs(D), N + 1), return_inverse=True)
+    rep = np.empty(len(classes), dtype=np.int64)
+    rep[cls] = ps
+    plus = ~scalar & (_power_vector(_residues(D, rep), 0, 0, rep >> 1, rep)[0][cls] == 1)
     codes = np.full(len(ps), T_PARTIAL, dtype=np.int8)
     codes[plus] = np.where(_cardano_splits(*field.poly, ps[plus]), T_SPLIT, T_INERT)
     for i in np.flatnonzero(scalar):

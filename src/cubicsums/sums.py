@@ -211,6 +211,8 @@ def voronoi_P1_values(tables: ArithTables, ys: np.ndarray, y_trunc) -> np.ndarra
 def _half_integer_grid(T: int, samples: int):
     """Deterministic half-integer sample points covering [T, 2T)."""
     m = int(min(samples, T))
+    if m < 1:
+        raise SumsError(f"quadrature over [T, 2T] needs min(samples, T) >= 1; got samples={samples}, T={T}")
     offsets = (np.arange(m, dtype=np.float64) * (T / m)).astype(np.int64)
     ys = T + offsets.astype(np.float64) + 0.5
     return ys, T / m
@@ -412,12 +414,6 @@ class MeanSquareReport:
     samples: int
     quadrature_error_est: float
 
-    def __post_init__(self):
-        if self.samples < 33:
-            raise SumsError("mean-square quadrature needs samples >= 33")
-        if self.integral_R2 < 0:
-            raise SumsError("negative mean-square integral")
-
     @property
     def ratio(self) -> float:
         return self.integral_R2 / self.main_term if self.main_term else math.inf
@@ -446,8 +442,8 @@ def meansquare_R(
         raise SumsError(f"need T >= 10X, got T={T}, X={X}")
     if 2 * T > tables.N:
         raise SumsError(f"need 2T <= N, got T={T}, N={tables.N}")
-    if samples < 33:
-        raise SumsError("samples >= 33 required")
+    if min(samples, T) < 33:
+        raise SumsError(f"need min(samples, T) >= 33 quadrature points; got T={T}, samples={samples}")
     integral, n_used = _quad_R2(tables, rho, X, T, samples)
     coarse, _ = _quad_R2(tables, rho, X, T, max(17, n_used // 2))
     err = 2.0 * abs(integral - coarse) + 1e-9 * abs(integral)

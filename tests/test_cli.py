@@ -344,6 +344,64 @@ OPTIONS = {
 }
 
 
+# numeric options whose value 0 or -1 is out of every command's domain
+# (any seed is a seed)
+NUMERIC = sorted(o for o, spec in cli._OPTIONS.items()
+                 if spec.get("type") in (int, cli._int, cli._parse_int_list) and o != "--seed")
+
+# one valid small command line for each command that takes a numeric option;
+# {t} is a table file of 4000 entries and {d} a scratch directory
+SWEEP_BASE = {
+    "sieve": ["--N", "4000", "--output", "{d}/s.bin"],
+    "verify": ["--tables", "{t}", "--N", "4000", "--X", "5", "--Y", "10"],
+    "experiment meansquare": ["--tables", "{t}", "--N", "4000", "--B", "2000", "--X", "1", "--T", "100",
+                              "--samples", "64"],
+    "experiment meansquare-p2": ["--tables", "{t}", "--N", "4000", "--B", "2000", "--T", "500,1000", "--y", "2,4",
+                                 "--samples", "64"],
+    "experiment voronoi": ["--tables", "{t}", "--N", "4000", "--B", "2000", "--T", "1000", "--y", "2,4"],
+    "experiment envelope": ["--tables", "{t}", "--N", "4000", "--B", "2000", "--X", "5"],
+    "experiment rho": ["--tables", "{t}", "--N", "4000", "--B", "2000"],
+    "experiment cx": ["--tables", "{t}", "--N", "4000", "--B", "2000", "--X", "10"],
+    "experiment tau-growth": ["--X", "100,1000", "--l", "2", "--q", "1"],
+    "experiment pair-sum": ["--T", "100,400"],
+}
+SWEEP = [(command, option, value) for command in SWEEP_BASE
+         for option in NUMERIC if option in OPTIONS[command] for value in ("0", "-1")]
+
+
+@pytest.fixture(scope="module")
+def sweep_paths(tmp_path_factory):
+    d = tmp_path_factory.mktemp("sweep")
+    t = d / "t.bin"
+    assert cli.main(["sieve", "--N", "4000", "--output", str(t)]) == 0
+    return {"d": str(d), "t": str(t)}
+
+
+def _sweep_argv(command, paths, option=None, value=None):
+    base = [arg.format(**paths) for arg in SWEEP_BASE[command]]
+    pairs = dict(zip(base[::2], base[1::2]))
+    if option:
+        pairs[option] = value
+    return [*command.split(), *(f"{o}={v}" for o, v in pairs.items())]
+
+
+class TestDomainSweep:
+    def test_every_numeric_option_is_swept(self):
+        assert {c for c in OPTIONS if OPTIONS[c] & set(NUMERIC)} == set(SWEEP_BASE)
+        assert set(NUMERIC) == {"--N", "--B", "--X", "--Y", "--T", "--y", "--samples", "--l", "--q"}
+
+    @pytest.mark.parametrize("command", SWEEP_BASE, ids=lambda command: command.replace(" ", "-"))
+    def test_base_line_is_valid(self, command, sweep_paths, capsys):
+        rc, _, err = run(_sweep_argv(command, sweep_paths), capsys)
+        assert rc == 0, err
+
+    @pytest.mark.parametrize("command,option,value", SWEEP,
+                             ids=lambda x: x.replace(" ", "-") if isinstance(x, str) else x)
+    def test_zero_and_negative_values_exit_2(self, command, option, value, sweep_paths, capsys):
+        rc, _, err = run(_sweep_argv(command, sweep_paths, option, value), capsys)
+        assert rc == 2 and "error:" in err, err
+
+
 def _readme_command_lines():
     """The `cubicsums ...` lines of README's CLI block, continuations joined."""
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:

@@ -17,6 +17,26 @@ from cubicsums import fieldspec as fs
 RANDOM_COEFFS = st.tuples(*[st.integers(-20, 20)] * 3)
 
 
+SMALL_PRIMES = fs.primes_upto(10**5).tolist()
+
+
+def _top_ladder_primes(count):
+    """The `count` largest primes below 2^30, the power ladder's bound, and
+    the first prime above it."""
+    top, n = [], 2**30 - 1
+    while len(top) < count:
+        if fs._is_prime(n):
+            top.append(n)
+        n -= 2
+    above = 2**30 + 1
+    while not fs._is_prime(above):
+        above += 2
+    return top, above
+
+
+TOP_LADDER_PRIMES, FIRST_PRIME_ABOVE_LADDER = _top_ladder_primes(200)
+
+
 def _random_field(coeffs):
     try:
         return fs.parse_field_spec("poly = {}, {}, {}".format(*coeffs))
@@ -413,9 +433,9 @@ class TestSplitting:
         f = _random_field(coeffs)
         ps, codes = fs.splitting_codes(f, 10**5)
         D = f.poly_disc
-        odd = (ps != 2) & (D % ps != 0)
-        minus = fs._euler_criterion_vector(D % ps[odd], ps[odd]) == ps[odd] - 1
-        assert np.array_equal(codes[odd] == fs.T_PARTIAL, minus), coeffs
+        odd = [i for i, p in enumerate(ps.tolist()) if p != 2 and D % p]
+        minus = [pow(D, (p - 1) // 2, p) == p - 1 for p in ps[odd].tolist()]
+        assert (codes[odd] == fs.T_PARTIAL).tolist() == minus, coeffs
 
     @settings(max_examples=40, deadline=None)
     @given(coeffs=RANDOM_COEFFS)
@@ -462,26 +482,67 @@ class TestSplitting:
             assert splits.any() and not splits.all(), poly
 
     def test_vector_paths_at_top_of_domain(self):
-        # the cube test's sums of residue products are exact only for p < 2^30;
-        # check both vector paths on the largest primes below that bound
-        bound = 2**30
-        top = []
-        n = bound - 1
-        while len(top) < 200:
-            if fs._is_prime(n):
-                top.append(n)
-            n -= 2
-        ps = np.array(top, dtype=np.int64)
+        # the power ladder's sums of residue products are exact only for
+        # p < 2^30; check the cube test and Euler's criterion on the largest
+        # primes below that bound
+        ps = np.array(TOP_LADDER_PRIMES, dtype=np.int64)
         for poly in self.CUBE_TEST_POLYS:
-            self._cube_test_agrees(poly, top)
+            self._cube_test_agrees(poly, TOP_LADDER_PRIMES)
             D = fs.discriminant_monic_cubic(*poly)
-            euler = fs._euler_criterion_vector(D % ps, ps)
-            assert euler.tolist() == [pow(D, (p - 1) // 2, p) for p in top], D
-        above = bound + 1
-        while not fs._is_prime(above):
-            above += 2
+            euler = fs._power_vector(fs._residues(D, ps), 0, 0, ps >> 1, ps)[0]
+            assert euler.tolist() == [pow(D, (p - 1) // 2, p) for p in TOP_LADDER_PRIMES], D
         with pytest.raises(fs.FieldConfigError, match="2\\^30"):
-            fs._cardano_splits(-2, 0, 0, np.array([5, above], dtype=np.int64))
+            fs._cardano_splits(-2, 0, 0, np.array([5, FIRST_PRIME_ABOVE_LADDER], dtype=np.int64))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_power_vector_matches_square_and_multiply(self, data):
+        # (z0 + z1 R)^e in F_p[R]/(R^2 - d) against plain Python ints, on
+        # small primes and on primes at the top of the ladder's domain
+        pool = data.draw(st.sampled_from([SMALL_PRIMES, TOP_LADDER_PRIMES]))
+        ps = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+        z0, z1, d = ([data.draw(st.integers(0, p - 1)) for p in ps] for _ in range(3))
+        e = data.draw(st.lists(st.integers(0, 2**31 - 1), min_size=len(ps), max_size=len(ps)))
+
+        def power(z0, z1, d, e, p):
+            w0, w1 = 1, 0
+            for bit in bin(e)[2:]:
+                w0, w1 = (w0 * w0 + d * w1 * w1) % p, 2 * w0 * w1 % p
+                if bit == "1":
+                    w0, w1 = (w0 * z0 + d * w1 * z1) % p, (w0 * z1 + w1 * z0) % p
+            return w0, w1
+
+        arr = [np.array(v, dtype=np.int64) for v in (z0, z1, d, e, ps)]
+        w0, w1 = fs._power_vector(*arr)
+        assert list(zip(w0.tolist(), w1.tolist())) == [power(*args) for args in zip(z0, z1, d, e, ps)]
+
+    def test_power_vector_refuses_primes_from_2_30(self):
+        for p in (FIRST_PRIME_ABOVE_LADDER, 2**31 - 1):
+            ps = np.array([5, p], dtype=np.int64)
+            with pytest.raises(fs.FieldConfigError, match="2\\^30"):
+                fs._power_vector(np.array([2, 2]), 0, 0, ps >> 1, ps)
+
+    @pytest.mark.parametrize("name", ["cubic-nonnormal-2", "cubic-cyclic-7"])
+    def test_legendre_once_per_residue_class(self, name, monkeypatch):
+        # the first of the two ladder calls takes (D/p) once per class of p
+        # mod 4|D| (at most N + 1 classes), for a square D too; the second is
+        # Cardano's cube test on the split-or-inert primes
+        field = fs.get_preset(name)
+        D = field.poly_disc
+        sizes = []
+        real = fs._power_vector
+
+        def recording(z0, z1, d, e, ps):
+            sizes.append(len(ps))
+            return real(z0, z1, d, e, ps)
+
+        monkeypatch.setattr(fs, "_power_vector", recording)
+        for N in (100, 10**5):
+            sizes.clear()
+            ps, codes = fs.splitting_codes(field, N)
+            assert len(sizes) == 2 and sizes[0] <= min(4 * abs(D), N + 1), (N, sizes)
+            cube_tested = (ps > 3) & (D % ps != 0) & ((codes == fs.T_SPLIT) | (codes == fs.T_INERT))
+            assert sizes[1] == np.count_nonzero(cube_tested), N
 
     @pytest.mark.parametrize("name", ["cubic-nonnormal-2", "cubic-cyclic-7"])
     def test_vector_path_covers_other_primes(self, name, monkeypatch):

@@ -316,6 +316,23 @@ class TestComputeCX:
             sm.compute_cX(ar.build_tables(field_nn2, 500), 600)
 
 
+class TestQuadratureGrid:
+    def test_fewer_than_one_point_refused(self, tables_nn2_small, rho_nn2):
+        # min(samples, T) is the number of points; each quadrature refuses 0 and -1
+        for samples in (0, -1):
+            for call in (lambda: sm.meansquare_P2(tables_nn2_small, rho_nn2, 1000, 2, samples=samples),
+                         lambda: sm.quadrature_PK_squared(tables_nn2_small, rho_nn2, 1000, samples),
+                         lambda: sm._quad_R2(tables_nn2_small, rho_nn2, 1, 1000, samples)):
+                with pytest.raises(sm.SumsError, match=r"min\(samples, T\) >= 1"):
+                    call()
+
+    def test_meansquare_names_T_when_T_is_short(self, tables_nn2_small, rho_nn2):
+        # the default 4096 samples are not the cause: only 20 points fit in [20, 40)
+        with pytest.raises(sm.SumsError, match="T=20"):
+            sm.meansquare_R(tables_nn2_small, rho_nn2, 1, 20)
+        assert sm.meansquare_R(tables_nn2_small, rho_nn2, 1, 33).samples == 33
+
+
 class TestMeanSquareR:
     def test_X1_matches_direct_quadrature(self, tables_nn2_1m, rho_nn2):
         rep = sm.meansquare_R(tables_nn2_1m, rho_nn2, 1, 10**4, samples=10**4)
