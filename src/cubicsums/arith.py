@@ -49,7 +49,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -73,7 +73,6 @@ __all__ = [
     "RhoDisagreement",
     "build_tables",
     "partial_A",
-    "partial_M",
     "error_P",
     "estimate_rho",
     "classical_ramanujan",
@@ -255,13 +254,6 @@ def _floor_div(Y, m: int) -> int:
     return math.floor(Y / m)
 
 
-def partial_M(tables: ArithTables, x) -> int:
-    """M_K(x) = sum_{n <= x} mu_K(n)."""
-    if x < 0 or x > tables.N:
-        raise ArithError(f"x={x} outside table range 0..{tables.N}")
-    return int(tables.M_prefix[int(x)])
-
-
 def error_P(tables: ArithTables, rho: "RhoEstimate", x) -> float:
     """P_K(x) = A_K(x) - rho_K x, the ideal-count error term."""
     return partial_A(tables, x) - rho.value * x
@@ -342,7 +334,7 @@ def classical_ramanujan(m: int, n: int) -> int:
     factors: c is multiplicative in m, and over p^a || m the factor is
     p^a - p^(a-1) when p^a | n, -p^(a-1) when p^(a-1) || n, and 0 otherwise."""
     if m < 1 or n < 1:
-        raise ValueError("classical_ramanujan needs m, n >= 1")
+        raise ArithError("classical_ramanujan needs m, n >= 1")
     c = 1
     for p, a in factorize(m).items():
         low = p ** (a - 1)
@@ -356,13 +348,11 @@ def classical_ramanujan(m: int, n: int) -> int:
 
 
 def mobius_sieve(n: int) -> np.ndarray:
-    mu = np.ones(n + 1, dtype=np.int64)
-    for p in primes_upto(n).tolist():
-        mu[p::p] *= -1
-        pp = p * p
-        if pp <= n:
-            mu[pp::pp] = 0
-    mu[0] = 0
+    """The classical mu(0..n) as int64 (mu(0) = 0): the multiplicative sieve
+    with the local values 1, -1, 0, 0, ... at every prime."""
+    ps = primes_upto(n)
+    loc = {0: ([1, -1] + [0] * n.bit_length(),)}
+    (mu,) = _sieve_multiplicative(n, ps, np.zeros(len(ps), dtype=np.int8), loc, 1, np.int64)
     return mu
 
 
@@ -373,22 +363,20 @@ def mobius_sieve(n: int) -> np.ndarray:
 TAU_BUDGET = 10**8
 
 
-@lru_cache(maxsize=8)
 def tau_table(l: int, n: int) -> np.ndarray:
-    """tau_l(1..n) as an int64 array (tau_l = number of ordered l-factorizations)."""
+    """tau_l(0..n) as an int64 array, tau_l(0) = 0 (tau_l = number of ordered
+    l-factorizations)."""
     if l < 2:
-        raise ValueError("tau_l needs l >= 2")
+        raise ArithError("tau_l needs l >= 2")
     if not 1 <= n <= TAU_BUDGET:
         raise ArithError(f"tau table length {n} outside 1..{TAU_BUDGET}")
     top = _max_tau(l, n)
     if top >= 2**63:
         raise ArithError(f"max tau_{l}(m) over m <= {n} is {top:.3g}, beyond int64")
     ps = primes_upto(n)
-    codes = np.zeros(len(ps), dtype=np.int8)
-    kmax = max(1, n.bit_length())
-    loc = {0: (local_ideal_counts((1,) * l, kmax),)}
-    (t,) = _sieve_multiplicative(n, ps, codes, loc, 1, np.int64)
-    return _freeze(t)
+    loc = {0: (local_ideal_counts((1,) * l, max(1, n.bit_length())),)}
+    (t,) = _sieve_multiplicative(n, ps, np.zeros(len(ps), dtype=np.int8), loc, 1, np.int64)
+    return t
 
 
 def _max_tau(l: int, n: int) -> int:
@@ -412,7 +400,7 @@ def _max_tau(l: int, n: int) -> int:
 def tau_power_sum(l: int, q: int, x: int) -> int:
     """Exact sum_{n <= x} tau_l(n)^q."""
     if l < 2 or q < 1:
-        raise ValueError("need l >= 2 and q >= 1")
+        raise ArithError("need l >= 2 and q >= 1")
     t = tau_table(l, int(x))
     vals = t[1 : int(x) + 1]
     mx = int(vals.max()) if len(vals) else 0
@@ -502,7 +490,6 @@ def max_abs_ratio(values: np.ndarray, s: float) -> float:
 # cubic Dirichlet character (prime conductor), exact in Z[omega]
 # ----------------------------------------------------------------------------
 
-@lru_cache(maxsize=4)
 def cubic_character(f: int):
     """The cubic residue character mod a prime conductor f = 1 (mod 3).
 

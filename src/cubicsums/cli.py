@@ -244,9 +244,10 @@ def cmd_experiment(cfg: RunConfig, out=None) -> int:
         columns = ("T", "y", "integral_P2sq")
         meta.update(fitted_T_exponent=t_exp, fitted_y_exponent=y_exp)
     elif name == "voronoi":
-        rep = sums.p2_truncation_scan(tables, rho, lo, 2 * lo, 100, cfg.y or (8, 64, 512))
-        columns, rows = ("y", "median_abs_P2"), list(zip(rep.y_values, rep.medians))
-        meta.update(fitted_decay_exponent=rep.fitted_exponent, predicted_exponent=-1 / 3)
+        ys = cfg.y or (8, 64, 512)
+        medians, exponent = sums.p2_truncation_scan(tables, rho, lo, 2 * lo, 100, ys)
+        columns, rows = ("y", "median_abs_P2"), list(zip(ys, medians))
+        meta.update(fitted_decay_exponent=exponent, predicted_exponent=-1 / 3)
     elif name == "envelope":
         rows, fitted = sums.remainder_envelope_scan(tables, rho, cfg.X or (5, 8, 10))
         columns = ("X", "Y", "R", "envelope", "ratio")
@@ -333,9 +334,10 @@ def _int(text):
 _OPTIONS = {
     "--field": dict(help="preset name, config file path, or inline key=value text"),
     "--N": dict(type=_int, help="table length"),
-    "--rho-method": dict(choices=("series_b_over_m", "regression_on_A")),
+    "--rho-method": dict(choices=("series_b_over_m", "regression_on_A"),
+                         help="the rho_K estimate the report uses (default series_b_over_m)"),
     "--output": dict(help="output file (default stdout)"),
-    "--format": dict(dest="fmt", choices=("csv", "json")),
+    "--format": dict(dest="fmt", choices=("csv", "json"), help="report format (default csv)"),
     "--seed": dict(type=int, help="seed of the sampled ideals"),
     "--tables": dict(dest="tables_path", help="load tables from a binary file instead of sieving"),
     "--B": dict(type=_int, help="rho window, in [1000, N] (default min(N, 10^6))"),
@@ -343,10 +345,10 @@ _OPTIONS = {
     "--X": dict(type=_parse_int_list, help="comma-separated X values; verify and experiment meansquare read one"),
     "--Y": dict(type=_parse_int_list, help="Y list for the cross-path check"),
     "--T": dict(type=_parse_int_list, help="comma-separated T values; experiment voronoi reads one"),
-    "--y": dict(type=_parse_int_list),
-    "--samples": dict(type=int),
-    "--l": dict(type=int),
-    "--q": dict(type=int),
+    "--y": dict(type=_parse_int_list, help="comma-separated truncation lengths y of the cube-root sum P1"),
+    "--samples": dict(type=int, help="quadrature points over [T, 2T] (default 4096)"),
+    "--l": dict(type=int, help="the l of tau_l, the number of ordered factors (default 4)"),
+    "--q": dict(type=int, help="the power q of tau_l(n) that is summed (default 2)"),
     "--expr": dict(help="bound expression for exponents-balance"),
     "--var": dict(dest="balance_var", help="variable to balance away"),
     "--h1": dict(help="lower range monomial (default 1)"),

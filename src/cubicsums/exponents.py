@@ -29,6 +29,7 @@ the balanced expression really is an upper envelope with a small constant.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import re
@@ -416,7 +417,7 @@ class ScenarioReport:
     cone: ConstraintCone
     var_order: tuple
     absorptions: tuple  # (term, dominating term, generator exponent vector)
-    envelope_ratio: float | None = None
+    envelope_ratio: float
     display_set: BoundExpr | None = None  # crosses + h-free terms, endpoint
     # terms absorbed under the cone: the form a balanced bound is usually
     # displayed in before the final domination pass
@@ -436,6 +437,32 @@ def _absorption_rows(expr: BoundExpr, kept: BoundExpr, cone: ConstraintCone, var
     return tuple(rows)
 
 
+def _scenario(bound, cone, y_max, var_order, grid, envelope_of=None) -> ScenarioReport:
+    """Balance the truncation parameter y over [1, y_max] when the bound
+    contains it, simplify under the cone, and check numerically that the
+    result envelopes min_y of `envelope_of` (default: the bound itself)."""
+    L = parse_bound_expr(bound)
+    cone = ConstraintCone.from_text(cone)
+    H2 = parse_monomial(y_max)
+    full = balance(L, "y", ONE, H2) if "y" in L.variables else L
+    simp = simplify(full, cone)
+    env = L if envelope_of is None else parse_bound_expr(envelope_of)
+    return ScenarioReport(
+        simplified=simp,
+        cone=cone,
+        var_order=var_order,
+        absorptions=_absorption_rows(full, simp, cone, var_order),
+        envelope_ratio=numeric_envelope_check(env, simp, "y", ONE, H2, cone, grid),
+    )
+
+
+_BLOCK_BOUND = (
+    "Y^{7/18} y^{2/9} M^{23/18} + Y^{1/3} y^{1/3} M^{17/12} + "
+    "Y^{5/12} y^{1/6} M^{29/24} + Y^{1/6} y^{1/6} M^{11/6} + "
+    "Y^{1/3} y^{1/12} M^{5/3} + Y^{2/3} y^{-1/3} M^{4/3} + M^2"
+)
+
+
 def scenario_block_bound() -> ScenarioReport:
     """Balance the seven-term dyadic-block bound in (Y, M, y) over the
     truncation range y in (1, Y/M), then simplify under Y >= M >= 1.
@@ -443,62 +470,30 @@ def scenario_block_bound() -> ScenarioReport:
     M stands for the block product M1*M2; the simplified set is equivalent
     (under the cone) to the six-monomial display it is usually quoted as.
     """
-    L = parse_bound_expr(
-        "Y^{7/18} y^{2/9} M^{23/18} + Y^{1/3} y^{1/3} M^{17/12} + "
-        "Y^{5/12} y^{1/6} M^{29/24} + Y^{1/6} y^{1/6} M^{11/6} + "
-        "Y^{1/3} y^{1/12} M^{5/3} + Y^{2/3} y^{-1/3} M^{4/3} + M^2"
-    )
-    cone = ConstraintCone.from_text("Y >= M >= 1")
-    H1 = Monomial({})
-    H2 = parse_monomial("Y M^-1")
-    bal = balance(L, "y", H1, H2)
-    simp = simplify(bal, cone)
+    rep = _scenario(_BLOCK_BOUND, "Y >= M >= 1", "Y M^-1", ("Y", "M", "y"),
+                    [{"M": m, "Y": y} for m in (2, 8) for y in (10**3, 10**6)])
     # the display form keeps every cross term, provided the endpoint terms
     # are genuinely absorbed by it inside the cone
-    cross, endpoints, passthrough = balance_components(L, "y", H1, H2)
+    cross, endpoints, passthrough = balance_components(
+        parse_bound_expr(_BLOCK_BOUND), "y", ONE, parse_monomial("Y M^-1"))
     display = BoundExpr(cross + passthrough)
     for t in endpoints:
-        if t not in display and not any(dominates(t, u, cone) for u in display.terms):
+        if t not in display and not any(dominates(t, u, rep.cone) for u in display.terms):
             raise ExponentError(f"endpoint term {t} not absorbed by the display set")
-    ratio = numeric_envelope_check(
-        L, simp, "y", H1, H2, cone, [{"M": m, "Y": y} for m in (2, 8) for y in (10**3, 10**6)]
-    )
-    return ScenarioReport(
-        simplified=simp,
-        cone=cone,
-        var_order=("Y", "M", "y"),
-        absorptions=_absorption_rows(bal, simp, cone, ("Y", "M", "y")),
-        envelope_ratio=ratio,
-        display_set=display,
-    )
+    return dataclasses.replace(rep, display_set=display)
 
 
 def scenario_remainder_xy() -> ScenarioReport:
     """Final simplification of the first-moment remainder bound in (X, Y):
     the six block-bound monomials with M -> X, plus the known-exponent
-    comparison term X Y^{43/96}, under Y >= X >= 1."""
-    L = parse_bound_expr(
+    comparison term X Y^{43/96}, under Y >= X >= 1.  The envelope check runs
+    against the y-balanced block form with M renamed X."""
+    return _scenario(
         "X^{13/10} Y^{1/2} + X^{11/8} Y^{1/2} + X^{5/4} Y^{1/2} + "
-        "X^{5/3} Y^{1/3} + X^{8/5} Y^{2/5} + X^2 + X Y^{43/96}"
-    )
-    cone = ConstraintCone.from_text("Y >= X >= 1")
-    simp = simplify(L, cone)
-    # envelope check against the y-balanced block form, with M renamed X
-    block = parse_bound_expr(
-        "X^{23/18} Y^{7/18} y^{2/9} + X^{17/12} Y^{1/3} y^{1/3} + "
-        "X^{29/24} Y^{5/12} y^{1/6} + X^{11/6} Y^{1/6} y^{1/6} + "
-        "X^{5/3} Y^{1/3} y^{1/12} + X^{4/3} Y^{2/3} y^{-1/3} + X^2"
-    )
-    H1 = Monomial({})
-    H2 = parse_monomial("Y X^-1")
-    grid = [{"X": x, "Y": y} for x, y in ((4, 256), (4, 4096), (16, 4096), (16, 65536))]
-    ratio = numeric_envelope_check(block, simp, "y", H1, H2, cone, grid)
-    return ScenarioReport(
-        simplified=simp,
-        cone=cone,
-        var_order=("X", "Y"),
-        absorptions=_absorption_rows(L, simp, cone, ("X", "Y")),
-        envelope_ratio=ratio,
+        "X^{5/3} Y^{1/3} + X^{8/5} Y^{2/5} + X^2 + X Y^{43/96}",
+        "Y >= X >= 1", "Y X^-1", ("X", "Y"),
+        [{"X": x, "Y": y} for x, y in ((4, 256), (4, 4096), (16, 4096), (16, 65536))],
+        envelope_of=_BLOCK_BOUND.replace("M", "X"),
     )
 
 
@@ -506,24 +501,11 @@ def scenario_mean_square_xt() -> ScenarioReport:
     """Balance the mean-square error bound in (X, T) over the truncation
     range y in (1, (T/X)^{1/3}), then simplify under T >= X >= 1; the
     surviving pair is {X^{31/9} T^{14/9}, X^{26/9} T^{29/18}}."""
-    L = parse_bound_expr(
+    return _scenario(
         "X^{11/3} T^{4/3} y^{1/3} + X^{10/3} T^{5/3} y^{-1/3} + "
-        "X^{17/6} T^{5/3} y^{-1/6} + X^{7/2} T^{3/2}"
-    )
-    cone = ConstraintCone.from_text("T >= X >= 1")
-    H1 = Monomial({})
-    H2 = parse_monomial("T^{1/3} X^{-1/3}")
-    bal = balance(L, "y", H1, H2)
-    simp = simplify(bal, cone)
-    ratio = numeric_envelope_check(
-        L, simp, "y", H1, H2, cone, [{"X": x, "T": t} for x in (3, 10) for t in (10**3, 10**5)]
-    )
-    return ScenarioReport(
-        simplified=simp,
-        cone=cone,
-        var_order=("X", "T", "y"),
-        absorptions=_absorption_rows(bal, simp, cone, ("X", "T")),
-        envelope_ratio=ratio,
+        "X^{17/6} T^{5/3} y^{-1/6} + X^{7/2} T^{3/2}",
+        "T >= X >= 1", "T^{1/3} X^{-1/3}", ("X", "T", "y"),
+        [{"X": x, "T": t} for x in (3, 10) for t in (10**3, 10**5)],
     )
 
 

@@ -98,10 +98,6 @@ class SplittingType:
     def f_shape(self) -> tuple:
         return tuple(sorted(f for f, _ in self.components))
 
-    def n_degree_one(self) -> int:
-        """Number of components with residue degree 1 (= distinct roots mod p)."""
-        return sum(1 for f, _ in self.components if f == 1)
-
     @property
     def pattern(self) -> str:
         parts = []
@@ -145,7 +141,7 @@ def factorize(n: int) -> dict:
     _TRIAL_LIMIT, then a cofactor left over is split by Miller-Rabin and
     Pollard's rho, so coefficients far beyond desk scale still factor."""
     if n < 1:
-        raise ValueError("factorize needs n >= 1")
+        raise FieldConfigError("factorize needs n >= 1")
     out = {}
     m = n
     p = 2
@@ -194,7 +190,7 @@ def _pollard_rho(n: int) -> int:
 def squarefree_decompose(D: int) -> tuple:
     """Write D = d * f^2 with d squarefree; returns (d, f), f > 0."""
     if D == 0:
-        raise ValueError("zero has no squarefree decomposition")
+        raise FieldConfigError("zero has no squarefree decomposition")
     d, f = (1 if D > 0 else -1), 1
     for p, k in factorize(abs(D)).items():
         f *= p ** (k // 2)

@@ -128,9 +128,6 @@ class FactoredIdeal:
         return 0
 
     def __str__(self):
-        return self.label_string()
-
-    def label_string(self) -> str:
         """Deterministic factorization string "p^e(f)*..."."""
         if not self.factors:
             return "(1)"

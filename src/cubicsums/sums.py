@@ -67,7 +67,6 @@ from .ideals import enumerate_ideals, sum_cJ_over_I
 
 __all__ = [
     "SumsError",
-    "S_K_direct",
     "S_K_direct_grid",
     "S_K_reduced",
     "remainder_R",
@@ -75,7 +74,6 @@ __all__ = [
     "voronoi_P1",
     "voronoi_P1_values",
     "meansquare_P2",
-    "P2ScanReport",
     "p2_truncation_scan",
     "p2_meansquare_grid",
     "CXResult",
@@ -103,12 +101,6 @@ class SumsError(RuntimeError):
 # ----------------------------------------------------------------------------
 # the two exact evaluation paths for S_K
 # ----------------------------------------------------------------------------
-
-def S_K_direct(tables: ArithTables, X, Y) -> int:
-    """S_K by enumerating every J of norm <= X (exact integers)."""
-    rows = S_K_direct_grid(tables, X, (Y,))
-    return rows[-1][0] if rows else 0
-
 
 def S_K_direct_grid(tables: ArithTables, x_max, ys) -> list:
     """Direct-path S_K(X, Y) for every integer X in 1..x_max and Y in ys, as
@@ -230,15 +222,6 @@ def meansquare_P2(tables: ArithTables, rho: RhoEstimate, T: int, y, samples: int
     return h * math.fsum((p2 * p2).tolist())
 
 
-@dataclass(frozen=True)
-class P2ScanReport:
-    y_values: tuple
-    medians: tuple
-    fitted_exponent: float
-    n_samples: int
-    Y_window: tuple
-
-
 def p2_truncation_scan(
     tables: ArithTables,
     rho: RhoEstimate,
@@ -246,11 +229,11 @@ def p2_truncation_scan(
     Y_hi: int,
     n_samples: int,
     y_values=(8, 64, 512),
-) -> P2ScanReport:
-    """Median |P2(Y; y)| over sampled Y for each truncation y, with the
-    fitted decay exponent of the median in y.  The mean square of P2 decays
-    like y^{-1/3} up to log factors, so the median |P2| decays like
-    y^{-1/6}."""
+) -> tuple:
+    """(medians, exponent): the median |P2(Y; y)| over sampled Y for each
+    truncation y, and the fitted decay exponent of the median in y.  The
+    mean square of P2 decays like y^{-1/3} up to log factors, so the median
+    |P2| decays like y^{-1/6}."""
     if not 1 <= Y_lo < Y_hi <= tables.N:
         raise SumsError(f"need 1 <= Y_lo < Y_hi <= N; got [{Y_lo}, {Y_hi}], N={tables.N}")
     if min(y_values) < 1:
@@ -262,14 +245,7 @@ def p2_truncation_scan(
     for y in y_values:
         p2 = pk - voronoi_P1_values(tables, ys=ys, y_trunc=y)
         medians.append(float(np.median(np.abs(p2))))
-    slope = fit_loglog_slope(np.array(y_values, dtype=float), np.array(medians))
-    return P2ScanReport(
-        y_values=tuple(y_values),
-        medians=tuple(medians),
-        fitted_exponent=slope,
-        n_samples=n_samples,
-        Y_window=(Y_lo, Y_hi),
-    )
+    return medians, fit_loglog_slope(np.array(y_values, dtype=float), np.array(medians))
 
 
 def p2_meansquare_grid(tables, rho, T_values, y_values, samples: int = 2048):
@@ -561,8 +537,13 @@ def remainder_envelope_scan(tables, rho, X_values=(5, 8, 10)):
 
 
 def fit_loglog_slope(xs, ys) -> float:
-    """Least-squares slope of log ys against log xs."""
-    xs = np.log(np.asarray(xs, dtype=np.float64))
+    """Least-squares slope of log ys against log xs; refused for fewer than
+    two distinct xs, where no slope is defined."""
+    xs = np.asarray(xs, dtype=np.float64)
+    distinct = len(np.unique(xs))
+    if distinct < 2:
+        raise SumsError(f"a log-log slope needs two distinct x values, got {distinct}")
+    xs = np.log(xs)
     ys = np.log(np.maximum(np.asarray(ys, dtype=np.float64), 1e-300))
     xbar, ybar = xs.mean(), ys.mean()
     return float(np.dot(xs - xbar, ys - ybar) / np.dot(xs - xbar, xs - xbar))

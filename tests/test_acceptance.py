@@ -125,8 +125,7 @@ def test_criterion_06_truncation_scaling(
         (field_nn2, tables_nn2_1m, rho_nn2),
         (field_c7, tables_c7_1m, rho_c7),
     ):
-        rep = sm.p2_truncation_scan(tables, rho, 10**5, 2 * 10**5, 100, (8, 64, 512))
-        measured[field.name] = rep.fitted_exponent
+        _, measured[field.name] = sm.p2_truncation_scan(tables, rho, 10**5, 2 * 10**5, 100, (8, 64, 512))
     elapsed = time.perf_counter() - t0
     ok = all(-0.6 <= e <= -0.15 for e in measured.values()) and elapsed < 120
     _report(6, ok, f"median-|P2| decay exponents {measured} in {elapsed:.1f}s (window [-0.6, -0.15])")

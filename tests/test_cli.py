@@ -401,6 +401,17 @@ class TestDomainSweep:
         rc, _, err = run(_sweep_argv(command, sweep_paths, option, value), capsys)
         assert rc == 2 and "error:" in err, err
 
+    @pytest.mark.parametrize("command,options", [
+        ("experiment pair-sum", ["--T", "100"]),
+        ("experiment tau-growth", ["--X", "1e4"]),
+        ("experiment meansquare-p2", ["--T", "1000", "--y", "4"]),
+    ], ids=["pair-sum", "tau-growth", "meansquare-p2"])
+    def test_one_value_fit_exits_2(self, command, options, sweep_paths, capsys):
+        # a log-log slope through one distinct x is undefined: refused, not
+        # printed as nan (an option given again overrides the base line's)
+        rc, stdout, err = run(_sweep_argv(command, sweep_paths) + options, capsys)
+        assert rc == 2 and stdout == "" and "two distinct x values" in err, err
+
 
 def _readme_command_lines():
     """The `cubicsums ...` lines of README's CLI block, continuations joined."""
@@ -472,6 +483,30 @@ class TestOptions:
         assert len(argvs) >= 7 and ["experiment", "s1", "--format", "json"] in argvs
         for argv in argvs:
             cli.build_parser().parse_args(argv)
+
+
+class TestBenchmarkReference:
+    """The outputs that perfbench/reference.json pins byte for byte or by
+    name, checked here so that a change to them shows in the tests first."""
+
+    @staticmethod
+    def reference():
+        with open(os.path.join(ROOT, "perfbench", "reference.json"), encoding="utf-8") as fh:
+            return json.load(fh)
+
+    def test_exponent_steps_print_the_reference(self, capsys):
+        pinned = self.reference()["errorterm"]["exponents"]
+        assert set(pinned) == {"exponents-block", "exponents-xy", "exponents-xt"}
+        for step, text in pinned.items():
+            rc, stdout, _ = run(["experiment", step], capsys)
+            assert rc == 0 and stdout == text, step
+
+    def test_verify_rows_are_the_reference_checks(self, capsys):
+        rc, stdout, _ = run(["verify", "--field", "all", "--N", "2e4"], capsys)
+        rows = [line for line in stdout.splitlines() if line.startswith("[")]
+        names = [line.split("] ", 1)[1].split(" (", 1)[0] for line in rows]
+        assert sorted(names) == sorted(self.reference()["verify"]["checks"])
+        assert rc == 0 and all(line.startswith("[pass] ") for line in rows)
 
 
 class TestConfigHash:

@@ -388,7 +388,7 @@ class TestSplitting:
                 if f.poly_disc % p == 0:
                     continue
                 st = fs.splitting_type(f, p)
-                assert st.n_degree_one() == len(fs.roots_mod_p(c0, c1, c2, p)), (f.name, p)
+                assert st.f_shape.count(1) == len(fs.roots_mod_p(c0, c1, c2, p)), (f.name, p)
 
     def test_bulk_matches_scalar(self, field_nn2, field_c7, field_hook):
         # the bulk path settles unramified p > 3 by Stickelberger's sign and
@@ -411,7 +411,7 @@ class TestSplitting:
                 if f.poly is not None and p < 2000:
                     assert not f.index_divisor_overrides
                     roots = fs.roots_mod_p(*f.poly, p)
-                    assert fs.SHAPES[c].n_degree_one() == len(roots), (f.name, p)
+                    assert fs.SHAPES[c].f_shape.count(1) == len(roots), (f.name, p)
 
     @settings(max_examples=60, deadline=None)
     @given(coeffs=RANDOM_COEFFS)
@@ -422,7 +422,7 @@ class TestSplitting:
         for p, c in zip(ps.tolist(), codes.tolist()):
             shape = fs.splitting_type(f, p)
             assert shape.components == fs.SHAPES[c].components, (coeffs, p)
-            assert shape.n_degree_one() == len(fs.roots_mod_p(c0, c1, c2, p)), (coeffs, p)
+            assert shape.f_shape.count(1) == len(fs.roots_mod_p(c0, c1, c2, p)), (coeffs, p)
 
     @settings(max_examples=40, deadline=None)
     @given(coeffs=RANDOM_COEFFS)

@@ -106,7 +106,7 @@ class TestEnumeration:
     def test_deterministic(self, field_c7):
         a = idl.enumerate_ideals(field_c7, 300)
         b = idl.enumerate_ideals(field_c7, 300)
-        assert [i.label_string() for i in a] == [i.label_string() for i in b]
+        assert [str(i) for i in a] == [str(i) for i in b]
 
     @pytest.mark.parametrize("preset", ["cubic-nonnormal-2", "cubic-cyclic-7", "seeded-random"])
     def test_sorted_by_norm_and_repeatable(self, preset):

@@ -1,6 +1,7 @@
 """Rules for the package source, checked on its syntax trees."""
 
 import ast
+import builtins
 import importlib
 import pathlib
 
@@ -8,19 +9,36 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "cubicsums"
 
 
-def _raises_assertion_error(node):
+def _src_nodes():
+    """(file name, node) for every syntax node of the package source."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            yield path.name, node
+
+
+def _raised_name(node):
+    """The class name a raise statement names, or None (bare raise, attribute)."""
     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+    return exc.id if isinstance(exc, ast.Name) else None
 
 
 def test_no_bare_assertions():
     # out-of-domain input fails with the module's own typed error: an assert
     # statement vanishes under python -O, and an AssertionError names no module
-    sites = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Assert) or (isinstance(node, ast.Raise) and _raises_assertion_error(node)):
-                sites.append(f"{path.name}:{node.lineno}")
+    sites = [f"{name}:{node.lineno}" for name, node in _src_nodes()
+             if isinstance(node, ast.Assert) or (isinstance(node, ast.Raise) and _raised_name(node) == "AssertionError")]
+    assert sites == []
+
+
+def test_no_builtin_exception_raised():
+    # every raise names a module's own error class (ArithError, SumsError, ...),
+    # which the CLI maps to exit 2; a bare ValueError says nothing of where it came from
+    def builtin_exception(name):
+        obj = getattr(builtins, name or "", None)
+        return isinstance(obj, type) and issubclass(obj, BaseException)
+
+    sites = [f"{name}:{node.lineno}" for name, node in _src_nodes()
+             if isinstance(node, ast.Raise) and builtin_exception(_raised_name(node))]
     assert sites == []
 
 

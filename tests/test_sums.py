@@ -25,16 +25,13 @@ class TestCrossPath:
             assert len(grid) == 50
             for X, row in enumerate(grid, start=1):
                 assert row == [sm.S_K_reduced(t, X, Y) for Y in (10, 100, 1000)], (f.name, X)
-            for X in range(1, 13):
-                for Y in (10, 100, 1000):
-                    assert sm.S_K_direct(t, X, Y) == sm.S_K_reduced(t, X, Y), (f.name, X, Y)
 
     def test_direct_is_classical_on_rationals(self, field_hook):
         # over Q the direct path is S1(X, Y); classical_S1 reads no field tables
         t = ar.build_tables(field_hook, 1000)
-        for Y in (10, 100, 1000):
-            for X in range(1, 41):
-                assert sm.S_K_direct(t, X, Y) == sm.classical_S1(X, Y), (X, Y)
+        ys = (10, 100, 1000)
+        for X, row in enumerate(sm.S_K_direct_grid(t, 40, ys), start=1):
+            assert row == [sm.classical_S1(X, Y) for Y in ys], X
 
     def test_numpy_integer_Y(self, t1000_nn2):
         # both paths take floor(Y / n) through arith._floor_div, which treats
@@ -54,8 +51,9 @@ class TestCrossPath:
             assert sm.S_K_reduced(t1000_nn2, 1, Y) == ar.partial_A(t1000_nn2, Y)
 
     def test_Y1_is_M(self, t1000_nn2):
+        grid = sm.S_K_direct_grid(t1000_nn2, 50, (1,))
         for X in (1, 20, 50):
-            assert sm.S_K_direct(t1000_nn2, X, 1) == ar.partial_M(t1000_nn2, X)
+            assert grid[X - 1] == [t1000_nn2.M_prefix[X]]
 
     def test_X2_hand_expansion(self, t1000_nn2):
         # (m,l) in {(1,1),(1,2),(2,1)}: A(Y) - A(Y) + 2 A(Y/2)
@@ -65,7 +63,7 @@ class TestCrossPath:
 
     def test_direct_enumeration_cap(self, t1000_nn2):
         with pytest.raises(sm.SumsError):
-            sm.S_K_direct(t1000_nn2, 1001, 10)
+            sm.S_K_direct_grid(t1000_nn2, 1001, (10,))
 
     def test_tables_too_short(self, t1000_nn2):
         with pytest.raises(sm.SumsError):
@@ -155,9 +153,9 @@ class TestVoronoi:
                 assert delta < 0.05 * math.pi, (field.name, n)
 
     def test_truncation_scan_decays(self, tables_nn2_1m, rho_nn2):
-        rep = sm.p2_truncation_scan(tables_nn2_1m, rho_nn2, 10**5, 2 * 10**5, 100)
-        assert rep.medians[0] > rep.medians[1] > rep.medians[2]
-        assert rep.fitted_exponent < 0
+        medians, exponent = sm.p2_truncation_scan(tables_nn2_1m, rho_nn2, 10**5, 2 * 10**5, 100)
+        assert medians[0] > medians[1] > medians[2]
+        assert exponent < 0
 
     def test_truncation_scan_window_guards(self, tables_nn2_small, rho_nn2):
         # negative indices would read A_K from the end of the table
