@@ -246,14 +246,6 @@ def partial_A(tables: ArithTables, x) -> int:
     return int(tables.A_prefix[int(x)])
 
 
-def _floor_div(Y, m: int) -> int:
-    # floor(Y / m), exact for integral Y (int or np.integer); for half-integer
-    # Y the quotient is never integral, so float floor cannot straddle a boundary
-    if isinstance(Y, (int, np.integer)):
-        return int(Y) // m
-    return math.floor(Y / m)
-
-
 def error_P(tables: ArithTables, rho: "RhoEstimate", x) -> float:
     """P_K(x) = A_K(x) - rho_K x, the ideal-count error term."""
     return partial_A(tables, x) - rho.value * x
@@ -598,7 +590,7 @@ def read_tables(path) -> ArithTables:
     return ArithTables(field, int(N), aK, muK, b)
 
 
-def export_csv(tables: ArithTables, path, nmax: int = 10**4) -> None:
+def export_csv(tables: ArithTables, path, nmax: int) -> None:
     nmax = min(nmax, tables.N)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("n,aK,muK,b,A,M\n")

@@ -45,7 +45,7 @@ def character_failure(f, tables, nmax):
 
 def histogram_failure(tables, B):
     """First norm n <= B whose number of enumerated ideals is not a_K(n), or None."""
-    hist = ideals.histogram_by_norm(ideals.enumerate_ideals(tables.field, B), B)
+    hist = np.bincount([I.norm for I in ideals.enumerate_ideals(tables.field, B)], minlength=B + 1)
     return _first_mismatch(hist[1:], tables.aK[1 : B + 1])
 
 
@@ -149,9 +149,9 @@ def field_suite(tables, rng, x_max, ys):
     """Every per-field check, as (field name, check, ok, detail) rows.
 
     A failed convolution identity ends the suite, since every later check
-    reads the same tables.  The cross-path check runs X <= min(x_max, 50)
-    and the Y in ys within the tables.  The last two rows are reports and
-    always pass.
+    reads the same tables.  The cross-path check runs every X <= x_max and
+    Y in ys, within the direct path's and the tables' limits.  The last two
+    rows are reports and always pass.
     """
     field = tables.field
     rows = []
@@ -175,8 +175,7 @@ def field_suite(tables, rng, x_max, ys):
     bad = histogram_failure(tables, B)
     add("enumeration histogram = aK", bad, f"histogram mismatch at norm {bad}" if bad else f"B={B}")
     if field.degree == 3:
-        x_max = min(x_max, 50)
-        ys = [y for y in ys if y <= tables.N]
+        ys = list(ys)
         bad = cross_path_failure(tables, x_max, ys)
         add("cross-path S_K direct=reduced", bad, f"S_K mismatch at {bad}" if bad else f"X<={x_max}, Y in {ys}")
 

@@ -67,8 +67,20 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()[:12]
 
 
+def _int(text):
+    """A whole number: an int literal (exact at any size), or a float literal
+    such as 1e6 whose value is a finite whole number."""
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)  # argparse reports the ValueError of a non-number
+    if not value.is_integer():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a whole number")
+    return int(value)
+
+
 def _parse_int_list(text):
-    return tuple(int(float(t)) for t in str(text).split(",") if t.strip())
+    return tuple(_int(t) for t in str(text).split(",") if t.strip())
 
 
 def _one_value(values, default, option, command):
@@ -93,8 +105,7 @@ def _load_tables(cfg: RunConfig, field):
 # report plumbing
 # ----------------------------------------------------------------------------
 
-def _emit(cfg: RunConfig, columns, rows, meta, out=None):
-    out = out or sys.stdout
+def _emit(cfg: RunConfig, columns, rows, meta):
     if cfg.fmt == "json":
         payload = {
             "config": asdict(cfg),
@@ -116,9 +127,9 @@ def _emit(cfg: RunConfig, columns, rows, meta, out=None):
     if cfg.output:
         with open(cfg.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"wrote {cfg.output}", file=out)
+        print(f"wrote {cfg.output}")
     else:
-        out.write(text)
+        sys.stdout.write(text)
 
 
 def _rho_B(cfg: RunConfig, N: int) -> int:
@@ -147,11 +158,8 @@ def _rho_meta(tables, cfg, B):
 # sieve
 # ----------------------------------------------------------------------------
 
-def cmd_sieve(cfg: RunConfig, out=None) -> int:
-    out = out or sys.stdout
+def cmd_sieve(cfg: RunConfig) -> int:
     field = fieldspec.load_field(cfg.field)
-    if cfg.N < arith.N_MIN:
-        raise ConfigError(f"--N {cfg.N} below the minimum {arith.N_MIN}")
     B = _rho_B(cfg, cfg.N)
     tables = arith.build_tables(field, cfg.N)
     path = cfg.output or f"tables_{field.name}_{cfg.N}.bin"
@@ -159,15 +167,15 @@ def cmd_sieve(cfg: RunConfig, out=None) -> int:
     if cfg.csv_preview:
         arith.export_csv(tables, cfg.csv_preview, nmax=10**4)
     print(f"field {field.name}: disc={field.disc} (d={field.disc_sqfree_part}, "
-          f"f={field.conductor_f}, normal={field.normal})", file=out)
-    print(f"sieved N={cfg.N}; wrote {path}", file=out)
+          f"f={field.conductor_f}, normal={field.normal})")
+    print(f"sieved N={cfg.N}; wrote {path}")
     def row(name, arr):
-        print(name + " " + " ".join(str(int(v)) for v in arr[1:21]), file=out)
+        print(name + " " + " ".join(str(int(v)) for v in arr[1:21]))
     row("aK(1..20): ", tables.aK)
     row("muK(1..20):", tables.muK)
     row("b(1..20):  ", tables.b)
     for est in arith.estimate_rho(tables, B):
-        print(f"rho[{est.method}] = {est.value:.8f} +- {est.stderr:.2e} (B={est.B})", file=out)
+        print(f"rho[{est.method}] = {est.value:.8f} +- {est.stderr:.2e} (B={est.B})")
     return EXIT_OK
 
 
@@ -175,12 +183,9 @@ def cmd_sieve(cfg: RunConfig, out=None) -> int:
 # verify
 # ----------------------------------------------------------------------------
 
-def cmd_verify(cfg: RunConfig, out=None) -> int:
-    out = out or sys.stdout
+def cmd_verify(cfg: RunConfig) -> int:
     X = _one_value(cfg.X, 50, "--X", "verify")
     Ys = cfg.Y or (10, 100, 1000)
-    if cfg.N < arith.N_MIN:
-        raise ConfigError(f"--N {cfg.N} below the minimum {arith.N_MIN}")
     for option, value in (("--X", X), ("--Y", min(Ys))):
         if value < 1:
             raise ConfigError(f"{option} {value} below the minimum 1")
@@ -199,9 +204,9 @@ def cmd_verify(cfg: RunConfig, out=None) -> int:
     rows += checks.classical_suite()
     rows = [(fname, name, "pass" if ok else "FAIL", detail) for fname, name, ok, detail in rows]
     for fname, name, status, detail in rows:
-        print(f"[{status}] {fname}: {name} ({detail})", file=out)
+        print(f"[{status}] {fname}: {name} ({detail})")
         if status == "FAIL":
-            print(f"first counterexample: {detail}", file=out)
+            print(f"first counterexample: {detail}")
     if cfg.output:
         with open(cfg.output, "w", encoding="utf-8") as fh:
             fh.write("field,check,status,detail\n")
@@ -214,14 +219,11 @@ def cmd_verify(cfg: RunConfig, out=None) -> int:
 # experiments
 # ----------------------------------------------------------------------------
 
-def cmd_experiment(cfg: RunConfig, out=None) -> int:
-    out = out or sys.stdout
+def cmd_experiment(cfg: RunConfig) -> int:
     name = cfg.experiment
     meta = {"experiment": name}
     if "--tables" in _EXPERIMENTS[name][1]:
         field = fieldspec.load_field(cfg.field)
-        if cfg.N < arith.N_MIN:
-            raise ConfigError(f"--N {cfg.N} below the minimum {arith.N_MIN}")
         # refuse a list where one value is read, before sieving
         X = _one_value(cfg.X, 1, "--X", "experiment meansquare") if name == "meansquare" else None
         lo = _one_value(cfg.T, 10**5, "--T", "experiment voronoi") if name == "voronoi" else None
@@ -301,11 +303,11 @@ def cmd_experiment(cfg: RunConfig, out=None) -> int:
         h1 = exponents.parse_monomial(cfg.h1 or "1")
         h2 = exponents.parse_monomial(cfg.h2 or "1")
         bal = exponents.balance(L, cfg.balance_var, h1, h2)
-        print(exponents.simplify(bal, cone).format() + "  (+eps exponents)", file=out)
+        print(exponents.simplify(bal, cone).format() + "  (+eps exponents)")
         return EXIT_OK
     else:
         rep = exponents.SCENARIOS[name.removeprefix("exponents-")]()
-        print(rep.format_result(), file=out)
+        print(rep.format_result())
         meta.update(cone=rep.cone.format(), envelope_ratio=rep.envelope_ratio)
         columns = ("term",)
         rows = [(t.format(rep.var_order),) for t in rep.simplified.sorted_terms(rep.var_order)]
@@ -314,19 +316,15 @@ def cmd_experiment(cfg: RunConfig, out=None) -> int:
                   for absorbed, by, gens in rep.absorptions]
 
     if emit:
-        _emit(cfg, columns, rows, meta, out)
+        _emit(cfg, columns, rows, meta)
     for line in footer:
-        print(line, file=out)
+        print(line)
     return EXIT_OK
 
 
 # ----------------------------------------------------------------------------
 # entry point
 # ----------------------------------------------------------------------------
-
-def _int(text):
-    return int(float(text))
-
 
 # Each option is declared once, without a default: an option left off the
 # command line keeps its RunConfig default.  A subcommand, and each experiment,
@@ -338,7 +336,7 @@ _OPTIONS = {
                          help="the rho_K estimate the report uses (default series_b_over_m)"),
     "--output": dict(help="output file (default stdout)"),
     "--format": dict(dest="fmt", choices=("csv", "json"), help="report format (default csv)"),
-    "--seed": dict(type=int, help="seed of the sampled ideals"),
+    "--seed": dict(type=_int, help="seed of the sampled ideals"),
     "--tables": dict(dest="tables_path", help="load tables from a binary file instead of sieving"),
     "--B": dict(type=_int, help="rho window, in [1000, N] (default min(N, 10^6))"),
     "--csv": dict(dest="csv_preview", help="also export n<=1e4 as CSV"),
@@ -346,9 +344,9 @@ _OPTIONS = {
     "--Y": dict(type=_parse_int_list, help="Y list for the cross-path check"),
     "--T": dict(type=_parse_int_list, help="comma-separated T values; experiment voronoi reads one"),
     "--y": dict(type=_parse_int_list, help="comma-separated truncation lengths y of the cube-root sum P1"),
-    "--samples": dict(type=int, help="quadrature points over [T, 2T] (default 4096)"),
-    "--l": dict(type=int, help="the l of tau_l, the number of ordered factors (default 4)"),
-    "--q": dict(type=int, help="the power q of tau_l(n) that is summed (default 2)"),
+    "--samples": dict(type=_int, help="quadrature points over [T, 2T] (default 4096)"),
+    "--l": dict(type=_int, help="the l of tau_l, the number of ordered factors (default 4)"),
+    "--q": dict(type=_int, help="the power q of tau_l(n) that is summed (default 2)"),
     "--expr": dict(help="bound expression for exponents-balance"),
     "--var": dict(dest="balance_var", help="variable to balance away"),
     "--h1": dict(help="lower range monomial (default 1)"),
@@ -415,6 +413,8 @@ def main(argv=None) -> int:
         return EXIT_BAD_CONFIG if exc.code not in (0, None) else 0
     cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)})
     try:
+        if cfg.N < arith.N_MIN:
+            raise ConfigError(f"--N {cfg.N} below the minimum {arith.N_MIN}")
         return {"sieve": cmd_sieve, "verify": cmd_verify, "experiment": cmd_experiment}[args.command](cfg)
     except (ConfigError, fieldspec.FieldConfigError, arith.ArithError, sums.SumsError,
             ideals.IdealError, exponents.ExponentError, OSError) as exc:

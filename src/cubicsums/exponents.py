@@ -426,7 +426,7 @@ class ScenarioReport:
         return self.simplified.format(self.var_order) + "  (+eps exponents)"
 
 
-def _absorption_rows(expr: BoundExpr, kept: BoundExpr, cone: ConstraintCone, var_order=None):
+def _absorption_rows(expr: BoundExpr, kept: BoundExpr, cone: ConstraintCone, var_order):
     rows = []
     for t in sorted(expr.terms - kept.terms, key=lambda m: m.format(var_order)):
         for u in kept.sorted_terms(var_order):

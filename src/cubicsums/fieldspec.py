@@ -14,7 +14,8 @@ We restrict to the monogenic case.  Primes that do divide the index cannot
 be factored through f mod p (Dedekind), so they must be declared explicitly
 via ``index_divisor_overrides``; the constructor runs Dedekind's p-maximality
 criterion at every candidate prime and refuses to build a field whose index
-divisors are not covered, or whose disc puts a p-maximal prime in the index.
+divisors are not covered, whose disc puts a p-maximal prime in the index, or
+that overrides a p-maximal prime.
 
 The degenerate ``rationals`` field (degree 1, one prime of norm p above
 every p) is included as a test hook: on it every ideal-level operation must
@@ -98,8 +99,7 @@ class SplittingType:
     def f_shape(self) -> tuple:
         return tuple(sorted(f for f, _ in self.components))
 
-    @property
-    def pattern(self) -> str:
+    def __str__(self):
         parts = []
         seen = {}
         for f, e in self.components:
@@ -107,9 +107,6 @@ class SplittingType:
             seen[f] = seen.get(f, 0) + 1
             parts.append(f"P{f}{ticks}" + (f"^{e}" if e > 1 else ""))
         return "*".join(parts)
-
-    def __str__(self):
-        return self.pattern
 
 
 # the (f, e) components of each code's shape, indexed by the code
@@ -474,6 +471,9 @@ def _check_cubic(c0, c1, c2, disc, ov):
         raise FieldConfigError(
             f"poly disc / field disc = {q} is not a square; disc {disc} cannot be the field discriminant"
         )
+    for p in ov:
+        if dedekind_p_maximal(c0, c1, c2, p):
+            raise FieldConfigError(f"override at p={p}: the generated order is {p}-maximal, so {p} is no index divisor")
     # poly disc = index^2 * disc, so any index divisor p has p^2 | poly disc;
     # an override stands for Dedekind's verdict at its prime
     for p, k in factorize(abs(pdisc)).items():

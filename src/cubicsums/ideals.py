@@ -24,9 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from .arith import ArithTables, _floor_div, partial_A
+from .arith import ArithTables, partial_A
 from .fieldspec import FieldSpec, primes_upto, splitting_type
 
 __all__ = [
@@ -121,12 +119,6 @@ class FactoredIdeal:
     def norm(self) -> int:
         return self._norm
 
-    def exponent(self, lab: PrimeIdealLabel) -> int:
-        for l2, e in self.factors:
-            if l2 == lab:
-                return e
-        return 0
-
     def __str__(self):
         """Deterministic factorization string "p^e(f)*..."."""
         if not self.factors:
@@ -210,10 +202,10 @@ def sum_cJ_over_I(tables: ArithTables, J: FactoredIdeal, Y) -> int:
     _check_field(tables.field, J)
     if Y < 1:
         return 0
-    top = _floor_div(Y, 1)
+    top = int(Y // 1)
     if top > tables.N:
         raise IdealError(f"tables too short: need A_K({top}) but N={tables.N}")
-    return sum(n * s * partial_A(tables, _floor_div(Y, n)) for n, s in _mobius_support(J))
+    return sum(n * s * partial_A(tables, int(Y // n)) for n, s in _mobius_support(J))
 
 
 def _check_field(field: FieldSpec, I: FactoredIdeal) -> None:
@@ -260,14 +252,6 @@ def enumerate_ideals(field: FieldSpec, B: int):
     extend(0, [], 1)
     out.sort(key=lambda I: I.norm)
     return out
-
-
-def histogram_by_norm(ideals, B: int) -> np.ndarray:
-    h = np.zeros(B + 1, dtype=np.int64)
-    for I in ideals:
-        if I.norm <= B:
-            h[I.norm] += 1
-    return h
 
 
 def random_factored_ideal(field: FieldSpec, rng, norm_bound: int) -> FactoredIdeal:

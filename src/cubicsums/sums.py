@@ -58,7 +58,6 @@ from .arith import (
     ArithTables,
     ArithError,
     RhoEstimate,
-    _floor_div,
     mobius_sieve,
     partial_A,
 )
@@ -140,7 +139,7 @@ def S_K_reduced(tables: ArithTables, X, Y) -> int:
         raise SumsError(f"tables too short for X={X}, Y={Y} (N={tables.N})")
     if Y < 1:
         return 0
-    return sum(w * int(tables.A_prefix[_floor_div(Y, m)]) for m, w in _reduced_weights(tables, X))
+    return sum(w * int(tables.A_prefix[int(Y // m)]) for m, w in _reduced_weights(tables, X))
 
 
 def remainder_R(tables: ArithTables, rho: RhoEstimate, X, Y) -> float:
@@ -184,6 +183,8 @@ def voronoi_P1_values(tables: ArithTables, ys: np.ndarray, y_trunc) -> np.ndarra
     decay with the truncation length; the corrected kernel is validated
     against P_K by direct amplitude/phase correlation in the test suite.
     """
+    if y_trunc > tables.N:
+        raise SumsError(f"truncation y={y_trunc} beyond table range {tables.N}")
     ys = np.asarray(ys, dtype=np.float64)
     D = abs(tables.field.disc)
     phase = -0.5 * math.pi * tables.field.complex_places
@@ -210,7 +211,7 @@ def _half_integer_grid(T: int, samples: int):
     return ys, T / m
 
 
-def meansquare_P2(tables: ArithTables, rho: RhoEstimate, T: int, y, samples: int = 4096) -> float:
+def meansquare_P2(tables: ArithTables, rho: RhoEstimate, T: int, y, samples: int) -> float:
     """Midpoint quadrature of |P2(Y; y)|^2 over [T, 2T]."""
     if T < 1 or y < 1 or y > T ** (1.0 / 3.0):
         raise SumsError(f"need T >= 1 and 1 <= y <= T^(1/3); got y={y}, T={T}")
@@ -228,7 +229,7 @@ def p2_truncation_scan(
     Y_lo: int,
     Y_hi: int,
     n_samples: int,
-    y_values=(8, 64, 512),
+    y_values,
 ) -> tuple:
     """(medians, exponent): the median |P2(Y; y)| over sampled Y for each
     truncation y, and the fitted decay exponent of the median in y.  The
@@ -248,7 +249,7 @@ def p2_truncation_scan(
     return medians, fit_loglog_slope(np.array(y_values, dtype=float), np.array(medians))
 
 
-def p2_meansquare_grid(tables, rho, T_values, y_values, samples: int = 2048):
+def p2_meansquare_grid(tables, rho, T_values, y_values, samples: int):
     """Grid of meansquare_P2 values plus fitted T- and y-exponents."""
     rows = []
     for T in T_values:
@@ -274,7 +275,6 @@ def p2_meansquare_grid(tables, rho, T_values, y_values, samples: int = 2048):
 
 @dataclass(frozen=True)
 class CXResult:
-    X: int
     value: float
     tail_bound: float  # estimated error from ending Z's Euler product at _P
 
@@ -372,7 +372,7 @@ def compute_cX(tables: ArithTables, X: int) -> CXResult:
         s = math.fsum(float(mu[d]) * float(u[d - 1 :: d].sum()) ** 2 for d in range(1, L + 1) if mu[d])
         terms.append(m ** (4.0 / 3.0) * s)
     value = Z / (6.0 * math.pi**2) * math.fsum(terms)
-    return CXResult(X=X, value=value, tail_bound=abs(value * window))
+    return CXResult(value=value, tail_bound=abs(value * window))
 
 
 # ----------------------------------------------------------------------------
@@ -386,7 +386,6 @@ class MeanSquareReport:
     integral_R2: float
     main_term: float
     cX: float
-    cX_tail_bound: float
     samples: int
     quadrature_error_est: float
 
@@ -410,7 +409,7 @@ def meansquare_R(
     rho: RhoEstimate,
     X: int,
     T: int,
-    samples: int = 4096,
+    samples: int,
 ) -> MeanSquareReport:
     """Quadrature of |R_K(X, Y)|^2 over [T, 2T] against the predicted main
     term c(X) * (3/5) ((2T)^{5/3} - T^{5/3})."""
@@ -431,7 +430,6 @@ def meansquare_R(
         integral_R2=integral,
         main_term=main,
         cX=cx.value,
-        cX_tail_bound=cx.tail_bound,
         samples=n_used,
         quadrature_error_est=err,
     )
@@ -455,7 +453,7 @@ def exact_PK_square_integral(tables: ArithTables, rho: RhoEstimate, T: int) -> f
     return float(np.sum((lo**3 - hi**3) / (3.0 * r)))
 
 
-def meansquare_trend(tables, rho, X, T_values, samples=4096):
+def meansquare_trend(tables, rho, X, T_values, samples):
     """Ratio integral/main tabulated over a grid of T (monotone-trend report)."""
     rows = [meansquare_R(tables, rho, X, T, samples=samples) for T in T_values]
     ratios = [r.ratio for r in rows]
@@ -518,7 +516,7 @@ def s1_regime_rows():
 # remainder envelope scan and fit helpers
 # ----------------------------------------------------------------------------
 
-def remainder_envelope_scan(tables, rho, X_values=(5, 8, 10)):
+def remainder_envelope_scan(tables, rho, X_values):
     """|R_K(X, Y)| against the envelope X^{8/5} Y^{2/5} + X^{11/8} Y^{1/2}
     at Y = 10 X^3 (inside the Y > X^{11/4} window); fitted constant
     reported, nothing thresholded."""

@@ -347,7 +347,7 @@ OPTIONS = {
 # numeric options whose value 0 or -1 is out of every command's domain
 # (any seed is a seed)
 NUMERIC = sorted(o for o, spec in cli._OPTIONS.items()
-                 if spec.get("type") in (int, cli._int, cli._parse_int_list) and o != "--seed")
+                 if spec.get("type") in (cli._int, cli._parse_int_list) and o != "--seed")
 
 # one valid small command line for each command that takes a numeric option;
 # {t} is a table file of 4000 entries and {d} a scratch directory
@@ -400,6 +400,31 @@ class TestDomainSweep:
     def test_zero_and_negative_values_exit_2(self, command, option, value, sweep_paths, capsys):
         rc, _, err = run(_sweep_argv(command, sweep_paths, option, value), capsys)
         assert rc == 2 and "error:" in err, err
+
+    @pytest.mark.parametrize("option", [o for o in cli._OPTIONS if cli._OPTIONS[o].get("type")])
+    def test_fractional_value_exits_2(self, option, sweep_paths, capsys):
+        # a whole-number option refuses 5.5 instead of running 5
+        command = next(c for c in SWEEP_BASE if option in OPTIONS[c])
+        rc, stdout, err = run(_sweep_argv(command, sweep_paths, option, "5.5"), capsys)
+        assert rc == 2 and stdout == "" and "error:" in err and "Traceback" not in err, err
+
+    @pytest.mark.parametrize("command,option,value", [
+        ("sieve", "--N", "1e400"),
+        ("experiment voronoi", "--y", "5000"),
+        ("verify", "--X", "1001"),
+        ("verify", "--Y", "5000"),
+    ], ids=["sieve-N-1e400", "voronoi-y-beyond-table", "verify-X-beyond-direct-path", "verify-Y-beyond-table"])
+    def test_out_of_range_value_exits_2(self, command, option, value, sweep_paths, capsys):
+        rc, stdout, err = run(_sweep_argv(command, sweep_paths, option, value), capsys)
+        assert rc == 2 and stdout == "" and "error:" in err and "Traceback" not in err, err
+
+    def test_verify_runs_the_X_it_is_given(self, sweep_paths, capsys):
+        rc, stdout, err = run(_sweep_argv("verify", sweep_paths, "--X", "60"), capsys)
+        assert rc == 0 and "X<=60, Y in [10]" in stdout, err
+
+    def test_whole_number_spellings(self):
+        assert [cli._int(t) for t in ("12", "1e6", "2.0e3", str(2**70 + 1))] == [12, 10**6, 2000, 2**70 + 1]
+        assert cli._parse_int_list("1e3,1e4,2e4") == (1000, 10**4, 2 * 10**4)
 
     @pytest.mark.parametrize("command,options", [
         ("experiment pair-sum", ["--T", "100"]),

@@ -142,6 +142,13 @@ class TestParsing:
         with pytest.raises(fs.FieldConfigError, match="override at p=4: 4 is not prime"):
             fs.parse_field_spec("poly = -2, 0, 0\noverride.4 = 1:1+1:1+1:1")
 
+    def test_override_only_at_an_index_divisor(self):
+        # x^3 - 2 is 5-maximal (5 = P1 P2 from f mod 5), and 1000003 does not
+        # divide its disc, so neither prime may take an override
+        for p in (5, 1000003):
+            with pytest.raises(fs.FieldConfigError, match=f"override at p={p}: the generated order is {p}-maximal"):
+                fs.parse_field_spec(f"poly = -2, 0, 0\noverride.{p} = 3:1")
+
     def test_monogenic_square_disc_prime_no_override(self):
         # x^3 - x - 2 has disc -104 = -26*4 but stays 2-maximal
         f = fs.parse_field_spec("poly = -2, -1, 0")
@@ -317,7 +324,7 @@ class TestDedekind:
         with pytest.raises(fs.FieldConfigError, match="override for p=100003"):
             fs.parse_field_spec("poly = -20001200018, 0, 0")
         f = fs.parse_field_spec("poly = -20001200018, 0, 0\noverride.100003 = 1:3")
-        assert fs.splitting_type(f, 100003).pattern == "P1^3"
+        assert str(fs.splitting_type(f, 100003)) == "P1^3"
 
     def test_large_coefficients_finish(self):
         # c0 = 10000000019 is a prime = 2 mod 9, so x^3 - c0 is a valid pure cubic;
@@ -361,13 +368,13 @@ class TestFactorize:
 
 class TestSplitting:
     def test_nn2_examples(self, field_nn2):
-        assert fs.splitting_type(field_nn2, 2).pattern == "P1^3"
-        assert fs.splitting_type(field_nn2, 5).pattern == "P1*P2"
-        assert fs.splitting_type(field_nn2, 7).pattern == "P3"
+        assert str(fs.splitting_type(field_nn2, 2)) == "P1^3"
+        assert str(fs.splitting_type(field_nn2, 5)) == "P1*P2"
+        assert str(fs.splitting_type(field_nn2, 7)) == "P3"
 
     def test_c7_split_at_13(self, field_c7):
         st = fs.splitting_type(field_c7, 13)
-        assert st.pattern == "P1*P1'*P1''"
+        assert str(st) == "P1*P1'*P1''"
         assert st.degree == 3
 
     def test_not_prime_rejected(self, field_nn2):
@@ -402,7 +409,7 @@ class TestSplitting:
                   for name, poly in (("neg-disc", "2, 2, 0"), ("square-disc", "1, -3, 0"),
                                      ("disc-473", "1, -5, 0"), ("disc-83", "2, 1, 1"))]
         assert [f.poly_disc for f in cubics] == [-140, 81, 473, -83]
-        assert fs.splitting_type(cubics[-1], 2).pattern == "P1*P2"
+        assert str(fs.splitting_type(cubics[-1], 2)) == "P1*P2"
         for f in (field_nn2, field_c7, field_hook, *cubics):
             ps, codes = fs.splitting_codes(f, 2 * 10**4)
             for p, c in zip(ps.tolist(), codes.tolist()):

@@ -100,7 +100,7 @@ class TestEnumeration:
     def test_histogram_matches_sieve(self, field_nn2, field_c7, field_hook):
         for f in (field_nn2, field_c7, field_hook):
             t = ar.build_tables(f, 2000)
-            h = idl.histogram_by_norm(idl.enumerate_ideals(f, 2000), 2000)
+            h = np.bincount([I.norm for I in idl.enumerate_ideals(f, 2000)], minlength=2001)
             assert np.array_equal(h[1:], t.aK[1:2001]), f.name
 
     def test_deterministic(self, field_c7):
@@ -271,7 +271,7 @@ def _trusted_builds_match_checked(field, seed):
         for A, B in ((I, J), (J, I), (I, K)):
             _same_as_checked(idl.ideal_gcd(A, B))
         # the divisors of I, taken from the enumeration
-        divs = [M for M in ids if all(I.exponent(lab) >= e for lab, e in M.factors)]
+        divs = [M for M in ids if all(dict(I.factors).get(lab, 0) >= e for lab, e in M.factors)]
         assert len(divs) == math.prod(e + 1 for _, e in I.factors)
         for M in divs:
             _same_as_checked(idl.ideal_divide(I, M))

@@ -34,17 +34,13 @@ class TestCrossPath:
             assert row == [sm.classical_S1(X, Y) for Y in ys], X
 
     def test_numpy_integer_Y(self, t1000_nn2):
-        # both paths take floor(Y / n) through arith._floor_div, which treats
-        # np.integer as integral, so np.int64 and int Y give the same values
+        # both paths take floor(Y / n) as an integer floor division, so
+        # np.int64 and int Y give the same values
         field = t1000_nn2.field
         for Y in (1, 10, 100, 999):
             assert sm.S_K_reduced(t1000_nn2, 30, np.int64(Y)) == sm.S_K_reduced(t1000_nn2, 30, Y)
             for J in idl.enumerate_ideals(field, 30):
                 assert idl.sum_cJ_over_I(t1000_nn2, J, np.int64(Y)) == idl.sum_cJ_over_I(t1000_nn2, J, Y)
-        # beyond 2^53 a float quotient would round
-        assert ar._floor_div(np.int64(2**53 + 1), 1) == 2**53 + 1
-        assert ar._floor_div(2**53 + 1, 1) == 2**53 + 1
-        assert ar._floor_div(10.5, 2) == 5
 
     def test_X1_is_A(self, t1000_nn2):
         for Y in (1, 77, 1000):
@@ -153,7 +149,7 @@ class TestVoronoi:
                 assert delta < 0.05 * math.pi, (field.name, n)
 
     def test_truncation_scan_decays(self, tables_nn2_1m, rho_nn2):
-        medians, exponent = sm.p2_truncation_scan(tables_nn2_1m, rho_nn2, 10**5, 2 * 10**5, 100)
+        medians, exponent = sm.p2_truncation_scan(tables_nn2_1m, rho_nn2, 10**5, 2 * 10**5, 100, (8, 64, 512))
         assert medians[0] > medians[1] > medians[2]
         assert exponent < 0
 
@@ -175,11 +171,11 @@ class TestMeanSquareP2:
 
     def test_window_guards(self, tables_nn2_1m, rho_nn2):
         with pytest.raises(sm.SumsError):
-            sm.meansquare_P2(tables_nn2_1m, rho_nn2, 10**4, 50)  # y > T^(1/3)
+            sm.meansquare_P2(tables_nn2_1m, rho_nn2, 10**4, 50, samples=4096)  # y > T^(1/3)
         with pytest.raises(sm.SumsError):
-            sm.meansquare_P2(tables_nn2_1m, rho_nn2, 6 * 10**5, 4)  # 2T > N
+            sm.meansquare_P2(tables_nn2_1m, rho_nn2, 6 * 10**5, 4, samples=4096)  # 2T > N
         with pytest.raises(sm.SumsError, match="T >= 1"):
-            sm.meansquare_P2(tables_nn2_1m, rho_nn2, -100, 4)  # no real cube root
+            sm.meansquare_P2(tables_nn2_1m, rho_nn2, -100, 4, samples=4096)  # no real cube root
 
     def test_grid_exponents(self, tables_nn2_1m, rho_nn2):
         rows, t_exp, y_exp = sm.p2_meansquare_grid(
@@ -325,10 +321,10 @@ class TestQuadratureGrid:
                     call()
 
     def test_meansquare_names_T_when_T_is_short(self, tables_nn2_small, rho_nn2):
-        # the default 4096 samples are not the cause: only 20 points fit in [20, 40)
+        # 4096 samples are not the cause: only 20 points fit in [20, 40)
         with pytest.raises(sm.SumsError, match="T=20"):
-            sm.meansquare_R(tables_nn2_small, rho_nn2, 1, 20)
-        assert sm.meansquare_R(tables_nn2_small, rho_nn2, 1, 33).samples == 33
+            sm.meansquare_R(tables_nn2_small, rho_nn2, 1, 20, samples=4096)
+        assert sm.meansquare_R(tables_nn2_small, rho_nn2, 1, 33, samples=4096).samples == 33
 
 
 class TestMeanSquareR:
@@ -356,9 +352,9 @@ class TestMeanSquareR:
 
     def test_guards(self, tables_nn2_1m, rho_nn2):
         with pytest.raises(sm.SumsError):
-            sm.meansquare_R(tables_nn2_1m, rho_nn2, 5, 40)  # T < 10X
+            sm.meansquare_R(tables_nn2_1m, rho_nn2, 5, 40, samples=4096)  # T < 10X
         with pytest.raises(sm.SumsError):
-            sm.meansquare_R(tables_nn2_1m, rho_nn2, 1, 10**6)  # 2T > N
+            sm.meansquare_R(tables_nn2_1m, rho_nn2, 1, 10**6, samples=4096)  # 2T > N
         with pytest.raises(sm.SumsError):
             sm.meansquare_R(tables_nn2_1m, rho_nn2, 1, 10**3, samples=16)
 
