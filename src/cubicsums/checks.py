@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from . import arith, ideals, sums
+from . import arith, fieldspec, ideals, sums
 
 __all__ = [
     "character_failure",
@@ -167,7 +167,7 @@ def field_suite(tables, rng, x_max, ys):
     bad = arith.b_sum_identity_failure(tables, nmax)
     if not add("divisor-sum 1*b=aK", bad, f"b identity failed at n={bad}" if bad else f"n<= {nmax}"):
         return rows
-    if field.normal and field.conductor_f > 1 and field.degree == 3:
+    if field.normal and fieldspec._is_prime(field.conductor_f):  # cubic_character needs a prime conductor
         ncheck = min(nmax, 10**4)
         bad = character_failure(field.conductor_f, tables, ncheck)
         add("b = chi * conj(chi)", bad, f"character identity failed at n={bad}" if bad else f"n<= {ncheck}")

@@ -39,7 +39,7 @@ class RunConfig:
     """Every setting of a run with its one default; an option that a command
     line leaves out, or that its subcommand does not take, keeps it."""
 
-    field: str = "cubic-nonnormal-2"
+    field: str = fieldspec.preset_names()[0]
     N: int = 10**5
     rho_method: str = "series_b_over_m"
     experiment: str | None = None
@@ -191,9 +191,9 @@ def cmd_verify(cfg: RunConfig) -> int:
             raise ConfigError(f"{option} {value} below the minimum 1")
     if cfg.field == "all" and cfg.tables_path:
         raise ConfigError("--tables holds one field's tables; name that field instead of --field all")
-    names = (
-        ["cubic-nonnormal-2", "cubic-cyclic-7"] if cfg.field == "all" else [cfg.field]
-    )
+    names = [cfg.field]
+    if cfg.field == "all":  # every cubic preset
+        names = [n for n in fieldspec.preset_names() if fieldspec.get_preset(n).degree == 3]
     rng = random.Random(cfg.seed)
     rows = []
     for name in names:

@@ -14,8 +14,8 @@ We restrict to the monogenic case.  Primes that do divide the index cannot
 be factored through f mod p (Dedekind), so they must be declared explicitly
 via ``index_divisor_overrides``; the constructor runs Dedekind's p-maximality
 criterion at every candidate prime and refuses to build a field whose index
-divisors are not covered, whose disc puts a p-maximal prime in the index, or
-that overrides a p-maximal prime.
+divisors are not covered, that overrides a p-maximal prime, or whose disc
+puts a p-maximal prime in the index or leaves an overridden prime out of it.
 
 The degenerate ``rationals`` field (degree 1, one prime of norm p above
 every p) is included as a test hook: on it every ideal-level operation must
@@ -471,45 +471,41 @@ def _check_cubic(c0, c1, c2, disc, ov):
         raise FieldConfigError(
             f"poly disc / field disc = {q} is not a square; disc {disc} cannot be the field discriminant"
         )
-    for p in ov:
-        if dedekind_p_maximal(c0, c1, c2, p):
-            raise FieldConfigError(f"override at p={p}: the generated order is {p}-maximal, so {p} is no index divisor")
-    # poly disc = index^2 * disc, so any index divisor p has p^2 | poly disc;
-    # an override stands for Dedekind's verdict at its prime
-    for p, k in factorize(abs(pdisc)).items():
-        if k < 2 or p in ov:
-            continue
-        if not dedekind_p_maximal(c0, c1, c2, p):
+    # poly disc = index^2 * disc, so an index divisor p has p^2 | poly disc.  At each
+    # such p and each override prime, "p has an override", "the order is not
+    # p-maximal" and "p divides the index" hold together or fail together
+    for p in sorted(set(ov) | {p for p, k in factorize(abs(pdisc)).items() if k >= 2}):
+        maximal = dedekind_p_maximal(c0, c1, c2, p)
+        if (p in ov) == maximal:
             raise FieldConfigError(
-                f"prime {p} divides the index of the generated order; "
-                f"an index_divisor_override for p={p} is required"
-            )
-        if index % p == 0:
+                f"override at p={p}: the generated order is {p}-maximal, so {p} is no index divisor" if maximal
+                else f"prime {p} divides the index of the generated order; "
+                f"an index_divisor_override for p={p} is required")
+        if (index % p == 0) == maximal:
             raise FieldConfigError(
-                f"disc {disc} makes {p} divide the index {index} of the generated order, "
-                f"but the order is {p}-maximal"
-            )
+                f"disc {disc} makes {p} divide the index {index} of the generated order, but the order is {p}-maximal"
+                if maximal else f"override at p={p}: disc {disc} leaves {p} out of the index {index} of the generated "
+                f"order, which is not {p}-maximal; state the field's disc")
 
 
-def _build_cubic(name, c0, c1, c2, disc=None, overrides=None) -> FieldSpec:
-    """The field of x^3 + c2 x^2 + c1 x + c0; disc defaults to the poly disc."""
-    return FieldSpec(name, (c0, c1, c2), discriminant_monic_cubic(c0, c1, c2) if disc is None else disc,
-                     overrides or {})
+# the preset fields by name, each given by its field document; the first is
+# the command line's default field
+_PRESETS = {
+    "cubic-nonnormal-2": "poly = -2, 0, 0",  # x^3 - 2, disc -108
+    "cubic-cyclic-7": "poly = -1, -2, 1",  # x^3 + x^2 - 2x - 1, disc 49
+    "rationals": "",
+}
 
 
 @lru_cache(maxsize=None)
 def get_preset(name: str) -> FieldSpec:
-    if name == "cubic-nonnormal-2":
-        return _build_cubic("cubic-nonnormal-2", -2, 0, 0)
-    if name == "cubic-cyclic-7":
-        return _build_cubic("cubic-cyclic-7", -1, -2, 1)
-    if name == "rationals":
-        return FieldSpec("rationals", None, 1)
-    raise FieldConfigError(f"unknown preset {name!r}; known: {', '.join(preset_names())}")
+    if name not in _PRESETS:
+        raise FieldConfigError(f"unknown preset {name!r}; known: {', '.join(_PRESETS)}")
+    return parse_field_spec(f"name = {name}\n{_PRESETS[name]}")
 
 
 def preset_names():
-    return ("cubic-nonnormal-2", "cubic-cyclic-7", "rationals")
+    return tuple(_PRESETS)
 
 
 _OVERRIDE_RE = re.compile(r"^override\.(\d+)$")
@@ -525,9 +521,10 @@ def _config_int(text: str, what: str) -> int:
 def parse_field_spec(text: str) -> FieldSpec:
     """Parse a plain key=value field document.
 
-    Keys: name, poly (three ints c0,c1,c2), optional disc, optional
-    override.P entries with components written 'f:e' joined by '+'
-    (e.g. ``override.2 = 1:1+1:1+1:1`` for a totally split prime).
+    Keys: name, poly (three ints c0,c1,c2), disc (the poly disc when left
+    out, so a document with overrides, whose primes divide the index, must
+    state it), optional override.P entries with components written 'f:e'
+    joined by '+' (e.g. ``override.2 = 1:1+1:1+1:1`` for a totally split prime).
     """
     kv = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -539,16 +536,14 @@ def parse_field_spec(text: str) -> FieldSpec:
         k, v = line.split("=", 1)
         kv[k.strip()] = v.strip()
     name = kv.pop("name", "unnamed-field")
-    if name == "rationals" and "poly" not in kv:
-        return FieldSpec("rationals", None, 1)
+    if name == "rationals" and not kv:  # the hook's document is its name alone
+        return FieldSpec(name, None, 1)
     if "poly" not in kv:
         raise FieldConfigError("missing poly = c0, c1, c2")
     coeffs = [_config_int(t, "poly coefficient") for t in re.split(r"[,\s]+", kv.pop("poly")) if t]
     if len(coeffs) != 3:
         raise FieldConfigError("poly needs exactly three integers c0, c1, c2")
-    disc = None
-    if "disc" in kv:
-        disc = _config_int(kv.pop("disc"), "disc")
+    disc = _config_int(kv.pop("disc"), "disc") if "disc" in kv else discriminant_monic_cubic(*coeffs)
     overrides = {}
     for k in list(kv):
         m = _OVERRIDE_RE.match(k)
@@ -562,7 +557,7 @@ def parse_field_spec(text: str) -> FieldSpec:
                 raise FieldConfigError(f"override component {tok!r} is not f:e")
             comps.append(tuple(_config_int(x, f"override.{p} component") for x in fe))
         overrides[p] = SplittingType(tuple(comps))
-    return _build_cubic(name, coeffs[0], coeffs[1], coeffs[2], disc=disc, overrides=overrides)
+    return FieldSpec(name, tuple(coeffs), disc, overrides)
 
 
 def format_field_spec(field: FieldSpec) -> str:

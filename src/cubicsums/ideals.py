@@ -259,6 +259,8 @@ def random_factored_ideal(field: FieldSpec, rng, norm_bound: int) -> FactoredIde
     if norm_bound < 1:
         raise IdealError("norm_bound must be >= 1")
     pool = _labels_upto(field, norm_bound)
+    if not pool:  # no prime ideal has norm <= norm_bound
+        return UNIT_IDEAL
     current = {}
     norm = 1
     for _ in range(rng.randrange(0, 6)):

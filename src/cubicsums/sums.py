@@ -438,6 +438,8 @@ def meansquare_R(
 def quadrature_PK_squared(tables: ArithTables, rho: RhoEstimate, T: int, samples: int) -> float:
     """Independent midpoint quadrature of |P_K|^2 over [T, 2T], straight from
     the prefix sums (no S_K machinery)."""
+    if 2 * T > tables.N:
+        raise SumsError(f"need 2T <= N; got T={T}, N={tables.N}")
     ys, h = _half_integer_grid(int(T), samples)
     p = tables.A_prefix[np.floor(ys).astype(np.int64)] - rho.value * ys
     return h * math.fsum((p * p).tolist())
@@ -445,6 +447,10 @@ def quadrature_PK_squared(tables: ArithTables, rho: RhoEstimate, T: int, samples
 
 def exact_PK_square_integral(tables: ArithTables, rho: RhoEstimate, T: int) -> float:
     """Closed-form integral of |P_K|^2 over [T, 2T] (piecewise quadratic)."""
+    if T < 1:
+        raise SumsError(f"need T >= 1; got T={T}")
+    if 2 * T > tables.N:
+        raise SumsError(f"need 2T <= N; got T={T}, N={tables.N}")
     n = np.arange(int(T), 2 * int(T))
     A = tables.A_prefix[n].astype(np.float64)
     r = rho.value

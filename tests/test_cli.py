@@ -133,6 +133,14 @@ class TestVerify:
         assert rc == 2
         assert "table file is for field" in err
 
+    def test_cyclic_field_of_composite_conductor(self, capsys):
+        # x^3 - 3x + 1 is cyclic of conductor 9; the character row needs a
+        # prime conductor, so it is left out and every other row runs
+        rc, stdout, err = run(["verify", "--field", "poly = 1, -3, 0", "--N", "1e4"], capsys)
+        assert rc == 0 and err == ""
+        assert "chi * conj(chi)" not in stdout and "FAIL" not in stdout
+        assert "cross-path S_K direct=reduced" in stdout
+
     def test_tables_with_field_all_rejected_up_front(self, tmp_path, capsys):
         table_path = tmp_path / "t.bin"
         run(["sieve", "--N", "2000", "--output", str(table_path)], capsys)
@@ -276,7 +284,7 @@ class TestExperiments:
 
     def test_table_file_for_another_field_rejected(self, tmp_path, capsys):
         # same name and polynomial, another splitting of the index divisor 3
-        doc = "name = w\npoly = -10, 0, 0\noverride.3 = {}\n"
+        doc = "name = w\npoly = -10, 0, 0\ndisc = -300\noverride.3 = {}\n"
         table_path = tmp_path / "t.bin"
         rc, _, _ = run(["sieve", "--field", doc.format("1:1+1:2"), "--N", "2000", "--output", str(table_path)],
                        capsys)
@@ -285,6 +293,16 @@ class TestExperiments:
                                "--tables", str(table_path)], capsys)
         assert rc == 2 and stdout == ""
         assert "override.3 = 1:1+1:2" in err and "override.3 = 1:3" in err
+
+    def test_override_without_its_disc_rejected(self, tmp_path, capsys):
+        # 3 divides the index of Z[10^(1/3)], so the field disc is -2700 / 3^2
+        doc = "name = w\npoly = -10, 0, 0\n{}override.3 = 1:1+1:2\n"
+        argv = ["sieve", "--N", "2000", "--output", str(tmp_path / "t.bin"), "--field"]
+        rc, stdout, err = run([*argv, doc.format("")], capsys)
+        assert rc == 2 and stdout == "" and "Traceback" not in err
+        assert err.startswith("error: override at p=3: disc -2700 leaves 3 out of the index")
+        rc, stdout, _ = run([*argv, doc.format("disc = -300\n")], capsys)
+        assert rc == 0 and "disc=-300 (d=-3, f=10, normal=False)" in stdout
 
     def test_v1_table_file_rejected(self, tmp_path, capsys):
         table_path = tmp_path / "t.bin"

@@ -94,12 +94,11 @@ class TestDiscriminant:
 
 
 # valid documents beside the presets: the index divisor 3 of x^3 - 10 split
-# two ways (once with the field discriminant), and x^3 - 500015, whose
-# discriminant holds the square of the prime 100003
+# two ways, and x^3 - 500015, whose discriminant holds the square of the
+# prime 100003
 FIELD_DOCS = (
-    "name = w\npoly = -10, 0, 0\noverride.3 = 1:1+1:2\n",
-    "name = w\npoly = -10, 0, 0\noverride.3 = 1:3\n",
     "name = w\npoly = -10, 0, 0\ndisc = -300\noverride.3 = 1:1+1:2\n",
+    "name = w\npoly = -10, 0, 0\ndisc = -300\noverride.3 = 1:3\n",
     "name = pure-500015\npoly = -500015, 0, 0\n",
 )
 
@@ -125,6 +124,10 @@ class TestParsing:
     def test_unknown_key(self):
         with pytest.raises(fs.FieldConfigError, match="unknown key"):
             fs.parse_field_spec("poly=-2,0,0\nfoo=1")
+        # the rationals hook is its name alone: a disc, override or other key is not ignored
+        for key in ("disc = 5", "override.2 = 1:3", "foo = 1"):
+            with pytest.raises(fs.FieldConfigError, match="missing poly"):
+                fs.parse_field_spec(f"name = rationals\n{key}")
 
     def test_index_divisor_needs_override(self):
         # x^3 + x^2 - 2x + 8: the prime 2 always divides the index
@@ -132,10 +135,19 @@ class TestParsing:
             fs.parse_field_spec("poly = 8, -2, 1")
 
     def test_override_accepted_and_used(self):
-        f = fs.parse_field_spec("poly = 8, -2, 1\noverride.2 = 1:1+1:1+1:1")
+        # Dedekind's field: poly disc -2012 = 2^2 * -503
+        f = fs.parse_field_spec("poly = 8, -2, 1\ndisc = -503\noverride.2 = 1:1+1:1+1:1")
         st = fs.splitting_type(f, 2)
         assert st.components == ((1, 1), (1, 1), (1, 1))
         assert fs.local_ideal_counts(st.f_shape, 2) == [1, 3, 6]
+
+    def test_override_needs_its_disc(self):
+        # an override prime divides the index, so the poly disc, the default
+        # disc, is not the field's: x^3 - 10 with poly disc -2700 has disc -300
+        for doc in ("poly = -10, 0, 0\noverride.3 = 1:1+1:2", "poly = -10, 0, 0\ndisc = -2700\noverride.3 = 1:3",
+                    "poly = 8, -2, 1\noverride.2 = 1:1+1:1+1:1"):
+            with pytest.raises(fs.FieldConfigError, match="override at p=[23]: disc -(2700|2012) leaves [23] out"):
+                fs.parse_field_spec(doc)
 
     def test_override_key_must_be_prime(self):
         # a composite key names no prime ideal, so no prime's shape may be taken from it
@@ -175,7 +187,7 @@ class TestParsing:
         # one token of a valid document replaced, integers kept to |c| <= 10^4 so
         # factorization stays fast: the parser returns a field or raises
         # FieldConfigError, nothing else (x^3 - 500015 exceeds the bound)
-        doc = data.draw(st.sampled_from(FIELD_DOCS[:3]) | st.builds(
+        doc = data.draw(st.sampled_from(FIELD_DOCS[:2]) | st.builds(
             lambda c: f"name = r\npoly = {c[0]}, {c[1]}, {c[2]}\n", st.tuples(*[st.integers(-20, 20)] * 3)))
         tokens = re.findall(r"\d+|[A-Za-z_]+|\s+|.", doc)
         i = data.draw(st.integers(0, len(tokens) - 1))
@@ -323,7 +335,7 @@ class TestDedekind:
         assert f.poly_disc == -27 * 500015**2
         with pytest.raises(fs.FieldConfigError, match="override for p=100003"):
             fs.parse_field_spec("poly = -20001200018, 0, 0")
-        f = fs.parse_field_spec("poly = -20001200018, 0, 0\noverride.100003 = 1:3")
+        f = fs.parse_field_spec(f"poly = -20001200018, 0, 0\ndisc = {-108 * 100003**2}\noverride.100003 = 1:3")
         assert str(fs.splitting_type(f, 100003)) == "P1^3"
 
     def test_large_coefficients_finish(self):
@@ -572,7 +584,7 @@ class TestSplitting:
     def test_codes_beyond_int64_discriminant(self):
         # |poly disc| = 27 * 20001200018^2 is about 2^73: D and the residue
         # classes must be reduced mod p without an int64 conversion
-        f = fs.parse_field_spec("poly = -20001200018, 0, 0\noverride.100003 = 1:3")
+        f = fs.parse_field_spec(f"poly = -20001200018, 0, 0\ndisc = {-108 * 100003**2}\noverride.100003 = 1:3")
         assert abs(f.poly_disc) >= 2**63
         ps, codes = fs.splitting_codes(f, 10**4)
         assert codes.tolist() == [fs.SHAPES.index(fs.splitting_type(f, p)) for p in ps.tolist()]

@@ -27,8 +27,8 @@ def _seeded_random_field(seed):
 class TestFieldIdentity:
     def test_overrides_are_part_of_field_identity(self):
         # x^3 - 10: 3 divides the index, so its splitting comes from the override
-        a = fs.parse_field_spec("poly = -10, 0, 0\noverride.3 = 1:1+1:2")
-        b = fs.parse_field_spec("poly = -10, 0, 0\noverride.3 = 1:3")
+        a = fs.parse_field_spec("poly = -10, 0, 0\ndisc = -300\noverride.3 = 1:1+1:2")
+        b = fs.parse_field_spec("poly = -10, 0, 0\ndisc = -300\noverride.3 = 1:3")
         assert a != b and hash(a) != hash(b)
         assert len(idl.labels_above(a, 3)) == 2
         assert len(idl.labels_above(b, 3)) == len(fs.splitting_type(b, 3).components) == 1
@@ -66,6 +66,11 @@ class TestFactoredIdeal:
             I = idl.random_factored_ideal(field_nn2, rng, 500)
             J = idl.random_factored_ideal(field_nn2, rng, 500)
             assert idl.ideal_mul(I, J).norm == I.norm * J.norm
+
+    def test_random_ideal_of_norm_one_is_the_unit(self, field_nn2):
+        # no prime ideal has norm 1, so O_K is the only ideal of norm <= 1
+        for seed in range(4):
+            assert idl.random_factored_ideal(field_nn2, random.Random(seed), 1) == idl.UNIT_IDEAL
 
     def test_exponent_validation(self, field_nn2):
         P = idl.labels_above(field_nn2, 2)[0]

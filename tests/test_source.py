@@ -55,6 +55,22 @@ def test_unchecked_constructor_stays_in_ideals():
     assert list(sites) == ["src/cubicsums/ideals.py"], sites
 
 
+def test_field_spec_built_only_by_the_parser():
+    # presets and documents define a field one way: parse_field_spec is the
+    # one place that builds a FieldSpec, so the one place that defaults its disc
+    sites = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for func in ast.walk(tree):  # breadth first, so a nested function is named last
+            if isinstance(func, ast.FunctionDef):
+                owner.update((id(node), func.name) for node in ast.walk(func))
+        sites |= {f"{path.stem}.{owner.get(id(node), '<module>')}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and "FieldSpec" in (getattr(node.func, "id", None),
+                                                                    getattr(node.func, "attr", None))}
+    assert sites == {"fieldspec.parse_field_spec"}
+
+
 def test_every_exported_name_resolves():
     # `import *` and the benchmark tracer read every name in a module's
     # __all__ with getattr, so a stale entry breaks both

@@ -320,6 +320,18 @@ class TestQuadratureGrid:
                 with pytest.raises(sm.SumsError, match=r"min\(samples, T\) >= 1"):
                     call()
 
+    def test_oracles_refuse_a_window_beyond_the_tables(self, t1000_nn2, rho_nn2):
+        # [T, 2T] must lie inside the tables, and [0, 0] is no window
+        for call in (lambda T: sm.quadrature_PK_squared(t1000_nn2, rho_nn2, T, 64),
+                     lambda T: sm.exact_PK_square_integral(t1000_nn2, rho_nn2, T)):
+            for T in (501, 750):
+                with pytest.raises(sm.SumsError, match="need 2T <= N"):
+                    call(T)
+            assert call(500) > 0
+        for T in (0, -3):
+            with pytest.raises(sm.SumsError, match="need T >= 1"):
+                sm.exact_PK_square_integral(t1000_nn2, rho_nn2, T)
+
     def test_meansquare_names_T_when_T_is_short(self, tables_nn2_small, rho_nn2):
         # 4096 samples are not the cause: only 20 points fit in [20, 40)
         with pytest.raises(sm.SumsError, match="T=20"):
