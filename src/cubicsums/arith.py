@@ -109,11 +109,11 @@ class RhoDisagreement(ArithError):
 # multiplicative sieve engine
 # ----------------------------------------------------------------------------
 
-def _local_tables(codes_present, kmax):
+def _local_tables(kmax):
     """Per splitting shape: a_K, mu_K and b at p^0..p^kmax."""
     out = {}
-    for code in codes_present:
-        shape = SHAPES[code].f_shape
+    for code, st in enumerate(SHAPES):
+        shape = st.f_shape
         a = local_ideal_counts(shape, kmax)
         mu = [0] * (kmax + 1)
         mu[0] = 1
@@ -128,11 +128,12 @@ def _local_tables(codes_present, kmax):
 _TAKE_CHUNK = 1 << 16  # entries per step of the chunked passes, not all N + 1 at once
 
 
-def _sieve_multiplicative(N, ps, codes, locals_by_code, n_funcs, dtype):
-    """Fill n_funcs multiplicative tables of length N+1 (index 0 zeroed).
+def _sieve_multiplicative(N, ps, codes, locals_by_code, dtype):
+    """Fill multiplicative tables of length N+1 (index 0 zeroed).
 
     locals_by_code[code][j][k] is the value of function j at p^k for every
-    prime p of splitting code `code`.  The tables have the given dtype, which
+    prime p of splitting code `code`; each code lists the same functions, and
+    each function gets one table.  The tables have the given dtype, which
     must hold every value: each local value is 0 or at least 1 in absolute
     value, so no partial product in the small-prime pass exceeds the final
     value.
@@ -148,10 +149,10 @@ def _sieve_multiplicative(N, ps, codes, locals_by_code, n_funcs, dtype):
     for m in range(1, math.isqrt(N) + 1):
         cnt = int(np.searchsorted(big, N // m, side="right"))
         code_at[m * big[:cnt]] = big_codes[:cnt]
-    lut = np.ones((n_funcs, none + 1), dtype=dtype)
+    lut = np.ones((len(next(iter(locals_by_code.values()))), none + 1), dtype=dtype)
     for c, loc in locals_by_code.items():
         lut[:, c] = [vals[1] for vals in loc]
-    arrays = [np.empty(N + 1, dtype=dtype) for _ in range(n_funcs)]
+    arrays = [np.empty(N + 1, dtype=dtype) for _ in lut]
     for lo in range(0, N + 1, _TAKE_CHUNK):
         idx = code_at[lo : lo + _TAKE_CHUNK].astype(np.intp)
         for row, arr in zip(lut, arrays):
@@ -187,23 +188,30 @@ def _sieve_multiplicative(N, ps, codes, locals_by_code, n_funcs, dtype):
 class ArithTables:
     """Frozen value tables for one field; arrays are read-only views.
 
-    The value tables must be int32 and N at most N_BUDGET, so the int64
-    prefix sums cannot overflow (see the module docstring).  The prefix sums
-    are built on first use, so a run that reads neither never holds them."""
+    The value tables must be int32, of one length N + 1, and N at most
+    N_BUDGET, so the int64 prefix sums cannot overflow (see the module
+    docstring).  The prefix sums are built on first use, so a run that reads
+    neither never holds them."""
 
     field: FieldSpec
-    N: int
     aK: np.ndarray
     muK: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
+        if not len(self.aK) == len(self.muK) == len(self.b):
+            raise ArithError(f"value tables of unequal lengths {len(self.aK)}, {len(self.muK)}, {len(self.b)}")
         if self.N > N_BUDGET:
             raise ArithError(f"N={self.N} exceeds N_BUDGET = {N_BUDGET}")
         for arr in (self.aK, self.muK, self.b):
             if arr.dtype != np.int32:
                 raise ArithError(f"value tables must be int32, got {arr.dtype}")
             _freeze(arr)
+
+    @property
+    def N(self) -> int:
+        """The largest n the tables hold."""
+        return len(self.aK) - 1
 
     @cached_property
     def A_prefix(self) -> np.ndarray:
@@ -234,9 +242,7 @@ def build_tables(field: FieldSpec, N: int) -> ArithTables:
         raise ArithError(f"N={N} outside the supported range 1..{N_BUDGET}")
     ps, codes = splitting_codes(field, N)
     kmax = max(1, N.bit_length())
-    locs = _local_tables(set(codes.tolist()), kmax)
-    aK, muK, b = _sieve_multiplicative(N, ps, codes, locs, 3, np.int32)
-    return ArithTables(field, N, aK, muK, b)
+    return ArithTables(field, *_sieve_multiplicative(N, ps, codes, _local_tables(kmax), np.int32))
 
 
 def partial_A(tables: ArithTables, x) -> int:
@@ -344,7 +350,7 @@ def mobius_sieve(n: int) -> np.ndarray:
     with the local values 1, -1, 0, 0, ... at every prime."""
     ps = primes_upto(n)
     loc = {0: ([1, -1] + [0] * n.bit_length(),)}
-    (mu,) = _sieve_multiplicative(n, ps, np.zeros(len(ps), dtype=np.int8), loc, 1, np.int64)
+    (mu,) = _sieve_multiplicative(n, ps, np.zeros(len(ps), dtype=np.int8), loc, np.int64)
     return mu
 
 
@@ -367,7 +373,7 @@ def tau_table(l: int, n: int) -> np.ndarray:
         raise ArithError(f"max tau_{l}(m) over m <= {n} is {top:.3g}, beyond int64")
     ps = primes_upto(n)
     loc = {0: (local_ideal_counts((1,) * l, max(1, n.bit_length())),)}
-    (t,) = _sieve_multiplicative(n, ps, np.zeros(len(ps), dtype=np.int8), loc, 1, np.int64)
+    (t,) = _sieve_multiplicative(n, ps, np.zeros(len(ps), dtype=np.int8), loc, np.int64)
     return t
 
 
@@ -587,15 +593,14 @@ def read_tables(path) -> ArithTables:
         aK, muK, b = (np.zeros(N + 1, dtype="<i4") for _ in range(3))
         for arr in (aK, muK, b):
             fh.readinto(arr[1:])
-    return ArithTables(field, int(N), aK, muK, b)
+    return ArithTables(field, aK, muK, b)
 
 
 def export_csv(tables: ArithTables, path, nmax: int) -> None:
-    nmax = min(nmax, tables.N)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("n,aK,muK,b,A,M\n")
-        for n in range(1, nmax + 1):
-            fh.write(
-                f"{n},{tables.aK[n]},{tables.muK[n]},{tables.b[n]},"
-                f"{tables.A_prefix[n]},{tables.M_prefix[n]}\n"
-            )
+    """n, a_K, mu_K, b, A_K and M_K for n <= nmax as CSV; the prefix sums are
+    taken over those nmax entries only, not over the whole table."""
+    head = slice(0, min(nmax, tables.N) + 1)
+    aK, muK = tables.aK[head], tables.muK[head]
+    cols = (np.arange(len(aK)), aK, muK, tables.b[head], _prefix_sum(aK), _prefix_sum(muK))
+    np.savetxt(path, np.column_stack(cols)[1:], fmt="%d", delimiter=",", header="n,aK,muK,b,A,M",
+               comments="", encoding="utf-8")

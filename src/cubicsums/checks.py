@@ -37,10 +37,10 @@ def _first_mismatch(got, want):
     return int(diff[0]) + 1 if len(diff) else None
 
 
-def character_failure(f, tables, nmax):
+def character_failure(tables, nmax):
     """First n <= nmax with b(n) != (chi * conj(chi))(n), chi the cubic
-    character of prime conductor f, or None."""
-    return _first_mismatch(arith.b_from_cubic_character(f, nmax)[1:], tables.b[1 : nmax + 1])
+    character of the tables' field's prime conductor, or None."""
+    return _first_mismatch(arith.b_from_cubic_character(tables.field.conductor_f, nmax)[1:], tables.b[1 : nmax + 1])
 
 
 def histogram_failure(tables, B):
@@ -169,7 +169,7 @@ def field_suite(tables, rng, x_max, ys):
         return rows
     if field.normal and fieldspec._is_prime(field.conductor_f):  # cubic_character needs a prime conductor
         ncheck = min(nmax, 10**4)
-        bad = character_failure(field.conductor_f, tables, ncheck)
+        bad = character_failure(tables, ncheck)
         add("b = chi * conj(chi)", bad, f"character identity failed at n={bad}" if bad else f"n<= {ncheck}")
     B = min(tables.N, 10**4)
     bad = histogram_failure(tables, B)

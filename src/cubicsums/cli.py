@@ -93,6 +93,8 @@ def _one_value(values, default, option, command):
 def _load_tables(cfg: RunConfig, field):
     if cfg.tables_path:
         tables = arith.read_tables(cfg.tables_path)
+        if tables.N < arith.N_MIN:  # the floor --N has
+            raise ConfigError(f"--tables file has N={tables.N}, below the minimum {arith.N_MIN}")
         if tables.field != field:
             have, want = (fieldspec.format_field_spec(f).strip().replace("\n", "; ")
                           for f in (tables.field, field))
@@ -221,7 +223,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_experiment(cfg: RunConfig) -> int:
     name = cfg.experiment
-    meta = {"experiment": name}
+    meta = {}
     if "--tables" in _EXPERIMENTS[name][1]:
         field = fieldspec.load_field(cfg.field)
         # refuse a list where one value is read, before sieving
@@ -231,7 +233,7 @@ def cmd_experiment(cfg: RunConfig) -> int:
             _rho_B(cfg, cfg.N)  # reject a bad --B before sieving
         tables = _load_tables(cfg, field)
         estimates, rho, meta = _rho_meta(tables, cfg, _rho_B(cfg, tables.N))
-        meta["experiment"] = name
+    meta["experiment"] = name
     # the printed result of an exponents scenario stands for its CSV report on stdout
     emit, footer = True, []
 

@@ -99,15 +99,6 @@ class SplittingType:
     def f_shape(self) -> tuple:
         return tuple(sorted(f for f, _ in self.components))
 
-    def __str__(self):
-        parts = []
-        seen = {}
-        for f, e in self.components:
-            ticks = "'" * seen.get(f, 0)
-            seen[f] = seen.get(f, 0) + 1
-            parts.append(f"P{f}{ticks}" + (f"^{e}" if e > 1 else ""))
-        return "*".join(parts)
-
 
 # the (f, e) components of each code's shape, indexed by the code
 SHAPES = tuple(SplittingType(c) for c in (
@@ -445,10 +436,6 @@ class FieldSpec:
         return self.disc_sqfree_part == 1
 
     @property
-    def is_rational_hook(self) -> bool:
-        return self.degree == 1
-
-    @property
     def complex_places(self) -> int:
         """r2 in the signature (r1, r2); a cubic has one complex place iff
         its discriminant is negative (the rationals hook has disc 1)."""
@@ -525,6 +512,7 @@ def parse_field_spec(text: str) -> FieldSpec:
     out, so a document with overrides, whose primes divide the index, must
     state it), optional override.P entries with components written 'f:e'
     joined by '+' (e.g. ``override.2 = 1:1+1:1+1:1`` for a totally split prime).
+    A key stated twice, or two overrides of one prime, is refused.
     """
     kv = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -533,8 +521,12 @@ def parse_field_spec(text: str) -> FieldSpec:
             continue
         if "=" not in line:
             raise FieldConfigError(f"line {lineno}: expected key = value, got {raw!r}")
-        k, v = line.split("=", 1)
-        kv[k.strip()] = v.strip()
+        k, v = (t.strip() for t in line.split("=", 1))
+        m = _OVERRIDE_RE.match(k)
+        k = f"override.{int(m.group(1))}" if m else k  # override.03 is override.3
+        if k in kv:
+            raise FieldConfigError(f"line {lineno}: {k} is stated twice")
+        kv[k] = v
     name = kv.pop("name", "unnamed-field")
     if name == "rationals" and not kv:  # the hook's document is its name alone
         return FieldSpec(name, None, 1)
@@ -563,7 +555,7 @@ def parse_field_spec(text: str) -> FieldSpec:
 def format_field_spec(field: FieldSpec) -> str:
     """The parse_field_spec document of a field: parsing it gives back an
     equal FieldSpec with the same name."""
-    if field.is_rational_hook:
+    if field.degree == 1:
         return "name = rationals\n"
     lines = [f"name = {field.name}", "poly = " + ", ".join(map(str, field.poly)), f"disc = {field.disc}"]
     for p, st in sorted(field.index_divisor_overrides.items()):
@@ -624,7 +616,7 @@ def splitting_type(field: FieldSpec, p: int) -> SplittingType:
     """Decomposition shape of the prime p in the field (exact, single prime)."""
     if not _is_prime(p):
         raise FieldConfigError(f"{p} is not prime")
-    if field.is_rational_hook:
+    if field.degree == 1:
         return SHAPES[T_RATIONAL]
     if p in field.index_divisor_overrides:
         return field.index_divisor_overrides[p]
@@ -648,7 +640,7 @@ def splitting_codes(field: FieldSpec, N: int):
     3), p | D and the override primes, go to splitting_type.
     """
     ps = primes_upto(N)
-    if field.is_rational_hook:
+    if field.degree == 1:
         return ps, np.full(len(ps), T_RATIONAL, dtype=np.int8)
     D = field.poly_disc
     scalar = (_residues(D, ps) == 0) | (ps <= 3) | np.isin(ps, list(field.index_divisor_overrides))

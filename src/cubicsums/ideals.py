@@ -107,9 +107,9 @@ class FactoredIdeal:
 
     @classmethod
     def _trusted(cls, factors: tuple, norm: int) -> FactoredIdeal:
-        """The ideal with these factors and norm, unchecked: for factors this
-        module built sorted by label, with distinct labels and exponents >= 1,
-        and their known norm.  Every other caller goes through the checks."""
+        """The ideal with these factors and norm, unchecked, for
+        enumerate_ideals alone: it builds its factors sorted by label, with
+        distinct labels and exponents >= 1, and knows their norm."""
         I = object.__new__(cls)
         object.__setattr__(I, "factors", factors)
         object.__setattr__(I, "_norm", norm)
@@ -135,14 +135,7 @@ UNIT_IDEAL = FactoredIdeal()
 
 def ideal_gcd(I: FactoredIdeal, J: FactoredIdeal) -> FactoredIdeal:
     ej = dict(J.factors)
-    out = []
-    norm = 1
-    for lab, e in I.factors:
-        if lab in ej:
-            k = min(e, ej[lab])
-            out.append((lab, k))
-            norm *= lab.norm**k
-    return FactoredIdeal._trusted(tuple(out), norm)
+    return FactoredIdeal(tuple((lab, min(e, ej[lab])) for lab, e in I.factors if lab in ej))
 
 
 def ideal_mul(I: FactoredIdeal, J: FactoredIdeal) -> FactoredIdeal:
@@ -159,12 +152,8 @@ def ideal_divide(J: FactoredIdeal, M: FactoredIdeal) -> FactoredIdeal:
         have = acc.get(lab, 0)
         if have < e:
             raise IdealError(f"{M} does not divide {J} at {lab}")
-        if have == e:
-            del acc[lab]
-        else:
-            acc[lab] = have - e
-    # deleting and updating keys keeps J's label order
-    return FactoredIdeal._trusted(tuple(acc.items()), J.norm // M.norm)
+        acc[lab] = have - e
+    return FactoredIdeal(tuple((lab, e) for lab, e in acc.items() if e))
 
 
 def ideal_mobius(I: FactoredIdeal) -> int:

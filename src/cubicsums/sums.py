@@ -310,7 +310,7 @@ def _euler_Z(field: FieldSpec, P: int = _P):
 
     Returns (Z, window) with window the sum of the log factors over
     P/2 < p <= P, the estimate of log of the factors left out."""
-    c = 1 if field.is_rational_hook else 3 if field.normal else 2
+    c = 1 if field.degree == 1 else 3 if field.normal else 2
     ps, codes = splitting_codes(field, P)
     logs = np.empty(len(ps))
     for code in np.unique(codes).tolist():

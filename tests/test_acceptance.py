@@ -57,7 +57,7 @@ def test_criterion_02_convolution_identities(field_nn2, tables_nn2_1m, field_c7,
         assert bad is None, f"{tables.field.name}: convolution identity failed at n={bad}"
         bad = ar.b_sum_identity_failure(tables, 10**6)
         assert bad is None, f"{tables.field.name}: divisor-sum identity failed at n={bad}"
-    bad = ck.character_failure(7, tables_c7_1m, 10**4)
+    bad = ck.character_failure(tables_c7_1m, 10**4)
     assert bad is None, f"character identity failed at n={bad}"
     elapsed = time.perf_counter() - t0
     _report(2, elapsed < 30, f"convolution + character identities to 1e6/1e4 in {elapsed:.2f}s")

@@ -580,7 +580,8 @@ class TestTableIO:
         with pytest.raises(ar.ArithError, match="must be int32"):
             dataclasses.replace(t, aK=t.aK.astype(np.int64))
         with pytest.raises(ar.ArithError, match="exceeds N_BUDGET"):
-            dataclasses.replace(t, N=ar.N_BUDGET + 1)
+            # calloc'd pages that nothing touches
+            ar.ArithTables(t.field, *(np.zeros(ar.N_BUDGET + 2, np.int32) for _ in range(3)))
         # a header claiming more entries is refused before any allocation
         p = tmp_path / "crafted.bin"
         doc = b"name = rationals\n"
@@ -589,10 +590,21 @@ class TestTableIO:
         with pytest.raises(ar.ArithError, match="exceeds N_BUDGET"):
             ar.read_tables(p)
 
-    def test_csv_export(self, tables_nn2_small, tmp_path):
+    def test_value_tables_of_one_length(self, tables_nn2_small):
+        # N is read off the arrays, so they must agree on it
+        t = tables_nn2_small
+        for name in ("aK", "muK", "b"):
+            with pytest.raises(ar.ArithError, match="unequal lengths"):
+                dataclasses.replace(t, **{name: getattr(t, name)[:-1]})
+
+    def test_csv_export(self, field_nn2, tmp_path):
         p = tmp_path / "t.csv"
-        ar.export_csv(tables_nn2_small, p, nmax=50)
+        t = ar.build_tables(field_nn2, 2000)
+        ar.export_csv(t, p, nmax=50)
+        # the prefix sums are taken over the 50 rows, not over the whole table
+        assert not {"A_prefix", "M_prefix"} & set(vars(t))
         lines = p.read_text().strip().splitlines()
         assert lines[0] == "n,aK,muK,b,A,M"
         assert len(lines) == 51
         assert lines[1] == "1,1,1,1,1,1"
+        assert lines[50].split(",")[4:] == [str(t.A_prefix[50]), str(t.M_prefix[50])]

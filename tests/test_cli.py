@@ -10,7 +10,7 @@ import types
 import pytest
 
 from cubicsums import arith as ar
-from cubicsums import cli
+from cubicsums import cli, fieldspec
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -140,6 +140,16 @@ class TestVerify:
         assert rc == 0 and err == ""
         assert "chi * conj(chi)" not in stdout and "FAIL" not in stdout
         assert "cross-path S_K direct=reduced" in stdout
+
+    @pytest.mark.parametrize("N", [0, 500])
+    def test_tables_below_minimum_rejected(self, N, tmp_path, capsys):
+        # the floor --N has: at N = 0 verify died with an IndexError, and at
+        # N = 500 it failed its restriction row and exited 1
+        t = ar.build_tables(fieldspec.get_preset("cubic-nonnormal-2"), 500)
+        path = tmp_path / "t.bin"
+        ar.write_tables(ar.ArithTables(t.field, t.aK[: N + 1], t.muK[: N + 1], t.b[: N + 1]), path)
+        rc, stdout, err = run(["verify", "--field", "cubic-nonnormal-2", "--tables", str(path)], capsys)
+        assert (rc, stdout, err) == (2, "", f"error: --tables file has N={N}, below the minimum 1000\n")
 
     def test_tables_with_field_all_rejected_up_front(self, tmp_path, capsys):
         table_path = tmp_path / "t.bin"
@@ -303,6 +313,15 @@ class TestExperiments:
         assert err.startswith("error: override at p=3: disc -2700 leaves 3 out of the index")
         rc, stdout, _ = run([*argv, doc.format("disc = -300\n")], capsys)
         assert rc == 0 and "disc=-300 (d=-3, f=10, normal=False)" in stdout
+
+    def test_repeated_key_rejected(self, tmp_path, capsys):
+        # with the last value winning, each document gave a wrong field
+        argv = ["sieve", "--N", "2000", "--output", str(tmp_path / "t.bin"), "--field"]
+        for doc, want in (("poly = -2, 0, 0\npoly = -1, -2, 1", "line 2: poly"),
+                          ("poly = -10, 0, 0\ndisc = -300\noverride.3 = 1:1+1:2\noverride.03 = 1:3",
+                           "line 4: override.3")):
+            rc, stdout, err = run([*argv, doc], capsys)
+            assert (rc, stdout, err) == (2, "", f"error: {want} is stated twice\n")
 
     def test_v1_table_file_rejected(self, tmp_path, capsys):
         table_path = tmp_path / "t.bin"

@@ -149,6 +149,15 @@ class TestParsing:
             with pytest.raises(fs.FieldConfigError, match="override at p=[23]: disc -(2700|2012) leaves [23] out"):
                 fs.parse_field_spec(doc)
 
+    def test_repeated_key_refused(self):
+        # the last value used to win: a second poly turned x^3 - 2 into the
+        # cyclic field, and override.03 made 3 totally ramified in x^3 - 10
+        for doc, line, key in (("poly = -2, 0, 0\npoly = -1, -2, 1", 2, "poly"),
+                               ("poly = -10, 0, 0\ndisc = -300\noverride.3 = 1:1+1:2\noverride.03 = 1:3", 4,
+                                "override.3")):
+            with pytest.raises(fs.FieldConfigError, match=f"line {line}: {key} is stated twice"):
+                fs.parse_field_spec(doc)
+
     def test_override_key_must_be_prime(self):
         # a composite key names no prime ideal, so no prime's shape may be taken from it
         with pytest.raises(fs.FieldConfigError, match="override at p=4: 4 is not prime"):
@@ -336,7 +345,7 @@ class TestDedekind:
         with pytest.raises(fs.FieldConfigError, match="override for p=100003"):
             fs.parse_field_spec("poly = -20001200018, 0, 0")
         f = fs.parse_field_spec(f"poly = -20001200018, 0, 0\ndisc = {-108 * 100003**2}\noverride.100003 = 1:3")
-        assert str(fs.splitting_type(f, 100003)) == "P1^3"
+        assert fs.splitting_type(f, 100003) == fs.SHAPES[fs.T_RAM_13]
 
     def test_large_coefficients_finish(self):
         # c0 = 10000000019 is a prime = 2 mod 9, so x^3 - c0 is a valid pure cubic;
@@ -380,13 +389,13 @@ class TestFactorize:
 
 class TestSplitting:
     def test_nn2_examples(self, field_nn2):
-        assert str(fs.splitting_type(field_nn2, 2)) == "P1^3"
-        assert str(fs.splitting_type(field_nn2, 5)) == "P1*P2"
-        assert str(fs.splitting_type(field_nn2, 7)) == "P3"
+        assert fs.splitting_type(field_nn2, 2) == fs.SHAPES[fs.T_RAM_13]
+        assert fs.splitting_type(field_nn2, 5) == fs.SHAPES[fs.T_PARTIAL]
+        assert fs.splitting_type(field_nn2, 7) == fs.SHAPES[fs.T_INERT]
 
     def test_c7_split_at_13(self, field_c7):
         st = fs.splitting_type(field_c7, 13)
-        assert str(st) == "P1*P1'*P1''"
+        assert st == fs.SHAPES[fs.T_SPLIT]
         assert st.degree == 3
 
     def test_not_prime_rejected(self, field_nn2):
@@ -421,7 +430,7 @@ class TestSplitting:
                   for name, poly in (("neg-disc", "2, 2, 0"), ("square-disc", "1, -3, 0"),
                                      ("disc-473", "1, -5, 0"), ("disc-83", "2, 1, 1"))]
         assert [f.poly_disc for f in cubics] == [-140, 81, 473, -83]
-        assert str(fs.splitting_type(cubics[-1], 2)) == "P1*P2"
+        assert fs.splitting_type(cubics[-1], 2) == fs.SHAPES[fs.T_PARTIAL]
         for f in (field_nn2, field_c7, field_hook, *cubics):
             ps, codes = fs.splitting_codes(f, 2 * 10**4)
             for p, c in zip(ps.tolist(), codes.tolist()):

@@ -283,8 +283,9 @@ def _trusted_builds_match_checked(field, seed):
 
 
 class TestTrustedConstruction:
-    """Enumeration, gcd and quotients build their ideals without
-    the public constructor's checks; each must equal its checked rebuild."""
+    """Only the enumeration builds its ideals without the public
+    constructor's checks; they, and the gcds and quotients built from them,
+    must each equal their checked rebuild."""
 
     @pytest.mark.parametrize("preset", ["cubic-nonnormal-2", "cubic-cyclic-7"])
     def test_presets(self, preset):

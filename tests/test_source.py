@@ -44,15 +44,16 @@ def test_no_builtin_exception_raised():
 
 def test_unchecked_constructor_stays_in_ideals():
     # FactoredIdeal._trusted skips the public constructor's checks; only
-    # ideals.py, which builds its factors sorted and valid, may use it
-    sites = {}
+    # enumerate_ideals, which builds its factors sorted and valid, may use it
+    def names(node):
+        return {getattr(node, key, None) for key in ("attr", "id", "name")}
+
+    sites = set()
     for path in sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if (isinstance(node, ast.Attribute) and node.attr == "_trusted") or (
-                isinstance(node, ast.Name) and node.id == "_trusted"
-            ):
-                sites.setdefault(path.relative_to(ROOT).as_posix(), []).append(node.lineno)
-    assert list(sites) == ["src/cubicsums/ideals.py"], sites
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:  # each module-level def or class
+            if any("_trusted" in names(node) for node in ast.walk(top)):
+                sites.add(f"{path.relative_to(ROOT).as_posix()}:{getattr(top, 'name', top.lineno)}")
+    assert sites == {"src/cubicsums/ideals.py:FactoredIdeal", "src/cubicsums/ideals.py:enumerate_ideals"}
 
 
 def test_field_spec_built_only_by_the_parser():
