@@ -37,10 +37,18 @@ partial sums of sum b(m)/m, and a regression of A_K on x) which must agree
 within 3 combined standard errors.
 
 Everything here is exact integer arithmetic except the rho estimates.  The
-value tables are int32: |a_K(n)|, |mu_K(n)| and |b(n)| are at most
-tau_3(n) <= _max_tau(3, N_BUDGET) = 58320.  The prefix sums are int64, and
-since ArithTables refuses N > N_BUDGET, |prefix| <= 10^8 2^31 < 2^58 cannot
-overflow.
+value tables take 8 bytes per n (_TABLE_DTYPES), each as narrow as its
+values allow for n <= N_BUDGET:
+
+    a_K   int32:  a_K(n) <= tau_3(n) <= _max_tau(3, N_BUDGET) = 58320;
+    mu_K  int16:  |mu_K(p^k)| <= 3, the largest coefficient of (1 - t)^3,
+                  and the first nine primes multiply to more than N_BUDGET,
+                  so omega(n) <= 8 and |mu_K(n)| <= 3^8 = 6561;
+    b     int16:  |b(p^k)| <= k + 1, so |b(n)| <= tau(n) <= 768.
+
+No type is unsigned, so a_K(p) - 1 cannot wrap, and every reader widens
+before it does arithmetic.  The prefix sums are int64, and since ArithTables
+refuses N > N_BUDGET, |prefix| <= 10^8 2^31 < 2^58 cannot overflow.
 """
 
 from __future__ import annotations
@@ -93,7 +101,7 @@ __all__ = [
     "L1_cubic_character",
 ]
 
-N_BUDGET = 10**8  # 1.2 GB for the three int32 value tables; each int64 prefix sum adds 0.8 GB
+N_BUDGET = 10**8  # 0.8 GB for the three value tables; each int64 prefix sum adds 0.8 GB
 N_MIN = 10**3  # smallest rho window estimate_rho accepts, and the smallest table the CLI builds
 
 
@@ -127,16 +135,18 @@ def _local_tables(kmax):
 
 _TAKE_CHUNK = 1 << 16  # entries per step of the chunked passes, not all N + 1 at once
 
+# the dtypes of the value tables a_K, mu_K, b, in file order (module docstring)
+_TABLE_DTYPES = {"aK": np.dtype("<i4"), "muK": np.dtype("<i2"), "b": np.dtype("<i2")}
 
-def _sieve_multiplicative(N, ps, codes, locals_by_code, dtype):
+
+def _sieve_multiplicative(N, ps, codes, locals_by_code, dtypes):
     """Fill multiplicative tables of length N+1 (index 0 zeroed).
 
     locals_by_code[code][j][k] is the value of function j at p^k for every
     prime p of splitting code `code`; each code lists the same functions, and
-    each function gets one table.  The tables have the given dtype, which
-    must hold every value: each local value is 0 or at least 1 in absolute
-    value, so no partial product in the small-prime pass exceeds the final
-    value.
+    function j gets one table of dtype dtypes[j], which must hold each of its
+    values: each local value is 0 or at least 1 in absolute value, so no
+    partial product in the small-prime pass exceeds the final value.
     """
     split_at = int(np.searchsorted(ps, math.isqrt(N), side="right"))
     # large primes p > sqrt(N) divide each n <= N at most once, and n = m p
@@ -149,13 +159,14 @@ def _sieve_multiplicative(N, ps, codes, locals_by_code, dtype):
     for m in range(1, math.isqrt(N) + 1):
         cnt = int(np.searchsorted(big, N // m, side="right"))
         code_at[m * big[:cnt]] = big_codes[:cnt]
-    lut = np.ones((len(next(iter(locals_by_code.values()))), none + 1), dtype=dtype)
+    luts = [np.ones(none + 1, dtype=dt) for dt in dtypes]
     for c, loc in locals_by_code.items():
-        lut[:, c] = [vals[1] for vals in loc]
-    arrays = [np.empty(N + 1, dtype=dtype) for _ in lut]
+        for lut, vals in zip(luts, loc):
+            lut[c] = vals[1]
+    arrays = [np.empty(N + 1, dtype=dt) for dt in dtypes]
     for lo in range(0, N + 1, _TAKE_CHUNK):
         idx = code_at[lo : lo + _TAKE_CHUNK].astype(np.intp)
-        for row, arr in zip(lut, arrays):
+        for row, arr in zip(luts, arrays):
             row.take(idx, out=arr[lo : lo + _TAKE_CHUNK])
     del code_at
     # small primes: multiply the local value at p^k into n = p^k j, p not
@@ -188,10 +199,11 @@ def _sieve_multiplicative(N, ps, codes, locals_by_code, dtype):
 class ArithTables:
     """Frozen value tables for one field; arrays are read-only views.
 
-    The value tables must be int32, of one length N + 1, and N at most
-    N_BUDGET, so the int64 prefix sums cannot overflow (see the module
-    docstring).  The prefix sums are built on first use, so a run that reads
-    neither never holds them."""
+    Each value table must have its dtype in _TABLE_DTYPES, the three one
+    length N + 1, and N at most N_BUDGET, so no value outgrows its dtype and
+    the int64 prefix sums cannot overflow (see the module docstring).  The
+    prefix sums are built on first use, so a run that reads neither never
+    holds them."""
 
     field: FieldSpec
     aK: np.ndarray
@@ -203,9 +215,10 @@ class ArithTables:
             raise ArithError(f"value tables of unequal lengths {len(self.aK)}, {len(self.muK)}, {len(self.b)}")
         if self.N > N_BUDGET:
             raise ArithError(f"N={self.N} exceeds N_BUDGET = {N_BUDGET}")
-        for arr in (self.aK, self.muK, self.b):
-            if arr.dtype != np.int32:
-                raise ArithError(f"value tables must be int32, got {arr.dtype}")
+        for name, dtype in _TABLE_DTYPES.items():
+            arr = getattr(self, name)
+            if arr.dtype != dtype:
+                raise ArithError(f"the {name} table must be {dtype.name}, got {arr.dtype}")
             _freeze(arr)
 
     @property
@@ -242,7 +255,7 @@ def build_tables(field: FieldSpec, N: int) -> ArithTables:
         raise ArithError(f"N={N} outside the supported range 1..{N_BUDGET}")
     ps, codes = splitting_codes(field, N)
     kmax = max(1, N.bit_length())
-    return ArithTables(field, *_sieve_multiplicative(N, ps, codes, _local_tables(kmax), np.int32))
+    return ArithTables(field, *_sieve_multiplicative(N, ps, codes, _local_tables(kmax), tuple(_TABLE_DTYPES.values())))
 
 
 def partial_A(tables: ArithTables, x) -> int:
@@ -350,7 +363,7 @@ def mobius_sieve(n: int) -> np.ndarray:
     with the local values 1, -1, 0, 0, ... at every prime."""
     ps = primes_upto(n)
     loc = {0: ([1, -1] + [0] * n.bit_length(),)}
-    (mu,) = _sieve_multiplicative(n, ps, np.zeros(len(ps), dtype=np.int8), loc, np.int64)
+    (mu,) = _sieve_multiplicative(n, ps, np.zeros(len(ps), dtype=np.int8), loc, (np.int64,))
     return mu
 
 
@@ -373,7 +386,7 @@ def tau_table(l: int, n: int) -> np.ndarray:
         raise ArithError(f"max tau_{l}(m) over m <= {n} is {top:.3g}, beyond int64")
     ps = primes_upto(n)
     loc = {0: (local_ideal_counts((1,) * l, max(1, n.bit_length())),)}
-    (t,) = _sieve_multiplicative(n, ps, np.zeros(len(ps), dtype=np.int8), loc, np.int64)
+    (t,) = _sieve_multiplicative(n, ps, np.zeros(len(ps), dtype=np.int8), loc, (np.int64,))
     return t
 
 
@@ -443,7 +456,7 @@ def dirichlet_convolution(f, g, nmax: int) -> np.ndarray:
 
     f and g are indexed from 1 and need at least nmax + 1 entries.  Split at
     the hyperbola point r = isqrt(nmax), as the module docstring describes.
-    Each product is taken in int64, so int32 inputs do not wrap.
+    Each product is taken in int64, so int16 and int32 inputs do not wrap.
     """
     out = np.zeros(nmax + 1, dtype=np.int64)
     r = math.isqrt(nmax)
@@ -544,24 +557,24 @@ def L1_cubic_character(f: int) -> complex:
 # ----------------------------------------------------------------------------
 
 _MAGIC = b"CBSM"
-_VERSION = 3
+_VERSION = 4
 
 
 def write_tables(tables: ArithTables, path) -> None:
     """Flat binary dump: header (magic, version, length of the field
     document, the field's format_field_spec document as UTF-8, N) then the
-    little-endian int32 arrays a_K, mu_K, b for n = 1..N, 12 bytes per n.
-    The version fixes the width; files of versions 1 and 2 (int64 payload)
-    are refused.  read_tables parses the document back, so the tables carry
-    their field."""
+    little-endian arrays a_K (int32), mu_K and b (int16) for n = 1..N, 8
+    bytes per n.  The version fixes the widths; files of versions 1 and 2
+    (int64 payload) and 3 (int32 payload) are refused.  read_tables parses
+    the document back, so the tables carry their field."""
     doc = format_field_spec(tables.field).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", _VERSION, len(doc)))
         fh.write(doc)
         fh.write(struct.pack("<Q", tables.N))
-        for arr in (tables.aK, tables.muK, tables.b):
-            fh.write(arr[1:].astype("<i4", copy=False))  # no copy on a little-endian host
+        for name in _TABLE_DTYPES:
+            fh.write(getattr(tables, name)[1:])  # already little-endian: ArithTables checks the dtypes
 
 
 def _read_header(fh, n: int, path) -> bytes:
@@ -586,14 +599,14 @@ def read_tables(path) -> ArithTables:
         if N > N_BUDGET:  # refused before allocating N + 1 entries
             raise ArithError(f"{path}: N={N} in the header exceeds N_BUDGET = {N_BUDGET}")
         have = os.fstat(fh.fileno()).st_size - fh.tell()
-        want = 3 * 4 * N
+        want = N * sum(dtype.itemsize for dtype in _TABLE_DTYPES.values())
         if have != want:
             raise ArithError(f"{path}: truncated table file ({have} != {want} bytes)")
         # the file bytes go straight into the tables, with no intermediate copy
-        aK, muK, b = (np.zeros(N + 1, dtype="<i4") for _ in range(3))
-        for arr in (aK, muK, b):
+        arrays = [np.zeros(N + 1, dtype=dtype) for dtype in _TABLE_DTYPES.values()]
+        for arr in arrays:
             fh.readinto(arr[1:])
-    return ArithTables(field, aK, muK, b)
+    return ArithTables(field, *arrays)
 
 
 def export_csv(tables: ArithTables, path, nmax: int) -> None:

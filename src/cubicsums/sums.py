@@ -19,10 +19,11 @@ turns the reduced form into  S_K = rho_K Y + R_K(X, Y)  with
 
 The ideal-count error term P_K has a truncated oscillating-sum
 approximation (cube-root frequencies; d = 3 analogue of the Voronoi
-expansion of the divisor problem):
+expansion of the divisor problem), with D the field discriminant and r2
+the number of complex places (voronoi_P1_values):
 
-    P1(Y; y) = Y^{1/3}/(sqrt(3) pi) * sum_{n <= y} a_K(n) n^{-2/3}
-               cos(6 pi (n Y)^{1/3}),
+    P1(Y; y) = |D|^{1/6} Y^{1/3}/(sqrt(3) pi) * sum_{n <= y} a_K(n) n^{-2/3}
+               cos(6 pi (n Y/|D|)^{1/3} - r2 pi/2),
     P2(Y; y) = P_K(Y) - P1(Y; y),
 
 and the mean square of R_K over Y in [T, 2T] has leading term

@@ -110,17 +110,31 @@ class TestBuildTables:
             assert c <= 1.0, f"implied constant {c} exceeds 1"
 
     def test_int32_values_int64_prefix_sums(self, tables_nn2_small):
+        # a_K int32, mu_K and b int16; the prefix sums widen to int64
         t = tables_nn2_small
-        assert t.aK.dtype == t.muK.dtype == t.b.dtype == np.int32
+        assert (t.aK.dtype, t.muK.dtype, t.b.dtype) == (np.int32, np.int16, np.int16)
         assert t.A_prefix.dtype == t.M_prefix.dtype == np.int64
 
     def test_values_fit_int32_up_to_budget(self):
-        # |a_K|, |mu_K|, |b| <= tau_3, and N_BUDGET * 2^31 < 2^58 bounds the prefix sums
-        assert ar._max_tau(3, ar.N_BUDGET) == 58320 < 2**31
+        # each bound holds for n <= N_BUDGET and fits its table's dtype, and
+        # N_BUDGET * 2^31 < 2^58 bounds the prefix sums
+        top = {name: np.iinfo(dtype).max for name, dtype in ar._TABLE_DTYPES.items()}
+        assert all(np.iinfo(dtype).min < 0 for dtype in ar._TABLE_DTYPES.values())  # a_K(p) - 1 cannot wrap
+        # a_K(n) <= tau_3(n)
+        assert ar._max_tau(3, ar.N_BUDGET) == 58320 <= top["aK"]
+        # |mu_K(p^k)| <= 3 and omega(n) <= 8, since the first nine primes multiply past N_BUDGET
+        kmax = ar.N_BUDGET.bit_length()
+        local = ar._local_tables(kmax).values()
+        assert max(abs(v) for _, mu, _ in local for v in mu) == 3
+        assert math.prod(fs.primes_upto(23).tolist()) > ar.N_BUDGET
+        assert 3**8 == 6561 <= top["muK"]
+        # |b(p^k)| <= k + 1, so |b(n)| <= tau(n)
+        assert all(abs(v) <= k + 1 for _, _, b in local for k, v in enumerate(b))
+        assert ar._max_tau(2, ar.N_BUDGET) == 768 <= top["b"]
 
     def test_peak_memory_per_entry(self, field_nn2):
-        # three int32 tables are 12 bytes per n; the int8 codes and the
-        # chunked lookup add little, and no int64 prefix sum is built
+        # the value tables are 8 bytes per n; the int8 codes and the chunked
+        # lookup add little, and no int64 prefix sum is built
         N = 10**6
         tracemalloc.start()
         try:
@@ -128,7 +142,7 @@ class TestBuildTables:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * N, peak / N
+        assert peak <= 12 * N, peak / N
         ar.estimate_rho(t, N)
         assert "A_prefix" not in vars(t)
 
@@ -515,8 +529,8 @@ class TestTableIO:
             ar.read_tables(p)
 
     def test_v1_header_and_bad_field_document(self, tmp_path):
-        # a v1 file names its field only, a v2 file holds int64 values; a v3
-        # document must parse to a field
+        # a v1 file names its field only, a v2 file holds int64 values, a v3
+        # file int32 values; a v4 document must parse to a field
         N = 4
         doc = b"name = rationals\n"
         p = tmp_path / "t.bin"
@@ -528,9 +542,13 @@ class TestTableIO:
                       + np.ones(3 * N, dtype="<i8").tobytes())
         with pytest.raises(ar.ArithError, match="unsupported table version 2"):
             ar.read_tables(p)
-        doc = b"name = w\npoly = 1, 2\n"
         p.write_bytes(b"CBSM" + struct.pack("<II", 3, len(doc)) + doc + struct.pack("<Q", N)
                       + np.ones(3 * N, dtype="<i4").tobytes())
+        with pytest.raises(ar.ArithError, match="unsupported table version 3"):
+            ar.read_tables(p)
+        doc = b"name = w\npoly = 1, 2\n"
+        p.write_bytes(b"CBSM" + struct.pack("<II", 4, len(doc)) + doc + struct.pack("<Q", N)
+                      + np.ones(N, dtype="<i4").tobytes() + np.ones(2 * N, dtype="<i2").tobytes())
         with pytest.raises(ar.ArithError, match="bad field document.*three integers"):
             ar.read_tables(p)
 
@@ -554,13 +572,16 @@ class TestTableIO:
             ar.read_tables(p)
 
     def test_payload_layout(self, tables_nn2_small, tmp_path):
-        # after the header: a_K(1..N), mu_K(1..N), b(1..N) as little-endian int32
+        # after the header: a_K(1..N) as little-endian int32, then mu_K(1..N)
+        # and b(1..N) as little-endian int16
         t = tables_nn2_small
         p = tmp_path / "t.bin"
         ar.write_tables(t, p)
         doc = b"name = cubic-nonnormal-2\npoly = -2, 0, 0\ndisc = -108\n"
-        header = b"CBSM" + struct.pack("<II", 3, len(doc)) + doc + struct.pack("<Q", t.N)
-        payload = b"".join(np.array(arr[1:].tolist(), dtype="<i4").tobytes() for arr in (t.aK, t.muK, t.b))
+        header = b"CBSM" + struct.pack("<II", 4, len(doc)) + doc + struct.pack("<Q", t.N)
+        payload = b"".join(np.array(arr[1:].tolist(), dtype=dtype).tobytes()
+                           for arr, dtype in ((t.aK, "<i4"), (t.muK, "<i2"), (t.b, "<i2")))
+        assert len(payload) == 8 * t.N
         assert p.read_bytes() == header + payload
 
     def test_prefix_sums_built_on_first_use(self, field_nn2, tmp_path):
@@ -574,18 +595,22 @@ class TestTableIO:
                 tables.A_prefix = tables.M_prefix
 
     def test_prefix_overflow_guard(self, tables_nn2_small, tmp_path):
-        # the prefix sums cannot overflow int64 because the tables are int32
-        # and N <= N_BUDGET: anything else is refused
+        # the values fit their tables and the prefix sums cannot overflow
+        # int64 because each table has its own dtype and N <= N_BUDGET:
+        # anything else is refused
         t = tables_nn2_small
-        with pytest.raises(ar.ArithError, match="must be int32"):
+        with pytest.raises(ar.ArithError, match="the aK table must be int32, got int64"):
             dataclasses.replace(t, aK=t.aK.astype(np.int64))
+        for name in ("muK", "b"):
+            with pytest.raises(ar.ArithError, match=f"the {name} table must be int16, got int32"):
+                dataclasses.replace(t, **{name: getattr(t, name).astype(np.int32)})
         with pytest.raises(ar.ArithError, match="exceeds N_BUDGET"):
             # calloc'd pages that nothing touches
-            ar.ArithTables(t.field, *(np.zeros(ar.N_BUDGET + 2, np.int32) for _ in range(3)))
+            ar.ArithTables(t.field, *(np.zeros(ar.N_BUDGET + 2, dtype) for dtype in ar._TABLE_DTYPES.values()))
         # a header claiming more entries is refused before any allocation
         p = tmp_path / "crafted.bin"
         doc = b"name = rationals\n"
-        p.write_bytes(b"CBSM" + struct.pack("<II", 3, len(doc)) + doc + struct.pack("<Q", ar.N_BUDGET + 1)
+        p.write_bytes(b"CBSM" + struct.pack("<II", 4, len(doc)) + doc + struct.pack("<Q", ar.N_BUDGET + 1)
                       + np.ones(24, dtype="<i4").tobytes())
         with pytest.raises(ar.ArithError, match="exceeds N_BUDGET"):
             ar.read_tables(p)

@@ -93,10 +93,11 @@ class TestVerify:
         rc, _, _ = run(["sieve", "--N", "5000", "--output", str(table_path)], capsys)
         assert rc == 0
         data = bytearray(table_path.read_bytes())
-        # flip one a_K value inside the payload (header is 4+8+len(field document)+8 bytes)
+        # flip one a_K value inside the payload (header is 4+8+len(field
+        # document)+8 bytes; the payload starts with a_K(1..N) as int32)
         (doclen,) = struct.unpack("<I", data[8:12])
         header = 4 + 8 + doclen + 8
-        data[header + 8 * 499] ^= 0x01  # a_K(500)
+        data[header + 4 * 499] ^= 0x01  # a_K(500)
         table_path.write_bytes(bytes(data))
         rc, stdout, _ = run(
             ["verify", "--field", "cubic-nonnormal-2", "--tables", str(table_path),
@@ -104,7 +105,7 @@ class TestVerify:
             capsys,
         )
         assert rc == 1
-        assert "convolution identity failed at n=" in stdout
+        assert "first counterexample: convolution identity failed at n=500\n" in stdout
 
     def test_more_than_one_X_rejected(self, capsys):
         rc, stdout, err = run(["verify", "--N", "2000", "--X", "5,40"], capsys)

@@ -387,6 +387,18 @@ class TestFactorize:
             assert fs.factorize(12 * p * p) == {2: 2, 3: 1, p: 2}
 
 
+class TestPrimesUpto:
+    def test_matches_is_prime_at_edges(self):
+        # the sieve holds the odd numbers alone and prepends 2: n below,
+        # at and just past 2, 3, 4 and 9 = 3^2, even and odd n, a prime n
+        for n in (0, 1, 2, 3, 4, 5, 9, 10, 11, 100, 1000, 99991):
+            ps = fs.primes_upto(n)
+            assert ps.dtype == np.int64
+            assert ps.tolist() == [m for m in range(n + 1) if fs._is_prime(m)], n
+        ps = fs.primes_upto(10**7)
+        assert len(ps) == 664579 and ps[-1] == 9999991  # pi(10^7) and the largest prime below 10^7
+
+
 class TestSplitting:
     def test_nn2_examples(self, field_nn2):
         assert fs.splitting_type(field_nn2, 2) == fs.SHAPES[fs.T_RAM_13]
@@ -440,6 +452,17 @@ class TestSplitting:
                     assert not f.index_divisor_overrides
                     roots = fs.roots_mod_p(*f.poly, p)
                     assert fs.SHAPES[c].f_shape.count(1) == len(roots), (f.name, p)
+
+    def test_bulk_matches_scalar_across_ladder_blocks(self, field_nn2, field_c7, monkeypatch):
+        # blocks of 5 primes put block boundaries all through both ladder
+        # calls; on x^3 + 50x + 1, |D| = 500027 makes every prime p <= N a
+        # residue class of its own, so the Euler call runs on every prime
+        monkeypatch.setattr(fs, "_LADDER_BLOCK", 5, raising=True)
+        big = fs.parse_field_spec("name = big-disc\npoly = 1, 50, 0")
+        assert big.poly_disc == -500027
+        for f in (field_nn2, field_c7, big):
+            ps, codes = fs.splitting_codes(f, 2 * 10**4)
+            assert [fs.SHAPES[c] for c in codes.tolist()] == [fs.splitting_type(f, p) for p in ps.tolist()], f.name
 
     @settings(max_examples=60, deadline=None)
     @given(coeffs=RANDOM_COEFFS)
