@@ -16,13 +16,16 @@ splitting shape of p:
     mu_K(p^k) = [t^k] prod_i (1 - t^{f_i}),
     b(p^k)   = a_K(p^k) - a_K(p^{k-1}).
 
-The sieve fills all tables in two passes over the whole array.  A prime
-p > sqrt(N) divides n <= N at most once, and then n = m p with m < sqrt(N),
-so the large-prime pass loops over the cofactor m and stores the splitting
-code of p at all m p in one indexed assignment into an int8 array; each
-table is then one lookup of its values by code.  The small-prime pass
-multiplies the value at p^k into every n = p^k j with p not dividing j, for
-each prime power p^k <= N with p <= sqrt(N).
+The sieve fills all tables one segment of _SEGMENT entries at a time.  A
+prime p > sqrt(N) divides n <= N at most once, and then n = m p with
+m < sqrt(N), so the large-prime pass loops over the cofactor m once and
+stores the splitting code of p at all m p in one indexed assignment into
+an N-length int8 array.  Each segment then takes its values at those
+primes by one lookup by code, and the small-prime pass multiplies the value
+at p^k into every n = p^k j of the segment with p not dividing j, for each
+prime power p^k <= N with p <= sqrt(N), while the segment is in cache.
+`sieve_to_file` writes each segment to the table file as it is done, so
+no N-length value table is ever held; `read_tables` maps the file.
 
 The identities a_K * mu_K = e and 1 * b = a_K, and b = chi * conj(chi) on
 a cyclic field, are checked with one Dirichlet convolution split at the
@@ -53,7 +56,9 @@ refuses N > N_BUDGET, |prefix| <= 10^8 2^31 < 2^58 cannot overflow.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import mmap
 import os
 import struct
 from dataclasses import dataclass
@@ -89,6 +94,7 @@ __all__ = [
     "tau_power_sum",
     "tau_table",
     "tau4_cuberoot_pair_sum",
+    "sieve_to_file",
     "write_tables",
     "read_tables",
     "export_csv",
@@ -134,19 +140,24 @@ def _local_tables(kmax):
 
 
 _TAKE_CHUNK = 1 << 16  # entries per step of the chunked passes, not all N + 1 at once
+_SEGMENT = 1 << 20  # entries per sieve segment: its tables stay in cache while the small primes pass
 
 # the dtypes of the value tables a_K, mu_K, b, in file order (module docstring)
 _TABLE_DTYPES = {"aK": np.dtype("<i4"), "muK": np.dtype("<i2"), "b": np.dtype("<i2")}
 
 
-def _sieve_multiplicative(N, ps, codes, locals_by_code, dtypes):
-    """Fill multiplicative tables of length N+1 (index 0 zeroed).
+def _sieve_segments(N, ps, codes, locals_by_code, out):
+    """Fill multiplicative tables over 0..N (index 0 zeroed) one segment of
+    _SEGMENT entries at a time, and yield (lo, arrays) after each: arrays[j]
+    holds function j at n = lo, lo + 1, ...
 
     locals_by_code[code][j][k] is the value of function j at p^k for every
-    prime p of splitting code `code`; each code lists the same functions, and
-    function j gets one table of dtype dtypes[j], which must hold each of its
-    values: each local value is 0 or at least 1 in absolute value, so no
-    partial product in the small-prime pass exceeds the final value.
+    prime p of splitting code `code`; each code lists the same functions.
+    out holds one array per function, either N + 1 long, which the segments
+    fill in place, or one segment long, which each segment fills anew.  Its
+    dtype must hold each of the function's values: each local value is 0 or
+    at least 1 in absolute value, so no partial product exceeds the final
+    value.
     """
     split_at = int(np.searchsorted(ps, math.isqrt(N), side="right"))
     # large primes p > sqrt(N) divide each n <= N at most once, and n = m p
@@ -159,36 +170,58 @@ def _sieve_multiplicative(N, ps, codes, locals_by_code, dtypes):
     for m in range(1, math.isqrt(N) + 1):
         cnt = int(np.searchsorted(big, N // m, side="right"))
         code_at[m * big[:cnt]] = big_codes[:cnt]
-    luts = [np.ones(none + 1, dtype=dt) for dt in dtypes]
+    luts = [np.ones(none + 1, dtype=arr.dtype) for arr in out]
     for c, loc in locals_by_code.items():
         for lut, vals in zip(luts, loc):
             lut[c] = vals[1]
-    arrays = [np.empty(N + 1, dtype=dt) for dt in dtypes]
-    for lo in range(0, N + 1, _TAKE_CHUNK):
-        idx = code_at[lo : lo + _TAKE_CHUNK].astype(np.intp)
-        for row, arr in zip(luts, arrays):
-            row.take(idx, out=arr[lo : lo + _TAKE_CHUNK])
-    del code_at
-    # small primes: multiply the local value at p^k into n = p^k j, p not
-    # dividing j, through the strided view of the multiples of p^k laid out
-    # as rows of p (the last column holds the j divisible by p)
-    for p, c in zip(ps[:split_at].tolist(), codes[:split_at].tolist()):
-        loc = locals_by_code[c]
-        pk, k = p, 1
-        while pk <= N:
-            for arr, vals in zip(arrays, loc):
-                v = vals[k]
-                if v == 1:
-                    continue
-                view = arr[pk::pk]
-                rows = len(view) // p
-                view[: rows * p].reshape(rows, p)[:, : p - 1] *= v
-                view[rows * p :] *= v
-            pk *= p
-            k += 1
-    for arr in arrays:
-        arr[0] = 0
-    return arrays
+    small = [(p, locals_by_code[c]) for p, c in zip(ps[:split_at].tolist(), codes[:split_at].tolist())]
+    whole = len(out[0]) == N + 1
+    for lo in range(0, N + 1, _SEGMENT):
+        hi = min(lo + _SEGMENT, N + 1)
+        arrays = [arr[lo:hi] if whole else arr[: hi - lo] for arr in out]
+        for at in range(0, hi - lo, _TAKE_CHUNK):
+            idx = code_at[lo + at : min(lo + at + _TAKE_CHUNK, hi)].astype(np.intp)
+            for lut, arr in zip(luts, arrays):
+                lut.take(idx, out=arr[at : at + len(idx)])
+        # small primes: multiply the local value at p^k into the n = p^k j of
+        # the segment with p not dividing j
+        for p, loc in small:
+            pk, k = p, 1
+            while pk < hi:
+                for arr, vals in zip(arrays, loc):
+                    if vals[k] != 1:
+                        _scale_exact_multiples(arr, lo, p, pk, vals[k])
+                pk *= p
+                k += 1
+        if lo == 0:
+            for arr in arrays:
+                arr[0] = 0
+        yield lo, arrays
+
+
+def _scale_exact_multiples(arr, lo, p, pk, v):
+    """Multiply v into arr[n - lo] at each n = pk j in lo .. lo + len(arr) - 1
+    with p not dividing j, through the strided view of those multiples laid
+    out as rows of p whose last column holds the j divisible by p."""
+    j = -(-lo // pk)  # the first cofactor in the segment; j = 0 at n = 0
+    if j * pk - lo >= len(arr):
+        return
+    view = arr[j * pk - lo :: pk]
+    h = -j % p  # the entries before the first j divisible by p, which is skipped
+    view[:h] *= v
+    rest = view[h + 1 :]
+    rows = len(rest) // p
+    rest[: rows * p].reshape(rows, p)[:, : p - 1] *= v
+    rest[rows * p :] *= v
+
+
+def _sieve_multiplicative(N, ps, codes, locals_by_code, dtypes):
+    """The tables of _sieve_segments as whole arrays of length N + 1, one of
+    each dtype in dtypes."""
+    out = [np.empty(N + 1, dtype=dt) for dt in dtypes]
+    for _ in _sieve_segments(N, ps, codes, locals_by_code, out):
+        pass
+    return out
 
 
 # ----------------------------------------------------------------------------
@@ -249,13 +282,26 @@ def _prefix_sum(arr):
     return np.cumsum(x, out=x)
 
 
-def build_tables(field: FieldSpec, N: int) -> ArithTables:
-    """Sieve a_K, mu_K, b up to N."""
+def _field_locals(field: FieldSpec, N: int):
+    """The primes, splitting codes and local tables that sieve a_K, mu_K, b
+    up to N, in the order _sieve_segments takes them."""
     if not 1 <= N <= N_BUDGET:
         raise ArithError(f"N={N} outside the supported range 1..{N_BUDGET}")
     ps, codes = splitting_codes(field, N)
-    kmax = max(1, N.bit_length())
-    return ArithTables(field, *_sieve_multiplicative(N, ps, codes, _local_tables(kmax), tuple(_TABLE_DTYPES.values())))
+    return ps, codes, _local_tables(max(1, N.bit_length()))
+
+
+def build_tables(field: FieldSpec, N: int) -> ArithTables:
+    """Sieve a_K, mu_K, b up to N."""
+    return ArithTables(field, *_sieve_multiplicative(N, *_field_locals(field, N), _TABLE_DTYPES.values()))
+
+
+def sieve_to_file(field: FieldSpec, N: int, path) -> None:
+    """Sieve a_K, mu_K, b up to N straight into the table file at path (see
+    write_tables), one segment at a time: no N-length value table is held."""
+    inputs = _field_locals(field, N)
+    out = [np.empty(min(_SEGMENT, N + 1), dtype=dt) for dt in _TABLE_DTYPES.values()]
+    _write_file(path, field, N, _sieve_segments(N, *inputs, out))
 
 
 def partial_A(tables: ArithTables, x) -> int:
@@ -557,24 +603,50 @@ def L1_cubic_character(f: int) -> complex:
 # ----------------------------------------------------------------------------
 
 _MAGIC = b"CBSM"
-_VERSION = 4
+_VERSION = 5
+
+
+def _column_offsets(head: int, N: int) -> list:
+    """The file offset of each table's entry n = 0, in _TABLE_DTYPES order."""
+    sizes = [(N + 1) * dtype.itemsize for dtype in _TABLE_DTYPES.values()]
+    return [head + sum(sizes[:j]) for j in range(len(sizes))]
+
+
+def _write_file(path, field: FieldSpec, N: int, segments) -> None:
+    """Write the table file of field and N from segments (lo, arrays) that
+    cover 0..N, each array at its column's offset.  The bytes go to a
+    temporary file in the same directory, which then replaces path: a
+    reader that maps the old file keeps it whole, and an interrupted write
+    leaves nothing under path."""
+    doc = format_field_spec(field).encode("utf-8")
+    head = _MAGIC + struct.pack("<II", _VERSION, len(doc)) + doc + struct.pack("<Q", N)
+    head += bytes(-len(head) % 8)
+    offsets = _column_offsets(len(head), N)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(head)
+            for lo, arrays in segments:
+                for off, arr in zip(offsets, arrays):
+                    fh.seek(off + lo * arr.itemsize)
+                    fh.write(arr)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def write_tables(tables: ArithTables, path) -> None:
-    """Flat binary dump: header (magic, version, length of the field
-    document, the field's format_field_spec document as UTF-8, N) then the
-    little-endian arrays a_K (int32), mu_K and b (int16) for n = 1..N, 8
-    bytes per n.  The version fixes the widths; files of versions 1 and 2
-    (int64 payload) and 3 (int32 payload) are refused.  read_tables parses
-    the document back, so the tables carry their field."""
-    doc = format_field_spec(tables.field).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _VERSION, len(doc)))
-        fh.write(doc)
-        fh.write(struct.pack("<Q", tables.N))
-        for name in _TABLE_DTYPES:
-            fh.write(getattr(tables, name)[1:])  # already little-endian: ArithTables checks the dtypes
+    """Flat binary dump, version 5: a header (magic, version, length of the
+    field document, the field's format_field_spec document as UTF-8, N,
+    zeros up to a multiple of 8 bytes), then the little-endian tables a_K
+    (int32), mu_K and b (int16) for n = 0..N, 8 bytes per n.  Each table
+    starts at a multiple of its entry size, so read_tables maps the file.
+    Files of earlier versions are refused.  read_tables parses the document
+    back, so the tables carry their field."""
+    # already little-endian: ArithTables checks the dtypes
+    _write_file(path, tables.field, tables.N, [(0, [getattr(tables, name) for name in _TABLE_DTYPES])])
 
 
 def _read_header(fh, n: int, path) -> bytes:
@@ -585,6 +657,8 @@ def _read_header(fh, n: int, path) -> bytes:
 
 
 def read_tables(path) -> ArithTables:
+    """The tables of a write_tables file, mapped read-only: a reader reads
+    from the disk only the pages it touches."""
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ArithError(f"{path}: not a table file (bad magic)")
@@ -596,16 +670,16 @@ def read_tables(path) -> ArithTables:
         except (UnicodeDecodeError, FieldConfigError) as exc:
             raise ArithError(f"{path}: bad field document in the header: {exc}") from None
         (N,) = struct.unpack("<Q", _read_header(fh, 8, path))
-        if N > N_BUDGET:  # refused before allocating N + 1 entries
+        if N > N_BUDGET:
             raise ArithError(f"{path}: N={N} in the header exceeds N_BUDGET = {N_BUDGET}")
-        have = os.fstat(fh.fileno()).st_size - fh.tell()
-        want = N * sum(dtype.itemsize for dtype in _TABLE_DTYPES.values())
+        head = fh.tell() + -fh.tell() % 8  # the header's zeros end at a multiple of 8
+        have = os.fstat(fh.fileno()).st_size - head
+        want = (N + 1) * sum(dtype.itemsize for dtype in _TABLE_DTYPES.values())
         if have != want:
             raise ArithError(f"{path}: truncated table file ({have} != {want} bytes)")
-        # the file bytes go straight into the tables, with no intermediate copy
-        arrays = [np.zeros(N + 1, dtype=dtype) for dtype in _TABLE_DTYPES.values()]
-        for arr in arrays:
-            fh.readinto(arr[1:])
+        buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    arrays = [np.frombuffer(buf, dtype=dtype, count=N + 1, offset=off)
+              for dtype, off in zip(_TABLE_DTYPES.values(), _column_offsets(head, N))]
     return ArithTables(field, *arrays)
 
 

@@ -163,9 +163,9 @@ def _rho_meta(tables, cfg, B):
 def cmd_sieve(cfg: RunConfig) -> int:
     field = fieldspec.load_field(cfg.field)
     B = _rho_B(cfg, cfg.N)
-    tables = arith.build_tables(field, cfg.N)
     path = cfg.output or f"tables_{field.name}_{cfg.N}.bin"
-    arith.write_tables(tables, path)
+    arith.sieve_to_file(field, cfg.N, path)
+    tables = arith.read_tables(path)
     if cfg.csv_preview:
         arith.export_csv(tables, cfg.csv_preview, nmax=10**4)
     print(f"field {field.name}: disc={field.disc} (d={field.disc_sqfree_part}, "

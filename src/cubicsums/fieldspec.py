@@ -204,16 +204,20 @@ def _integer_roots(c0: int, c1: int, c2: int):
 
 def primes_upto(n: int) -> np.ndarray:
     """All primes <= n as an int64 array: numpy Eratosthenes over the odd
-    numbers alone (entry i stands for 2i + 1), then 2 prepended."""
+    numbers alone (entry i stands for 2i + 1).  Entry 0 stands for 1 and is
+    kept, so that the one array the primes need turns 1 into 2 in place."""
     if n < 2:
         return np.empty(0, dtype=np.int64)
     odd = np.ones((n + 1) // 2, dtype=bool)
-    odd[0] = False  # 1 is not prime
     for i in range(1, (math.isqrt(n) + 1) // 2):
         if odd[i]:
             p = 2 * i + 1
             odd[p * p // 2 :: p] = False  # the odd multiples p^2, p^2 + 2p, ...
-    return np.concatenate(([2], 2 * np.flatnonzero(odd) + 1)).astype(np.int64, copy=False)
+    ps = np.flatnonzero(odd).astype(np.int64, copy=False)
+    ps *= 2
+    ps += 1
+    ps[0] = 2
+    return ps
 
 
 def roots_mod_p(c0: int, c1: int, c2: int, p: int):
@@ -265,7 +269,7 @@ def _euclid_root_count(a, b, c, c0, c1, c2, p):
 
 
 _LADDER_P_BOUND = 1 << 30  # _power_vector sums residue products exactly only below this
-_LADDER_BLOCK = 1 << 14  # primes per ladder pass: its temporaries stay in a core's L2 cache
+_LADDER_BLOCK = 1 << 14  # primes per splitting_codes block: its temporaries stay in a core's L2 cache
 
 
 def _residues(x: int, ps: np.ndarray) -> np.ndarray:
@@ -291,26 +295,21 @@ def _power_vector(z0, z1, d, e, ps) -> tuple:
     exponent leave W unchanged.  Each bit squares W = w0 + w1 R into
     (w0^2 + d w1^2, 2 w0 w1) and multiplies by z where its bit is 1 (a 0/1
     blend, no branch).  Each product of residues is below 2^60 and each sum
-    of two below 2^61, so larger primes are refused.  The ladder runs over
-    blocks of _LADDER_BLOCK primes, so that its temporaries stay in cache
-    instead of streaming through memory at each bit.
+    of two below 2^61, so larger primes are refused.  splitting_codes calls
+    it on blocks of _LADDER_BLOCK primes, so that its temporaries stay in
+    cache instead of streaming through memory at each bit.
     """
     if int(ps.max(initial=0)) >= _LADDER_P_BOUND:
         raise FieldConfigError(f"prime {int(ps.max())} is outside the power ladder's range p < 2^30")
-    out0, out1 = np.empty_like(ps), np.empty_like(ps)
-    for lo in range(0, len(ps), _LADDER_BLOCK):
-        blk = slice(lo, lo + _LADDER_BLOCK)
-        a0, a1, dd, ee, p = (x[blk] if np.ndim(x) else x for x in (z0, z1, d, e, ps))
-        dz1 = dd * a1 % p
-        w0, w1 = np.ones_like(p), np.zeros_like(p)
-        for i in range(int(ee.max()).bit_length() - 1, -1, -1):
-            s0 = (w0 * w0 + dd * (w1 * w1 % p)) % p
-            s1 = 2 * w0 * w1 % p
-            k = (ee >> i) & 1
-            w0 = s0 + k * ((s0 * a0 + s1 * dz1) % p - s0)
-            w1 = s1 + k * ((s0 * a1 + s1 * a0) % p - s1)
-        out0[blk], out1[blk] = w0, w1
-    return out0, out1
+    dz1 = d * z1 % ps
+    w0, w1 = np.ones_like(ps), np.zeros_like(ps)
+    for i in range(int(e.max(initial=0)).bit_length() - 1, -1, -1):
+        s0 = (w0 * w0 + d * (w1 * w1 % ps)) % ps
+        s1 = 2 * w0 * w1 % ps
+        k = (e >> i) & 1
+        w0 = s0 + k * ((s0 * z0 + s1 * dz1) % ps - s0)
+        w1 = s1 + k * ((s0 * z1 + s1 * z0) % ps - s1)
+    return w0, w1
 
 
 def _cardano_invariants(c0: int, c1: int, c2: int) -> tuple:
@@ -343,7 +342,7 @@ def _cardano_splits(c0: int, c1: int, c2: int, ps: np.ndarray) -> np.ndarray:
       it is even ((disc/p) = 1), so it is trivial.  If z is no cube, the
       resolvent u is not in F_p^2 and the roots cannot all be in F_p.
 
-    W comes from one _power_vector call over all the primes.
+    W comes from one _power_vector call over all the primes in ps.
     """
     P3, Q27, Dp = _cardano_invariants(c0, c1, c2)
     q, flat = _residues(-Q27, ps), _residues(P3, ps) == 0
@@ -648,22 +647,29 @@ def splitting_codes(field: FieldSpec, N: int):
     class of p mod 4|D| (mod N + 1 when that is smaller: then every prime is
     a class of its own).  The few primes left, p <= 3 (Cardano divides by
     3), p | D and the override primes, go to splitting_type.
+
+    Both ladders run over blocks of _LADDER_BLOCK primes, each block with
+    its own residue classes, so that apart from the primes and their codes
+    no pi(N)-length array is ever held.
     """
     ps = primes_upto(N)
+    codes = np.full(len(ps), T_RATIONAL if field.degree == 1 else T_PARTIAL, dtype=np.int8)
     if field.degree == 1:
-        return ps, np.full(len(ps), T_RATIONAL, dtype=np.int8)
-    D = field.poly_disc
-    scalar = (_residues(D, ps) == 0) | (ps <= 3) | np.isin(ps, list(field.index_divisor_overrides))
-    # for odd p not dividing D, (D/p) depends only on p mod 4|D| (quadratic
-    # reciprocity): one Euler test per residue class, at one of its primes
-    classes, cls = np.unique(ps % min(4 * abs(D), N + 1), return_inverse=True)
-    rep = np.empty(len(classes), dtype=np.int64)
-    rep[cls] = ps
-    plus = ~scalar & (_power_vector(_residues(D, rep), 0, 0, rep >> 1, rep)[0][cls] == 1)
-    codes = np.full(len(ps), T_PARTIAL, dtype=np.int8)
-    codes[plus] = np.where(_cardano_splits(*field.poly, ps[plus]), T_SPLIT, T_INERT)
-    for i in np.flatnonzero(scalar):
-        codes[i] = SHAPES.index(splitting_type(field, int(ps[i])))
+        return ps, codes
+    D, M = field.poly_disc, min(4 * abs(field.poly_disc), N + 1)
+    overrides = list(field.index_divisor_overrides)
+    for lo in range(0, len(ps), _LADDER_BLOCK):
+        blk, out = ps[lo : lo + _LADDER_BLOCK], codes[lo : lo + _LADDER_BLOCK]
+        scalar = (_residues(D, blk) == 0) | (blk <= 3) | np.isin(blk, overrides)
+        # for odd p not dividing D, (D/p) depends only on p mod 4|D| (quadratic
+        # reciprocity): one Euler test per residue class, at one of its primes
+        classes, cls = np.unique(blk % M, return_inverse=True)
+        rep = np.empty(len(classes), dtype=np.int64)
+        rep[cls] = blk
+        plus = ~scalar & (_power_vector(_residues(D, rep), 0, 0, rep >> 1, rep)[0][cls] == 1)
+        out[plus] = np.where(_cardano_splits(*field.poly, blk[plus]), T_SPLIT, T_INERT)
+        for i in np.flatnonzero(scalar):
+            out[i] = SHAPES.index(splitting_type(field, int(blk[i])))
     return ps, codes
 
 

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import itertools
 import math
+import mmap
 import struct
 import tracemalloc
 
@@ -511,6 +512,43 @@ class TestCharacter:
         assert abs(ar.L1_cubic_character(13)) ** 2 == pytest.approx(0.42001534387519485, abs=1e-12)
 
 
+class TestSegments:
+    # segments of 1009 entries, a prime length: prime powers, p^2 > 1009
+    # (p >= 37) and n = 0 all straddle segment edges, against one segment
+    # (N + 1 <= _SEGMENT) as the reference
+    N = 2 * 10**4
+
+    @pytest.mark.parametrize("name", ["cubic-nonnormal-2", "cubic-cyclic-7"])
+    def test_tables_match_one_segment(self, name, monkeypatch):
+        field = fs.get_preset(name)
+        assert self.N + 1 <= ar._SEGMENT
+        whole = ar.build_tables(field, self.N)
+        monkeypatch.setattr(ar, "_SEGMENT", 1009)
+        cut = ar.build_tables(field, self.N)
+        for key in ("aK", "muK", "b"):
+            assert getattr(cut, key).dtype == getattr(whole, key).dtype
+            assert np.array_equal(getattr(cut, key), getattr(whole, key)), key
+
+    def test_mobius_and_tau_match_one_segment(self, monkeypatch):
+        mu, tau = ar.mobius_sieve(self.N), ar.tau_table(4, self.N)
+        monkeypatch.setattr(ar, "_SEGMENT", 1009)
+        assert np.array_equal(ar.mobius_sieve(self.N), mu)
+        assert np.array_equal(ar.tau_table(4, self.N), tau)
+
+    @pytest.mark.parametrize("name", ["cubic-nonnormal-2", "cubic-cyclic-7"])
+    def test_streamed_file_matches_build_tables(self, name, tmp_path, monkeypatch):
+        field, N = fs.get_preset(name), 10**5
+        want = ar.build_tables(field, N)
+        monkeypatch.setattr(ar, "_SEGMENT", 1009)
+        ar.sieve_to_file(field, N, tmp_path / "t.bin")
+        got = ar.read_tables(tmp_path / "t.bin")
+        assert got.field == field and got.N == N
+        for key in ("aK", "muK", "b"):
+            assert np.array_equal(getattr(got, key), getattr(want, key)), key
+        ar.write_tables(want, tmp_path / "w.bin")
+        assert (tmp_path / "t.bin").read_bytes() == (tmp_path / "w.bin").read_bytes()
+
+
 class TestTableIO:
     def test_roundtrip(self, tables_nn2_small, tmp_path):
         p = tmp_path / "t.bin"
@@ -530,7 +568,8 @@ class TestTableIO:
 
     def test_v1_header_and_bad_field_document(self, tmp_path):
         # a v1 file names its field only, a v2 file holds int64 values, a v3
-        # file int32 values; a v4 document must parse to a field
+        # file int32 values, a v4 file n = 1..N with no padding; a v5
+        # document must parse to a field
         N = 4
         doc = b"name = rationals\n"
         p = tmp_path / "t.bin"
@@ -546,9 +585,14 @@ class TestTableIO:
                       + np.ones(3 * N, dtype="<i4").tobytes())
         with pytest.raises(ar.ArithError, match="unsupported table version 3"):
             ar.read_tables(p)
-        doc = b"name = w\npoly = 1, 2\n"
         p.write_bytes(b"CBSM" + struct.pack("<II", 4, len(doc)) + doc + struct.pack("<Q", N)
                       + np.ones(N, dtype="<i4").tobytes() + np.ones(2 * N, dtype="<i2").tobytes())
+        with pytest.raises(ar.ArithError, match="unsupported table version 4"):
+            ar.read_tables(p)
+        doc = b"name = w\npoly = 1, 2\n"
+        p.write_bytes(b"CBSM" + struct.pack("<II", 5, len(doc)) + doc + struct.pack("<Q", N)
+                      + bytes(-(20 + len(doc)) % 8)
+                      + np.ones(N + 1, dtype="<i4").tobytes() + np.ones(2 * N + 2, dtype="<i2").tobytes())
         with pytest.raises(ar.ArithError, match="bad field document.*three integers"):
             ar.read_tables(p)
 
@@ -571,18 +615,74 @@ class TestTableIO:
         with pytest.raises(ar.ArithError, match="truncated"):
             ar.read_tables(p)
 
+    def test_truncated_by_one_byte_either_way(self, tables_nn2_small, tmp_path):
+        p = tmp_path / "t.bin"
+        ar.write_tables(tables_nn2_small, p)
+        data = p.read_bytes()
+        for bad, have in ((data[:-1], -1), (data + b"\0", 1)):
+            p.write_bytes(bad)
+            with pytest.raises(ar.ArithError, match=rf"truncated table file \({8 * 10001 + have} != {8 * 10001} bytes"):
+                ar.read_tables(p)
+
     def test_payload_layout(self, tables_nn2_small, tmp_path):
-        # after the header: a_K(1..N) as little-endian int32, then mu_K(1..N)
-        # and b(1..N) as little-endian int16
+        # the header is padded with zeros to a multiple of 8 bytes; then
+        # a_K(0..N) as little-endian int32, then mu_K(0..N) and b(0..N) as
+        # little-endian int16
         t = tables_nn2_small
         p = tmp_path / "t.bin"
         ar.write_tables(t, p)
         doc = b"name = cubic-nonnormal-2\npoly = -2, 0, 0\ndisc = -108\n"
-        header = b"CBSM" + struct.pack("<II", 4, len(doc)) + doc + struct.pack("<Q", t.N)
-        payload = b"".join(np.array(arr[1:].tolist(), dtype=dtype).tobytes()
+        header = b"CBSM" + struct.pack("<II", 5, len(doc)) + doc + struct.pack("<Q", t.N)
+        assert len(header) == 73
+        header += bytes(7)
+        payload = b"".join(np.array(arr.tolist(), dtype=dtype).tobytes()
                            for arr, dtype in ((t.aK, "<i4"), (t.muK, "<i2"), (t.b, "<i2")))
-        assert len(payload) == 8 * t.N
+        assert len(payload) == 8 * (t.N + 1)
         assert p.read_bytes() == header + payload
+
+    def test_mapped_tables_are_read_only(self, tables_nn2_small, tmp_path):
+        p = tmp_path / "t.bin"
+        ar.write_tables(tables_nn2_small, p)
+        t = ar.read_tables(p)
+        for name in ("aK", "muK", "b"):
+            arr = getattr(t, name)
+            assert isinstance(arr.base.obj, mmap.mmap) and arr.ctypes.data % arr.itemsize == 0
+            with pytest.raises(ValueError, match="read-only"):
+                arr[1] = 7
+            with pytest.raises(ValueError):
+                arr.setflags(write=True)
+        assert t.aK[1] == 1
+
+    def test_rewrite_keeps_an_old_mapping_whole(self, field_nn2, field_c7, tmp_path):
+        # a writer replaces the file instead of truncating it, so a mapping
+        # of the old file still reads the old values; neither write leaves a
+        # temporary file behind
+        p = tmp_path / "t.bin"
+        old = ar.build_tables(field_nn2, 3000)
+        ar.write_tables(old, p)
+        mapped = ar.read_tables(p)
+        ar.sieve_to_file(field_c7, 2000, p)
+        ar.write_tables(ar.build_tables(field_c7, 1000), p)
+        assert mapped.field == field_nn2 and mapped.N == 3000
+        for name in ("aK", "muK", "b"):
+            assert np.array_equal(getattr(mapped, name), getattr(old, name))
+        assert ar.read_tables(p).N == 1000
+        assert [q.name for q in tmp_path.iterdir()] == ["t.bin"]
+
+    def test_interrupted_write_leaves_no_file(self, field_nn2, tmp_path, monkeypatch):
+        p = tmp_path / "t.bin"
+        real = ar._sieve_segments
+
+        def interrupted(*args):
+            gen = real(*args)
+            yield next(gen)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ar, "_SEGMENT", 1009)
+        monkeypatch.setattr(ar, "_sieve_segments", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            ar.sieve_to_file(field_nn2, 5000, p)
+        assert list(tmp_path.iterdir()) == []
 
     def test_prefix_sums_built_on_first_use(self, field_nn2, tmp_path):
         t = ar.build_tables(field_nn2, 2000)
@@ -610,7 +710,7 @@ class TestTableIO:
         # a header claiming more entries is refused before any allocation
         p = tmp_path / "crafted.bin"
         doc = b"name = rationals\n"
-        p.write_bytes(b"CBSM" + struct.pack("<II", 4, len(doc)) + doc + struct.pack("<Q", ar.N_BUDGET + 1)
+        p.write_bytes(b"CBSM" + struct.pack("<II", 5, len(doc)) + doc + struct.pack("<Q", ar.N_BUDGET + 1)
                       + np.ones(24, dtype="<i4").tobytes())
         with pytest.raises(ar.ArithError, match="exceeds N_BUDGET"):
             ar.read_tables(p)

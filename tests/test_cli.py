@@ -77,6 +77,43 @@ class TestSieve:
         assert (tmp_path / "t.csv").read_text().startswith("n,aK,muK,b,A,M")
 
 
+# A fresh interpreter forks the measured one and reads its ru_maxrss with
+# os.wait4.  A child started straight from the test process would report at
+# least the test process's own peak: execve keeps the old address space's
+# high-water mark.
+_MEASURE = (
+    "import os, sys\n"
+    "pid = os.fork()\n"
+    "if pid == 0:\n"
+    "    os.execv(sys.executable, [sys.executable, '-c', sys.argv[1]])\n"
+    "_, status, ru = os.wait4(pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), ru.ru_maxrss)\n"
+)
+
+
+def _peak_bytes(code):
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", _MEASURE, code], env=env, capture_output=True, text=True,
+                         check=True, timeout=300).stdout.split()
+    assert out[0] == "0", out
+    return int(out[1]) * 1024  # ru_maxrss is in KiB on Linux
+
+
+class TestMemory:
+    def test_sieve_and_rho_hold_no_value_table(self, tmp_path):
+        # the value tables take 8 bytes per n; streamed to the file and mapped
+        # back, `sieve` and then `experiment rho` on its file, in one process,
+        # raise the peak RSS above that of the import by less than 4 bytes per n
+        N = 8 * 10**6
+        path = str(tmp_path / "t.bin")
+        steps = [["sieve", "--N", str(N), "--output", path], ["experiment", "rho", "--tables", path]]
+        code = ("import contextlib, io, sys\nfrom cubicsums import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    sys.exit(max(cli.main(argv) for argv in {steps!r}))\n")
+        growth = _peak_bytes(code) - _peak_bytes("import cubicsums.cli")
+        assert growth < 4 * N, f"{growth / N:.2f} bytes per n"
+
+
 class TestVerify:
     def test_quick_pass(self, tmp_path, capsys):
         rc, stdout, _ = run(
@@ -94,10 +131,12 @@ class TestVerify:
         assert rc == 0
         data = bytearray(table_path.read_bytes())
         # flip one a_K value inside the payload (header is 4+8+len(field
-        # document)+8 bytes; the payload starts with a_K(1..N) as int32)
+        # document)+8 bytes, padded to a multiple of 8; the payload starts
+        # with a_K(0..N) as int32)
         (doclen,) = struct.unpack("<I", data[8:12])
         header = 4 + 8 + doclen + 8
-        data[header + 4 * 499] ^= 0x01  # a_K(500)
+        header += -header % 8
+        data[header + 4 * 500] ^= 0x01  # a_K(500)
         table_path.write_bytes(bytes(data))
         rc, stdout, _ = run(
             ["verify", "--field", "cubic-nonnormal-2", "--tables", str(table_path),
@@ -339,6 +378,19 @@ class TestExperiments:
         rc, stdout, err = run(["experiment", "rho", "--tables", str(table_path)], capsys)
         assert rc == 2 and stdout == ""
         assert "unsupported table version 2" in err
+
+    def test_v4_table_file_rejected(self, tmp_path, capsys):
+        # a v4 file held n = 1..N after an unpadded header
+        table_path = tmp_path / "t.bin"
+        run(["sieve", "--N", "2000", "--output", str(table_path)], capsys)
+        t = ar.read_tables(table_path)
+        data = table_path.read_bytes()
+        (doclen,) = struct.unpack("<I", data[8:12])
+        table_path.write_bytes(data[:4] + struct.pack("<I", 4) + data[8 : 20 + doclen]
+                               + b"".join(arr[1:].tobytes() for arr in (t.aK, t.muK, t.b)))
+        rc, stdout, err = run(["experiment", "rho", "--tables", str(table_path)], capsys)
+        assert rc == 2 and stdout == ""
+        assert "unsupported table version 4" in err
 
     def test_table_file_cut_inside_header(self, tmp_path, capsys):
         table_path = tmp_path / "t.bin"
