@@ -24,8 +24,9 @@ an N-length int8 array.  Each segment then takes its values at those
 primes by one lookup by code, and the small-prime pass multiplies the value
 at p^k into every n = p^k j of the segment with p not dividing j, for each
 prime power p^k <= N with p <= sqrt(N), while the segment is in cache.
-`sieve_to_file` writes each segment to the table file as it is done, so
-no N-length value table is ever held; `read_tables` maps the file.
+`sieve_to_file`, the only writer of a table file (its docstring gives the
+layout), writes each segment to the file as it is done, so no N-length
+value table is ever held; `read_tables` maps the file.
 
 The identities a_K * mu_K = e and 1 * b = a_K, and b = chi * conj(chi) on
 a cyclic field, are checked with one Dirichlet convolution split at the
@@ -89,13 +90,11 @@ __all__ = [
     "error_P",
     "estimate_rho",
     "classical_ramanujan",
-    "factorize",
     "mobius_sieve",
     "tau_power_sum",
     "tau_table",
     "tau4_cuberoot_pair_sum",
     "sieve_to_file",
-    "write_tables",
     "read_tables",
     "export_csv",
     "dirichlet_convolution",
@@ -139,7 +138,7 @@ def _local_tables(kmax):
     return out
 
 
-_TAKE_CHUNK = 1 << 16  # entries per step of the chunked passes, not all N + 1 at once
+_TAKE_CHUNK = 1 << 16  # entries per step of the chunked passes; within a segment it bounds the intp index array
 _SEGMENT = 1 << 20  # entries per sieve segment: its tables stay in cache while the small primes pass
 
 # the dtypes of the value tables a_K, mu_K, b, in file order (module docstring)
@@ -294,14 +293,6 @@ def _field_locals(field: FieldSpec, N: int):
 def build_tables(field: FieldSpec, N: int) -> ArithTables:
     """Sieve a_K, mu_K, b up to N."""
     return ArithTables(field, *_sieve_multiplicative(N, *_field_locals(field, N), _TABLE_DTYPES.values()))
-
-
-def sieve_to_file(field: FieldSpec, N: int, path) -> None:
-    """Sieve a_K, mu_K, b up to N straight into the table file at path (see
-    write_tables), one segment at a time: no N-length value table is held."""
-    inputs = _field_locals(field, N)
-    out = [np.empty(min(_SEGMENT, N + 1), dtype=dt) for dt in _TABLE_DTYPES.values()]
-    _write_file(path, field, N, _sieve_segments(N, *inputs, out))
 
 
 def partial_A(tables: ArithTables, x) -> int:
@@ -612,12 +603,19 @@ def _column_offsets(head: int, N: int) -> list:
     return [head + sum(sizes[:j]) for j in range(len(sizes))]
 
 
-def _write_file(path, field: FieldSpec, N: int, segments) -> None:
-    """Write the table file of field and N from segments (lo, arrays) that
-    cover 0..N, each array at its column's offset.  The bytes go to a
-    temporary file in the same directory, which then replaces path: a
-    reader that maps the old file keeps it whole, and an interrupted write
-    leaves nothing under path."""
+def sieve_to_file(field: FieldSpec, N: int, path) -> None:
+    """Sieve a_K, mu_K, b up to N into the table file at path one segment at
+    a time, so no N-length value table is held.
+
+    The file, version 5: a header (magic, version, length of the field
+    document, the field's format_field_spec document as UTF-8, N, zeros up
+    to a multiple of 8 bytes), then the little-endian tables a_K (int32),
+    mu_K and b (int16) for n = 0..N, 8 bytes per n, each at a multiple of
+    its entry size.  The bytes go to a temporary file in the same directory,
+    which then replaces path: a reader that maps the old file keeps it
+    whole, and an interrupted write leaves nothing under path."""
+    inputs = _field_locals(field, N)
+    out = [np.empty(min(_SEGMENT, N + 1), dtype=dt) for dt in _TABLE_DTYPES.values()]
     doc = format_field_spec(field).encode("utf-8")
     head = _MAGIC + struct.pack("<II", _VERSION, len(doc)) + doc + struct.pack("<Q", N)
     head += bytes(-len(head) % 8)
@@ -626,7 +624,7 @@ def _write_file(path, field: FieldSpec, N: int, segments) -> None:
     try:
         with open(tmp, "wb") as fh:
             fh.write(head)
-            for lo, arrays in segments:
+            for lo, arrays in _sieve_segments(N, *inputs, out):
                 for off, arr in zip(offsets, arrays):
                     fh.seek(off + lo * arr.itemsize)
                     fh.write(arr)
@@ -637,18 +635,6 @@ def _write_file(path, field: FieldSpec, N: int, segments) -> None:
         raise
 
 
-def write_tables(tables: ArithTables, path) -> None:
-    """Flat binary dump, version 5: a header (magic, version, length of the
-    field document, the field's format_field_spec document as UTF-8, N,
-    zeros up to a multiple of 8 bytes), then the little-endian tables a_K
-    (int32), mu_K and b (int16) for n = 0..N, 8 bytes per n.  Each table
-    starts at a multiple of its entry size, so read_tables maps the file.
-    Files of earlier versions are refused.  read_tables parses the document
-    back, so the tables carry their field."""
-    # already little-endian: ArithTables checks the dtypes
-    _write_file(path, tables.field, tables.N, [(0, [getattr(tables, name) for name in _TABLE_DTYPES])])
-
-
 def _read_header(fh, n: int, path) -> bytes:
     data = fh.read(n)
     if len(data) != n:
@@ -657,8 +643,9 @@ def _read_header(fh, n: int, path) -> bytes:
 
 
 def read_tables(path) -> ArithTables:
-    """The tables of a write_tables file, mapped read-only: a reader reads
-    from the disk only the pages it touches."""
+    """The tables and field of a sieve_to_file file, mapped read-only: a
+    reader reads from the disk only the pages it touches.  Files of earlier
+    versions than 5 are refused."""
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ArithError(f"{path}: not a table file (bad magic)")

@@ -16,6 +16,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -80,7 +81,10 @@ def _int(text):
 
 
 def _parse_int_list(text):
-    return tuple(_int(t) for t in str(text).split(",") if t.strip())
+    values = tuple(_int(t) for t in str(text).split(",") if t.strip())
+    if not values:
+        raise argparse.ArgumentTypeError(f"{text!r} lists no value")
+    return values
 
 
 def _one_value(values, default, option, command):
@@ -90,8 +94,15 @@ def _one_value(values, default, option, command):
     return values[0] if values else default
 
 
+def _refuse_table_file(option, path, table_path):
+    """Refuse an output file that is the table file the run writes or reads."""
+    if path and os.path.realpath(path) == os.path.realpath(table_path):
+        raise ConfigError(f"{option} {path} is the table file {table_path}")
+
+
 def _load_tables(cfg: RunConfig, field):
     if cfg.tables_path:
+        _refuse_table_file("--output", cfg.output, cfg.tables_path)
         tables = arith.read_tables(cfg.tables_path)
         if tables.N < arith.N_MIN:  # the floor --N has
             raise ConfigError(f"--tables file has N={tables.N}, below the minimum {arith.N_MIN}")
@@ -164,6 +175,7 @@ def cmd_sieve(cfg: RunConfig) -> int:
     field = fieldspec.load_field(cfg.field)
     B = _rho_B(cfg, cfg.N)
     path = cfg.output or f"tables_{field.name}_{cfg.N}.bin"
+    _refuse_table_file("--csv", cfg.csv_preview, path)
     arith.sieve_to_file(field, cfg.N, path)
     tables = arith.read_tables(path)
     if cfg.csv_preview:

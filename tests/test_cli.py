@@ -76,6 +76,15 @@ class TestSieve:
         assert rc == 0
         assert (tmp_path / "t.csv").read_text().startswith("n,aK,muK,b,A,M")
 
+    def test_csv_onto_the_table_file_rejected_before_sieving(self, tmp_path, capsys, monkeypatch):
+        # the CSV overwrote the table file it had just mapped
+        monkeypatch.chdir(tmp_path)
+        for argv in (["--output", "t.bin", "--csv", "t.bin"], ["--csv", "tables_cubic-nonnormal-2_2000.bin"]):
+            rc, stdout, err = run(["sieve", "--N", "2000", *argv], capsys)
+            assert (rc, stdout) == (2, ""), argv
+            assert f"error: --csv {argv[-1]} is the table file" in err
+            assert list(tmp_path.iterdir()) == []
+
 
 # A fresh interpreter forks the measured one and reads its ru_maxrss with
 # os.wait4.  A child started straight from the test process would report at
@@ -184,12 +193,28 @@ class TestVerify:
     @pytest.mark.parametrize("N", [0, 500])
     def test_tables_below_minimum_rejected(self, N, tmp_path, capsys):
         # the floor --N has: at N = 0 verify died with an IndexError, and at
-        # N = 500 it failed its restriction row and exited 1
-        t = ar.build_tables(fieldspec.get_preset("cubic-nonnormal-2"), 500)
+        # N = 500 it failed its restriction row and exited 1.  No sieve
+        # writes N = 0, so that file is written byte by byte
+        field = fieldspec.get_preset("cubic-nonnormal-2")
         path = tmp_path / "t.bin"
-        ar.write_tables(ar.ArithTables(t.field, t.aK[: N + 1], t.muK[: N + 1], t.b[: N + 1]), path)
+        if N:
+            ar.sieve_to_file(field, N, path)
+        else:
+            doc = fieldspec.format_field_spec(field).encode()
+            head = b"CBSM" + struct.pack("<II", 5, len(doc)) + doc + struct.pack("<Q", 0)
+            path.write_bytes(head + bytes(-len(head) % 8) + bytes(8))
         rc, stdout, err = run(["verify", "--field", "cubic-nonnormal-2", "--tables", str(path)], capsys)
         assert (rc, stdout, err) == (2, "", f"error: --tables file has N={N}, below the minimum 1000\n")
+
+    def test_output_onto_the_tables_rejected(self, tmp_path, capsys):
+        # the report replaced the table file it had read
+        table_path = tmp_path / "t.bin"
+        run(["sieve", "--N", "2000", "--output", str(table_path)], capsys)
+        data = table_path.read_bytes()
+        rc, stdout, err = run(["verify", "--tables", str(table_path), "--output", str(table_path)], capsys)
+        assert (rc, stdout) == (2, "")
+        assert f"error: --output {table_path} is the table file" in err
+        assert table_path.read_bytes() == data
 
     def test_tables_with_field_all_rejected_up_front(self, tmp_path, capsys):
         table_path = tmp_path / "t.bin"
@@ -392,6 +417,20 @@ class TestExperiments:
         assert rc == 2 and stdout == ""
         assert "unsupported table version 4" in err
 
+    def test_output_onto_the_tables_rejected(self, tmp_path, capsys):
+        # the report replaced the table file it had read, also when named
+        # through a symbolic link or another spelling of the path
+        table_path = tmp_path / "t.bin"
+        run(["sieve", "--N", "2000", "--output", str(table_path)], capsys)
+        data = table_path.read_bytes()
+        (tmp_path / "link.bin").symlink_to(table_path)
+        for output in (table_path, tmp_path / "." / "t.bin", tmp_path / "link.bin"):
+            rc, stdout, err = run(["experiment", "rho", "--tables", str(table_path), "--output", str(output)],
+                                  capsys)
+            assert (rc, stdout) == (2, ""), output
+            assert f"error: --output {output} is the table file" in err
+        assert table_path.read_bytes() == data
+
     def test_table_file_cut_inside_header(self, tmp_path, capsys):
         table_path = tmp_path / "t.bin"
         table_path.write_bytes(b"CBSM\x02\x00")
@@ -457,6 +496,8 @@ SWEEP_BASE = {
 }
 SWEEP = [(command, option, value) for command in SWEEP_BASE
          for option in NUMERIC if option in OPTIONS[command] for value in ("0", "-1")]
+EMPTY_LISTS = [(command, option, value) for command in SWEEP_BASE
+               for option in ("--X", "--Y", "--T", "--y") if option in OPTIONS[command] for value in ("", ",")]
 
 
 @pytest.fixture(scope="module")
@@ -507,6 +548,13 @@ class TestDomainSweep:
     def test_out_of_range_value_exits_2(self, command, option, value, sweep_paths, capsys):
         rc, stdout, err = run(_sweep_argv(command, sweep_paths, option, value), capsys)
         assert rc == 2 and stdout == "" and "error:" in err and "Traceback" not in err, err
+
+    @pytest.mark.parametrize("command,option,value", EMPTY_LISTS,
+                             ids=lambda x: x.replace(" ", "-") if isinstance(x, str) else x)
+    def test_empty_list_exits_2(self, command, option, value, sweep_paths, capsys):
+        # a list with no value ran the defaults and recorded an empty list
+        rc, stdout, err = run(_sweep_argv(command, sweep_paths, option, value), capsys)
+        assert rc == 2 and stdout == "" and f"argument {option}: {value!r} lists no value" in err, err
 
     def test_verify_runs_the_X_it_is_given(self, sweep_paths, capsys):
         rc, stdout, err = run(_sweep_argv("verify", sweep_paths, "--X", "60"), capsys)
