@@ -21,9 +21,12 @@ prime p > sqrt(N) divides n <= N at most once, and then n = m p with
 m < sqrt(N), so the large-prime pass loops over the cofactor m once and
 stores the splitting code of p at all m p in one indexed assignment into
 an N-length int8 array.  Each segment then takes its values at those
-primes by one lookup by code, and the small-prime pass multiplies the value
-at p^k into every n = p^k j of the segment with p not dividing j, for each
-prime power p^k <= N with p <= sqrt(N), while the segment is in cache.
+primes by one lookup by code, and the small-prime pass takes each
+p <= sqrt(N) while the segment is in cache: over the multiples of p in the
+segment a temporary gets f(p), then f(p^k) at the multiples of p^k for
+k = 2, 3, ..., so each entry ends at f(p^v) with v = v_p(n), and one multiply
+brings it in.  The temporary is int16 for a_K, mu_K and b, since
+|a_K(p^k)| <= C(k + 2, 2) <= 406 for the k <= 27 of N <= N_BUDGET.
 `sieve_to_file`, the only writer of a table file (its docstring gives the
 layout), writes each segment to the file as it is done, so no N-length
 value table is ever held; `read_tables` maps the file.
@@ -123,7 +126,7 @@ class RhoDisagreement(ArithError):
 # ----------------------------------------------------------------------------
 
 def _local_tables(kmax):
-    """Per splitting shape: a_K, mu_K and b at p^0..p^kmax."""
+    """Per splitting shape: a_K, mu_K and b at p^0..p^kmax, int16 (module docstring)."""
     out = {}
     for code, st in enumerate(SHAPES):
         shape = st.f_shape
@@ -134,7 +137,7 @@ def _local_tables(kmax):
             for k in range(kmax, f - 1, -1):
                 mu[k] -= mu[k - f]
         b = [1] + [a[k] - a[k - 1] for k in range(1, kmax + 1)]
-        out[code] = (a, mu, b)
+        out[code] = tuple(np.array(v, dtype=np.int16) for v in (a, mu, b))
     return out
 
 
@@ -150,13 +153,13 @@ def _sieve_segments(N, ps, codes, locals_by_code, out):
     _SEGMENT entries at a time, and yield (lo, arrays) after each: arrays[j]
     holds function j at n = lo, lo + 1, ...
 
-    locals_by_code[code][j][k] is the value of function j at p^k for every
-    prime p of splitting code `code`; each code lists the same functions.
-    out holds one array per function, either N + 1 long, which the segments
-    fill in place, or one segment long, which each segment fills anew.  Its
-    dtype must hold each of the function's values: each local value is 0 or
-    at least 1 in absolute value, so no partial product exceeds the final
-    value.
+    locals_by_code[code][j] is an array of the values of function j at p^0,
+    p^1, ... for every prime p of splitting code `code`, in a dtype that holds
+    them; each code lists the same functions.  out holds one array per
+    function, either N + 1 long, which the segments fill in place, or one
+    segment long, which each segment fills anew.  Its dtype must hold each of
+    the function's values: each local value is 0 or at least 1 in absolute
+    value, so no partial product exceeds the final value.
     """
     split_at = int(np.searchsorted(ps, math.isqrt(N), side="right"))
     # large primes p > sqrt(N) divide each n <= N at most once, and n = m p
@@ -182,36 +185,21 @@ def _sieve_segments(N, ps, codes, locals_by_code, out):
             idx = code_at[lo + at : min(lo + at + _TAKE_CHUNK, hi)].astype(np.intp)
             for lut, arr in zip(luts, arrays):
                 lut.take(idx, out=arr[at : at + len(idx)])
-        # small primes: multiply the local value at p^k into the n = p^k j of
-        # the segment with p not dividing j
+        # small primes: f(p^v_p(n)) at each multiple n of p, multiplied in at once
         for p, loc in small:
-            pk, k = p, 1
-            while pk < hi:
-                for arr, vals in zip(arrays, loc):
-                    if vals[k] != 1:
-                        _scale_exact_multiples(arr, lo, p, pk, vals[k])
-                pk *= p
-                k += 1
+            j = -(-lo // p)  # the first cofactor in the segment; j = 0 at n = 0
+            for arr, vals in zip(arrays, loc):
+                view = arr[j * p - lo :: p]
+                local = np.full(len(view), vals[1], dtype=vals.dtype)
+                q, k = p, 2  # q = p^(k - 1), the stride of the multiples of p^k
+                while q * p < hi:
+                    local[-j % q :: q] = vals[k]
+                    q, k = q * p, k + 1
+                view *= local
         if lo == 0:
             for arr in arrays:
                 arr[0] = 0
         yield lo, arrays
-
-
-def _scale_exact_multiples(arr, lo, p, pk, v):
-    """Multiply v into arr[n - lo] at each n = pk j in lo .. lo + len(arr) - 1
-    with p not dividing j, through the strided view of those multiples laid
-    out as rows of p whose last column holds the j divisible by p."""
-    j = -(-lo // pk)  # the first cofactor in the segment; j = 0 at n = 0
-    if j * pk - lo >= len(arr):
-        return
-    view = arr[j * pk - lo :: pk]
-    h = -j % p  # the entries before the first j divisible by p, which is skipped
-    view[:h] *= v
-    rest = view[h + 1 :]
-    rows = len(rest) // p
-    rest[: rows * p].reshape(rows, p)[:, : p - 1] *= v
-    rest[rows * p :] *= v
 
 
 def _sieve_multiplicative(N, ps, codes, locals_by_code, dtypes):
@@ -399,7 +387,7 @@ def mobius_sieve(n: int) -> np.ndarray:
     """The classical mu(0..n) as int64 (mu(0) = 0): the multiplicative sieve
     with the local values 1, -1, 0, 0, ... at every prime."""
     ps = primes_upto(n)
-    loc = {0: ([1, -1] + [0] * n.bit_length(),)}
+    loc = {0: (np.array([1, -1] + [0] * n.bit_length(), dtype=np.int64),)}
     (mu,) = _sieve_multiplicative(n, ps, np.zeros(len(ps), dtype=np.int8), loc, (np.int64,))
     return mu
 
@@ -422,7 +410,8 @@ def tau_table(l: int, n: int) -> np.ndarray:
     if top >= 2**63:
         raise ArithError(f"max tau_{l}(m) over m <= {n} is {top:.3g}, beyond int64")
     ps = primes_upto(n)
-    loc = {0: (local_ideal_counts((1,) * l, max(1, n.bit_length())),)}
+    # the sieve reads tau_l(p^k) only at p^k <= n, where it is at most top
+    loc = {0: (np.array(local_ideal_counts((1,) * l, max(1, n.bit_length() - 1)), dtype=np.int64),)}
     (t,) = _sieve_multiplicative(n, ps, np.zeros(len(ps), dtype=np.int8), loc, (np.int64,))
     return t
 

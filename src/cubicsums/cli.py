@@ -1,12 +1,14 @@
 """Command-line front end: sieve tables, verify exact identities, run
 experiments, emit CSV/JSON reports.
 
-Exit codes: 0 success, 1 check failure, 2 bad configuration.  Each
+Exit codes: 0 success, 1 check failure, 2 bad configuration, 141 stdout
+closed by its reader (the shell's code for a writer ended by SIGPIPE).  Each
 subcommand and each experiment takes only the options it reads; any other
-option exits 2.  Every report embeds the full run configuration and a short
-hash of it; given the same configuration and seed the outputs are
-byte-identical.  `experiment exponents-balance` prints its result and writes
-no report.
+option exits 2.  A JSON report embeds the full run configuration and a short
+hash of it, a CSV report only the hash above its header values, and `verify
+--output` neither: it holds the check rows alone.  Given the same
+configuration and seed the outputs are byte-identical.  `experiment
+exponents-balance` prints its result and writes no report.
 """
 
 from __future__ import annotations
@@ -429,7 +431,12 @@ def main(argv=None) -> int:
     try:
         if cfg.N < arith.N_MIN:
             raise ConfigError(f"--N {cfg.N} below the minimum {arith.N_MIN}")
-        return {"sieve": cmd_sieve, "verify": cmd_verify, "experiment": cmd_experiment}[args.command](cfg)
+        rc = {"sieve": cmd_sieve, "verify": cmd_verify, "experiment": cmd_experiment}[args.command](cfg)
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+        return rc
+    except BrokenPipeError:  # end as SIGPIPE would, stdout on devnull for the last flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ConfigError, fieldspec.FieldConfigError, arith.ArithError, sums.SumsError,
             ideals.IdealError, exponents.ExponentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import re
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, lru_cache
@@ -224,7 +225,7 @@ def roots_mod_p(c0: int, c1: int, c2: int, p: int):
     """All roots of the cubic mod p by exhaustive scan, O(p): Dedekind's test
     at p <= 3, and otherwise a test oracle."""
     xs = np.arange(p, dtype=np.int64)
-    vals = (xs * xs % p * xs + c2 % p * (xs * xs % p) + c1 % p * xs + c0) % p
+    vals = (xs * xs % p * xs + c2 % p * (xs * xs % p) + c1 % p * xs + c0 % p) % p
     return [int(r) for r in np.nonzero(vals == 0)[0]]
 
 
@@ -576,11 +577,12 @@ def load_field(spec: str) -> FieldSpec:
     """Resolve a preset name, a config file path, or inline config text."""
     if spec in preset_names():
         return get_preset(spec)
-    import os
-
     if os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8") as fh:
-            return parse_field_spec(fh.read())
+        try:
+            with open(spec, "r", encoding="utf-8") as fh:
+                return parse_field_spec(fh.read())
+        except UnicodeDecodeError as exc:
+            raise FieldConfigError(f"--field file {spec!r} is not UTF-8 text: {exc}") from None
     if "=" in spec:
         return parse_field_spec(spec)
     raise FieldConfigError(f"--field {spec!r} is neither a preset, a file, nor config text")

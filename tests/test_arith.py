@@ -132,6 +132,9 @@ class TestBuildTables:
         # |b(p^k)| <= k + 1, so |b(n)| <= tau(n)
         assert all(abs(v) <= k + 1 for _, _, b in local for k, v in enumerate(b))
         assert ar._max_tau(2, ar.N_BUDGET) == 768 <= top["b"]
+        # the local values the sieve multiplies in are int16: |a_K(p^k)| <= C(k + 2, 2)
+        assert all(arr.dtype == np.int16 for loc in local for arr in loc)
+        assert kmax == 27 and max(abs(int(v)) for a, _, _ in local for v in a) == math.comb(29, 2) == 406
 
     def test_peak_memory_per_entry(self, field_nn2):
         # the value tables are 8 bytes per n; the int8 codes and the chunked
@@ -513,38 +516,45 @@ class TestCharacter:
 
 
 class TestSegments:
-    # segments of 1009 entries, a prime length: prime powers, p^2 > 1009
-    # (p >= 37) and n = 0 all straddle segment edges, against one segment
-    # (N + 1 <= _SEGMENT) as the reference
-    N = 2 * 10**4
+    # sieves with short segments, (length, N) in SEGMENTS, against one segment
+    # (N + 1 <= _SEGMENT) as the reference.  At 7 and 97 entries a segment can
+    # hold no multiple of a small prime p, or start inside a run of multiples
+    # of p^2; at 1009, a prime length, prime powers, p^2 > 1009 (p >= 37) and
+    # n = 0 straddle segment edges
+    SEGMENTS = [(7, 10**4), (97, 2 * 10**4), (1009, 2 * 10**4)]
 
     @pytest.mark.parametrize("name", ["cubic-nonnormal-2", "cubic-cyclic-7"])
     def test_tables_match_one_segment(self, name, monkeypatch):
         field = fs.get_preset(name)
-        assert self.N + 1 <= ar._SEGMENT
-        whole = ar.build_tables(field, self.N)
-        monkeypatch.setattr(ar, "_SEGMENT", 1009)
-        cut = ar.build_tables(field, self.N)
-        for key in ("aK", "muK", "b"):
-            assert getattr(cut, key).dtype == getattr(whole, key).dtype
-            assert np.array_equal(getattr(cut, key), getattr(whole, key)), key
+        whole = {N: ar.build_tables(field, N) for _, N in self.SEGMENTS}
+        assert all(N + 1 <= ar._SEGMENT for N in whole)
+        for segment, N in self.SEGMENTS:
+            monkeypatch.setattr(ar, "_SEGMENT", segment)
+            cut = ar.build_tables(field, N)
+            monkeypatch.undo()
+            for key in ("aK", "muK", "b"):
+                assert getattr(cut, key).dtype == getattr(whole[N], key).dtype
+                assert np.array_equal(getattr(cut, key), getattr(whole[N], key)), (segment, key)
 
     def test_mobius_and_tau_match_one_segment(self, monkeypatch):
-        mu, tau = ar.mobius_sieve(self.N), ar.tau_table(4, self.N)
-        monkeypatch.setattr(ar, "_SEGMENT", 1009)
-        assert np.array_equal(ar.mobius_sieve(self.N), mu)
-        assert np.array_equal(ar.tau_table(4, self.N), tau)
+        whole = {N: (ar.mobius_sieve(N), ar.tau_table(4, N)) for _, N in self.SEGMENTS}
+        for segment, N in self.SEGMENTS:
+            monkeypatch.setattr(ar, "_SEGMENT", segment)
+            assert np.array_equal(ar.mobius_sieve(N), whole[N][0]), segment
+            assert np.array_equal(ar.tau_table(4, N), whole[N][1]), segment
 
     @pytest.mark.parametrize("name", ["cubic-nonnormal-2", "cubic-cyclic-7"])
     def test_streamed_file_matches_build_tables(self, name, tmp_path, monkeypatch):
-        field, N = fs.get_preset(name), 10**5
-        want = ar.build_tables(field, N)
-        monkeypatch.setattr(ar, "_SEGMENT", 1009)
-        ar.sieve_to_file(field, N, tmp_path / "t.bin")
-        got = ar.read_tables(tmp_path / "t.bin")
-        assert got.field == field and got.N == N
-        for key in ("aK", "muK", "b"):
-            assert np.array_equal(getattr(got, key), getattr(want, key)), key
+        field = fs.get_preset(name)
+        for segment, N in [(7, 10**4), (97, 2 * 10**4), (1009, 10**5)]:
+            want = ar.build_tables(field, N)
+            monkeypatch.setattr(ar, "_SEGMENT", segment)
+            ar.sieve_to_file(field, N, tmp_path / "t.bin")
+            monkeypatch.undo()
+            got = ar.read_tables(tmp_path / "t.bin")
+            assert got.field == field and got.N == N
+            for key in ("aK", "muK", "b"):
+                assert np.array_equal(getattr(got, key), getattr(want, key)), (segment, key)
 
 
 class TestTableIO:

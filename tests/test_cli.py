@@ -16,6 +16,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 
 
+def _child_env():
+    """os.environ with the package's source first on PYTHONPATH."""
+    return {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+
+
 def run(argv, capsys):
     rc = cli.main(argv)
     out = capsys.readouterr()
@@ -41,6 +46,48 @@ class TestSieve:
             rc, _, _ = run(["sieve", "--N", "3000", "--output", str(path)], capsys)
             assert rc == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_closed_stdout_exits_141(self, tmp_path):
+        # the reader takes one line and closes the pipe; the CSV preview is
+        # larger than a pipe holds, so its writer is still writing then
+        table = tmp_path / "t.bin"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cubicsums.cli", "sieve", "--N", "20000", "--output", str(table),
+             "--csv", "/dev/stdout"],
+            env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"n,aK,muK,b,A,M\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 141
+        assert "error:" not in err and "Traceback" not in err, err
+        assert table.exists()
+
+    def test_stdout_closed_before_the_summary_exits_141(self, tmp_path):
+        # no reader at all, and the summary block-buffered: it meets the
+        # closed pipe when main flushes it, not at interpreter exit
+        table = tmp_path / "t.bin"
+        env = _child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "cubicsums.cli", "sieve", "--N", "2000", "--output", str(table)],
+                env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        err = proc.stderr.decode()
+        assert proc.returncode == 141
+        assert "error:" not in err and "Traceback" not in err and "Exception" not in err, err
+        assert table.exists()
+
+    def test_huge_constant_term_exits_cleanly(self, tmp_path, capsys):
+        # |c0| >= 2^63 goes through the int64 root scan at p <= 3
+        rc, _, err = run(["sieve", "--N", "2000", "--output", str(tmp_path / "t.bin"),
+                          "--field", "poly = 99999999999999999999, 0, 0"], capsys)
+        assert rc in (0, 2) and "Traceback" not in err, err
 
     def test_below_minimum_is_config_error(self, tmp_path, capsys):
         tau = ["experiment", "tau-growth", "--X", "1000"]
@@ -101,8 +148,7 @@ _MEASURE = (
 
 
 def _peak_bytes(code):
-    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    out = subprocess.run([sys.executable, "-c", _MEASURE, code], env=env, capture_output=True, text=True,
+    out = subprocess.run([sys.executable, "-c", _MEASURE, code], env=_child_env(), capture_output=True, text=True,
                          check=True, timeout=300).stdout.split()
     assert out[0] == "0", out
     return int(out[1]) * 1024  # ru_maxrss is in KiB on Linux
@@ -239,7 +285,7 @@ class TestExperiments:
         # float addition, envelope_ratio differs in its last digit between seeds 0 and 8
         outs = []
         for seed in ("0", "8"):
-            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+            env = {**_child_env(), "PYTHONHASHSEED": seed}
             proc = subprocess.run(
                 [sys.executable, "-m", "cubicsums.cli", "experiment", "exponents-xt", "--format", "json"],
                 env=env, capture_output=True, check=True, timeout=120,
@@ -544,9 +590,11 @@ class TestDomainSweep:
         ("experiment voronoi", "--y", "5000"),
         ("verify", "--X", "1001"),
         ("verify", "--Y", "5000"),
-    ], ids=["sieve-N-1e400", "voronoi-y-beyond-table", "verify-X-beyond-direct-path", "verify-Y-beyond-table"])
+        ("experiment rho", "--field", "{t}"),
+    ], ids=["sieve-N-1e400", "voronoi-y-beyond-table", "verify-X-beyond-direct-path", "verify-Y-beyond-table",
+            "rho-field-file-not-utf8"])
     def test_out_of_range_value_exits_2(self, command, option, value, sweep_paths, capsys):
-        rc, stdout, err = run(_sweep_argv(command, sweep_paths, option, value), capsys)
+        rc, stdout, err = run(_sweep_argv(command, sweep_paths, option, value.format(**sweep_paths)), capsys)
         assert rc == 2 and stdout == "" and "error:" in err and "Traceback" not in err, err
 
     @pytest.mark.parametrize("command,option,value", EMPTY_LISTS,

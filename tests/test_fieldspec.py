@@ -338,6 +338,15 @@ class TestDedekind:
                 cases += 1
         assert cases > 7000
 
+    @pytest.mark.parametrize("c0", [2**63 - 1, 99999999999999999999])
+    def test_root_scan_reduces_c0(self, c0):
+        # c0 is reduced mod p like c1 and c2, so 2^63 - 1 keeps its root 2 mod 3
+        # and |c0| >= 2^63 does not overflow the int64 scan
+        for c1, c2 in ((0, 0), (-4, 7)):
+            for p in (2, 3, 5, 7, 101):
+                want = [r for r in range(p) if (r**3 + c2 * r * r + c1 * r + c0) % p == 0]
+                assert fs.roots_mod_p(c0, c1, c2, p) == want, (c0, c1, c2, p)
+
     def test_large_prime(self):
         # 500015 = 5 * 100003: x^3 - 500015 is 100003-maximal; x^3 - 2 * 100003^2 is not
         f = fs.parse_field_spec("poly = -500015, 0, 0")
