@@ -110,9 +110,10 @@ def restriction_failure(tables, n_small):
 
 
 def remainder_failure(tables, rho, Y):
-    """(R_K(1, Y), P_K(Y)) if they differ by 1e-9 or more, else None."""
+    """(R_K(1, Y), P_K(Y)) if they differ by 1e-9 or more, else None; P_K(Y)
+    sums a_K itself, not the prefix sum that the reduced path reads."""
     lhs = sums.remainder_R(tables, rho, 1, Y)
-    rhs = arith.error_P(tables, rho, Y)
+    rhs = int(np.sum(tables.aK[1 : Y + 1], dtype=np.int64)) - rho.value * Y
     return None if abs(lhs - rhs) < 1e-9 else (lhs, rhs)
 
 
@@ -120,10 +121,10 @@ def voronoi_split_failure(tables, rho, Y, y):
     """(P1 + P2, P_K(Y)) if the truncated expansion and its residual miss
     P_K(Y) by more than 1e-9 relative, else None.
 
-    This row cannot fail: sums.voronoi_P1 defines P2 as P_K - P1, so the sum
-    is P_K up to rounding.  It stays because the benchmark reference pins its
-    name "P1 + P2 = P_K"; a check of P1 against an independently computed
-    value is still to be written."""
+    sums.voronoi_P1 defines P2 as P_K - P1 with P_K from
+    sums.remainder_values at X = 1, so this compares that evaluator with
+    arith.partial_A; P1 itself is not checked against an independently
+    computed value."""
     p1, p2 = sums.voronoi_P1(tables, rho, Y, y)
     pk = arith.error_P(tables, rho, Y)
     return None if abs((p1 + p2) - pk) <= 1e-9 * max(1.0, abs(pk)) else (p1 + p2, pk)

@@ -345,8 +345,6 @@ def balance_components(L: BoundExpr, h: str, H1: Monomial, H2: Monomial):
         raise ExponentError(f"no term of L involves {h}")
     cross = []
     for (A, a), (B, b) in itertools.product(pos, neg):
-        if a + b == 0:
-            raise ExponentError("a_i + b_j = 0 in balance")
         cross.append(A.pow(b).mul(B.pow(a)).pow(Fraction(1, 1) / (a + b)))
     endpoints = [A.mul(H1.pow(a)) for A, a in pos]
     endpoints += [B.mul(H2.pow(-b)) for B, b in neg]

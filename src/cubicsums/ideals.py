@@ -78,6 +78,7 @@ def labels_above(field: FieldSpec, p: int) -> tuple:
     return tuple(PrimeIdealLabel(p=p, index=i, f=f, e=e) for i, (f, e) in enumerate(comps))
 
 
+@lru_cache(maxsize=None)
 def _labels_upto(field: FieldSpec, B: int) -> tuple:
     """Labels of all prime ideals of norm <= B, from the scalar splitting
     path, so the enumeration histogram checks the sieves' bulk codes."""

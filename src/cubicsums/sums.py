@@ -43,7 +43,9 @@ error of ending the product at 10^6, not a truncation in n.
 
 R_K(X, .) is a step function minus rho Y; every quadrature here samples at
 half-integer Y so jump ambiguity never arises, and float accumulations are
-combined with math.fsum in a fixed chunk order.
+combined with math.fsum in a fixed chunk order.  remainder_values is the one
+evaluator of R_K(X, .) at sample points; at X = 1 it is P_K, which the P1/P2
+experiments read.  M_K is summed from mu_K only up to the X it is read at.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ from .arith import (
     ArithError,
     RhoEstimate,
     mobius_sieve,
-    partial_A,
 )
 from .fieldspec import SHAPES, FieldSpec, local_ideal_counts, splitting_codes
 from .ideals import enumerate_ideals, sum_cJ_over_I
@@ -126,9 +127,10 @@ def S_K_direct_grid(tables: ArithTables, x_max, ys) -> list:
 def _reduced_weights(tables: ArithTables, X) -> list:
     """(m, m a_K(m) M_K(X/m)) for every m <= X whose weight is nonzero."""
     Xi = int(X)
+    M = np.cumsum(tables.muK[: Xi + 1], dtype=np.int64)  # M_K(x), x <= X only
     out = []
     for m in range(1, Xi + 1):
-        w = m * int(tables.aK[m]) * int(tables.M_prefix[Xi // m])
+        w = m * int(tables.aK[m]) * int(M[Xi // m])
         if w:
             out.append((m, w))
     return out
@@ -149,7 +151,8 @@ def remainder_R(tables: ArithTables, rho: RhoEstimate, X, Y) -> float:
 
 
 def remainder_values(tables: ArithTables, rho: RhoEstimate, X, ys: np.ndarray) -> np.ndarray:
-    """R_K(X, Y) on an array of Y values (float path for quadrature)."""
+    """R_K(X, Y) on an array of Y values (float path for quadrature); X = 1
+    gives P_K(Y) = A_K(Y) - rho_K Y, since a_K(1) = M_K(1) = 1."""
     ys = np.asarray(ys, dtype=np.float64)
     if ys.size and (ys.max() > tables.N or ys.min() < 1):
         raise SumsError("Y values outside table range")
@@ -167,10 +170,9 @@ def voronoi_P1(tables: ArithTables, rho: RhoEstimate, Y, y_trunc):
     """Truncated cube-root expansion P1(Y; y) and the residual P2 = P_K - P1."""
     if not 1 <= y_trunc <= Y:
         raise SumsError(f"need 1 <= y_trunc <= Y, got y_trunc={y_trunc}, Y={Y}")
-    if Y > tables.N:
-        raise SumsError(f"Y={Y} beyond table range {tables.N}")
-    p1 = float(voronoi_P1_values(tables, ys=np.array([float(Y)]), y_trunc=y_trunc)[0])
-    pk = partial_A(tables, math.floor(Y)) - rho.value * Y
+    ys = np.array([float(Y)])
+    pk = float(remainder_values(tables, rho, 1, ys)[0])  # refuses Y > N
+    p1 = float(voronoi_P1_values(tables, ys=ys, y_trunc=y_trunc)[0])
     return p1, pk - p1
 
 
@@ -214,13 +216,12 @@ def _half_integer_grid(T: int, samples: int):
 
 def meansquare_P2(tables: ArithTables, rho: RhoEstimate, T: int, y, samples: int) -> float:
     """Midpoint quadrature of |P2(Y; y)|^2 over [T, 2T]."""
-    if T < 1 or y < 1 or y > T ** (1.0 / 3.0):
+    if T < 1 or y < 1 or y**3 > T:
         raise SumsError(f"need T >= 1 and 1 <= y <= T^(1/3); got y={y}, T={T}")
     if 2 * T > tables.N:
         raise SumsError(f"need 2T <= N; got T={T}, N={tables.N}")
     ys, h = _half_integer_grid(int(T), samples)
-    pk = tables.A_prefix[np.floor(ys).astype(np.int64)] - rho.value * ys
-    p2 = pk - voronoi_P1_values(tables, ys=ys, y_trunc=y)
+    p2 = remainder_values(tables, rho, 1, ys) - voronoi_P1_values(tables, ys=ys, y_trunc=y)
     return h * math.fsum((p2 * p2).tolist())
 
 
@@ -242,7 +243,7 @@ def p2_truncation_scan(
         raise SumsError(f"truncations y must be >= 1; got {tuple(y_values)}")
     step = (Y_hi - Y_lo) / n_samples
     ys = np.floor(Y_lo + (np.arange(n_samples) + 0.5) * step) + 0.5
-    pk = tables.A_prefix[np.floor(ys).astype(np.int64)] - rho.value * ys
+    pk = remainder_values(tables, rho, 1, ys)
     medians = []
     for y in y_values:
         p2 = pk - voronoi_P1_values(tables, ys=ys, y_trunc=y)
@@ -252,21 +253,11 @@ def p2_truncation_scan(
 
 def p2_meansquare_grid(tables, rho, T_values, y_values, samples: int):
     """Grid of meansquare_P2 values plus fitted T- and y-exponents."""
-    rows = []
-    for T in T_values:
-        for y in y_values:
-            rows.append((T, y, meansquare_P2(tables, rho, T, y, samples=samples)))
-    tv = sorted(set(r[0] for r in rows))
-    yv = sorted(set(r[1] for r in rows))
-    by = {(r[0], r[1]): r[2] for r in rows}
-    y_exp = fit_loglog_slope(
-        np.array(yv, dtype=float),
-        np.array([np.mean([by[(T, y)] for T in tv]) for y in yv]),
-    )
-    t_exp = fit_loglog_slope(
-        np.array(tv, dtype=float),
-        np.array([np.mean([by[(T, y)] for y in yv]) for T in tv]),
-    )
+    rows = [(T, y, meansquare_P2(tables, rho, T, y, samples=samples)) for T in T_values for y in y_values]
+    by = {(T, y): v for T, y, v in rows}
+    tv, yv = sorted(set(T_values)), sorted(set(y_values))
+    y_exp = fit_loglog_slope(yv, [np.mean([by[T, y] for T in tv]) for y in yv])
+    t_exp = fit_loglog_slope(tv, [np.mean([by[T, y] for y in yv]) for T in tv])
     return rows, t_exp, y_exp
 
 
@@ -365,11 +356,12 @@ def compute_cX(tables: ArithTables, X: int) -> CXResult:
     Z, window = _euler_Z(tables.field)
     h = _h_values(tables.field, X)
     mu = mobius_sieve(X)
+    M = np.cumsum(tables.muK[: X + 1], dtype=np.int64)
     terms = []
     for m in range(1, X + 1):
         L = X // m
         j = np.arange(1, L + 1)
-        u = (tables.aK[m * j] * tables.M_prefix[X // (m * j)]) * h[1 : L + 1]
+        u = (tables.aK[m * j] * M[X // (m * j)]) * h[1 : L + 1]
         s = math.fsum(float(mu[d]) * float(u[d - 1 :: d].sum()) ** 2 for d in range(1, L + 1) if mu[d])
         terms.append(m ** (4.0 / 3.0) * s)
     value = Z / (6.0 * math.pi**2) * math.fsum(terms)

@@ -122,7 +122,9 @@ def test_remainder(tables_nn2_small):
     rho, _ = arith.estimate_rho(tables_nn2_small, 10**4)
     assert checks.remainder_failure(tables_nn2_small, rho, 5432) is None
     # M_K(1) = 2 doubles the reduced S_K(1, Y)
-    assert checks.remainder_failure(_with(tables_nn2_small, "M_prefix", 1, 1), rho, 5432) is not None
+    assert checks.remainder_failure(_with(tables_nn2_small, "muK", 1, 1), rho, 5432) is not None
+    # P_K(Y) is summed from a_K, so a prefix sum wrong above 5000 shows
+    assert checks.remainder_failure(_with(tables_nn2_small, "A_prefix", slice(5000, None), 1), rho, 5432) is not None
 
 
 def test_voronoi_split(tables_nn2_small, monkeypatch):
@@ -130,6 +132,11 @@ def test_voronoi_split(tables_nn2_small, monkeypatch):
     assert checks.voronoi_split_failure(tables_nn2_small, rho, 5432, 64) is None
     real = sums.voronoi_P1
     monkeypatch.setattr(sums, "voronoi_P1", lambda *a: (real(*a)[0], real(*a)[1] + 0.5))
+    assert checks.voronoi_split_failure(tables_nn2_small, rho, 5432, 64) is not None
+    monkeypatch.undo()
+    # P_K comes from the sampled evaluator, which the row compares with partial_A
+    real_values = sums.remainder_values
+    monkeypatch.setattr(sums, "remainder_values", lambda *a: real_values(*a) + 0.5)
     assert checks.voronoi_split_failure(tables_nn2_small, rho, 5432, 64) is not None
 
 

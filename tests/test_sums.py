@@ -118,6 +118,8 @@ class TestVoronoi:
             sm.voronoi_P1(tables_nn2_1m, rho_nn2, 100, 0.5)
         with pytest.raises(sm.SumsError):
             sm.voronoi_P1(tables_nn2_1m, rho_nn2, 100, 200)
+        with pytest.raises(sm.SumsError, match="outside table range"):
+            sm.voronoi_P1(tables_nn2_1m, rho_nn2, tables_nn2_1m.N + 1, 64)
 
     def test_kernel_amplitude_and_phase(self, field_nn2, tables_nn2_1m, rho_nn2,
                                         field_c7, tables_c7_1m, rho_c7):
@@ -177,6 +179,12 @@ class TestMeanSquareP2:
         with pytest.raises(sm.SumsError, match="T >= 1"):
             sm.meansquare_P2(tables_nn2_1m, rho_nn2, -100, 4, samples=4096)  # no real cube root
 
+    def test_cube_root_bound_is_exact(self, tables_nn2_small, rho_nn2):
+        # 1000 ** (1/3) is 9.999999999999998 in floats, yet y = 10 is T^(1/3)
+        assert sm.meansquare_P2(tables_nn2_small, rho_nn2, 1000, 10, samples=64) > 0
+        with pytest.raises(sm.SumsError, match=r"y <= T\^\(1/3\); got y=11"):
+            sm.meansquare_P2(tables_nn2_small, rho_nn2, 1000, 11, samples=64)
+
     def test_grid_exponents(self, tables_nn2_1m, rho_nn2):
         rows, t_exp, y_exp = sm.p2_meansquare_grid(
             tables_nn2_1m, rho_nn2, (10**5, 2 * 10**5, 4 * 10**5), (4, 32), samples=1024
@@ -184,6 +192,23 @@ class TestMeanSquareP2:
         assert len(rows) == 6
         assert 1.0 < t_exp < 2.5  # against the T^{5/3} reference
         assert y_exp < 0  # decay in the truncation length
+
+
+def test_no_sampled_reader_builds_the_whole_mertens_table(field_nn2, rho_nn2):
+    # each reads M_K(x) for x <= X only; the whole-table prefix sum is the
+    # verify report row's alone
+    calls = {
+        "S_K_reduced": lambda t: sm.S_K_reduced(t, 30, 5000),
+        "remainder_values": lambda t: sm.remainder_values(t, rho_nn2, 30, np.array([100.5, 5000.5])),
+        "compute_cX": lambda t: sm.compute_cX(t, 30),
+        "meansquare_P2": lambda t: sm.meansquare_P2(t, rho_nn2, 1000, 2, samples=64),
+        "p2_truncation_scan": lambda t: sm.p2_truncation_scan(t, rho_nn2, 1000, 2000, 10, (2, 8)),
+        "voronoi_P1": lambda t: sm.voronoi_P1(t, rho_nn2, 5000.5, 8),
+    }
+    for name, call in calls.items():
+        tables = ar.build_tables(field_nn2, 10**4)
+        call(tables)
+        assert "M_prefix" not in vars(tables), name
 
 
 def _pair_loop_cX(tables, X, inner):
