@@ -5,12 +5,11 @@ For a field K the tables hold, for 1 <= n <= N,
     a_K(n)   number of integral ideals of O_K of norm n
              (Dirichlet coefficients of the Dedekind zeta function),
     mu_K(n)  coefficients of 1/zeta_K  (Dirichlet inverse of a_K),
-    b(n)     coefficients of zeta_K/zeta, so a_K = 1 * b  (Dirichlet product),
+    b(n)     coefficients of zeta_K/zeta, so a_K = 1 * b  (Dirichlet product).
 
-together with prefix sums A_K(x) = sum_{n<=x} a_K(n) and
-M_K(x) = sum_{n<=x} mu_K(n), built on first use.  All three functions are
-multiplicative and their values at prime powers depend only on the
-splitting shape of p:
+A_at gives A_K(x) = sum_{n<=x} a_K(n) at any points from a_K up to the
+largest point only.  All three functions are multiplicative and their
+values at prime powers depend only on the splitting shape of p:
 
     a_K(p^k) = #{x_i >= 0 : sum f_i x_i = k},
     mu_K(p^k) = [t^k] prod_i (1 - t^{f_i}),
@@ -54,8 +53,8 @@ values allow for n <= N_BUDGET:
     b     int16:  |b(p^k)| <= k + 1, so |b(n)| <= tau(n) <= 768.
 
 No type is unsigned, so a_K(p) - 1 cannot wrap, and every reader widens
-before it does arithmetic.  The prefix sums are int64, and since ArithTables
-refuses N > N_BUDGET, |prefix| <= 10^8 2^31 < 2^58 cannot overflow.
+before it does arithmetic.  Sums of a table are int64, and since ArithTables
+refuses N > N_BUDGET, |sum| <= 10^8 2^31 < 2^58 cannot overflow.
 """
 
 from __future__ import annotations
@@ -89,8 +88,7 @@ __all__ = [
     "ArithError",
     "RhoDisagreement",
     "build_tables",
-    "partial_A",
-    "error_P",
+    "A_at",
     "estimate_rho",
     "classical_ramanujan",
     "mobius_sieve",
@@ -104,12 +102,13 @@ __all__ = [
     "convolution_identity_failure",
     "b_sum_identity_failure",
     "max_abs_ratio",
+    "max_abs_M_ratio",
     "cubic_character",
     "b_from_cubic_character",
     "L1_cubic_character",
 ]
 
-N_BUDGET = 10**8  # 0.8 GB for the three value tables; each int64 prefix sum adds 0.8 GB
+N_BUDGET = 10**8  # 0.8 GB for the three value tables
 N_MIN = 10**3  # smallest rho window estimate_rho accepts, and the smallest table the CLI builds
 
 
@@ -221,9 +220,13 @@ class ArithTables:
 
     Each value table must have its dtype in _TABLE_DTYPES, the three one
     length N + 1, and N at most N_BUDGET, so no value outgrows its dtype and
-    the int64 prefix sums cannot overflow (see the module docstring).  The
-    prefix sums are built on first use, so a run that reads neither never
-    holds them."""
+    no int64 sum of a table can overflow (see the module docstring).
+
+    A_prefix and M_prefix are whole-table int64 prefix sums, 8 bytes per n,
+    built on first use.  No library code reads them: A_at reads A_K, and
+    M_K is summed up to the X it is read at.  They stay as the reference the
+    tests compare against, and as what the benchmark's tracer counts in its
+    table bytes; they go when that count covers the value tables alone."""
 
     field: FieldSpec
     aK: np.ndarray
@@ -283,16 +286,24 @@ def build_tables(field: FieldSpec, N: int) -> ArithTables:
     return ArithTables(field, *_sieve_multiplicative(N, *_field_locals(field, N), _TABLE_DTYPES.values()))
 
 
-def partial_A(tables: ArithTables, x) -> int:
-    """A_K(x) = sum_{n <= x} a_K(n)."""
-    if x < 0 or x > tables.N:
-        raise ArithError(f"x={x} outside table range 0..{tables.N}")
-    return int(tables.A_prefix[int(x)])
+def A_at(tables: ArithTables, xs) -> np.ndarray:
+    """A_K(x) = sum_{n <= x} a_K(n), exact int64, at every integer x of xs:
+    any shape, any order, repeats allowed; 0 <= x <= N.
 
-
-def error_P(tables: ArithTables, rho: "RhoEstimate", x) -> float:
-    """P_K(x) = A_K(x) - rho_K x, the ideal-count error term."""
-    return partial_A(tables, x) - rho.value * x
+    Reads a_K only up to max(xs): the distinct points cut a_K into blocks
+    that end at a point, one np.add.reduceat sums each block and a cumsum
+    of the block sums gives A_K at the points.  So no prefix sum over the
+    whole table is built; the reduceat widens a_K to int64 up to max(xs)
+    only, and only while it sums."""
+    xs = np.asarray(xs)
+    if not xs.size:
+        return np.zeros(xs.shape, dtype=np.int64)
+    if not (xs.dtype.kind in "iu" and xs.min() >= 0 and xs.max() <= tables.N):
+        raise ArithError(f"A_K is read at integers in 0..{tables.N}, got {xs.dtype} {xs.min()}..{xs.max()}")
+    pts, where = np.unique(xs, return_inverse=True)
+    starts = np.concatenate(([0], pts[:-1] + 1))
+    A = np.cumsum(np.add.reduceat(tables.aK[: pts[-1] + 1], starts, dtype=np.int64))
+    return A[where].reshape(xs.shape)
 
 
 # ----------------------------------------------------------------------------
@@ -327,10 +338,7 @@ def _rho_series(tables: ArithTables, B: int) -> RhoEstimate:
 
 def _rho_regression(tables: ArithTables, B: int) -> RhoEstimate:
     xs = np.unique(np.geomspace(max(8, B // 8), B, 33).astype(np.int64))
-    # A_K at the 33 points by summing the blocks between them, with no prefix
-    # sum over the whole table
-    starts = np.concatenate(([0], xs[:-1] + 1))
-    a = np.cumsum(np.add.reduceat(tables.aK[: xs[-1] + 1], starts, dtype=np.int64)).astype(np.float64)
+    a = A_at(tables, xs).astype(np.float64)
     x = xs.astype(np.float64)
     sxx = float(np.dot(x, x))
     value = float(np.dot(x, a) / sxx)
@@ -523,6 +531,19 @@ def max_abs_ratio(values: np.ndarray, s: float) -> float:
     return best
 
 
+def max_abs_M_ratio(tables: ArithTables) -> float:
+    """max |M_K(x)| / x over 1 <= x <= N, M_K summed from mu_K 2^16 entries
+    at a time with a carry: the same quotients as max_abs_ratio of the
+    whole-table prefix sum, with no N-length array."""
+    best, carry = 0.0, 0
+    for lo in range(1, tables.N + 1, _TAKE_CHUNK):
+        M = np.cumsum(tables.muK[lo : lo + _TAKE_CHUNK], dtype=np.int64)
+        M += carry
+        carry = int(M[-1])
+        best = max(best, float(np.max(np.abs(M) / np.arange(lo, lo + len(M), dtype=np.float64))))
+    return best
+
+
 # ----------------------------------------------------------------------------
 # cubic Dirichlet character (prime conductor), exact in Z[omega]
 # ----------------------------------------------------------------------------
@@ -660,10 +681,9 @@ def read_tables(path) -> ArithTables:
 
 
 def export_csv(tables: ArithTables, path, nmax: int) -> None:
-    """n, a_K, mu_K, b, A_K and M_K for n <= nmax as CSV; the prefix sums are
-    taken over those nmax entries only, not over the whole table."""
-    head = slice(0, min(nmax, tables.N) + 1)
-    aK, muK = tables.aK[head], tables.muK[head]
-    cols = (np.arange(len(aK)), aK, muK, tables.b[head], _prefix_sum(aK), _prefix_sum(muK))
+    """n, a_K, mu_K, b, A_K and M_K for n <= nmax as CSV; A_K and M_K are
+    summed over those nmax entries only, not over the whole table."""
+    n = np.arange(min(nmax, tables.N) + 1)
+    cols = (n, tables.aK[n], tables.muK[n], tables.b[n], A_at(tables, n), _prefix_sum(tables.muK[n]))
     np.savetxt(path, np.column_stack(cols)[1:], fmt="%d", delimiter=",", header="n,aK,muK,b,A,M",
                comments="", encoding="utf-8")

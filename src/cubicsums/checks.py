@@ -111,7 +111,7 @@ def restriction_failure(tables, n_small):
 
 def remainder_failure(tables, rho, Y):
     """(R_K(1, Y), P_K(Y)) if they differ by 1e-9 or more, else None; P_K(Y)
-    sums a_K itself, not the prefix sum that the reduced path reads."""
+    sums a_K itself, not through arith.A_at, which the reduced path reads."""
     lhs = sums.remainder_R(tables, rho, 1, Y)
     rhs = int(np.sum(tables.aK[1 : Y + 1], dtype=np.int64)) - rho.value * Y
     return None if abs(lhs - rhs) < 1e-9 else (lhs, rhs)
@@ -123,10 +123,10 @@ def voronoi_split_failure(tables, rho, Y, y):
 
     sums.voronoi_P1 defines P2 as P_K - P1 with P_K from
     sums.remainder_values at X = 1, so this compares that evaluator with
-    arith.partial_A; P1 itself is not checked against an independently
-    computed value."""
+    A_K(Y) - rho Y straight from arith.A_at; P1 itself is not checked
+    against an independently computed value."""
     p1, p2 = sums.voronoi_P1(tables, rho, Y, y)
-    pk = arith.error_P(tables, rho, Y)
+    pk = int(arith.A_at(tables, Y)) - rho.value * Y
     return None if abs((p1 + p2) - pk) <= 1e-9 * max(1.0, abs(pk)) else (p1 + p2, pk)
 
 
@@ -202,7 +202,7 @@ def field_suite(tables, rng, x_max, ys):
         add("remainder_R(1,Y) = P_K(Y)", remainder_failure(tables, rho, Y), f"Y={Y}")
         add("P1 + P2 = P_K", voronoi_split_failure(tables, rho, Y, min(64, Y)), f"Y={Y}")
 
-    mbound = arith.max_abs_ratio(tables.M_prefix, 1)
+    mbound = arith.max_abs_M_ratio(tables)
     rows.append((field.name, "report max|M_K(x)|/x", True,
                  f"{mbound:.6f}" + (" (>1: bound violated)" if mbound > 1 else "")))
     rows.append((field.name, "report max|b(m)|/m^0.1", True, f"{arith.max_abs_ratio(tables.b, 0.1):.6f}"))

@@ -16,7 +16,7 @@ and its sum over all I of norm <= Y collapses through the divisor structure:
 
     sum_{N(I)<=Y} c_J(I) = sum_{M | J} N(M) mu(J/M) A_K(Y / N(M)),
 
-which ties the ideal level to the sieved prefix sums.
+which ties the ideal level to A_K, read from the sieved a_K by arith.A_at.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import ArithTables, partial_A
+from .arith import A_at, ArithTables
 from .fieldspec import FieldSpec, primes_upto, splitting_type
 
 __all__ = [
@@ -195,7 +195,9 @@ def sum_cJ_over_I(tables: ArithTables, J: FactoredIdeal, Y) -> int:
     top = int(Y // 1)
     if top > tables.N:
         raise IdealError(f"tables too short: need A_K({top}) but N={tables.N}")
-    return sum(n * s * partial_A(tables, int(Y // n)) for n, s in _mobius_support(J))
+    support = _mobius_support(J)
+    A = A_at(tables, [int(Y // n) for n, _ in support])
+    return sum(n * s * a for (n, s), a in zip(support, A.tolist()))
 
 
 def _check_field(field: FieldSpec, I: FactoredIdeal) -> None:

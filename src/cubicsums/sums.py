@@ -45,7 +45,8 @@ R_K(X, .) is a step function minus rho Y; every quadrature here samples at
 half-integer Y so jump ambiguity never arises, and float accumulations are
 combined with math.fsum in a fixed chunk order.  remainder_values is the one
 evaluator of R_K(X, .) at sample points; at X = 1 it is P_K, which the P1/P2
-experiments read.  M_K is summed from mu_K only up to the X it is read at.
+experiments read.  M_K is summed from mu_K only up to the X it is read at,
+and A_K is read through arith.A_at, once per evaluation at all its points.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import (
+    A_at,
     ArithTables,
     ArithError,
     RhoEstimate,
@@ -127,6 +129,8 @@ def S_K_direct_grid(tables: ArithTables, x_max, ys) -> list:
 def _reduced_weights(tables: ArithTables, X) -> list:
     """(m, m a_K(m) M_K(X/m)) for every m <= X whose weight is nonzero."""
     Xi = int(X)
+    if Xi > tables.N:
+        raise SumsError(f"tables too short for X={X} (N={tables.N})")
     M = np.cumsum(tables.muK[: Xi + 1], dtype=np.int64)  # M_K(x), x <= X only
     out = []
     for m in range(1, Xi + 1):
@@ -138,11 +142,13 @@ def _reduced_weights(tables: ArithTables, X) -> list:
 
 def S_K_reduced(tables: ArithTables, X, Y) -> int:
     """S_K via the norm-collapsed convolution (exact integers)."""
-    if int(X) > tables.N or int(Y) > tables.N:
-        raise SumsError(f"tables too short for X={X}, Y={Y} (N={tables.N})")
+    weights = _reduced_weights(tables, X)
+    if int(Y) > tables.N:
+        raise SumsError(f"tables too short for Y={Y} (N={tables.N})")
     if Y < 1:
         return 0
-    return sum(w * int(tables.A_prefix[int(Y // m)]) for m, w in _reduced_weights(tables, X))
+    A = A_at(tables, [int(Y // m) for m, _ in weights])
+    return sum(w * a for (_, w), a in zip(weights, A.tolist()))
 
 
 def remainder_R(tables: ArithTables, rho: RhoEstimate, X, Y) -> float:
@@ -154,11 +160,14 @@ def remainder_values(tables: ArithTables, rho: RhoEstimate, X, ys: np.ndarray) -
     """R_K(X, Y) on an array of Y values (float path for quadrature); X = 1
     gives P_K(Y) = A_K(Y) - rho_K Y, since a_K(1) = M_K(1) = 1."""
     ys = np.asarray(ys, dtype=np.float64)
-    if ys.size and (ys.max() > tables.N or ys.min() < 1):
+    weights = _reduced_weights(tables, X)
+    if ys.size and not (ys.min() >= 1 and ys.max() <= tables.N):  # a NaN fails too
         raise SumsError("Y values outside table range")
+    ms = np.array([m for m, _ in weights], dtype=np.float64).reshape((-1,) + (1,) * ys.ndim)
+    A = A_at(tables, np.floor(ys / ms).astype(np.int64))
     acc = np.zeros_like(ys)
-    for m, w in _reduced_weights(tables, X):
-        acc += float(w) * tables.A_prefix[np.floor(ys / m).astype(np.int64)]
+    for (_, w), a in zip(weights, A):
+        acc += float(w) * a
     return acc - rho.value * ys
 
 
@@ -430,11 +439,11 @@ def meansquare_R(
 
 def quadrature_PK_squared(tables: ArithTables, rho: RhoEstimate, T: int, samples: int) -> float:
     """Independent midpoint quadrature of |P_K|^2 over [T, 2T], straight from
-    the prefix sums (no S_K machinery)."""
+    A_K (no S_K machinery)."""
     if 2 * T > tables.N:
         raise SumsError(f"need 2T <= N; got T={T}, N={tables.N}")
     ys, h = _half_integer_grid(int(T), samples)
-    p = tables.A_prefix[np.floor(ys).astype(np.int64)] - rho.value * ys
+    p = A_at(tables, np.floor(ys).astype(np.int64)) - rho.value * ys
     return h * math.fsum((p * p).tolist())
 
 
@@ -445,7 +454,7 @@ def exact_PK_square_integral(tables: ArithTables, rho: RhoEstimate, T: int) -> f
     if 2 * T > tables.N:
         raise SumsError(f"need 2T <= N; got T={T}, N={tables.N}")
     n = np.arange(int(T), 2 * int(T))
-    A = tables.A_prefix[n].astype(np.float64)
+    A = A_at(tables, n).astype(np.float64)
     r = rho.value
     lo = A - r * n
     hi = A - r * (n + 1)

@@ -21,7 +21,7 @@ class TestBuildTables:
     def test_first_values_nn2(self, field_nn2):
         t = ar.build_tables(field_nn2, 10)
         assert t.aK[1:].tolist() == NN2_FIRST10
-        assert ar.partial_A(t, 10) == 9
+        assert ar.A_at(t, 10) == 9
 
     def test_mu_at_one(self, tables_nn2_small):
         assert tables_nn2_small.muK[1] == 1
@@ -170,13 +170,16 @@ class TestBuildTables:
             M = t.M_prefix
             assert ar.max_abs_ratio(M, 1) == float(np.max(np.abs(M[1:]) / m))
             assert ar.max_abs_ratio(t.b, 0.1) == float(np.max(np.abs(t.b[1:]) / m**0.1))
-            tracemalloc.start()
-            try:
-                ar.max_abs_ratio(M, 1)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 5 * 8 * 2**16, peak  # a few 2^16-entry temporaries, not 24 bytes per n
+            # M_K summed block by block with a carry: the same quotients
+            assert ar.max_abs_M_ratio(t) == ar.max_abs_ratio(M, 1)
+            for call in (lambda: ar.max_abs_ratio(M, 1), lambda: ar.max_abs_M_ratio(t)):
+                tracemalloc.start()
+                try:
+                    call()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 5 * 8 * 2**16, peak  # a few 2^16-entry temporaries, not 24 bytes per n
         assert ar.max_abs_ratio(np.array([7, -3, 4]), 1) == 3.0  # index 0 is skipped
 
     def test_trivial_M_bound(self, tables_nn2_1m, tables_c7_1m):
@@ -187,18 +190,52 @@ class TestBuildTables:
 
 class TestPartials:
     def test_zero(self, tables_nn2_small):
-        assert ar.partial_A(tables_nn2_small, 0) == 0
+        assert ar.A_at(tables_nn2_small, 0) == 0
         assert tables_nn2_small.M_prefix[0] == 0
 
     def test_out_of_range(self, tables_nn2_small):
-        with pytest.raises(ar.ArithError):
-            ar.partial_A(tables_nn2_small, tables_nn2_small.N + 1)
-        with pytest.raises(ar.ArithError):
-            ar.partial_A(tables_nn2_small, -1)
+        t = tables_nn2_small
+        for bad in (t.N + 1, -1, [5, t.N + 1], np.array([[3], [-1]]), [2.5], [np.nan]):
+            with pytest.raises(ar.ArithError, match=f"read at integers in 0..{t.N}"):
+                ar.A_at(t, bad)
 
-    def test_error_P(self, tables_nn2_small):
+    def test_P_K(self, tables_nn2_small):
+        # P_K(x) = A_K(x) - rho_K x, as checks.voronoi_split_failure takes it
         rho = ar.RhoEstimate(value=0.8, stderr=0.0, method="series_b_over_m", B=1000)
-        assert ar.error_P(tables_nn2_small, rho, 100) == ar.partial_A(tables_nn2_small, 100) - 80.0
+        P = ar.A_at(tables_nn2_small, 100) - rho.value * 100
+        assert P == tables_nn2_small.A_prefix[100] - 80.0
+
+    def test_A_at_matches_prefix(self, tables_nn2_small, tables_c7_small):
+        rng = np.random.default_rng(5)
+        for t in (tables_nn2_small, tables_c7_small):
+            A = t.A_prefix
+            xs = np.concatenate(([t.N, 0, 7, 7, t.N], rng.integers(0, t.N + 1, 200)))  # unsorted, repeats
+            got = ar.A_at(t, xs)
+            assert got.dtype == np.int64 and np.array_equal(got, A[xs])
+            grid = xs[:200].reshape(8, 25)
+            assert np.array_equal(ar.A_at(t, grid), A[grid])
+            scalar = ar.A_at(t, np.int64(4321))
+            assert scalar.shape == () and scalar == A[4321]
+            for empty in ([], np.zeros((0, 3), dtype=np.int64)):
+                out = ar.A_at(t, empty)
+                assert out.dtype == np.int64 and out.shape == np.shape(empty)
+
+    def test_A_at_reads_aK_only_to_the_largest_point(self, tables_nn2_small, tables_nn2_1m):
+        # a_K beyond max(xs) changes nothing, and no N-length array is built:
+        # the block sums widen a_K to int64 up to max(xs) only
+        t = tables_nn2_small
+        xs = np.array([10, 500, 99, 2000])
+        want = ar.A_at(t, xs)
+        noisy = t.aK.copy()
+        noisy[2001:] = 10**6
+        assert np.array_equal(ar.A_at(dataclasses.replace(t, aK=noisy), xs), want)
+        tracemalloc.start()
+        try:
+            ar.A_at(tables_nn2_1m, np.array([3, 10**4]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * tables_nn2_1m.N // 10, peak
 
 
 class TestRho:

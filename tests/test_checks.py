@@ -7,18 +7,17 @@ functions, so a check that stopped looking would pass everywhere at once.
 import dataclasses
 import random
 
+import numpy as np
 
 from cubicsums import arith, checks, fieldspec, ideals, sums
 
 
 def _with(tables, name, index, delta):
     """A copy of the tables with one array changed at index (int or slice);
-    every other array, the prefix sums included, is the original's."""
+    every other array is the original's."""
     arr = getattr(tables, name).copy()
     arr[index] += delta
     bad = dataclasses.replace(tables)
-    # the prefix sums are cached properties: set them as a cache that was filled before
-    vars(bad).update(A_prefix=tables.A_prefix, M_prefix=tables.M_prefix)
     vars(bad)[name] = arr
     return bad
 
@@ -78,7 +77,7 @@ def test_cross_path_sees_a_dropped_support_term(tables_nn2_small, monkeypatch):
     real = ideals._mobius_support
     monkeypatch.setattr(ideals, "_mobius_support", lambda J, I=None: real(J, I)[:-1])
     bad = checks.cross_path_failure(tables_nn2_small, 10, (10, 100))
-    assert bad == (1, 10, 0, arith.partial_A(tables_nn2_small, 10))
+    assert bad == (1, 10, 0, arith.A_at(tables_nn2_small, 10))
 
 
 def _prime_ideal(field, p):
@@ -100,7 +99,8 @@ def test_ideal_samples(field_nn2, monkeypatch):
 def test_collapse(field_nn2, tables_nn2_small):
     Js = [ideals.UNIT_IDEAL, _prime_ideal(field_nn2, 5)]
     assert checks.collapse_failure(tables_nn2_small, Js) is None
-    bad = checks.collapse_failure(_with(tables_nn2_small, "A_prefix", slice(50, None), 1), Js)
+    # a_K(50) one too large moves A_K(Y) for Y >= 50; the naive side reads no table
+    bad = checks.collapse_failure(_with(tables_nn2_small, "aK", 50, 1), Js)
     assert bad[:2] == (str(ideals.UNIT_IDEAL), 100) and bad[3] == bad[2] + 1
 
 
@@ -118,13 +118,16 @@ def test_restriction(tables_nn2_small):
     assert checks.restriction_failure(tables_nn2_small, 2 * 10**4) == 2 * 10**4
 
 
-def test_remainder(tables_nn2_small):
+def test_remainder(tables_nn2_small, monkeypatch):
     rho, _ = arith.estimate_rho(tables_nn2_small, 10**4)
     assert checks.remainder_failure(tables_nn2_small, rho, 5432) is None
     # M_K(1) = 2 doubles the reduced S_K(1, Y)
     assert checks.remainder_failure(_with(tables_nn2_small, "muK", 1, 1), rho, 5432) is not None
-    # P_K(Y) is summed from a_K, so a prefix sum wrong above 5000 shows
-    assert checks.remainder_failure(_with(tables_nn2_small, "A_prefix", slice(5000, None), 1), rho, 5432) is not None
+    # P_K(Y) is summed from a_K, so an A_K reader wrong above 5000 shows; a
+    # fault in a_K itself would move both sides
+    real = sums.A_at
+    monkeypatch.setattr(sums, "A_at", lambda t, xs: real(t, xs) + (np.asarray(xs) >= 5000))
+    assert checks.remainder_failure(tables_nn2_small, rho, 5432) is not None
 
 
 def test_voronoi_split(tables_nn2_small, monkeypatch):
@@ -134,7 +137,7 @@ def test_voronoi_split(tables_nn2_small, monkeypatch):
     monkeypatch.setattr(sums, "voronoi_P1", lambda *a: (real(*a)[0], real(*a)[1] + 0.5))
     assert checks.voronoi_split_failure(tables_nn2_small, rho, 5432, 64) is not None
     monkeypatch.undo()
-    # P_K comes from the sampled evaluator, which the row compares with partial_A
+    # P_K comes from the sampled evaluator, which the row compares with arith.A_at
     real_values = sums.remainder_values
     monkeypatch.setattr(sums, "remainder_values", lambda *a: real_values(*a) + 0.5)
     assert checks.voronoi_split_failure(tables_nn2_small, rho, 5432, 64) is not None

@@ -168,6 +168,17 @@ class TestMemory:
         growth = _peak_bytes(code) - _peak_bytes("import cubicsums.cli")
         assert growth < 4 * N, f"{growth / N:.2f} bytes per n"
 
+    def test_verify_builds_no_prefix_sum_table(self):
+        # the value tables take 8 bytes per n and the restriction check sieves
+        # N/10 more; every check reads A_K and M_K at points or block by
+        # block, so no int64 prefix sum of 8 bytes per n adds to the peak
+        N = 4 * 10**6
+        code = ("import contextlib, io, sys\nfrom cubicsums import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    sys.exit(cli.main(['verify', '--field', 'cubic-nonnormal-2', '--N', '{N}']))\n")
+        growth = _peak_bytes(code) - _peak_bytes("import cubicsums.cli")
+        assert growth < 16 * N, f"{growth / N:.2f} bytes per n"
+
 
 class TestVerify:
     def test_quick_pass(self, tmp_path, capsys):

@@ -143,7 +143,7 @@ def _c_full(J, I):
 def _sum_full(tables, J, Y):
     # the divisor collapse over every M | J, zero terms included
     return sum(
-        M.norm * idl.ideal_mobius(idl.ideal_divide(J, M)) * ar.partial_A(tables, Y // M.norm)
+        M.norm * idl.ideal_mobius(idl.ideal_divide(J, M)) * int(ar.A_at(tables, Y // M.norm))
         for M in _all_divisors(J)
     )
 
@@ -233,9 +233,7 @@ class TestSupportAgainstFullSums:
 class TestSumCJ:
     def test_unit_gives_A(self, tables_nn2_small):
         for Y in (1, 10, 500):
-            assert idl.sum_cJ_over_I(tables_nn2_small, idl.UNIT_IDEAL, Y) == ar.partial_A(
-                tables_nn2_small, Y
-            )
+            assert idl.sum_cJ_over_I(tables_nn2_small, idl.UNIT_IDEAL, Y) == ar.A_at(tables_nn2_small, Y)
 
     def test_Y_below_one(self, field_nn2, tables_nn2_small):
         P = idl.labels_above(field_nn2, 2)[0]

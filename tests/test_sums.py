@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from test_fieldspec import RANDOM_COEFFS, _random_field
 
 from cubicsums import arith as ar
+from cubicsums import checks
 from cubicsums import fieldspec as fs
 from cubicsums import ideals as idl
 from cubicsums import sums as sm
@@ -44,7 +46,7 @@ class TestCrossPath:
 
     def test_X1_is_A(self, t1000_nn2):
         for Y in (1, 77, 1000):
-            assert sm.S_K_reduced(t1000_nn2, 1, Y) == ar.partial_A(t1000_nn2, Y)
+            assert sm.S_K_reduced(t1000_nn2, 1, Y) == ar.A_at(t1000_nn2, Y)
 
     def test_Y1_is_M(self, t1000_nn2):
         grid = sm.S_K_direct_grid(t1000_nn2, 50, (1,))
@@ -54,7 +56,7 @@ class TestCrossPath:
     def test_X2_hand_expansion(self, t1000_nn2):
         # (m,l) in {(1,1),(1,2),(2,1)}: A(Y) - A(Y) + 2 A(Y/2)
         for Y in (10, 100, 1000):
-            want = 2 * ar.partial_A(t1000_nn2, Y // 2)
+            want = 2 * ar.A_at(t1000_nn2, Y // 2)
             assert sm.S_K_reduced(t1000_nn2, 2, Y) == want
 
     def test_direct_enumeration_cap(self, t1000_nn2):
@@ -70,7 +72,7 @@ class TestRemainder:
     def test_X1_is_PK(self, tables_nn2_1m, rho_nn2):
         for Y in (1234, 31337, 999999):
             assert sm.remainder_R(tables_nn2_1m, rho_nn2, 1, Y) == pytest.approx(
-                ar.error_P(tables_nn2_1m, rho_nn2, Y), abs=1e-9
+                ar.A_at(tables_nn2_1m, Y) - rho_nn2.value * Y, abs=1e-9
             )
 
     def test_vectorized_matches_scalar(self, tables_nn2_1m, rho_nn2):
@@ -88,6 +90,21 @@ class TestRemainder:
         b = sm.remainder_R(tables_nn2_1m, r2, 10, Y)
         assert abs(a - b) <= 3 * (r1.stderr + r2.stderr) * Y
 
+    def test_X_beyond_tables_refused(self, t1000_nn2, rho_nn2):
+        # both reduced evaluators take their weights to X; X > N is refused,
+        # not an IndexError from reading M_K past the table
+        for X in (t1000_nn2.N + 1, t1000_nn2.N + 100):
+            with pytest.raises(sm.SumsError, match="tables too short"):
+                sm.remainder_values(t1000_nn2, rho_nn2, X, np.array([500.5]))
+            with pytest.raises(sm.SumsError, match="tables too short"):
+                sm.S_K_reduced(t1000_nn2, X, 10)
+
+    def test_nan_Y_refused(self, t1000_nn2, rho_nn2):
+        # a NaN fails both range comparisons, so it must fail the check
+        for ys in ([np.nan], [500.5, np.nan], [np.nan, 500.5]):
+            with pytest.raises(sm.SumsError, match="outside table range"):
+                sm.remainder_values(t1000_nn2, rho_nn2, 3, np.array(ys))
+
     def test_envelope_scan(self, tables_nn2_1m, rho_nn2):
         rows, fitted = sm.remainder_envelope_scan(tables_nn2_1m, rho_nn2, (5, 8, 10))
         assert len(rows) == 3
@@ -98,7 +115,7 @@ class TestVoronoi:
     def test_decomposition_exact(self, tables_nn2_1m, rho_nn2):
         Y = 2 * 10**5
         p1, p2 = sm.voronoi_P1(tables_nn2_1m, rho_nn2, Y, 64)
-        pk = ar.error_P(tables_nn2_1m, rho_nn2, Y)
+        pk = ar.A_at(tables_nn2_1m, Y) - rho_nn2.value * Y
         assert p1 + p2 == pytest.approx(pk, abs=1e-12)
 
     def test_deterministic(self, tables_nn2_1m, rho_nn2):
@@ -109,7 +126,6 @@ class TestVoronoi:
     def test_zero_coefficients_give_zero(self, field_nn2):
         t = ar.build_tables(field_nn2, 1000)
         zeroed = dataclasses.replace(t, aK=np.zeros_like(t.aK))
-        vars(zeroed)["A_prefix"] = t.A_prefix  # the original prefix, as a stale cache
         vals = sm.voronoi_P1_values(zeroed, np.array([500.5]), 100)
         assert vals[0] == 0.0
 
@@ -195,8 +211,9 @@ class TestMeanSquareP2:
 
 
 def test_no_sampled_reader_builds_the_whole_mertens_table(field_nn2, rho_nn2):
-    # each reads M_K(x) for x <= X only; the whole-table prefix sum is the
-    # verify report row's alone
+    # each reads M_K(x) for x <= X only and A_K through ar.A_at, so neither
+    # whole-table prefix sum is built: not by the sampled readers, not by the
+    # reader of each table experiment, and not by the verify suite
     calls = {
         "S_K_reduced": lambda t: sm.S_K_reduced(t, 30, 5000),
         "remainder_values": lambda t: sm.remainder_values(t, rho_nn2, 30, np.array([100.5, 5000.5])),
@@ -204,11 +221,20 @@ def test_no_sampled_reader_builds_the_whole_mertens_table(field_nn2, rho_nn2):
         "meansquare_P2": lambda t: sm.meansquare_P2(t, rho_nn2, 1000, 2, samples=64),
         "p2_truncation_scan": lambda t: sm.p2_truncation_scan(t, rho_nn2, 1000, 2000, 10, (2, 8)),
         "voronoi_P1": lambda t: sm.voronoi_P1(t, rho_nn2, 5000.5, 8),
+        "quadrature_PK_squared": lambda t: sm.quadrature_PK_squared(t, rho_nn2, 1000, 64),
+        "exact_PK_square_integral": lambda t: sm.exact_PK_square_integral(t, rho_nn2, 1000),
+        # the experiments rho, meansquare, meansquare-p2, envelope (cx and
+        # voronoi are above)
+        "estimate_rho": lambda t: ar.estimate_rho(t, t.N),
+        "meansquare_trend": lambda t: sm.meansquare_trend(t, rho_nn2, 5, (1000, 2000), samples=64),
+        "p2_meansquare_grid": lambda t: sm.p2_meansquare_grid(t, rho_nn2, (1000, 2000), (2, 4), samples=64),
+        "remainder_envelope_scan": lambda t: sm.remainder_envelope_scan(t, rho_nn2, (2, 3)),
+        "field_suite": lambda t: checks.field_suite(t, random.Random(1), 5, (10, 100)),
     }
     for name, call in calls.items():
         tables = ar.build_tables(field_nn2, 10**4)
         call(tables)
-        assert "M_prefix" not in vars(tables), name
+        assert not {"A_prefix", "M_prefix"} & set(vars(tables)), name
 
 
 def _pair_loop_cX(tables, X, inner):
