@@ -16,13 +16,16 @@ and its sum over all I of norm <= Y collapses through the divisor structure:
 
     sum_{N(I)<=Y} c_J(I) = sum_{M | J} N(M) mu(J/M) A_K(Y / N(M)),
 
-which ties the ideal level to A_K, read from the sieved a_K by arith.A_at.
+which ties the ideal level to A_K, read from the sieved a_K by arith.A_at;
+sum_cJ_over_I evaluates it at a whole array of Y with one such read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .arith import A_at, ArithTables
 from .fieldspec import FieldSpec, primes_upto, splitting_type
@@ -186,18 +189,18 @@ def ramanujan_ideal(field: FieldSpec, J: FactoredIdeal, I: FactoredIdeal) -> int
     return sum(n * s for n, s in _mobius_support(J, I))
 
 
-def sum_cJ_over_I(tables: ArithTables, J: FactoredIdeal, Y) -> int:
-    """sum_{N(I) <= Y} c_J(I) via the divisor collapse to A_K, over the
-    M | J with mu(J/M) != 0; the tables must reach A_K(Y)."""
+def sum_cJ_over_I(tables: ArithTables, J: FactoredIdeal, ys) -> np.ndarray:
+    """sum_{N(I) <= Y} c_J(I) at every real Y of ys, any shape, exact int64,
+    via the divisor collapse to A_K over the M | J with mu(J/M) != 0: one
+    read of A_K at every floor(Y / N(M)) and a product with N(M) mu(J/M).
+    0 <= Y <= N, and 0 <= Y < 1 gives 0."""
     _check_field(tables.field, J)
-    if Y < 1:
-        return 0
-    top = int(Y // 1)
-    if top > tables.N:
-        raise IdealError(f"tables too short: need A_K({top}) but N={tables.N}")
-    support = _mobius_support(J)
-    A = A_at(tables, [int(Y // n) for n, _ in support])
-    return sum(n * s * a for (n, s), a in zip(support, A.tolist()))
+    ys = np.asarray(ys)
+    if ys.size and not (ys.min() >= 0 and ys.max() <= tables.N):  # a NaN fails too
+        raise IdealError(f"tables too short: need A_K({ys.max()}) but N={tables.N}" if ys.max() > tables.N
+                         else f"Y values outside 0..{tables.N}")
+    norms, signs = np.array(_mobius_support(J), dtype=np.int64).reshape(-1, 2).T
+    return A_at(tables, np.floor(ys[..., None] / norms).astype(np.int64)) @ (norms * signs)
 
 
 def _check_field(field: FieldSpec, I: FactoredIdeal) -> None:

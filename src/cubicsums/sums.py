@@ -43,15 +43,15 @@ error of ending the product at 10^6, not a truncation in n.
 
 R_K(X, .) is a step function minus rho Y; every quadrature here samples at
 half-integer Y so jump ambiguity never arises, and float accumulations are
-combined with math.fsum in a fixed chunk order.  remainder_values is the one
-evaluator of R_K(X, .) at sample points; at X = 1 it is P_K, which the P1/P2
-experiments read.  M_K is summed from mu_K only up to the X it is read at,
-and A_K is read through arith.A_at, once per evaluation at all its points.
+combined with math.fsum in a fixed chunk order.  S_K_reduced is the one
+evaluator of S_K and, less rho Y in remainder_values, of R_K at arrays of Y;
+at X = 1 R_K is P_K, which the P1/P2 experiments read.  M_K is summed from
+mu_K only up to the X it is read at, and A_K is read through arith.A_at,
+once per evaluation at all its points.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -72,7 +72,6 @@ __all__ = [
     "SumsError",
     "S_K_direct_grid",
     "S_K_reduced",
-    "remainder_R",
     "remainder_values",
     "voronoi_P1",
     "voronoi_P1_values",
@@ -105,70 +104,56 @@ class SumsError(RuntimeError):
 # the two exact evaluation paths for S_K
 # ----------------------------------------------------------------------------
 
-def S_K_direct_grid(tables: ArithTables, x_max, ys) -> list:
+def S_K_direct_grid(tables: ArithTables, x_max, ys) -> np.ndarray:
     """Direct-path S_K(X, Y) for every integer X in 1..x_max and Y in ys, as
-    rows [S_K(X, Y) for Y in ys], X ascending.
+    an (x_max, len(ys)) int64 array whose row X - 1 holds S_K(X, Y).
 
-    One enumeration to x_max serves every X: each J's collapsed inner sum
-    goes into the bucket of its norm, and a running sum over norms gives
-    S_K(X, Y) for each X in turn.
+    One enumeration to x_max serves every X: each J's collapsed inner sums
+    at every Y go into the row of its norm, and a running sum over norms
+    gives S_K(X, Y) for each X in turn.
     """
     if x_max > 10**3:
         raise SumsError(f"direct path enumerates J; X={x_max} exceeds 1000")
-    x_max, ys = int(x_max), tuple(ys)
-    if x_max < 1:
-        return []
-    buckets = [[0] * len(ys) for _ in range(x_max)]
-    for J in enumerate_ideals(tables.field, x_max):
-        bucket = buckets[J.norm - 1]
-        for k, Y in enumerate(ys):
-            bucket[k] += sum_cJ_over_I(tables, J, Y)
-    return list(itertools.accumulate(buckets, lambda run, b: [s + v for s, v in zip(run, b)]))
+    x_max, ys = int(x_max), np.asarray(ys)
+    rows = np.zeros((max(x_max, 0), len(ys)), dtype=np.int64)
+    for J in enumerate_ideals(tables.field, x_max) if x_max >= 1 else ():
+        rows[J.norm - 1] += sum_cJ_over_I(tables, J, ys)
+    return np.cumsum(rows, axis=0)
 
 
-def _reduced_weights(tables: ArithTables, X) -> list:
-    """(m, m a_K(m) M_K(X/m)) for every m <= X whose weight is nonzero."""
+def _reduced_weights(tables: ArithTables, X) -> tuple:
+    """(ms, ws): every m <= X whose weight m a_K(m) M_K(X/m) is nonzero, and
+    that weight, as int64 arrays."""
     Xi = int(X)
     if Xi > tables.N:
         raise SumsError(f"tables too short for X={X} (N={tables.N})")
     M = np.cumsum(tables.muK[: Xi + 1], dtype=np.int64)  # M_K(x), x <= X only
-    out = []
-    for m in range(1, Xi + 1):
-        w = m * int(tables.aK[m]) * int(M[Xi // m])
-        if w:
-            out.append((m, w))
-    return out
+    ms = np.arange(1, Xi + 1, dtype=np.int64)
+    ws = ms * tables.aK[1 : Xi + 1] * M[Xi // ms]
+    return ms[ws != 0], ws[ws != 0]
 
 
-def S_K_reduced(tables: ArithTables, X, Y) -> int:
-    """S_K via the norm-collapsed convolution (exact integers)."""
-    weights = _reduced_weights(tables, X)
-    if int(Y) > tables.N:
-        raise SumsError(f"tables too short for Y={Y} (N={tables.N})")
-    if Y < 1:
-        return 0
-    A = A_at(tables, [int(Y // m) for m, _ in weights])
-    return sum(w * a for (_, w), a in zip(weights, A.tolist()))
+def S_K_reduced(tables: ArithTables, X, ys) -> np.ndarray:
+    """S_K(X, Y) = sum_{m <= X} w_m A_K(Y/m), exact int64, at every real Y
+    of ys (any shape, 0 <= Y <= N; S_K(X, Y) = S_K(X, floor Y)): one A_at
+    read at every floor(Y/m), exact in floats for Y < 2^52, and a product
+    with w_m = m a_K(m) M_K(X/m).
+
+    No sum wraps: |w_m| <= X a_K(m) while |M_K(x)| <= x, so |S_K| <~
+    rho_K X Y sum_{m <= X} a_K(m)/m, about 10^12 at X = 10^3 and Y = 10^8:
+    below 2^53, where float(S_K) is exact too."""
+    ms, ws = _reduced_weights(tables, X)
+    ys = np.asarray(ys)
+    if ys.size and not (ys.min() >= 0 and ys.max() <= tables.N):  # a NaN fails too
+        raise SumsError(f"Y values outside table range 0..{tables.N}")
+    return A_at(tables, np.floor(ys[..., None] / ms).astype(np.int64)) @ ws
 
 
-def remainder_R(tables: ArithTables, rho: RhoEstimate, X, Y) -> float:
-    """R_K(X, Y) = S_K(X, Y) - rho_K Y (reduced path)."""
-    return S_K_reduced(tables, X, Y) - rho.value * Y
-
-
-def remainder_values(tables: ArithTables, rho: RhoEstimate, X, ys: np.ndarray) -> np.ndarray:
-    """R_K(X, Y) on an array of Y values (float path for quadrature); X = 1
-    gives P_K(Y) = A_K(Y) - rho_K Y, since a_K(1) = M_K(1) = 1."""
+def remainder_values(tables: ArithTables, rho: RhoEstimate, X, ys) -> np.ndarray:
+    """R_K(X, Y) = S_K(X, Y) - rho_K Y at every Y of ys; X = 1 gives
+    P_K(Y) = A_K(Y) - rho_K Y, since a_K(1) = M_K(1) = 1."""
     ys = np.asarray(ys, dtype=np.float64)
-    weights = _reduced_weights(tables, X)
-    if ys.size and not (ys.min() >= 1 and ys.max() <= tables.N):  # a NaN fails too
-        raise SumsError("Y values outside table range")
-    ms = np.array([m for m, _ in weights], dtype=np.float64).reshape((-1,) + (1,) * ys.ndim)
-    A = A_at(tables, np.floor(ys / ms).astype(np.int64))
-    acc = np.zeros_like(ys)
-    for (_, w), a in zip(weights, A):
-        acc += float(w) * a
-    return acc - rho.value * ys
+    return S_K_reduced(tables, X, ys) - rho.value * ys
 
 
 # ----------------------------------------------------------------------------
@@ -535,7 +520,7 @@ def remainder_envelope_scan(tables, rho, X_values):
         Y = int(10 * X**3)
         if Y > tables.N:
             raise SumsError(f"Y={Y} beyond tables (N={tables.N})")
-        R = remainder_R(tables, rho, X, Y)
+        R = float(remainder_values(tables, rho, X, Y))
         envelope = X ** (8 / 5) * Y ** (2 / 5) + X ** (11 / 8) * Y ** (1 / 2)
         rows.append((X, Y, R, envelope, abs(R) / envelope))
     fitted = max(r[4] for r in rows)

@@ -80,6 +80,29 @@ def test_cross_path_sees_a_dropped_support_term(tables_nn2_small, monkeypatch):
     assert bad == (1, 10, 0, arith.A_at(tables_nn2_small, 10))
 
 
+def test_one_evaluation_takes_every_Y(tables_nn2_small, field_nn2, monkeypatch):
+    # the reduced path runs once per X and the collapse once per J, each at
+    # every Y, not once per (X, Y) or (J, Y); the direct path reads the
+    # collapse through its own import
+    calls = {"S_K_reduced": [], "sum_cJ_over_I": []}
+
+    def logged(real, log):
+        def call(tables, first, ys):  # first is X or J
+            log.append(first)
+            return real(tables, first, ys)
+        return call
+
+    for mod, name in ((sums, "S_K_reduced"), (sums, "sum_cJ_over_I"), (ideals, "sum_cJ_over_I")):
+        monkeypatch.setattr(mod, name, logged(getattr(mod, name), calls[name]))
+    assert checks.cross_path_failure(tables_nn2_small, 50, (10, 100, 1000)) is None
+    assert calls["S_K_reduced"] == list(range(1, 51))
+    assert calls["sum_cJ_over_I"] == ideals.enumerate_ideals(field_nn2, 50)
+    calls["sum_cJ_over_I"].clear()
+    Js = [ideals.UNIT_IDEAL, _prime_ideal(field_nn2, 5), _prime_ideal(field_nn2, 11)]
+    assert checks.collapse_failure(tables_nn2_small, Js) is None
+    assert calls["sum_cJ_over_I"] == Js
+
+
 def _prime_ideal(field, p):
     return ideals.FactoredIdeal(((ideals.labels_above(field, p)[0], 1),))
 

@@ -239,6 +239,7 @@ class TestSumCJ:
         P = idl.labels_above(field_nn2, 2)[0]
         J = idl.FactoredIdeal(((P, 1),))
         assert idl.sum_cJ_over_I(tables_nn2_small, J, 0.5) == 0
+        assert idl.sum_cJ_over_I(tables_nn2_small, J, np.array([0, 0.5, 0.999])).tolist() == [0, 0, 0]
 
     def test_naive_oracle_random(self, field_nn2, tables_nn2_small):
         rng = random.Random(12345)
@@ -255,6 +256,15 @@ class TestSumCJ:
         t = ar.build_tables(field_nn2, 100)
         with pytest.raises(idl.IdealError, match="too short"):
             idl.sum_cJ_over_I(t, idl.UNIT_IDEAL, 500)
+
+    def test_nan_and_inf_Y_refused(self, field_nn2, tables_nn2_small):
+        # a NaN fails both range comparisons, so it must fail the check;
+        # +inf is beyond the tables, -inf below 0
+        J = idl.FactoredIdeal(((idl.labels_above(field_nn2, 2)[0], 1),))
+        for Y, match in ((np.nan, "outside"), ([10.5, np.nan], "outside"), (-np.inf, "outside"),
+                         (np.inf, "too short"), ([10.5, np.inf], "too short")):
+            with pytest.raises(idl.IdealError, match=match):
+                idl.sum_cJ_over_I(tables_nn2_small, J, Y)
 
 
 def _same_as_checked(I):

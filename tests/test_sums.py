@@ -24,25 +24,31 @@ class TestCrossPath:
         for f in (field_nn2, field_c7):
             t = ar.build_tables(f, 1000)
             grid = sm.S_K_direct_grid(t, 50, (10, 100, 1000))
-            assert len(grid) == 50
+            assert grid.shape == (50, 3) and grid.dtype == np.int64
             for X, row in enumerate(grid, start=1):
-                assert row == [sm.S_K_reduced(t, X, Y) for Y in (10, 100, 1000)], (f.name, X)
+                assert row.tolist() == [sm.S_K_reduced(t, X, Y) for Y in (10, 100, 1000)], (f.name, X)
 
     def test_direct_is_classical_on_rationals(self, field_hook):
         # over Q the direct path is S1(X, Y); classical_S1 reads no field tables
         t = ar.build_tables(field_hook, 1000)
         ys = (10, 100, 1000)
         for X, row in enumerate(sm.S_K_direct_grid(t, 40, ys), start=1):
-            assert row == [sm.classical_S1(X, Y) for Y in ys], X
+            assert row.tolist() == [sm.classical_S1(X, Y) for Y in ys], X
 
     def test_numpy_integer_Y(self, t1000_nn2):
-        # both paths take floor(Y / n) as an integer floor division, so
-        # np.int64 and int Y give the same values
+        # both paths take floor(Y / n), exact in floats for Y <= N, so
+        # np.int64, int and float Y give the same values, at any shape of Y;
+        # Y in [0, 1) gives 0
         field = t1000_nn2.field
-        for Y in (1, 10, 100, 999):
-            assert sm.S_K_reduced(t1000_nn2, 30, np.int64(Y)) == sm.S_K_reduced(t1000_nn2, 30, Y)
-            for J in idl.enumerate_ideals(field, 30):
-                assert idl.sum_cJ_over_I(t1000_nn2, J, np.int64(Y)) == idl.sum_cJ_over_I(t1000_nn2, J, Y)
+        ys = np.array([[1, 10], [100, 999]])
+        for f in (lambda Y: sm.S_K_reduced(t1000_nn2, 30, Y),
+                  *(lambda Y, J=J: idl.sum_cJ_over_I(t1000_nn2, J, Y) for J in idl.enumerate_ideals(field, 30))):
+            grid = f(ys)
+            assert grid.shape == (2, 2) and grid.dtype == np.int64
+            for Y, v in zip(ys.flat, grid.flat):
+                assert f(np.int64(Y)) == f(int(Y)) == f(float(Y)) == f(Y + 0.5) == v
+                assert f(np.array(Y)).shape == ()
+            assert f(np.array([0, 0.5, 0.999])).tolist() == [0, 0, 0]
 
     def test_X1_is_A(self, t1000_nn2):
         for Y in (1, 77, 1000):
@@ -71,23 +77,22 @@ class TestCrossPath:
 class TestRemainder:
     def test_X1_is_PK(self, tables_nn2_1m, rho_nn2):
         for Y in (1234, 31337, 999999):
-            assert sm.remainder_R(tables_nn2_1m, rho_nn2, 1, Y) == pytest.approx(
+            assert sm.remainder_values(tables_nn2_1m, rho_nn2, 1, Y) == pytest.approx(
                 ar.A_at(tables_nn2_1m, Y) - rho_nn2.value * Y, abs=1e-9
             )
 
     def test_vectorized_matches_scalar(self, tables_nn2_1m, rho_nn2):
-        ys = np.array([1000.5, 5000.5, 99999.5])
-        vec = sm.remainder_values(tables_nn2_1m, rho_nn2, 7, ys)
-        for y, v in zip(ys, vec):
-            assert v == pytest.approx(
-                sm.remainder_R(tables_nn2_1m, rho_nn2, 7, float(y)), rel=1e-12
-            )
+        # R_K is the exact S_K less rho Y, point by point or over an array
+        for ys in (np.array([1000.5, 5000.5, 99999.5]), np.array([1000.0, 5000.0, 99999.0])):
+            vec = sm.remainder_values(tables_nn2_1m, rho_nn2, 7, ys)
+            assert vec.tolist() == [sm.remainder_values(tables_nn2_1m, rho_nn2, 7, y) for y in ys]
+            assert (vec == sm.S_K_reduced(tables_nn2_1m, 7, ys) - rho_nn2.value * ys).all()
 
     def test_rho_method_insensitive(self, tables_nn2_1m):
         r1, r2 = ar.estimate_rho(tables_nn2_1m, 10**6)
         Y = 10**5
-        a = sm.remainder_R(tables_nn2_1m, r1, 10, Y)
-        b = sm.remainder_R(tables_nn2_1m, r2, 10, Y)
+        a = sm.remainder_values(tables_nn2_1m, r1, 10, Y)
+        b = sm.remainder_values(tables_nn2_1m, r2, 10, Y)
         assert abs(a - b) <= 3 * (r1.stderr + r2.stderr) * Y
 
     def test_X_beyond_tables_refused(self, t1000_nn2, rho_nn2):
@@ -100,10 +105,16 @@ class TestRemainder:
                 sm.S_K_reduced(t1000_nn2, X, 10)
 
     def test_nan_Y_refused(self, t1000_nn2, rho_nn2):
-        # a NaN fails both range comparisons, so it must fail the check
-        for ys in ([np.nan], [500.5, np.nan], [np.nan, 500.5]):
+        # a NaN fails both range comparisons, so it must fail the check; an
+        # infinite Y is outside the tables too
+        for ys in ([np.nan], [500.5, np.nan], [np.nan, 500.5], [np.inf], [500.5, -np.inf]):
             with pytest.raises(sm.SumsError, match="outside table range"):
                 sm.remainder_values(t1000_nn2, rho_nn2, 3, np.array(ys))
+
+    def test_nan_and_inf_Y_refused_by_S_K_reduced(self, t1000_nn2):
+        for Y in (np.nan, np.inf, [10.5, np.nan], -np.inf, -1):
+            with pytest.raises(sm.SumsError, match="outside table range"):
+                sm.S_K_reduced(t1000_nn2, 5, Y)
 
     def test_envelope_scan(self, tables_nn2_1m, rho_nn2):
         rows, fitted = sm.remainder_envelope_scan(tables_nn2_1m, rho_nn2, (5, 8, 10))
