@@ -252,24 +252,17 @@ class ArithTables:
     @cached_property
     def A_prefix(self) -> np.ndarray:
         """A_K(x) for 0 <= x <= N."""
-        return _freeze(_prefix_sum(self.aK))
+        return _freeze(np.cumsum(self.aK, dtype=np.int64))
 
     @cached_property
     def M_prefix(self) -> np.ndarray:
         """M_K(x) for 0 <= x <= N."""
-        return _freeze(_prefix_sum(self.muK))
+        return _freeze(np.cumsum(self.muK, dtype=np.int64))
 
 
 def _freeze(arr):
     arr.setflags(write=False)
     return arr
-
-
-def _prefix_sum(arr):
-    # widen once, then sum in place: np.cumsum(arr, dtype=np.int64) is
-    # about 2.5 times slower
-    x = arr.astype(np.int64)
-    return np.cumsum(x, out=x)
 
 
 def _field_locals(field: FieldSpec, N: int):
@@ -684,6 +677,6 @@ def export_csv(tables: ArithTables, path, nmax: int) -> None:
     """n, a_K, mu_K, b, A_K and M_K for n <= nmax as CSV; A_K and M_K are
     summed over those nmax entries only, not over the whole table."""
     n = np.arange(min(nmax, tables.N) + 1)
-    cols = (n, tables.aK[n], tables.muK[n], tables.b[n], A_at(tables, n), _prefix_sum(tables.muK[n]))
+    cols = (n, tables.aK[n], tables.muK[n], tables.b[n], A_at(tables, n), np.cumsum(tables.muK[n], dtype=np.int64))
     np.savetxt(path, np.column_stack(cols)[1:], fmt="%d", delimiter=",", header="n,aK,muK,b,A,M",
                comments="", encoding="utf-8")

@@ -126,11 +126,13 @@ def voronoi_split_failure(tables, rho, Y, y):
     """(P1 + P2, P_K(Y)) if the truncated expansion and its residual miss
     P_K(Y) by more than 1e-9 relative, else None.
 
-    sums.voronoi_P1 defines P2 as P_K - P1 with P_K from
+    sums.p2_values defines P2 as P_K - P1 with P_K from
     sums.remainder_values at X = 1, so this compares that evaluator with
     A_K(Y) - rho Y straight from arith.A_at; P1 itself is not checked
     against an independently computed value."""
-    p1, p2 = sums.voronoi_P1(tables, rho, Y, y)
+    ys = np.array([float(Y)])
+    p1 = float(sums.voronoi_P1_values(tables, ys=ys, y_trunc=y)[0])
+    p2 = float(sums.p2_values(tables, rho, ys, [y])[0][0])
     pk = int(arith.A_at(tables, Y)) - rho.value * Y
     return None if abs((p1 + p2) - pk) <= 1e-9 * max(1.0, abs(pk)) else (p1 + p2, pk)
 

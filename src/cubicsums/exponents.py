@@ -200,7 +200,10 @@ def parse_monomial(text: str) -> Monomial:
         if not m:
             raise ExponentError(f"cannot parse monomial at ...{cleaned[pos:]!r}")
         var, exp = m.group(1), m.group(2)
-        frac = Fraction(1) if exp is None else Fraction(exp.strip("{} ").replace(" ", ""))
+        try:
+            frac = Fraction(1) if exp is None else Fraction(exp.strip("{} ").replace(" ", ""))
+        except ZeroDivisionError:
+            raise ExponentError(f"zero denominator in the exponent of {var}: {exp}") from None
         exps[var] = exps.get(var, Fraction(0)) + frac
         pos = m.end()
     return Monomial(exps)

@@ -24,7 +24,7 @@ the number of complex places (voronoi_P1_values):
 
     P1(Y; y) = |D|^{1/6} Y^{1/3}/(sqrt(3) pi) * sum_{n <= y} a_K(n) n^{-2/3}
                cos(6 pi (n Y/|D|)^{1/3} - r2 pi/2),
-    P2(Y; y) = P_K(Y) - P1(Y; y),
+    P2(Y; y) = P_K(Y) - P1(Y; y)   (p2_values),
 
 and the mean square of R_K over Y in [T, 2T] has leading term
 c(X) * integral of Y^{2/3}, where
@@ -45,9 +45,9 @@ R_K(X, .) is a step function minus rho Y; every quadrature here samples at
 half-integer Y so jump ambiguity never arises, and float accumulations are
 combined with math.fsum in a fixed chunk order.  S_K_reduced is the one
 evaluator of S_K and, less rho Y in remainder_values, of R_K at arrays of Y;
-at X = 1 R_K is P_K, which the P1/P2 experiments read.  M_K is summed from
-mu_K only up to the X it is read at, and A_K is read through arith.A_at,
-once per evaluation at all its points.
+at X = 1 R_K is P_K, which p2_values reads once per sample grid for every
+truncation y.  M_K is summed from mu_K only up to the X it is read at, and
+A_K is read through arith.A_at, once per evaluation at all its points.
 """
 
 from __future__ import annotations
@@ -58,13 +58,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import (
-    A_at,
-    ArithTables,
-    ArithError,
-    RhoEstimate,
-    mobius_sieve,
-)
+from .arith import A_at, ArithTables, RhoEstimate, mobius_sieve
 from .fieldspec import SHAPES, FieldSpec, local_ideal_counts, splitting_codes
 from .ideals import enumerate_ideals, sum_cJ_over_I
 
@@ -73,8 +67,8 @@ __all__ = [
     "S_K_direct_grid",
     "S_K_reduced",
     "remainder_values",
-    "voronoi_P1",
     "voronoi_P1_values",
+    "p2_values",
     "meansquare_P2",
     "p2_truncation_scan",
     "p2_meansquare_grid",
@@ -121,16 +115,23 @@ def S_K_direct_grid(tables: ArithTables, x_max, ys) -> np.ndarray:
     return np.cumsum(rows, axis=0)
 
 
+def _aM(tables: ArithTables, X) -> np.ndarray:
+    """a_K(n) M_K(X/n) for n = 1..floor X, as int64, with M_K summed from
+    mu_K only up to X.  The one rule for X: a NaN, an infinity or a floor
+    above N is refused, and X < 1 gives the empty sum."""
+    if not X < tables.N + 1:  # a NaN fails too
+        raise SumsError(f"tables too short for X={X} (N={tables.N})" if X > tables.N else f"X={X} is not a number")
+    Xi = int(X) if X >= 1 else 0
+    M = np.cumsum(tables.muK[: Xi + 1], dtype=np.int64)
+    return tables.aK[1 : Xi + 1] * M[Xi // np.arange(1, Xi + 1)]
+
+
 def _reduced_weights(tables: ArithTables, X) -> tuple:
     """(ms, ws): every m <= X whose weight m a_K(m) M_K(X/m) is nonzero, and
     that weight, as int64 arrays."""
-    Xi = int(X)
-    if Xi > tables.N:
-        raise SumsError(f"tables too short for X={X} (N={tables.N})")
-    M = np.cumsum(tables.muK[: Xi + 1], dtype=np.int64)  # M_K(x), x <= X only
-    ms = np.arange(1, Xi + 1, dtype=np.int64)
-    ws = ms * tables.aK[1 : Xi + 1] * M[Xi // ms]
-    return ms[ws != 0], ws[ws != 0]
+    aM = _aM(tables, X)
+    ms = np.flatnonzero(aM) + 1
+    return ms, ms * aM[ms - 1]
 
 
 def S_K_reduced(tables: ArithTables, X, ys) -> np.ndarray:
@@ -160,16 +161,6 @@ def remainder_values(tables: ArithTables, rho: RhoEstimate, X, ys) -> np.ndarray
 # truncated oscillating expansion of P_K
 # ----------------------------------------------------------------------------
 
-def voronoi_P1(tables: ArithTables, rho: RhoEstimate, Y, y_trunc):
-    """Truncated cube-root expansion P1(Y; y) and the residual P2 = P_K - P1."""
-    if not 1 <= y_trunc <= Y:
-        raise SumsError(f"need 1 <= y_trunc <= Y, got y_trunc={y_trunc}, Y={Y}")
-    ys = np.array([float(Y)])
-    pk = float(remainder_values(tables, rho, 1, ys)[0])  # refuses Y > N
-    p1 = float(voronoi_P1_values(tables, ys=ys, y_trunc=y_trunc)[0])
-    return p1, pk - p1
-
-
 def voronoi_P1_values(tables: ArithTables, ys: np.ndarray, y_trunc) -> np.ndarray:
     """P1(Y; y) on an array of Y values (vectorized, deterministic order).
 
@@ -198,8 +189,22 @@ def voronoi_P1_values(tables: ArithTables, ys: np.ndarray, y_trunc) -> np.ndarra
     return D ** (1.0 / 6.0) * cbrt_y / _SQRT3PI * out
 
 
-def _half_integer_grid(T: int, samples: int):
-    """Deterministic half-integer sample points covering [T, 2T)."""
+def p2_values(tables: ArithTables, rho: RhoEstimate, ys, y_values) -> list:
+    """[P2(Y; y) = P_K(Y) - P1(Y; y) at every Y of ys, for y in y_values],
+    with P_K read once for all of them."""
+    if min(y_values, default=0) < 1:
+        raise SumsError(f"truncations y must be >= 1; got {tuple(y_values)}")
+    ys = np.asarray(ys, dtype=np.float64)
+    pk = remainder_values(tables, rho, 1, ys)  # refuses Y outside 0..N
+    return [pk - voronoi_P1_values(tables, ys=ys, y_trunc=y) for y in y_values]
+
+
+def _half_integer_grid(tables: ArithTables, T, samples: int):
+    """Deterministic half-integer sample points covering [T, 2T), which must
+    lie inside the tables, and the step between them."""
+    if 2 * T > tables.N:
+        raise SumsError(f"need 2T <= N; got T={T}, N={tables.N}")
+    T = int(T)
     m = int(min(samples, T))
     if m < 1:
         raise SumsError(f"quadrature over [T, 2T] needs min(samples, T) >= 1; got samples={samples}, T={T}")
@@ -208,15 +213,14 @@ def _half_integer_grid(T: int, samples: int):
     return ys, T / m
 
 
-def meansquare_P2(tables: ArithTables, rho: RhoEstimate, T: int, y, samples: int) -> float:
-    """Midpoint quadrature of |P2(Y; y)|^2 over [T, 2T]."""
-    if T < 1 or y < 1 or y**3 > T:
-        raise SumsError(f"need T >= 1 and 1 <= y <= T^(1/3); got y={y}, T={T}")
-    if 2 * T > tables.N:
-        raise SumsError(f"need 2T <= N; got T={T}, N={tables.N}")
-    ys, h = _half_integer_grid(int(T), samples)
-    p2 = remainder_values(tables, rho, 1, ys) - voronoi_P1_values(tables, ys=ys, y_trunc=y)
-    return h * math.fsum((p2 * p2).tolist())
+def meansquare_P2(tables: ArithTables, rho: RhoEstimate, T: int, y_values, samples: int) -> list:
+    """Midpoint quadrature of |P2(Y; y)|^2 over [T, 2T], one per y of
+    y_values, all on one reading of P_K."""
+    for y in y_values:
+        if T < 1 or y < 1 or y**3 > T:
+            raise SumsError(f"need T >= 1 and 1 <= y <= T^(1/3); got y={y}, T={T}")
+    ys, h = _half_integer_grid(tables, T, samples)
+    return [h * math.fsum((p2 * p2).tolist()) for p2 in p2_values(tables, rho, ys, y_values)]
 
 
 def p2_truncation_scan(
@@ -233,21 +237,16 @@ def p2_truncation_scan(
     |P2| decays like y^{-1/6}."""
     if not 1 <= Y_lo < Y_hi <= tables.N:
         raise SumsError(f"need 1 <= Y_lo < Y_hi <= N; got [{Y_lo}, {Y_hi}], N={tables.N}")
-    if min(y_values) < 1:
-        raise SumsError(f"truncations y must be >= 1; got {tuple(y_values)}")
     step = (Y_hi - Y_lo) / n_samples
     ys = np.floor(Y_lo + (np.arange(n_samples) + 0.5) * step) + 0.5
-    pk = remainder_values(tables, rho, 1, ys)
-    medians = []
-    for y in y_values:
-        p2 = pk - voronoi_P1_values(tables, ys=ys, y_trunc=y)
-        medians.append(float(np.median(np.abs(p2))))
+    medians = [float(np.median(np.abs(p2))) for p2 in p2_values(tables, rho, ys, y_values)]
     return medians, fit_loglog_slope(np.array(y_values, dtype=float), np.array(medians))
 
 
 def p2_meansquare_grid(tables, rho, T_values, y_values, samples: int):
     """Grid of meansquare_P2 values plus fitted T- and y-exponents."""
-    rows = [(T, y, meansquare_P2(tables, rho, T, y, samples=samples)) for T in T_values for y in y_values]
+    rows = [(T, y, v) for T in T_values
+            for y, v in zip(y_values, meansquare_P2(tables, rho, T, y_values, samples=samples))]
     by = {(T, y): v for T, y, v in rows}
     tv, yv = sorted(set(T_values)), sorted(set(y_values))
     y_exp = fit_loglog_slope(yv, [np.mean([by[T, y] for T in tv]) for y in yv])
@@ -342,20 +341,17 @@ def compute_cX(tables: ArithTables, X: int) -> CXResult:
     tail_bound is |c(X)| times the window estimate of the Euler factors
     beyond _P.
     """
-    X = int(X)
-    if X < 1 or X > _X_MAX:
+    if not 1 <= X <= _X_MAX:  # a NaN fails too
         raise SumsError(f"c(X) supports 1 <= X <= {_X_MAX}, got {X}")
-    if X > tables.N:
-        raise SumsError(f"c(X) needs a_K and M_K up to X={X} > N={tables.N}")
+    aM = _aM(tables, X)
+    X = int(X)
     Z, window = _euler_Z(tables.field)
     h = _h_values(tables.field, X)
     mu = mobius_sieve(X)
-    M = np.cumsum(tables.muK[: X + 1], dtype=np.int64)
     terms = []
     for m in range(1, X + 1):
         L = X // m
-        j = np.arange(1, L + 1)
-        u = (tables.aK[m * j] * M[X // (m * j)]) * h[1 : L + 1]
+        u = aM[m - 1 :: m] * h[1 : L + 1]
         s = math.fsum(float(mu[d]) * float(u[d - 1 :: d].sum()) ** 2 for d in range(1, L + 1) if mu[d])
         terms.append(m ** (4.0 / 3.0) * s)
     value = Z / (6.0 * math.pi**2) * math.fsum(terms)
@@ -382,7 +378,7 @@ class MeanSquareReport:
 
 
 def _quad_R2(tables, rho, X, T, samples):
-    ys, h = _half_integer_grid(int(T), samples)
+    ys, h = _half_integer_grid(tables, T, samples)
     chunk = 8192
     parts = []
     for lo in range(0, len(ys), chunk):
@@ -402,8 +398,6 @@ def meansquare_R(
     term c(X) * (3/5) ((2T)^{5/3} - T^{5/3})."""
     if T < 10 * X:
         raise SumsError(f"need T >= 10X, got T={T}, X={X}")
-    if 2 * T > tables.N:
-        raise SumsError(f"need 2T <= N, got T={T}, N={tables.N}")
     if min(samples, T) < 33:
         raise SumsError(f"need min(samples, T) >= 33 quadrature points; got T={T}, samples={samples}")
     integral, n_used = _quad_R2(tables, rho, X, T, samples)
@@ -425,9 +419,7 @@ def meansquare_R(
 def quadrature_PK_squared(tables: ArithTables, rho: RhoEstimate, T: int, samples: int) -> float:
     """Independent midpoint quadrature of |P_K|^2 over [T, 2T], straight from
     A_K (no S_K machinery)."""
-    if 2 * T > tables.N:
-        raise SumsError(f"need 2T <= N; got T={T}, N={tables.N}")
-    ys, h = _half_integer_grid(int(T), samples)
+    ys, h = _half_integer_grid(tables, T, samples)
     p = A_at(tables, np.floor(ys).astype(np.int64)) - rho.value * ys
     return h * math.fsum((p * p).tolist())
 

@@ -156,8 +156,8 @@ def test_remainder(tables_nn2_small, monkeypatch):
 def test_voronoi_split(tables_nn2_small, monkeypatch):
     rho, _ = arith.estimate_rho(tables_nn2_small, 10**4)
     assert checks.voronoi_split_failure(tables_nn2_small, rho, 5432, 64) is None
-    real = sums.voronoi_P1
-    monkeypatch.setattr(sums, "voronoi_P1", lambda *a: (real(*a)[0], real(*a)[1] + 0.5))
+    real = sums.p2_values
+    monkeypatch.setattr(sums, "p2_values", lambda *a: [p2 + 0.5 for p2 in real(*a)])
     assert checks.voronoi_split_failure(tables_nn2_small, rho, 5432, 64) is not None
     monkeypatch.undo()
     # P_K comes from the sampled evaluator, which the row compares with arith.A_at

@@ -552,7 +552,7 @@ SWEEP_BASE = {
     "experiment pair-sum": ["--T", "100,400"],
 }
 SWEEP = [(command, option, value) for command in SWEEP_BASE
-         for option in NUMERIC if option in OPTIONS[command] for value in ("0", "-1")]
+         for option in NUMERIC if option in OPTIONS[command] for value in ("0", "-1", "-2")]
 EMPTY_LISTS = [(command, option, value) for command in SWEEP_BASE
                for option in ("--X", "--Y", "--T", "--y") if option in OPTIONS[command] for value in ("", ",")]
 
@@ -606,6 +606,11 @@ class TestDomainSweep:
             "rho-field-file-not-utf8"])
     def test_out_of_range_value_exits_2(self, command, option, value, sweep_paths, capsys):
         rc, stdout, err = run(_sweep_argv(command, sweep_paths, option, value.format(**sweep_paths)), capsys)
+        assert rc == 2 and stdout == "" and "error:" in err and "Traceback" not in err, err
+
+    def test_zero_denominator_in_an_exponent_exits_2(self, capsys):
+        rc, stdout, err = run(["experiment", "exponents-balance", "--expr", "X^{1/0} y", "--var", "y",
+                               "--h2", "X", "--cone", "X >= 1"], capsys)
         assert rc == 2 and stdout == "" and "error:" in err and "Traceback" not in err, err
 
     @pytest.mark.parametrize("command,option,value", EMPTY_LISTS,

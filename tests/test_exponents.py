@@ -35,6 +35,12 @@ class TestParsing:
         with pytest.raises(ex.ExponentError):
             E("")
 
+    def test_zero_denominator_refused(self):
+        # Fraction("1/0") raises ZeroDivisionError, which names no module
+        for text in ("X^{1/0}", "X^1/0 y", "y X^{-3/0}"):
+            with pytest.raises(ex.ExponentError, match="zero denominator"):
+                M(text)
+
     def test_format_order(self):
         m = M("T^{14/9} X^{31/9}")
         assert m.format(("X", "T")) == "X^{31/9} T^{14/9}"

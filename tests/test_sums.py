@@ -116,6 +116,24 @@ class TestRemainder:
             with pytest.raises(sm.SumsError, match="outside table range"):
                 sm.S_K_reduced(t1000_nn2, 5, Y)
 
+    def test_nan_and_inf_X_refused(self, t1000_nn2, rho_nn2):
+        # every reduced reader takes X through one rule, so a NaN or an
+        # infinite X is a SumsError, not a ValueError or an OverflowError
+        ys = np.array([10.5, 500.5])
+        for call in (lambda X: sm.S_K_reduced(t1000_nn2, X, ys),
+                     lambda X: sm.remainder_values(t1000_nn2, rho_nn2, X, ys),
+                     lambda X: sm.compute_cX(t1000_nn2, X)):
+            for X in (np.nan, np.inf):
+                with pytest.raises(sm.SumsError):
+                    call(X)
+
+    def test_X_below_one_is_the_empty_sum(self, t1000_nn2, rho_nn2):
+        # a negative X once sliced mu_K from the end of the table
+        ys = np.array([10.5, 500.5, 999.0])
+        for X in (0.5, 0, -1, -2, -5, -1000, -np.inf):
+            assert sm.S_K_reduced(t1000_nn2, X, ys).tolist() == [0, 0, 0], X
+            assert (sm.remainder_values(t1000_nn2, rho_nn2, X, ys) == -rho_nn2.value * ys).all(), X
+
     def test_envelope_scan(self, tables_nn2_1m, rho_nn2):
         rows, fitted = sm.remainder_envelope_scan(tables_nn2_1m, rho_nn2, (5, 8, 10))
         assert len(rows) == 3
@@ -125,14 +143,15 @@ class TestRemainder:
 class TestVoronoi:
     def test_decomposition_exact(self, tables_nn2_1m, rho_nn2):
         Y = 2 * 10**5
-        p1, p2 = sm.voronoi_P1(tables_nn2_1m, rho_nn2, Y, 64)
+        p1 = sm.voronoi_P1_values(tables_nn2_1m, ys=np.array([float(Y)]), y_trunc=64)[0]
+        (p2,), = sm.p2_values(tables_nn2_1m, rho_nn2, [Y], [64])
         pk = ar.A_at(tables_nn2_1m, Y) - rho_nn2.value * Y
         assert p1 + p2 == pytest.approx(pk, abs=1e-12)
 
     def test_deterministic(self, tables_nn2_1m, rho_nn2):
-        a = sm.voronoi_P1(tables_nn2_1m, rho_nn2, 12345.5, 100)
-        b = sm.voronoi_P1(tables_nn2_1m, rho_nn2, 12345.5, 100)
-        assert a == b  # bit-identical
+        a = sm.p2_values(tables_nn2_1m, rho_nn2, [12345.5], [100])
+        b = sm.p2_values(tables_nn2_1m, rho_nn2, [12345.5], [100])
+        assert a[0].tolist() == b[0].tolist()  # bit-identical
 
     def test_zero_coefficients_give_zero(self, field_nn2):
         t = ar.build_tables(field_nn2, 1000)
@@ -142,11 +161,9 @@ class TestVoronoi:
 
     def test_bounds(self, tables_nn2_1m, rho_nn2):
         with pytest.raises(sm.SumsError):
-            sm.voronoi_P1(tables_nn2_1m, rho_nn2, 100, 0.5)
-        with pytest.raises(sm.SumsError):
-            sm.voronoi_P1(tables_nn2_1m, rho_nn2, 100, 200)
+            sm.p2_values(tables_nn2_1m, rho_nn2, [100], [0.5])
         with pytest.raises(sm.SumsError, match="outside table range"):
-            sm.voronoi_P1(tables_nn2_1m, rho_nn2, tables_nn2_1m.N + 1, 64)
+            sm.p2_values(tables_nn2_1m, rho_nn2, [tables_nn2_1m.N + 1], [64])
 
     def test_kernel_amplitude_and_phase(self, field_nn2, tables_nn2_1m, rho_nn2,
                                         field_c7, tables_c7_1m, rho_c7):
@@ -192,25 +209,38 @@ class TestVoronoi:
 
 class TestMeanSquareP2:
     def test_y_one_positive(self, tables_nn2_1m, rho_nn2):
-        v = sm.meansquare_P2(tables_nn2_1m, rho_nn2, 10**4, 1, samples=512)
+        v, = sm.meansquare_P2(tables_nn2_1m, rho_nn2, 10**4, [1], samples=512)
         assert v > 0
 
     def test_nonnegative(self, tables_nn2_1m, rho_nn2):
-        assert sm.meansquare_P2(tables_nn2_1m, rho_nn2, 10**5, 16, samples=256) >= 0
+        v, = sm.meansquare_P2(tables_nn2_1m, rho_nn2, 10**5, [16], samples=256)
+        assert v >= 0
 
     def test_window_guards(self, tables_nn2_1m, rho_nn2):
         with pytest.raises(sm.SumsError):
-            sm.meansquare_P2(tables_nn2_1m, rho_nn2, 10**4, 50, samples=4096)  # y > T^(1/3)
+            sm.meansquare_P2(tables_nn2_1m, rho_nn2, 10**4, [50], samples=4096)  # y > T^(1/3)
         with pytest.raises(sm.SumsError):
-            sm.meansquare_P2(tables_nn2_1m, rho_nn2, 6 * 10**5, 4, samples=4096)  # 2T > N
+            sm.meansquare_P2(tables_nn2_1m, rho_nn2, 6 * 10**5, [4], samples=4096)  # 2T > N
         with pytest.raises(sm.SumsError, match="T >= 1"):
-            sm.meansquare_P2(tables_nn2_1m, rho_nn2, -100, 4, samples=4096)  # no real cube root
+            sm.meansquare_P2(tables_nn2_1m, rho_nn2, -100, [4], samples=4096)  # no real cube root
 
     def test_cube_root_bound_is_exact(self, tables_nn2_small, rho_nn2):
         # 1000 ** (1/3) is 9.999999999999998 in floats, yet y = 10 is T^(1/3)
-        assert sm.meansquare_P2(tables_nn2_small, rho_nn2, 1000, 10, samples=64) > 0
+        v, = sm.meansquare_P2(tables_nn2_small, rho_nn2, 1000, [10], samples=64)
+        assert v > 0
         with pytest.raises(sm.SumsError, match=r"y <= T\^\(1/3\); got y=11"):
-            sm.meansquare_P2(tables_nn2_small, rho_nn2, 1000, 11, samples=64)
+            sm.meansquare_P2(tables_nn2_small, rho_nn2, 1000, [10, 11], samples=64)
+
+    def test_one_P_K_reading_per_sample_grid(self, tables_nn2_small, rho_nn2, monkeypatch):
+        # P_K is read once per T, for every y, and once per scan
+        calls = []
+        real = sm.remainder_values
+        monkeypatch.setattr(sm, "remainder_values", lambda *a: calls.append(a[2]) or real(*a))
+        sm.p2_meansquare_grid(tables_nn2_small, rho_nn2, (1000, 2000), (2, 4), samples=64)
+        assert calls == [1, 1]
+        calls.clear()
+        sm.p2_truncation_scan(tables_nn2_small, rho_nn2, 1000, 2000, 10, (2, 8))
+        assert calls == [1]
 
     def test_grid_exponents(self, tables_nn2_1m, rho_nn2):
         rows, t_exp, y_exp = sm.p2_meansquare_grid(
@@ -229,9 +259,9 @@ def test_no_sampled_reader_builds_the_whole_mertens_table(field_nn2, rho_nn2):
         "S_K_reduced": lambda t: sm.S_K_reduced(t, 30, 5000),
         "remainder_values": lambda t: sm.remainder_values(t, rho_nn2, 30, np.array([100.5, 5000.5])),
         "compute_cX": lambda t: sm.compute_cX(t, 30),
-        "meansquare_P2": lambda t: sm.meansquare_P2(t, rho_nn2, 1000, 2, samples=64),
+        "meansquare_P2": lambda t: sm.meansquare_P2(t, rho_nn2, 1000, [2], samples=64),
         "p2_truncation_scan": lambda t: sm.p2_truncation_scan(t, rho_nn2, 1000, 2000, 10, (2, 8)),
-        "voronoi_P1": lambda t: sm.voronoi_P1(t, rho_nn2, 5000.5, 8),
+        "p2_values": lambda t: sm.p2_values(t, rho_nn2, [5000.5], [8]),
         "quadrature_PK_squared": lambda t: sm.quadrature_PK_squared(t, rho_nn2, 1000, 64),
         "exact_PK_square_integral": lambda t: sm.exact_PK_square_integral(t, rho_nn2, 1000),
         # the experiments rho, meansquare, meansquare-p2, envelope (cx and
@@ -376,7 +406,7 @@ class TestQuadratureGrid:
     def test_fewer_than_one_point_refused(self, tables_nn2_small, rho_nn2):
         # min(samples, T) is the number of points; each quadrature refuses 0 and -1
         for samples in (0, -1):
-            for call in (lambda: sm.meansquare_P2(tables_nn2_small, rho_nn2, 1000, 2, samples=samples),
+            for call in (lambda: sm.meansquare_P2(tables_nn2_small, rho_nn2, 1000, [2], samples=samples),
                          lambda: sm.quadrature_PK_squared(tables_nn2_small, rho_nn2, 1000, samples),
                          lambda: sm._quad_R2(tables_nn2_small, rho_nn2, 1, 1000, samples)):
                 with pytest.raises(sm.SumsError, match=r"min\(samples, T\) >= 1"):
