@@ -330,7 +330,8 @@ def _rho_series(tables: ArithTables, B: int) -> RhoEstimate:
 
 
 def _rho_regression(tables: ArithTables, B: int) -> RhoEstimate:
-    xs = np.unique(np.geomspace(max(8, B // 8), B, 33).astype(np.int64))
+    xs = np.geomspace(max(8, B // 8), B, 33).astype(np.int64)
+    xs = xs[np.append(True, xs[1:] != xs[:-1])]  # sorted, so a repeat sits next to its value
     a = A_at(tables, xs).astype(np.float64)
     x = xs.astype(np.float64)
     sxx = float(np.dot(x, x))

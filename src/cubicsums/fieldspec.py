@@ -286,6 +286,28 @@ def _residues(x: int, ps: np.ndarray) -> np.ndarray:
     return r if x >= 0 else -r % ps
 
 
+def _check_ladder_domain(ps: np.ndarray) -> None:
+    if int(ps.max(initial=0)) >= _LADDER_P_BOUND:
+        raise FieldConfigError(f"prime {int(ps.max())} is outside the power ladder's range p < 2^30")
+
+
+def _power_mod(z, e, ps) -> np.ndarray:
+    """z^e mod p in [0, p) for every prime p in ps (int64, p < 2^30).
+
+    z is a residue mod p (a scalar or an array aligned with ps) and e an
+    array of exponents >= 0.  The one-component form of _power_vector's
+    ladder, for the questions whose answer lives in F_p: each bit from the
+    top of max(e) squares W and multiplies it by z where its bit is 1 (a
+    0/1 blend, no branch).
+    """
+    _check_ladder_domain(ps)
+    w = np.ones_like(ps)
+    for i in range(int(e.max(initial=0)).bit_length() - 1, -1, -1):
+        w = w * w % ps
+        w += ((e >> i) & 1) * (w * z % ps - w)
+    return w
+
+
 def _power_vector(z0, z1, d, e, ps) -> tuple:
     """(z0 + z1 R)^e in F_p[R]/(R^2 - d) for every prime p in ps (int64,
     p < 2^30), as the pair (w0, w1) of its coefficients in [0, p).
@@ -296,12 +318,11 @@ def _power_vector(z0, z1, d, e, ps) -> tuple:
     exponent leave W unchanged.  Each bit squares W = w0 + w1 R into
     (w0^2 + d w1^2, 2 w0 w1) and multiplies by z where its bit is 1 (a 0/1
     blend, no branch).  Each product of residues is below 2^60 and each sum
-    of two below 2^61, so larger primes are refused.  splitting_codes calls
-    it on blocks of _LADDER_BLOCK primes, so that its temporaries stay in
-    cache instead of streaming through memory at each bit.
+    of two below 2^61, so larger primes are refused.  It serves only the
+    Cardano values with an R-part (_cardano_splits); a power in F_p goes
+    through the cheaper _power_mod.
     """
-    if int(ps.max(initial=0)) >= _LADDER_P_BOUND:
-        raise FieldConfigError(f"prime {int(ps.max())} is outside the power ladder's range p < 2^30")
+    _check_ladder_domain(ps)
     dz1 = d * z1 % ps
     w0, w1 = np.ones_like(ps), np.zeros_like(ps)
     for i in range(int(e.max(initial=0)).bit_length() - 1, -1, -1):
@@ -343,13 +364,27 @@ def _cardano_splits(c0: int, c1: int, c2: int, ps: np.ndarray) -> np.ndarray:
       it is even ((disc/p) = 1), so it is trivial.  If z is no cube, the
       resolvent u is not in F_p^2 and the roots cannot all be in F_p.
 
-    W comes from one _power_vector call over all the primes in ps.
+    Each prime's W is taken in the smallest ring that holds it.  Where
+    p | P3, Z = -Q27 lies in F_p, so W has R-part 0: p = 2 mod 3 splits
+    with no ladder, and p = 1 mod 3 asks W = 1 of _power_mod.  (On the
+    domain above such a p is 1 mod 3: disc = -Q27^2/27 mod p, so
+    (-3/p) = (disc/p) = 1.)  Only the other primes go to _power_vector,
+    and it is not called when none are left (on a pure cubic x^3 - m,
+    P3 = 0, so none ever are).
     """
+    _check_ladder_domain(ps)
     P3, Q27, Dp = _cardano_invariants(c0, c1, c2)
-    q, flat = _residues(-Q27, ps), _residues(P3, ps) == 0
-    z0, z1 = np.where(flat, q, 4 * q % ps), np.where(flat, 0, 4)
-    w0, w1 = _power_vector(z0, z1, _residues(Dp, ps), (ps + 1) // 3, ps)
-    return (w1 == 0) & ((ps % 3 == 2) | (w0 == 1))
+    q, flat, e = _residues(-Q27, ps), _residues(P3, ps) == 0, (ps + 1) // 3
+    one_mod_3 = ps % 3 == 1
+    splits = flat & ~one_mod_3
+    sel = flat & one_mod_3
+    splits[sel] = _power_mod(q[sel], e[sel], ps[sel]) == 1
+    sel = ~flat
+    if sel.any():
+        r = ps[sel]
+        w0, w1 = _power_vector(4 * q[sel] % r, 4, _residues(Dp, r), e[sel], r)
+        splits[sel] = (w1 == 0) & (~one_mod_3[sel] | (w0 == 1))
+    return splits
 
 
 # ----------------------------------------------------------------------------
@@ -592,10 +627,17 @@ def load_field(spec: str) -> FieldSpec:
 # splitting queries
 # ----------------------------------------------------------------------------
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # deterministic for n < 3.3e24
+_MR_FOUR_BASES_BOUND = 3_215_031_751  # the least strong pseudoprime to bases 2, 3, 5 and 7
+
+
 def _is_prime(n: int) -> bool:
+    """Miller-Rabin after trial division by its bases: bases 2, 3, 5, 7
+    below _MR_FOUR_BASES_BOUND, where they are deterministic, and all
+    twelve of _MR_BASES above it."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     d = n - 1
@@ -603,7 +645,7 @@ def _is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):  # deterministic for n < 3.3e24
+    for a in _MR_BASES[:4] if n < _MR_FOUR_BASES_BOUND else _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -634,6 +676,15 @@ def splitting_type(field: FieldSpec, p: int) -> SplittingType:
     return SHAPES[_CODE_BY_ROOTS[_count_roots_py(*field.poly, p), field.poly_disc % p == 0]]
 
 
+def _per_class(values, ps: np.ndarray, m: int) -> np.ndarray:
+    """values(rep) taken at one prime rep of each class of p mod m in ps,
+    and spread back to every p in ps."""
+    classes, cls = np.unique(ps % m, return_inverse=True)
+    rep = np.empty(len(classes), dtype=np.int64)
+    rep[cls] = ps
+    return values(rep)[cls]
+
+
 def splitting_codes(field: FieldSpec, N: int):
     """Splitting-shape codes for every prime p <= N.
 
@@ -645,12 +696,17 @@ def splitting_codes(field: FieldSpec, N: int):
     number of irreducible factors of f mod p.  So (D/p) = -1 means one root
     (P1 P2), and (D/p) = +1 means split or inert, split exactly when
     Cardano's value is a cube (_cardano_splits).  (D/p) is Euler's
-    criterion D^((p-1)/2) mod p by _power_vector, taken once per residue
+    criterion D^((p-1)/2) mod p by _power_mod, taken once per residue
     class of p mod 4|D| (mod N + 1 when that is smaller: then every prime is
-    a class of its own).  The few primes left, p <= 3 (Cardano divides by
-    3), p | D and the override primes, go to splitting_type.
+    a class of its own).  On a normal field of conductor f an unramified
+    prime's code depends only on p mod f (the field is abelian, so class
+    field theory makes Frobenius a function of p mod f), and the cube test
+    runs once per class of p mod f (again mod N + 1 when smaller); on
+    other fields it runs on every prime with (D/p) = +1.  The few primes
+    left, p <= 3 (Cardano divides by 3), p | D and the override primes, go
+    to splitting_type.
 
-    Both ladders run over blocks of _LADDER_BLOCK primes, each block with
+    Both steps run over blocks of _LADDER_BLOCK primes, each block with
     its own residue classes, so that apart from the primes and their codes
     no pi(N)-length array is ever held.
     """
@@ -659,17 +715,23 @@ def splitting_codes(field: FieldSpec, N: int):
     if field.degree == 1:
         return ps, codes
     D, M = field.poly_disc, min(4 * abs(field.poly_disc), N + 1)
+    F = min(field.conductor_f, N + 1) if field.normal else None
     overrides = list(field.index_divisor_overrides)
+
+    def euler(rep):
+        return _power_mod(_residues(D, rep), rep >> 1, rep)
+
+    def cube_test(rep):
+        return _cardano_splits(*field.poly, rep)
+
     for lo in range(0, len(ps), _LADDER_BLOCK):
         blk, out = ps[lo : lo + _LADDER_BLOCK], codes[lo : lo + _LADDER_BLOCK]
         scalar = (_residues(D, blk) == 0) | (blk <= 3) | np.isin(blk, overrides)
         # for odd p not dividing D, (D/p) depends only on p mod 4|D| (quadratic
         # reciprocity): one Euler test per residue class, at one of its primes
-        classes, cls = np.unique(blk % M, return_inverse=True)
-        rep = np.empty(len(classes), dtype=np.int64)
-        rep[cls] = blk
-        plus = ~scalar & (_power_vector(_residues(D, rep), 0, 0, rep >> 1, rep)[0][cls] == 1)
-        out[plus] = np.where(_cardano_splits(*field.poly, blk[plus]), T_SPLIT, T_INERT)
+        plus = ~scalar & (_per_class(euler, blk, M) == 1)
+        pp = blk[plus]
+        out[plus] = np.where(cube_test(pp) if F is None else _per_class(cube_test, pp, F), T_SPLIT, T_INERT)
         for i in np.flatnonzero(scalar):
             out[i] = SHAPES.index(splitting_type(field, int(blk[i])))
     return ps, codes

@@ -298,7 +298,7 @@ def _euler_Z(field: FieldSpec, P: int = _P):
     c = 1 if field.degree == 1 else 3 if field.normal else 2
     ps, codes = splitting_codes(field, P)
     logs = np.empty(len(ps))
-    for code in np.unique(codes).tolist():
+    for code in np.flatnonzero(np.bincount(codes)).tolist():
         sel = codes == code
         t = ps[sel] ** (-4.0 / 3.0)
         a2 = _local_series(code) ** 2
@@ -523,7 +523,7 @@ def fit_loglog_slope(xs, ys) -> float:
     """Least-squares slope of log ys against log xs; refused for fewer than
     two distinct xs, where no slope is defined."""
     xs = np.asarray(xs, dtype=np.float64)
-    distinct = len(np.unique(xs))
+    distinct = len(set(xs.tolist()))
     if distinct < 2:
         raise SumsError(f"a log-log slope needs two distinct x values, got {distinct}")
     xs = np.log(xs)

@@ -180,6 +180,25 @@ class TestMemory:
         assert growth < 16 * N, f"{growth / N:.2f} bytes per n"
 
 
+class TestStartUp:
+    def test_sieve_and_rho_never_import_numpy_ma(self, tmp_path):
+        # a plain np.unique(x) calls np.ma.is_masked in numpy 2.4, and the first
+        # call imports numpy.ma for about 10 ms; sieve and rho need none of it
+        def loads_ma(code):
+            out = subprocess.run([sys.executable, "-c", code + "\nprint('numpy.ma' in sys.modules)"],
+                                 env=_child_env(), capture_output=True, text=True, check=True, timeout=300)
+            return out.stdout.split()[-1] == "True"
+
+        if loads_ma("import sys, numpy"):
+            pytest.skip("import numpy alone loads numpy.ma")
+        path = str(tmp_path / "t.bin")
+        steps = [["sieve", "--N", "2000", "--output", path], ["experiment", "rho", "--tables", path]]
+        code = ("import contextlib, io, sys\nfrom cubicsums import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    assert max(cli.main(argv) for argv in {steps!r}) == 0\n")
+        assert not loads_ma(code)
+
+
 class TestVerify:
     def test_quick_pass(self, tmp_path, capsys):
         rc, stdout, _ = run(

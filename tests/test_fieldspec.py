@@ -408,6 +408,28 @@ class TestPrimesUpto:
         assert len(ps) == 664579 and ps[-1] == 9999991  # pi(10^7) and the largest prime below 10^7
 
 
+class TestIsPrime:
+    def test_matches_sieve(self):
+        assert [n for n in range(10**6 + 1) if fs._is_prime(n)] == fs.primes_upto(10**6).tolist()
+
+    def test_strong_pseudoprimes_refused(self):
+        # 3215031751 is the least strong pseudoprime to bases 2, 3, 5 and 7,
+        # and 3474749660383 one to every prime base up to 13: from the first
+        # on, all twelve bases run
+        assert fs._MR_FOUR_BASES_BOUND == 3215031751 == 151 * 751 * 28351
+        assert 3474749660383 == 1303 * 16927 * 157543
+        for n in (3215031751, 3474749660383):
+            assert not fs._is_prime(n), n
+
+    def test_either_side_of_the_four_base_bound(self):
+        def trial(n):
+            return n > 1 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+        for n in range(fs._MR_FOUR_BASES_BOUND - 200, fs._MR_FOUR_BASES_BOUND + 200):
+            if n % 2 and n % 3 and n % 5:
+                assert fs._is_prime(n) == trial(n), n
+
+
 class TestSplitting:
     def test_nn2_examples(self, field_nn2):
         assert fs.splitting_type(field_nn2, 2) == fs.SHAPES[fs.T_RAM_13]
@@ -463,13 +485,16 @@ class TestSplitting:
                     assert fs.SHAPES[c].f_shape.count(1) == len(roots), (f.name, p)
 
     def test_bulk_matches_scalar_across_ladder_blocks(self, field_nn2, field_c7, monkeypatch):
-        # blocks of 5 primes put block boundaries all through both ladder
-        # calls; on x^3 + 50x + 1, |D| = 500027 makes every prime p <= N a
-        # residue class of its own, so the Euler call runs on every prime
+        # blocks of 5 primes put block boundaries all through the Euler and
+        # cube-test steps; on x^3 + 50x + 1, |D| = 500027 makes every prime
+        # p <= N a residue class of its own, so the Euler call runs on every
+        # prime; on x^3 - 2x^2 - 29x - 9 the cube-tested primes 7 and 13
+        # divide P3 = -91, so their blocks mix the F_p and F_p[R] ladders
         monkeypatch.setattr(fs, "_LADDER_BLOCK", 5, raising=True)
         big = fs.parse_field_spec("name = big-disc\npoly = 1, 50, 0")
-        assert big.poly_disc == -500027
-        for f in (field_nn2, field_c7, big):
+        mixed = fs.parse_field_spec("name = mixed-P3\npoly = -9, -29, -2")
+        assert (big.poly_disc, mixed.poly_disc) == (-500027, 89049)
+        for f in (field_nn2, field_c7, big, mixed):
             ps, codes = fs.splitting_codes(f, 2 * 10**4)
             assert [fs.SHAPES[c] for c in codes.tolist()] == [fs.splitting_type(f, p) for p in ps.tolist()], f.name
 
@@ -530,12 +555,16 @@ class TestSplitting:
         assert splits.tolist() == [fs._count_roots_py(*poly, p) == 3 for p in dom], poly
         return splits
 
-    # the presets, the four cubics of test_bulk_matches_scalar, and
-    # (x + 1)^3 - 2, where P3 = 0 but c2 != 0
-    CUBE_TEST_POLYS = [(-2, 0, 0), (-1, -2, 1), (2, 2, 0), (1, -3, 0), (1, -5, 0), (2, 1, 1), (-1, 3, 3)]
+    # the presets, the four cubics of test_bulk_matches_scalar, (x + 1)^3 - 2,
+    # where P3 = 0 but c2 != 0, and x^3 - 2x^2 - 29x - 9, where P3 = -91, so
+    # that the cube-tested p = 7 (inert) and p = 13 (split) divide P3
+    CUBE_TEST_POLYS = [(-2, 0, 0), (-1, -2, 1), (2, 2, 0), (1, -3, 0), (1, -5, 0), (2, 1, 1), (-1, 3, 3),
+                       (-9, -29, -2)]
 
     def test_cube_test_matches_root_count(self):
         assert fs._cardano_invariants(-1, 3, 3)[0] == 0
+        assert fs._cardano_invariants(-9, -29, -2)[0] == -91
+        assert fs._cardano_splits(-9, -29, -2, np.array([7, 13], dtype=np.int64)).tolist() == [False, True]
         ps = fs.primes_upto(3 * 10**4).tolist()
         for poly in self.CUBE_TEST_POLYS:
             splits = self._cube_test_agrees(poly, ps)
@@ -549,7 +578,7 @@ class TestSplitting:
         for poly in self.CUBE_TEST_POLYS:
             self._cube_test_agrees(poly, TOP_LADDER_PRIMES)
             D = fs.discriminant_monic_cubic(*poly)
-            euler = fs._power_vector(fs._residues(D, ps), 0, 0, ps >> 1, ps)[0]
+            euler = fs._power_mod(fs._residues(D, ps), ps >> 1, ps)
             assert euler.tolist() == [pow(D, (p - 1) // 2, p) for p in TOP_LADDER_PRIMES], D
         with pytest.raises(fs.FieldConfigError, match="2\\^30"):
             fs._cardano_splits(-2, 0, 0, np.array([5, FIRST_PRIME_ABOVE_LADDER], dtype=np.int64))
@@ -582,27 +611,75 @@ class TestSplitting:
             with pytest.raises(fs.FieldConfigError, match="2\\^30"):
                 fs._power_vector(np.array([2, 2]), 0, 0, ps >> 1, ps)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_power_mod_matches_pow(self, data):
+        # z^e mod p against Python's pow, on small primes and on primes at the
+        # top of the ladder's domain, with z an array or one scalar residue
+        pool = data.draw(st.sampled_from([SMALL_PRIMES, TOP_LADDER_PRIMES]))
+        ps = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+        e = data.draw(st.lists(st.integers(0, 2**31 - 1), min_size=len(ps), max_size=len(ps)))
+        if data.draw(st.booleans()):
+            z = [data.draw(st.integers(0, p - 1)) for p in ps]
+            arg = np.array(z, dtype=np.int64)
+        else:
+            arg = data.draw(st.integers(0, min(ps) - 1))
+            z = [arg] * len(ps)
+        w = fs._power_mod(arg, np.array(e, dtype=np.int64), np.array(ps, dtype=np.int64))
+        assert w.tolist() == [pow(*args) for args in zip(z, e, ps)]
+
+    def test_power_mod_refuses_primes_from_2_30(self):
+        for p in (FIRST_PRIME_ABOVE_LADDER, 2**31 - 1):
+            ps = np.array([5, p], dtype=np.int64)
+            with pytest.raises(fs.FieldConfigError, match="2\\^30"):
+                fs._power_mod(2, ps >> 1, ps)
+
     @pytest.mark.parametrize("name", ["cubic-nonnormal-2", "cubic-cyclic-7"])
     def test_legendre_once_per_residue_class(self, name, monkeypatch):
-        # the first of the two ladder calls takes (D/p) once per class of p
-        # mod 4|D| (at most N + 1 classes), for a square D too; the second is
-        # Cardano's cube test on the split-or-inert primes
+        # Euler's criterion runs in F_p by _power_mod, once per class of p mod
+        # 4|D| in each block (at most N + 1 classes), for a square D too.  On
+        # x^3 - 2, P3 = 0 puts every Cardano value in F_p, so the F_p[R]
+        # ladder is never called; on the normal cyclic-7 the cube test runs
+        # once per class of p mod 7, on at most phi(7) = 6 primes per block
         field = fs.get_preset(name)
         D = field.poly_disc
-        sizes = []
-        real = fs._power_vector
+        euler, cube, vector, in_cube_test = [], [], [], []
+        real_mod, real_vector, real_cardano = fs._power_mod, fs._power_vector, fs._cardano_splits
 
-        def recording(z0, z1, d, e, ps):
-            sizes.append(len(ps))
-            return real(z0, z1, d, e, ps)
+        def power_mod(z, e, ps):
+            if not in_cube_test:
+                euler.append(len(ps))
+            return real_mod(z, e, ps)
 
-        monkeypatch.setattr(fs, "_power_vector", recording)
+        def cardano_splits(c0, c1, c2, ps):
+            cube.append(len(ps))
+            in_cube_test.append(True)
+            try:
+                return real_cardano(c0, c1, c2, ps)
+            finally:
+                in_cube_test.pop()
+
+        def power_vector(z0, z1, d, e, ps):
+            vector.append(len(ps))
+            return real_vector(z0, z1, d, e, ps)
+
+        monkeypatch.setattr(fs, "_power_mod", power_mod)
+        monkeypatch.setattr(fs, "_cardano_splits", cardano_splits)
+        monkeypatch.setattr(fs, "_power_vector", power_vector)
+        monkeypatch.setattr(fs, "_LADDER_BLOCK", 1000)
         for N in (100, 10**5):
-            sizes.clear()
+            for calls in (euler, cube, vector):
+                calls.clear()
             ps, codes = fs.splitting_codes(field, N)
-            assert len(sizes) == 2 and sizes[0] <= min(4 * abs(D), N + 1), (N, sizes)
+            blocks = -(-len(ps) // 1000)
+            assert len(euler) == len(cube) == blocks, (N, euler, cube)
+            assert max(euler) <= min(4 * abs(D), N + 1), (N, euler)
             cube_tested = (ps > 3) & (D % ps != 0) & ((codes == fs.T_SPLIT) | (codes == fs.T_INERT))
-            assert sizes[1] == np.count_nonzero(cube_tested), N
+            if field.normal:
+                assert max(cube) <= 6, (N, cube)
+            else:
+                assert sum(cube) == np.count_nonzero(cube_tested), N
+                assert vector == [], N
 
     @pytest.mark.parametrize("name", ["cubic-nonnormal-2", "cubic-cyclic-7"])
     def test_vector_path_covers_other_primes(self, name, monkeypatch):
