@@ -367,22 +367,21 @@ def estimate_rho(tables: ArithTables, B: int) -> tuple[RhoEstimate, RhoEstimate]
 # classical (rational) arithmetic helpers
 # ----------------------------------------------------------------------------
 
-def classical_ramanujan(m: int, n: int) -> int:
-    """c_m(n) = sum_{d | gcd(m,n)} d mu(m/d), exact, by Hoelder's local
-    factors: c is multiplicative in m, and over p^a || m the factor is
-    p^a - p^(a-1) when p^a | n, -p^(a-1) when p^(a-1) || n, and 0 otherwise."""
-    if m < 1 or n < 1:
-        raise ArithError("classical_ramanujan needs m, n >= 1")
-    c = 1
+def classical_ramanujan(m: int, n):
+    """c_m(n) = sum_{d | gcd(m,n)} d mu(m/d), exact, at an int n or at every n
+    of an int array, by Hoelder's local factors: c is multiplicative in m, and
+    over p^a || m the factor is p^a - p^(a-1) when p^a | n, -p^(a-1) when
+    p^(a-1) || n, and 0 otherwise.  m and n lie below 2^63, the bound ideals
+    puts on a norm, so every factor and |c| <= m fit int64."""
+    n = np.asarray(n)
+    if not (1 <= m < 2**63 and n.dtype.kind in "iu" and (not n.size or 1 <= n.min() and n.max() < 2**63)):
+        raise ArithError(f"classical_ramanujan needs m and n in 1..2^63 - 1, got m={m}, n of {n.dtype}")
+    n = n.astype(np.int64)
+    c = np.ones(n.shape, dtype=np.int64)
     for p, a in factorize(m).items():
         low = p ** (a - 1)
-        if n % (low * p) == 0:
-            c *= low * p - low
-        elif n % low == 0:
-            c *= -low
-        else:
-            return 0
-    return c
+        c *= np.where(n % (low * p) == 0, low * p - low, -low * (n % low == 0))
+    return c[()]
 
 
 def mobius_sieve(n: int) -> np.ndarray:

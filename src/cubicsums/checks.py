@@ -93,13 +93,12 @@ def collapse_failure(tables, Js):
 
 def multiplicativity_failure(tables, lim):
     """First coprime (m, n), 1 < m < n, mn <= lim, with a_K(mn) != a_K(m) a_K(n), or None."""
-    aK = tables.aK[: lim + 1].tolist()  # python ints: an int32 product could wrap
-    for m in range(2, lim):
-        if m * (m + 1) > lim:
-            break
-        for n in range(m + 1, lim // m + 1):
-            if math.gcd(m, n) == 1 and aK[m * n] != aK[m] * aK[n]:
-                return (m, n)
+    aK = tables.aK[: lim + 1].astype(np.int64)  # an int32 product could wrap
+    for m in range(2, math.isqrt(lim) + 1):  # past sqrt(lim) no n > m has m n <= lim
+        ns = np.arange(m + 1, lim // m + 1)
+        bad = np.flatnonzero((np.gcd(ns, m) == 1) & (aK[m * ns] != aK[m] * aK[ns]))
+        if len(bad):
+            return (m, int(ns[bad[0]]))
     return None
 
 
@@ -143,13 +142,13 @@ def exponential_sum_failure(size):
     does not round to classical_ramanujan(m, n), or None."""
     ns = np.arange(1, size + 1)
     for m in range(1, size + 1):
-        js = np.array([j for j in range(1, m + 1) if math.gcd(j, m) == 1])
+        js = np.flatnonzero(np.gcd(ns[:m], m) == 1) + 1
         theta = 2 * math.pi * js[:, None] * ns / m
         zs = (np.cos(theta) + 1j * np.sin(theta)).sum(axis=0)
-        for n, z in enumerate(zs.tolist(), start=1):
-            c = arith.classical_ramanujan(m, n)
-            if abs(z.imag) >= 1e-9 or round(z.real) != c:
-                return (m, n, c, z)
+        cs = arith.classical_ramanujan(m, ns)
+        n = _first_mismatch(np.where(abs(zs.imag) < 1e-9, zs.real.round(), np.nan), cs)  # NaN equals no c
+        if n is not None:
+            return (m, n, cs[n - 1].item(), zs[n - 1].item())
     return None
 
 

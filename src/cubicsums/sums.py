@@ -469,19 +469,17 @@ def classical_S1(X: int, Y: int) -> int:
         raise SumsError(f"classical baseline supports X <= 1e4, Y <= 1e7; got {X}, {Y}")
     if X < 1 or Y < 1:
         return 0
-    mu = mobius_sieve(X)
-    M = np.cumsum(mu)
-    total = 0
-    for d in range(1, X + 1):
-        total += d * int(M[X // d]) * (Y // d)
-    return total
+    M = np.cumsum(mobius_sieve(X))
+    d = np.arange(1, X + 1)
+    return int(np.dot(d * M[X // d], Y // d))  # each term is at most X Y <= 1e11, the sum X^2 Y <= 1e15
 
 
 def classical_S1_naive(X: int, Y: int) -> int:
-    """Brute-force double sum over classical Ramanujan sums (oracle)."""
+    """Brute-force double sum over classical Ramanujan sums (oracle), one row of n per m."""
     from .arith import classical_ramanujan
 
-    return sum(classical_ramanujan(m, n) for m in range(1, int(X) + 1) for n in range(1, int(Y) + 1))
+    ns = np.arange(1, int(Y) + 1)
+    return sum(int(classical_ramanujan(m, ns).sum()) for m in range(1, int(X) + 1))
 
 
 def s1_regime_rows():

@@ -249,6 +249,18 @@ class TestRho:
         with pytest.raises(ar.ArithError, match="too small"):
             ar.estimate_rho(tables_nn2_small, 999)
 
+    def test_B_beyond_the_tables(self, tables_nn2_small):
+        with pytest.raises(ar.ArithError, match="exceeds table length"):
+            ar.estimate_rho(tables_nn2_small, tables_nn2_small.N + 1000)
+
+    def test_disagreement_raised(self, tables_nn2_small, monkeypatch):
+        # a regression far from the series, with a tiny stderr, is refused, not averaged
+        real = ar._rho_regression
+        monkeypatch.setattr(ar, "_rho_regression",
+                            lambda t, B: dataclasses.replace(real(t, B), value=10.0, stderr=1e-12))
+        with pytest.raises(ar.RhoDisagreement, match="disagree"):
+            ar.estimate_rho(tables_nn2_small, 10**4)
+
     def test_methods_agree_presets(self, field_nn2, tables_nn2_1m, field_c7, tables_c7_1m):
         for f, t in ((field_nn2, tables_nn2_1m), (field_c7, tables_c7_1m)):
             ser, reg = ar.estimate_rho(t, 10**6)
@@ -272,6 +284,8 @@ class TestRho:
     def test_positive_enforced(self):
         with pytest.raises(ar.ArithError):
             ar.RhoEstimate(value=-1.0, stderr=0.0, method="series_b_over_m", B=1000)
+        with pytest.raises(ar.ArithError, match="stderr"):
+            ar.RhoEstimate(1.0, -1.0, "series_b_over_m", 1000)
 
 
 def _mobius(n):
@@ -312,8 +326,19 @@ class TestClassicalRamanujan:
                 assert round(z.real) == ar.classical_ramanujan(m, n), (m, n)
 
     def test_bad_input(self):
-        with pytest.raises(ar.ArithError):
-            ar.classical_ramanujan(0, 1)
+        for m, n in ((0, 1), (1, 0), (2**63, 1), (1, 2**63), (6, np.array([4, 0])), (6, np.array([4.0]))):
+            with pytest.raises(ar.ArithError):
+                ar.classical_ramanujan(m, n)
+
+    def test_array_of_n(self):
+        # one call per m gives a row, or any shape, of the scalar values
+        ns = np.arange(1, 301)
+        for m in (1, 8, 12, 210, 2**10 * 3**5):
+            assert ar.classical_ramanujan(m, ns).tolist() == [ar.classical_ramanujan(m, int(n)) for n in ns]
+        assert ar.classical_ramanujan(12, ns.reshape(20, 15)).shape == (20, 15)
+        assert ar.classical_ramanujan(12, np.array([], dtype=np.int64)).shape == (0,)
+        # the top of the domain: c_m(m) = phi(m), with m = 2^63 - 1 = 7^2 73 127 337 92737 649657
+        assert ar.classical_ramanujan(2**63 - 1, 2**63 - 1) == 7 * 6 * 72 * 126 * 336 * 92736 * 649656
 
     def test_mobius_sieve_matches(self):
         mu = ar.mobius_sieve(3000)
@@ -380,6 +405,13 @@ class TestTauSums:
             ar.tau_power_sum(1, 1, 10)
         with pytest.raises(ar.ArithError):
             ar.tau_power_sum(2, 0, 10)
+
+    def test_tau_table_refusals(self):
+        with pytest.raises(ar.ArithError, match="l >= 2"):
+            ar.tau_table(1, 10)
+        for n in (0, ar.TAU_BUDGET + 1):
+            with pytest.raises(ar.ArithError, match="outside"):
+                ar.tau_table(4, n)
 
 
 class TestPairSum:
@@ -518,6 +550,12 @@ class TestIdentityChecks:
                 assert (conv_ref, bsum_ref) == (n if name != "b" else None, n if name != "muK" else None)
                 assert ar.convolution_identity_failure(bad, 3000) == conv_ref, (name, n)
                 assert ar.b_sum_identity_failure(bad, 3000) == bsum_ref, (name, n)
+
+    def test_mu_at_one_planted(self, tables_nn2_small):
+        # (a_K * mu_K)(1) = a_K(1) mu_K(1) = 2: the failure is n = 1 itself
+        muK = tables_nn2_small.muK.copy()
+        muK[1] = 2
+        assert ar.convolution_identity_failure(dataclasses.replace(tables_nn2_small, muK=muK), 100) == 1
 
 
 class TestCharacter:

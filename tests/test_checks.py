@@ -169,7 +169,8 @@ def test_voronoi_split(tables_nn2_small, monkeypatch):
 def test_exponential_sum(monkeypatch):
     assert checks.exponential_sum_failure(20) is None
     real = arith.classical_ramanujan
-    monkeypatch.setattr(arith, "classical_ramanujan", lambda m, n: real(m, n) + ((m, n) == (12, 8)))
+    # the check reads a row of n per m, so the plant is in array form
+    monkeypatch.setattr(arith, "classical_ramanujan", lambda m, n: real(m, n) + (m == 12) * (np.asarray(n) == 8))
     assert checks.exponential_sum_failure(20)[:3] == (12, 8, real(12, 8) + 1)
 
 
@@ -180,7 +181,23 @@ def test_field_suite_stops_at_broken_convolution(field_nn2, tables_nn2_small):
     assert rows == [(field_nn2.name, "convolution aK*muK=e", False, "convolution identity failed at n=500")]
 
 
+def test_field_suite_stops_at_broken_divisor_sum(field_nn2, tables_nn2_small):
+    # a fault in b leaves a_K * mu_K = e whole and ends the suite one row later
+    rows = checks.field_suite(_with(tables_nn2_small, "b", 500, 1), random.Random(1), 5, (10,))
+    assert rows == [(field_nn2.name, "convolution aK*muK=e", True, "n<= 10000"),
+                    (field_nn2.name, "divisor-sum 1*b=aK", False, "b identity failed at n=500")]
+
+
 def test_classical_suite(monkeypatch):
     assert [ok for *_, ok, _ in checks.classical_suite()] == [True, True]
     monkeypatch.setattr(sums, "classical_S1", lambda X, Y: 0)
     assert [ok for *_, ok, _ in checks.classical_suite()] == [True, False]
+
+
+def test_classical_suite_reads_rows_of_n(monkeypatch):
+    # one classical_ramanujan call per m: 100 for the exponential sums and 60 for S1 naive
+    calls = []
+    real = arith.classical_ramanujan
+    monkeypatch.setattr(arith, "classical_ramanujan", lambda m, n: calls.append(m) or real(m, n))
+    assert [ok for *_, ok, _ in checks.classical_suite()] == [True, True]
+    assert len(calls) <= 160

@@ -627,6 +627,16 @@ class TestDomainSweep:
         rc, stdout, err = run(_sweep_argv(command, sweep_paths, option, value.format(**sweep_paths)), capsys)
         assert rc == 2 and stdout == "" and "error:" in err and "Traceback" not in err, err
 
+    def test_exponents_balance_prints_its_bound(self, capsys):
+        # the README's example
+        rc, stdout, err = run(["experiment", "exponents-balance", "--expr", "X y + X^3 y^{-1}", "--var", "y",
+                               "--h2", "X", "--cone", "X >= 1"], capsys)
+        assert (rc, stdout) == (0, "X^2  (+eps exponents)\n"), err
+
+    def test_exponents_balance_needs_its_options(self, capsys):
+        rc, stdout, err = run(["experiment", "exponents-balance", "--expr", "X y + X^3 y^{-1}", "--var", "y"], capsys)
+        assert rc == 2 and stdout == "" and "needs --expr, --var and --cone" in err, err
+
     def test_zero_denominator_in_an_exponent_exits_2(self, capsys):
         rc, stdout, err = run(["experiment", "exponents-balance", "--expr", "X^{1/0} y", "--var", "y",
                                "--h2", "X", "--cone", "X >= 1"], capsys)

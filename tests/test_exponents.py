@@ -35,6 +35,12 @@ class TestParsing:
         with pytest.raises(ex.ExponentError):
             E("")
 
+    def test_constructors_refuse_bad_parts(self):
+        with pytest.raises(ex.ExponentError, match="repeated variable"):
+            ex.Monomial([("X", 1), ("X", 2)])
+        with pytest.raises(ex.ExponentError, match="must be Monomials"):
+            ex.BoundExpr(["X"])
+
     def test_zero_denominator_refused(self):
         # Fraction("1/0") raises ZeroDivisionError, which names no module
         for text in ("X^{1/0}", "X^1/0 y", "y X^{-3/0}"):
@@ -66,6 +72,13 @@ class TestCone:
         assert cone.chains == (("X", "Y"),)
         cone2 = ex.ConstraintCone.from_text("Y >= X >= 1; Z >= 1")
         assert cone2.chains == (("X", "Y"), ("Z",))
+
+    def test_bad_chains(self):
+        for chains, match in (([()], "empty chain"), ([("X",), ("X", "Y")], "two chains")):
+            with pytest.raises(ex.ExponentError, match=match):
+                ex.ConstraintCone(chains)
+        with pytest.raises(ex.ExponentError, match="bad cone chunk"):
+            ex.ConstraintCone.from_text("X >= 2")
 
     def test_generator_exponents(self):
         cone = ex.ConstraintCone.from_text("T >= X >= 1")
@@ -255,6 +268,13 @@ class TestNumericEnvelope:
         cone = ex.ConstraintCone.from_text("X >= 1")
         with pytest.raises(ex.ExponentError, match="outside"):
             ex.numeric_envelope_check(L, bal, "h", ex.ONE, M("X"), cone, [{"X": 0.5}])
+
+    def test_reversed_range_rejected(self):
+        L = E("X h + X^3 h^{-1}")
+        bal = ex.balance(L, "h", ex.ONE, M("X"))
+        cone = ex.ConstraintCone.from_text("X >= 1")
+        with pytest.raises(ex.ExponentError, match="H1 > H2"):
+            ex.numeric_envelope_check(L, bal, "h", M("X^2"), M("X"), cone, [{"X": 4.0}])
 
     def test_ratio_within_term_count_bound(self):
         # m = 1 increasing, n = 2 decreasing -> bound m*n + m + n = 5

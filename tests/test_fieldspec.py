@@ -71,6 +71,8 @@ class TestDiscriminant:
         assert fs.squarefree_decompose(1) == (1, 1)
         assert fs.squarefree_decompose(-8) == (-2, 2)
         assert fs.squarefree_decompose(-140) == (-35, 2)  # primes to the first power
+        with pytest.raises(fs.FieldConfigError, match="zero"):
+            fs.squarefree_decompose(0)
 
     def test_stores_only_what_defines_the_field(self, field_nn2):
         fields = [f.name for f in dataclasses.fields(fs.FieldSpec)]
@@ -111,6 +113,14 @@ class TestParsing:
     def test_zero_constant_reducible(self):
         with pytest.raises(fs.FieldConfigError, match="reducible"):
             fs.parse_field_spec("poly = 0, 1, 0")
+
+    def test_zero_discriminant_refused_as_reducible(self):
+        # a monic integer cubic with disc 0 has a rational, hence an integer,
+        # root: the reducibility check answers before the zero-disc check
+        for coeffs, root in (((2, -3, 0), -2), ((-8, 12, -6), 2)):  # (x-1)^2 (x+2), (x-2)^3
+            assert fs.discriminant_monic_cubic(*coeffs) == 0
+            with pytest.raises(fs.FieldConfigError, match=rf"reducible \(root {root}\)"):
+                fs.parse_field_spec("poly = {}, {}, {}".format(*coeffs))
 
     def test_basic_document(self):
         f = fs.parse_field_spec("name = pure-5\npoly = -5, 0, 0  # x^3 - 5\n")
@@ -180,6 +190,8 @@ class TestParsing:
         assert fs.load_field("cubic-cyclic-7").name == "cubic-cyclic-7"
         with pytest.raises(fs.FieldConfigError):
             fs.load_field("no-such-preset")
+        with pytest.raises(fs.FieldConfigError, match="unknown preset 'bogus'"):
+            fs.get_preset("bogus")
 
     def test_load_inline_text(self):
         f = fs.load_field("poly=-2,0,0")
@@ -226,6 +238,12 @@ class TestSelfValidation:
             with pytest.raises(fs.FieldConfigError, match=match):
                 fs.FieldSpec(*args)
         assert fs.FieldSpec("rationals", None, 1) == fs.get_preset("rationals")
+
+    def test_splitting_type_refusals(self):
+        for comps, match in (((), "1..3 components"), (((1, 1),) * 4, "1..3 components"),
+                             (((0, 1), (1, 1)), ">= 1")):
+            with pytest.raises(fs.FieldConfigError, match=match):
+                fs.SplittingType(comps)
 
     def test_disc_with_a_maximal_index_prime_refused(self):
         # Z[2^(1/3)] is 2- and 3-maximal, so x^3 - 2 defines a field of disc -108 only
@@ -385,6 +403,10 @@ class TestFactorize:
     def test_matches_trial_division(self):
         for n in range(1, 10**5 + 1):
             assert list(fs.factorize(n).items()) == list(_trial_division(n).items()), n
+
+    def test_zero_refused(self):
+        with pytest.raises(fs.FieldConfigError, match="n >= 1"):
+            fs.factorize(0)
 
     def test_products_of_primes_near_1e9(self):
         # beyond the trial-division bound the cofactor goes to Pollard's rho

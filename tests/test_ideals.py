@@ -72,6 +72,10 @@ class TestFactoredIdeal:
         for seed in range(4):
             assert idl.random_factored_ideal(field_nn2, random.Random(seed), 1) == idl.UNIT_IDEAL
 
+    def test_random_ideal_needs_a_norm_bound(self, field_nn2):
+        with pytest.raises(idl.IdealError, match="norm_bound"):
+            idl.random_factored_ideal(field_nn2, random.Random(0), 0)
+
     def test_exponent_validation(self, field_nn2):
         P = idl.labels_above(field_nn2, 2)[0]
         with pytest.raises(idl.IdealError):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import types
 
 import numpy as np
 import pytest
@@ -138,6 +139,11 @@ class TestRemainder:
         rows, fitted = sm.remainder_envelope_scan(tables_nn2_1m, rho_nn2, (5, 8, 10))
         assert len(rows) == 3
         assert 0 < fitted < 1  # loose sanity; reported, not thresholded
+
+    def test_envelope_scan_refuses_Y_beyond_tables(self, tables_nn2_small, rho_nn2):
+        # Y = 10 X^3 = 13310 > N = 10^4
+        with pytest.raises(sm.SumsError, match="beyond tables"):
+            sm.remainder_envelope_scan(tables_nn2_small, rho_nn2, (11,))
 
 
 class TestVoronoi:
@@ -470,10 +476,20 @@ class TestMeanSquareR:
         assert trend in ("increasing", "decreasing", "mixed")
         assert all(r > 0 for r in ratios)
 
+    def test_trend_mixed(self, monkeypatch):
+        ratios = iter((3.0, 1.0, 2.0))
+        monkeypatch.setattr(sm, "meansquare_R", lambda *a, **k: types.SimpleNamespace(ratio=next(ratios)))
+        _, got, trend = sm.meansquare_trend(None, None, 5, (10**3, 10**4, 10**5), samples=64)
+        assert got == [3.0, 1.0, 2.0] and trend == "mixed"
+
 
 class TestClassicalS1:
     def test_X1(self):
         assert sm.classical_S1(1, 999) == 999
+
+    def test_empty_ranges(self):
+        assert sm.classical_S1(0, 5) == sm.classical_S1(5, 0) == 0
+        assert sm.classical_S1_naive(0, 5) == sm.classical_S1_naive(5, 0) == 0
 
     def test_naive_equals_collapsed(self):
         for X in (1, 7, 31, 60):
