@@ -89,13 +89,6 @@ def _parse_int_list(text):
     return values
 
 
-def _one_value(values, default, option, command):
-    """The value of a list option that `command` reads only one value of."""
-    if values and len(values) > 1:
-        raise ConfigError(f"{command} takes one {option}, got {len(values)}: {','.join(map(str, values))}")
-    return values[0] if values else default
-
-
 def _refuse_table_file(option, path, table_path):
     """Refuse an output file that is the table file the run writes or reads."""
     if path and os.path.realpath(path) == os.path.realpath(table_path):
@@ -122,13 +115,8 @@ def _load_tables(cfg: RunConfig, field):
 
 def _emit(cfg: RunConfig, columns, rows, meta):
     if cfg.fmt == "json":
-        payload = {
-            "config": asdict(cfg),
-            "config_hash": cfg.hash(),
-            **meta,
-            "columns": list(columns),
-            "rows": [list(r) for r in rows],
-        }
+        payload = {"config": asdict(cfg), "config_hash": cfg.hash(), **meta,
+                   "columns": list(columns), "rows": [list(r) for r in rows]}
         text = json.dumps(payload, indent=2, default=str) + "\n"
     else:
         buf = io.StringIO()
@@ -154,19 +142,6 @@ def _rho_B(cfg: RunConfig, N: int) -> int:
     if not arith.N_MIN <= cfg.B <= N:
         raise ConfigError(f"--B {cfg.B} outside [{arith.N_MIN}, {N}]")
     return cfg.B
-
-
-def _rho_meta(tables, cfg, B):
-    """Both rho estimates, the one --rho-method picks, and the report header."""
-    estimates = arith.estimate_rho(tables, B)
-    rho = next(est for est in estimates if est.method == cfg.rho_method)
-    return estimates, rho, {
-        "field": tables.field.name,
-        "N": tables.N,
-        "rho": rho.value,
-        "rho_stderr": rho.stderr,
-        "rho_method": rho.method,
-    }
 
 
 # ----------------------------------------------------------------------------
@@ -200,7 +175,7 @@ def cmd_sieve(cfg: RunConfig) -> int:
 # ----------------------------------------------------------------------------
 
 def cmd_verify(cfg: RunConfig) -> int:
-    X = _one_value(cfg.X, 50, "--X", "verify")
+    X = (cfg.X or (50,))[0]
     Ys = cfg.Y or (10, 100, 1000)
     for option, value in (("--X", X), ("--Y", min(Ys))):
         if value < 1:
@@ -235,107 +210,120 @@ def cmd_verify(cfg: RunConfig) -> int:
 # experiments
 # ----------------------------------------------------------------------------
 
+def _load(cfg: RunConfig):
+    """(tables, rho, both rho estimates) and the report header naming them;
+    the rho is the one --rho-method picks, and a bad --B is refused before sieving."""
+    field = fieldspec.load_field(cfg.field)
+    if not cfg.tables_path:
+        _rho_B(cfg, cfg.N)
+    tables = _load_tables(cfg, field)
+    estimates = arith.estimate_rho(tables, _rho_B(cfg, tables.N))
+    rho = next(est for est in estimates if est.method == cfg.rho_method)
+    return (tables, rho, estimates), {"field": tables.field.name, "N": tables.N, "rho": rho.value,
+                                      "rho_stderr": rho.stderr, "rho_method": rho.method}
+
+
 def cmd_experiment(cfg: RunConfig) -> int:
-    name = cfg.experiment
-    meta = {}
-    if "--tables" in _EXPERIMENTS[name][1]:
-        field = fieldspec.load_field(cfg.field)
-        # refuse a list where one value is read, before sieving
-        X = _one_value(cfg.X, 1, "--X", "experiment meansquare") if name == "meansquare" else None
-        lo = _one_value(cfg.T, 10**5, "--T", "experiment voronoi") if name == "voronoi" else None
-        if not cfg.tables_path:
-            _rho_B(cfg, cfg.N)  # reject a bad --B before sieving
-        tables = _load_tables(cfg, field)
-        estimates, rho, meta = _rho_meta(tables, cfg, _rho_B(cfg, tables.N))
-    meta["experiment"] = name
-    # the printed result of an exponents scenario stands for its CSV report on stdout
-    emit, footer = True, []
-
-    if name == "meansquare":
-        reports, _, trend = sums.meansquare_trend(tables, rho, X, cfg.T or (1000,), samples=cfg.samples)
-        columns = ("X", "T", "integral_R2", "main_term", "ratio", "error_est")
-        rows = [(X, r.T, r.integral_R2, r.main_term, r.ratio, r.quadrature_error_est) for r in reports]
-        meta.update(cX=reports[0].cX, ratio_trend=trend, disc_cbrt=abs(field.disc) ** (1 / 3))
-    elif name == "meansquare-p2":
-        Ts = cfg.T or (10**5, 2 * 10**5, 4 * 10**5)
-        rows, t_exp, y_exp = sums.p2_meansquare_grid(tables, rho, Ts, cfg.y or (4, 32), samples=cfg.samples)
-        columns = ("T", "y", "integral_P2sq")
-        meta.update(fitted_T_exponent=t_exp, fitted_y_exponent=y_exp)
-    elif name == "voronoi":
-        ys = cfg.y or (8, 64, 512)
-        medians, exponent = sums.p2_truncation_scan(tables, rho, lo, 2 * lo, 100, ys)
-        columns, rows = ("y", "median_abs_P2"), list(zip(ys, medians))
-        meta.update(fitted_decay_exponent=exponent, predicted_exponent=-1 / 3)
-    elif name == "envelope":
-        rows, fitted = sums.remainder_envelope_scan(tables, rho, cfg.X or (5, 8, 10))
-        columns = ("X", "Y", "R", "envelope", "ratio")
-        meta["fitted_constant"] = fitted
-    elif name == "rho":
-        columns = ("method", "rho", "stderr", "B")
-        rows = [(est.method, est.value, est.stderr, est.B) for est in estimates]
-    elif name == "cx":
-        columns, rows = ("X", "cX", "tail_bound", "abs_cX_over_X73"), []
-        for X in cfg.X or (10, 100, 1000):
-            r = sums.compute_cX(tables, X=X)
-            rows.append((X, r.value, r.tail_bound, abs(r.value) / X ** (7 / 3)))
-    elif name == "tau-growth":
-        l, q = cfg.l, cfg.q
-        xs = cfg.X or (10**4, 10**5, 10**6)
-        for option, value, least in (("--l", l, 2), ("--q", q, 1), ("--X", min(xs), 2)):
-            if value < least:
-                raise ConfigError(f"{option} {value} below the minimum {least}")
-        scales = []
-        for x in xs:
-            try:
-                scales.append(x * math.log(x) ** (l**q - 1))
-            except OverflowError:
-                scales.append(math.inf)
-            if not 0 < scales[-1] < math.inf:
-                raise ConfigError(f"x log(x)^(l^q - 1) at x={x}, l^q={l**q} is not a finite positive float")
-        rows = []
-        for x, scale in zip(xs, scales):
-            s = arith.tau_power_sum(l, q, x)
-            rows.append((x, s, s / scale))
-        columns = ("x", "sum", "ratio_to_x_log_power")
-        meta["l"], meta["q"] = l, q
-        meta["loglog_slope"] = sums.fit_loglog_slope(
-            np.log(np.array(xs, dtype=float)), np.array([r[1] / r[0] for r in rows])
-        )
-        meta["reference_exponent"] = l**q - 1
-    elif name == "pair-sum":
-        Ts = cfg.T or (10**3, 10**4, 10**5)
-        columns, rows = ("T", "pair_sum"), [(T, arith.tau4_cuberoot_pair_sum(T)) for T in Ts]
-        meta["fitted_slope"] = sums.fit_loglog_slope(
-            np.array([r[0] for r in rows], dtype=float), np.array([r[1] for r in rows])
-        )
-        meta["reference_exponent"] = 1 / 3
-    elif name == "s1":
-        columns, rows = ("regime", "X", "Y", "S1", "reference", "relative_gap"), sums.s1_regime_rows()
-    elif name == "exponents-balance":
-        if not (cfg.expr and cfg.balance_var and cfg.cone):
-            raise ConfigError("exponents-balance needs --expr, --var and --cone")
-        L = exponents.parse_bound_expr(cfg.expr)
-        cone = exponents.ConstraintCone.from_text(cfg.cone)
-        h1 = exponents.parse_monomial(cfg.h1 or "1")
-        h2 = exponents.parse_monomial(cfg.h2 or "1")
-        bal = exponents.balance(L, cfg.balance_var, h1, h2)
-        print(exponents.simplify(bal, cone).format() + "  (+eps exponents)")
-        return EXIT_OK
-    else:
-        rep = exponents.SCENARIOS[name.removeprefix("exponents-")]()
-        print(rep.format_result())
-        meta.update(cone=rep.cone.format(), envelope_ratio=rep.envelope_ratio)
-        columns = ("term",)
-        rows = [(t.format(rep.var_order),) for t in rep.simplified.sorted_terms(rep.var_order)]
-        emit = cfg.output or cfg.fmt == "json"
-        footer = [f"absorbed: {absorbed} << {by}  [generator exponents {','.join(gens)}]"
-                  for absorbed, by, gens in rep.absorptions]
-
-    if emit:
-        _emit(cfg, columns, rows, meta)
-    for line in footer:
-        print(line)
+    _, options, runner = _EXPERIMENTS[cfg.experiment]
+    args, header = _load(cfg) if "--tables" in options else ((), {})
+    result = runner(cfg, *args)
+    if result is not None:
+        columns, rows, meta = result
+        _emit(cfg, columns, rows, {**header, "experiment": cfg.experiment, **meta})
     return EXIT_OK
+
+
+# A runner returns (columns, rows, report meta), or None once it has printed
+# its result.  Those that take --tables get (cfg, tables, rho, estimates), the
+# others cfg alone.  Each calls the library through its modules, where the
+# benchmark's tracer wraps it.
+
+def _meansquare(cfg, tables, rho, estimates):
+    X = (cfg.X or (1,))[0]
+    reports, _, trend = sums.meansquare_trend(tables, rho, X, cfg.T or (1000,), samples=cfg.samples)
+    rows = [(X, r.T, r.integral_R2, r.main_term, r.ratio, r.quadrature_error_est) for r in reports]
+    meta = {"cX": reports[0].cX, "ratio_trend": trend, "disc_cbrt": abs(tables.field.disc) ** (1 / 3)}
+    return ("X", "T", "integral_R2", "main_term", "ratio", "error_est"), rows, meta
+
+
+def _meansquare_p2(cfg, tables, rho, estimates):
+    Ts = cfg.T or (10**5, 2 * 10**5, 4 * 10**5)
+    rows, t_exp, y_exp = sums.p2_meansquare_grid(tables, rho, Ts, cfg.y or (4, 32), samples=cfg.samples)
+    return ("T", "y", "integral_P2sq"), rows, {"fitted_T_exponent": t_exp, "fitted_y_exponent": y_exp}
+
+
+def _voronoi(cfg, tables, rho, estimates):
+    lo, ys = (cfg.T or (10**5,))[0], cfg.y or (8, 64, 512)
+    medians, exponent = sums.p2_truncation_scan(tables, rho, lo, 2 * lo, 100, ys)
+    meta = {"fitted_decay_exponent": exponent, "predicted_exponent": -1 / 3}
+    return ("y", "median_abs_P2"), list(zip(ys, medians)), meta
+
+
+def _envelope(cfg, tables, rho, estimates):
+    rows, fitted = sums.remainder_envelope_scan(tables, rho, cfg.X or (5, 8, 10))
+    return ("X", "Y", "R", "envelope", "ratio"), rows, {"fitted_constant": fitted}
+
+
+def _rho(cfg, tables, rho, estimates):
+    return ("method", "rho", "stderr", "B"), [(est.method, est.value, est.stderr, est.B) for est in estimates], {}
+
+
+def _cx(cfg, tables, rho, estimates):
+    results = [(X, sums.compute_cX(tables, X=X)) for X in cfg.X or (10, 100, 1000)]
+    rows = [(X, r.value, r.tail_bound, abs(r.value) / X ** (7 / 3)) for X, r in results]
+    return ("X", "cX", "tail_bound", "abs_cX_over_X73"), rows, {}
+
+
+def _tau_growth(cfg):
+    l, q, xs = cfg.l, cfg.q, cfg.X or (10**4, 10**5, 10**6)
+    for option, value, least in (("--l", l, 2), ("--q", q, 1), ("--X", min(xs), 2)):
+        if value < least:
+            raise ConfigError(f"{option} {value} below the minimum {least}")
+    scales = []
+    for x in xs:
+        try:
+            scales.append(x * math.log(x) ** (l**q - 1))
+        except OverflowError:
+            scales.append(math.inf)
+        if not 0 < scales[-1] < math.inf:
+            raise ConfigError(f"x log(x)^(l^q - 1) at x={x}, l^q={l**q} is not a finite positive float")
+    totals = [arith.tau_power_sum(l, q, x) for x in xs]
+    rows = [(x, s, s / scale) for x, s, scale in zip(xs, totals, scales)]
+    slope = sums.fit_loglog_slope(np.log(np.array(xs, dtype=float)), np.array([s / x for x, s in zip(xs, totals)]))
+    return ("x", "sum", "ratio_to_x_log_power"), rows, {"l": l, "q": q, "loglog_slope": slope,
+                                                        "reference_exponent": l**q - 1}
+
+
+def _pair_sum(cfg):
+    Ts = cfg.T or (10**3, 10**4, 10**5)
+    values = [arith.tau4_cuberoot_pair_sum(T) for T in Ts]
+    slope = sums.fit_loglog_slope(np.array(Ts, dtype=float), np.array(values))
+    return ("T", "pair_sum"), list(zip(Ts, values)), {"fitted_slope": slope, "reference_exponent": 1 / 3}
+
+
+def _s1(cfg):
+    return ("regime", "X", "Y", "S1", "reference", "relative_gap"), sums.s1_regime_rows(), {}
+
+
+def _scenario(cfg):
+    """Print the result, then the report only with --output or JSON: on stdout the result stands for a CSV."""
+    rep = exponents.SCENARIOS[cfg.experiment.removeprefix("exponents-")]()
+    print(rep.format_result())
+    if cfg.output or cfg.fmt == "json":
+        rows = [(t.format(rep.var_order),) for t in rep.simplified.sorted_terms(rep.var_order)]
+        _emit(cfg, ("term",), rows, {"experiment": cfg.experiment, "cone": rep.cone.format(),
+                                      "envelope_ratio": rep.envelope_ratio})
+    for absorbed, by, gens in rep.absorptions:
+        print(f"absorbed: {absorbed} << {by}  [generator exponents {','.join(gens)}]")
+
+
+def _balance(cfg):
+    if not (cfg.expr and cfg.balance_var and cfg.cone):
+        raise ConfigError("exponents-balance needs --expr, --var and --cone")
+    L, cone = exponents.parse_bound_expr(cfg.expr), exponents.ConstraintCone.from_text(cfg.cone)
+    h1, h2 = (exponents.parse_monomial(h or "1") for h in (cfg.h1, cfg.h2))
+    bal = exponents.balance(L, cfg.balance_var, h1, h2)
+    print(exponents.simplify(bal, cone).format() + "  (+eps exponents)")
 
 
 # ----------------------------------------------------------------------------
@@ -381,21 +369,25 @@ _SUBCOMMANDS = {
 _REPORT = ("--output", "--format")
 _TABLES = ("--field", "--N", "--rho-method", "--tables", "--B", *_REPORT)
 _EXPERIMENTS = {
-    "meansquare": ("mean square of R_K over [T, 2T] against c(X) T^{5/3}", (*_TABLES, "--X", "--T", "--samples")),
-    "meansquare-p2": ("mean square of P2 on a (T, y) grid", (*_TABLES, "--T", "--y", "--samples")),
-    "voronoi": ("median |P2| over [T, 2T] against the truncation y", (*_TABLES, "--T", "--y")),
-    "envelope": ("|R_K(X, 10 X^3)| against its envelope", (*_TABLES, "--X")),
-    "rho": ("both rho_K estimates", _TABLES),
-    "cx": ("c(X) with its tail bound", (*_TABLES, "--X")),
-    "tau-growth": ("growth of the sum of tau_l(n)^q over n <= x", (*_REPORT, "--X", "--l", "--q")),
-    "pair-sum": ("the tau_4 cube-root pair sum at each T", (*_REPORT, "--T")),
-    "s1": ("the classical S1 against its regime references", _REPORT),
-    "exponents-block": ("balance the dyadic-block bound in (Y, M, y)", _REPORT),
-    "exponents-xy": ("simplify the remainder bound in (X, Y)", _REPORT),
-    "exponents-xt": ("balance the mean-square bound in (X, T)", _REPORT),
+    "meansquare": ("mean square of R_K over [T, 2T] against c(X) T^{5/3}", (*_TABLES, "--X", "--T", "--samples"),
+                   _meansquare),
+    "meansquare-p2": ("mean square of P2 on a (T, y) grid", (*_TABLES, "--T", "--y", "--samples"), _meansquare_p2),
+    "voronoi": ("median |P2| over [T, 2T] against the truncation y", (*_TABLES, "--T", "--y"), _voronoi),
+    "envelope": ("|R_K(X, 10 X^3)| against its envelope", (*_TABLES, "--X"), _envelope),
+    "rho": ("both rho_K estimates", _TABLES, _rho),
+    "cx": ("c(X) with its tail bound", (*_TABLES, "--X"), _cx),
+    "tau-growth": ("growth of the sum of tau_l(n)^q over n <= x", (*_REPORT, "--X", "--l", "--q"), _tau_growth),
+    "pair-sum": ("the tau_4 cube-root pair sum at each T", (*_REPORT, "--T"), _pair_sum),
+    "s1": ("the classical S1 against its regime references", _REPORT, _s1),
+    "exponents-block": ("balance the dyadic-block bound in (Y, M, y)", _REPORT, _scenario),
+    "exponents-xy": ("simplify the remainder bound in (X, Y)", _REPORT, _scenario),
+    "exponents-xt": ("balance the mean-square bound in (X, T)", _REPORT, _scenario),
     "exponents-balance": ("balance one variable of a bound; prints the result",
-                          ("--expr", "--var", "--h1", "--h2", "--cone")),
+                          ("--expr", "--var", "--h1", "--h2", "--cone"), _balance),
 }
+
+# The list options that a command reads one value of; a list is refused before any sieving.
+_ONE_VALUE = {"verify": ("--X",), "experiment meansquare": ("--X",), "experiment voronoi": ("--T",)}
 
 
 @lru_cache(maxsize=None)
@@ -415,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_parsers(subparsers, table):
-    for name, (text, options) in table.items():
+    for name, (text, options, *_) in table.items():
         p = subparsers.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
         for option in options:
             p.add_argument(option, **_OPTIONS[option])
@@ -428,9 +420,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_BAD_CONFIG if exc.code not in (0, None) else 0
     cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)})
+    command = f"{args.command} {cfg.experiment}" if cfg.experiment else args.command
     try:
         if cfg.N < arith.N_MIN:
             raise ConfigError(f"--N {cfg.N} below the minimum {arith.N_MIN}")
+        for option in _ONE_VALUE.get(command, ()):
+            if len(values := getattr(cfg, option[2:]) or ()) > 1:
+                raise ConfigError(f"{command} takes one {option}, got {len(values)}: {','.join(map(str, values))}")
         rc = {"sieve": cmd_sieve, "verify": cmd_verify, "experiment": cmd_experiment}[args.command](cfg)
         sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
         return rc

@@ -519,12 +519,15 @@ def remainder_envelope_scan(tables, rho, X_values):
 
 def fit_loglog_slope(xs, ys) -> float:
     """Least-squares slope of log ys against log xs; refused for fewer than
-    two distinct xs, where no slope is defined."""
-    xs = np.asarray(xs, dtype=np.float64)
+    two distinct xs, where no slope is defined, and for an x or y that is
+    not finite and positive, whose log is no number."""
+    xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
     distinct = len(set(xs.tolist()))
     if distinct < 2:
         raise SumsError(f"a log-log slope needs two distinct x values, got {distinct}")
-    xs = np.log(xs)
-    ys = np.log(np.maximum(np.asarray(ys, dtype=np.float64), 1e-300))
+    for name, values in (("x", xs), ("y", ys)):
+        if not (np.isfinite(values) & (values > 0)).all():
+            raise SumsError(f"a log-log slope needs finite positive {name} values, got {values.tolist()}")
+    xs, ys = np.log(xs), np.log(ys)
     xbar, ybar = xs.mean(), ys.mean()
     return float(np.dot(xs - xbar, ys - ybar) / np.dot(xs - xbar, xs - xbar))

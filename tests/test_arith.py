@@ -308,11 +308,12 @@ class TestClassicalRamanujan:
 
     def test_full_divisor_sum(self):
         # the definition summed over every d | gcd(m, n), zero terms included
+        # (one row of n per m; the scalar path is test_trivia's and test_array_of_n's)
         mu = [0] + [_mobius(n) for n in range(1, 301)]
+        ns = np.arange(1, 301)
         for m in range(1, 301):
-            for n in range(1, 301):
-                want = sum(d * mu[m // d] for d in _divisors(math.gcd(m, n)))
-                assert ar.classical_ramanujan(m, n) == want, (m, n)
+            want = [sum(d * mu[m // d] for d in _divisors(math.gcd(m, n))) for n in range(1, 301)]
+            assert ar.classical_ramanujan(m, ns).tolist() == want, m
 
     def test_exponential_sum_oracle(self):
         for m in range(1, 61):

@@ -669,6 +669,56 @@ class TestDomainSweep:
         assert rc == 2 and stdout == "" and "two distinct x values" in err, err
 
 
+# the "# key=value" lines of each experiment's CSV report, in order, then its column line
+TABLE_HEADER = ("config_hash", "field", "N", "rho", "rho_stderr", "rho_method", "experiment")
+SCENARIO_HEADER = (("config_hash", "experiment", "cone", "envelope_ratio"), "term")
+REPORT_HEADERS = {
+    "meansquare": ((*TABLE_HEADER, "cX", "ratio_trend", "disc_cbrt"), "X,T,integral_R2,main_term,ratio,error_est"),
+    "meansquare-p2": ((*TABLE_HEADER, "fitted_T_exponent", "fitted_y_exponent"), "T,y,integral_P2sq"),
+    "voronoi": ((*TABLE_HEADER, "fitted_decay_exponent", "predicted_exponent"), "y,median_abs_P2"),
+    "envelope": ((*TABLE_HEADER, "fitted_constant"), "X,Y,R,envelope,ratio"),
+    "rho": (TABLE_HEADER, "method,rho,stderr,B"),
+    "cx": (TABLE_HEADER, "X,cX,tail_bound,abs_cX_over_X73"),
+    "tau-growth": (("config_hash", "experiment", "l", "q", "loglog_slope", "reference_exponent"),
+                   "x,sum,ratio_to_x_log_power"),
+    "pair-sum": (("config_hash", "experiment", "fitted_slope", "reference_exponent"), "T,pair_sum"),
+    "s1": (("config_hash", "experiment"), "regime,X,Y,S1,reference,relative_gap"),
+    "exponents-block": SCENARIO_HEADER,
+    "exponents-xy": SCENARIO_HEADER,
+    "exponents-xt": SCENARIO_HEADER,
+}
+
+
+def _report_header(path):
+    """(the keys of the "# key=value" lines, the column line) of a CSV report."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    meta = [line[2:].split("=", 1)[0] for line in lines if line.startswith("# ")]
+    return tuple(meta), lines[len(meta)]
+
+
+class TestReportHeader:
+    def test_every_report_is_pinned(self):
+        assert set(REPORT_HEADERS) == set(cli._EXPERIMENTS) - {"exponents-balance"}
+
+    @pytest.mark.parametrize("name", REPORT_HEADERS)
+    def test_header_keys_and_columns(self, name, sweep_paths, tmp_path, capsys):
+        command = f"experiment {name}"
+        argv = _sweep_argv(command, sweep_paths) if command in SWEEP_BASE else command.split()
+        rc, _, err = run([*argv, "--output", str(tmp_path / "r.csv")], capsys)
+        assert rc == 0, err
+        assert _report_header(tmp_path / "r.csv") == REPORT_HEADERS[name]
+
+    def test_field_names_the_table_file(self, tmp_path, capsys):
+        # the header's field is the name stored in the table file, not the
+        # name --field gives the same field
+        table_path = tmp_path / "t.bin"
+        doc = "name = {}\npoly = -2, 0, 0\n"
+        assert run(["sieve", "--field", doc.format("a"), "--N", "2000", "--output", str(table_path)], capsys)[0] == 0
+        rc, stdout, err = run(["experiment", "rho", "--field", doc.format("b"), "--tables", str(table_path)], capsys)
+        assert rc == 0, err
+        assert stdout.splitlines()[1:3] == ["# field=a", "# N=2000"]
+
+
 def _readme_command_lines():
     """The `cubicsums ...` lines of README's CLI block, continuations joined."""
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
@@ -704,7 +754,7 @@ class TestOptions:
         assert rc == 0
         names = {command.split()[1] for command in OPTIONS if command.startswith("experiment ")}
         assert set(cli._EXPERIMENTS) == names and all(name in stdout for name in names)
-        assert sum(len(options) for _, options in cli._EXPERIMENTS.values()) == 73
+        assert sum(len(options) for _, options, _ in cli._EXPERIMENTS.values()) == 73
 
     @pytest.mark.parametrize("command,option,value", [
         ("sieve", "--rho-method", "regression_on_A"), ("sieve", "--format", "json"), ("sieve", "--seed", "5"),

@@ -120,3 +120,15 @@ def test_package_init_binds_no_library_names():
     # (`from cubicsums import sums`); the package namespace re-exports nothing
     tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
     assert [node.lineno for node in ast.walk(tree) if _binds_library_names(node)] == []
+
+
+def test_benchmark_tracer_sees_every_cli_step():
+    # the benchmark's tracer wraps module attributes and the `cmd_*` functions
+    # of cli: a runner defined elsewhere, or a further `cmd_` name, would be
+    # timed under the wrong row or under a row the benchmark does not list
+    cli = importlib.import_module("cubicsums.cli")
+    assert {runner.__module__ for _, _, runner in cli._EXPERIMENTS.values()} == {"cubicsums.cli"}
+    assert {n for n in vars(cli) if n.startswith("cmd_")} == {"cmd_sieve", "cmd_verify", "cmd_experiment"}
+    layer_funcs = ast.literal_eval(_module_constants("perfbench/run.py", {"LAYER_FUNCS"})["LAYER_FUNCS"])
+    assert {name for name in layer_funcs if name.startswith("cli.")} == {"cli.cmd_sieve", "cli.cmd_verify",
+                                                                        "cli.cmd_experiment"}

@@ -507,3 +507,26 @@ class TestClassicalS1:
         rows = sm.s1_regime_rows()
         assert rows[0][0] == "Y-dominant" and rows[0][5] < 0.05
         assert rows[1][0] == "X^2-dominant" and rows[1][5] <= 0.1
+
+
+class TestFitLoglogSlope:
+    def test_power_law(self):
+        xs = np.array([10.0, 100.0, 1000.0])
+        assert sm.fit_loglog_slope(xs, 3 * xs**0.5) == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("ys", [[1, 2, 0], [1, float("nan"), 4], [-1, -2, -4], [1, float("inf"), 4]],
+                             ids=["zero", "nan", "negative", "inf"])
+    def test_y_not_finite_positive_refused(self, ys):
+        # a y clamped to 1e-300 gave a slope of 498.8, a NaN gave nan and
+        # all-negative ys gave 0.0, each printed as a fitted exponent
+        with pytest.raises(sm.SumsError, match="finite positive y values"):
+            sm.fit_loglog_slope([1, 2, 4], ys)
+
+    @pytest.mark.parametrize("xs", [[0, 1, 2], [-1, 1, 2], [1, 2, float("inf")]], ids=["zero", "negative", "inf"])
+    def test_x_not_finite_positive_refused(self, xs):
+        with pytest.raises(sm.SumsError, match="finite positive x values"):
+            sm.fit_loglog_slope(xs, [1, 2, 4])
+
+    def test_one_distinct_x_refused(self):
+        with pytest.raises(sm.SumsError, match="two distinct x values, got 1"):
+            sm.fit_loglog_slope([5, 5], [1, 2])
