@@ -495,22 +495,25 @@ def dirichlet_convolution(f, g, nmax: int) -> np.ndarray:
     return out
 
 
+def _first_mismatch(got, want):
+    """The first n with got[n - 1] != want[n - 1] (arrays from n = 1), or None."""
+    diff = np.nonzero(got != want)[0]
+    return int(diff[0]) + 1 if len(diff) else None
+
+
 def convolution_identity_failure(tables: ArithTables, nmax: int):
     """First n <= nmax with (a_K * mu_K)(n) != [n == 1], or None."""
     nmax = min(nmax, tables.N)
     conv = dirichlet_convolution(tables.aK, tables.muK, nmax)
-    if conv[1] != 1:
-        return 1
-    bad = np.nonzero(conv[2:])[0]
-    return int(bad[0]) + 2 if len(bad) else None
+    conv[1] -= 1  # e(1) = 1
+    return _first_mismatch(conv[1:], 0)
 
 
 def b_sum_identity_failure(tables: ArithTables, nmax: int):
     """First n <= nmax with sum_{m|n} b(m) != a_K(n), or None."""
     nmax = min(nmax, tables.N)
     acc = dirichlet_convolution(tables.b, np.broadcast_to(np.int64(1), (nmax + 1,)), nmax)
-    bad = np.nonzero(acc[1:] != tables.aK[1 : nmax + 1])[0]
-    return int(bad[0]) + 1 if len(bad) else None
+    return _first_mismatch(acc[1:], tables.aK[1 : nmax + 1])
 
 
 def max_abs_ratio(values: np.ndarray, s: float) -> float:
@@ -541,26 +544,24 @@ def max_abs_M_ratio(tables: ArithTables) -> float:
 # cubic Dirichlet character (prime conductor), exact in Z[omega]
 # ----------------------------------------------------------------------------
 
-def cubic_character(f: int):
-    """The cubic residue character mod a prime conductor f = 1 (mod 3).
-
-    Returns a tuple of f Eisenstein pairs (u, v) meaning chi(r) = u + v*omega,
-    omega = e^{2 pi i/3}; chi(r) = omega^{ind_g(r) mod 3} for a generator g.
-    Conjugating the character (the other choice of omega) gives the same
-    two-character product b = chi * conj(chi).
+def cubic_character(f: int, n: int) -> np.ndarray:
+    """chi(0..n) for the cubic residue character mod a prime conductor
+    f = 1 (mod 3): an (n + 1, 2) int64 array of Eisenstein pairs (u, v),
+    chi(r) = u + v*omega, omega = e^{2 pi i/3}.  By Euler's cubic criterion
+    chi(r) = omega^j when r^((f-1)/3) = g^(j (f-1)/3) (mod f), g the least
+    generator of (Z/f)*; it is evaluated at the min(f, n + 1) residues that
+    are read and repeated with period f.  Conjugating the character (the
+    other omega) gives the same two-character product b = chi * conj(chi).
     """
     if f % 3 != 1 or not _is_prime(f):
         raise ArithError(f"conductor {f} is not a prime = 1 mod 3")
-    # a generator of (Z/f)*
     order_facs = factorize(f - 1)
     g = next(g for g in range(2, f) if all(pow(g, (f - 1) // q, f) != 1 for q in order_facs))
-    omega_pow = [(1, 0), (0, 1), (-1, -1)]
-    vals = [(0, 0)] * f
-    acc = 1
-    for j in range(f - 1):
-        vals[acc] = omega_pow[j % 3]
-        acc = acc * g % f
-    return tuple(vals)
+    e = (f - 1) // 3
+    zeta = pow(g, e, f)
+    pair = {0: (0, 0), 1: (1, 0), zeta: (0, 1), zeta * zeta % f: (-1, -1)}
+    chi = np.array([pair[pow(r, e, f)] for r in range(min(f, n + 1))], dtype=np.int64)
+    return np.resize(chi, (n + 1, 2))  # np.resize repeats the rows cyclically
 
 
 def b_from_cubic_character(f: int, nmax: int) -> np.ndarray:
@@ -574,7 +575,7 @@ def b_from_cubic_character(f: int, nmax: int) -> np.ndarray:
     and the omega part is v*u - u*v = 0 because Dirichlet convolution
     commutes.  So b is real for any table of Eisenstein pairs, and two
     integer convolutions give it."""
-    u, v = np.array(cubic_character(f), dtype=np.int64)[np.arange(nmax + 1) % f].T
+    u, v = cubic_character(f, nmax).T
     return dirichlet_convolution(u, u - v, nmax) + dirichlet_convolution(v, v, nmax)
 
 
@@ -585,7 +586,8 @@ def L1_cubic_character(f: int) -> complex:
 
     tau(chi) the Gauss sum; chi(-1) = 1 since chi(-1)^2 = chi(-1)^3 = 1."""
     omega = complex(-0.5, math.sqrt(3) / 2)
-    chi = np.array([u + v * omega for (u, v) in cubic_character(f)], dtype=np.complex128)
+    u, v = cubic_character(f, f - 1).T
+    chi = u + v * omega
     a = np.arange(f)
     tau = np.sum(chi * np.exp(2j * math.pi * a / f))
     logs = np.log(2.0 * np.sin(math.pi * a[1:] / f))  # |1 - e^{i t}| = 2 sin(t/2)

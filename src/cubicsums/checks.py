@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from . import arith, fieldspec, ideals, sums
+from .arith import _first_mismatch
 
 __all__ = [
     "character_failure",
@@ -30,11 +31,6 @@ __all__ = [
     "field_suite",
     "classical_suite",
 ]
-
-
-def _first_mismatch(got, want):
-    diff = np.nonzero(got != want)[0]
-    return int(diff[0]) + 1 if len(diff) else None
 
 
 def character_failure(tables, nmax):

@@ -24,7 +24,6 @@ collapse to its classical integer counterpart.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import re
@@ -123,6 +122,9 @@ def discriminant_monic_cubic(c0: int, c1: int, c2: int) -> int:
 
 # trial division runs to this bound; every n <= _TRIAL_LIMIT^2 is factored by it alone
 _TRIAL_LIMIT = 1000
+# Pollard-rho steps one factor may take (about 2 s): a prime factor p needs
+# about sqrt(p) steps, so factors of up to 12 digits are found
+_RHO_STEPS = 1 << 20
 
 
 def factorize(n: int) -> dict:
@@ -163,17 +165,21 @@ def _large_prime_factors(m: int) -> list:
 
 def _pollard_rho(n: int) -> int:
     """A proper factor of the odd composite n by Pollard's rho (Floyd's cycle
-    finding), trying x^2 + c for c = 1, 2, ... until one gives a factor."""
-    for c in itertools.count(1):
-        x = y = 2
-        g = 1
-        while g == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            g = math.gcd(x - y, n)
-        if g != n:
+    finding), trying x^2 + c for c = 1, 2, ... until one gives a factor, in
+    at most _RHO_STEPS steps over all c."""
+    x = y = 2
+    c = 1
+    for _ in range(_RHO_STEPS):
+        x = (x * x + c) % n
+        y = (y * y + c) % n
+        y = (y * y + c) % n
+        g = math.gcd(x - y, n)
+        if g == n:  # x^2 + c cycled with no factor: restart with the next c
+            x = y = 2
+            c += 1
+        elif g != 1:
             return g
+    raise FieldConfigError(f"cannot factor {n}: no factor found in {_RHO_STEPS} Pollard-rho steps")
 
 
 def squarefree_decompose(D: int) -> tuple:

@@ -58,7 +58,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import A_at, ArithTables, RhoEstimate, mobius_sieve
+from .arith import A_at, ArithTables, RhoEstimate, classical_ramanujan, mobius_sieve
 from .fieldspec import SHAPES, FieldSpec, local_ideal_counts, splitting_codes
 from .ideals import enumerate_ideals, sum_cJ_over_I
 
@@ -476,8 +476,6 @@ def classical_S1(X: int, Y: int) -> int:
 
 def classical_S1_naive(X: int, Y: int) -> int:
     """Brute-force double sum over classical Ramanujan sums (oracle), one row of n per m."""
-    from .arith import classical_ramanujan
-
     ns = np.arange(1, int(Y) + 1)
     return sum(int(classical_ramanujan(m, ns).sum()) for m in range(1, int(X) + 1))
 

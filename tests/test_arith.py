@@ -559,9 +559,50 @@ class TestIdentityChecks:
         assert ar.convolution_identity_failure(dataclasses.replace(tables_nn2_small, muK=muK), 100) == 1
 
 
+def _least_generator(f):
+    """The least g whose powers reach every residue mod the prime f, by walking them."""
+    for g in range(2, f):
+        acc, order = g, 1
+        while acc != 1:
+            acc, order = acc * g % f, order + 1
+        if order == f - 1:
+            return g
+
+
 class TestCharacter:
+    def test_matches_generator_powers(self):
+        # the oracle walks the powers of the least generator g: chi(g^k) = omega^(k mod 3)
+        omega_pow = [(1, 0), (0, 1), (-1, -1)]
+        conductors = [f for f in range(7, 2000, 3) if fs._is_prime(f)]
+        assert len(conductors) == 148
+        for f in conductors:
+            g = _least_generator(f)
+            chi = [(0, 0)] * f
+            acc = 1
+            for k in range(f - 1):
+                chi[acc] = omega_pow[k % 3]
+                acc = acc * g % f
+            for n in (f - 1, 10, 10**4):
+                got = ar.cubic_character(f, n)
+                assert got.dtype == np.int64 and got.shape == (n + 1, 2)
+                assert np.array_equal(got, np.array(chi)[np.arange(n + 1) % f]), (f, n)
+
+    def test_b_peak_memory_follows_nmax(self):
+        # the conductor of Shanks' simplest cubic at n = 3005 is 9,039,049, far
+        # beyond the 10^4 residues the character row reads
+        f = 3005**2 + 3 * 3005 + 9
+        assert f == 9039049 and fs._is_prime(f)
+        ar.b_from_cubic_character(7, 10)
+        tracemalloc.start()
+        try:
+            ar.b_from_cubic_character(f, 10**4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20, peak
+
     def test_values_exact(self):
-        chi = ar.cubic_character(7)
+        chi = [tuple(p) for p in ar.cubic_character(7, 6).tolist()]
         assert chi[1] == (1, 0) and chi[6] == (1, 0)  # cubes are the kernel
         assert chi[0] == (0, 0)
         omega = {(1, 0), (0, 1), (-1, -1)}
@@ -569,9 +610,9 @@ class TestCharacter:
 
     def test_bad_conductor(self):
         with pytest.raises(ar.ArithError):
-            ar.cubic_character(5)  # 5 != 1 mod 3
+            ar.cubic_character(5, 10)  # 5 != 1 mod 3
         with pytest.raises(ar.ArithError):
-            ar.cubic_character(25)  # 1 mod 3 but not prime
+            ar.cubic_character(25, 10)  # 1 mod 3 but not prime
 
     def test_b_identity_small(self, tables_c7_small):
         bchar = ar.b_from_cubic_character(7, 10**4)
@@ -581,7 +622,7 @@ class TestCharacter:
         # the closed form against the series over whole periods; chi is even,
         # so the tail after n terms is O((f/n)^2)
         omega = complex(-0.5, math.sqrt(3) / 2)
-        chi = np.array([u + v * omega for (u, v) in ar.cubic_character(7)])
+        chi = np.array([u + v * omega for (u, v) in ar.cubic_character(7, 6).tolist()])
         n = np.arange(1, 2 * 10**5 - 2 * 10**5 % 7 + 1)
         series = complex(np.sum(chi[n % 7] / n))
         assert abs(ar.L1_cubic_character(7) - series) < 1e-9

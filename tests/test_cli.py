@@ -89,6 +89,16 @@ class TestSieve:
                           "--field", "poly = 99999999999999999999, 0, 0"], capsys)
         assert rc in (0, 2) and "Traceback" not in err, err
 
+    def test_unfactorable_disc_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the 61-digit poly disc leaves a 44-digit cofactor that rho cannot
+        # split within its budget; a small budget keeps the test short
+        monkeypatch.setattr(fieldspec, "_RHO_STEPS", 1000)
+        rc, stdout, err = run(["sieve", "--N", "1000", "--output", str(tmp_path / "t.bin"),
+                               "--field", "poly = 5, -100000000000000000000, 0"], capsys)
+        assert (rc, stdout) == (2, "")
+        assert err.startswith("error: cannot factor ") and "Traceback" not in err, err
+        assert not (tmp_path / "t.bin").exists()
+
     def test_below_minimum_is_config_error(self, tmp_path, capsys):
         tau = ["experiment", "tau-growth", "--X", "1000"]
         for argv in (["sieve", "--N", "10", "--output", str(tmp_path / "x.bin")], ["verify", "--N", "500"],

@@ -417,6 +417,16 @@ class TestFactorize:
                 assert list(fs.factorize(p * q).items()) == [(p, 1), (q, 1)]
             assert fs.factorize(12 * p * p) == {2: 2, 3: 1, p: 2}
 
+    def test_rho_budget_refuses(self, monkeypatch):
+        # the cofactor p q has no factor up to the trial bound, so rho runs
+        # and gives up after the step budget instead of looping on
+        p, q = 10**9 + 7, 10**9 + 9
+        monkeypatch.setattr(fs, "_RHO_STEPS", 100)
+        with pytest.raises(fs.FieldConfigError, match=f"^cannot factor {p * q}: no factor found in 100 Pollard-rho steps$"):
+            fs.factorize(6 * p * q)
+        monkeypatch.undo()
+        assert fs.factorize(6 * p * q) == {2: 1, 3: 1, p: 1, q: 1}
+
 
 class TestPrimesUpto:
     def test_matches_is_prime_at_edges(self):
