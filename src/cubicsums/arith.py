@@ -127,8 +127,8 @@ class RhoDisagreement(ArithError):
 def _local_tables(kmax):
     """Per splitting shape: a_K, mu_K and b at p^0..p^kmax, int16 (module docstring)."""
     out = {}
-    for code, st in enumerate(SHAPES):
-        shape = st.f_shape
+    for code, comps in enumerate(SHAPES):
+        shape = [f for f, _ in comps]
         a = local_ideal_counts(shape, kmax)
         mu = [0] * (kmax + 1)
         mu[0] = 1
@@ -224,9 +224,10 @@ class ArithTables:
 
     A_prefix and M_prefix are whole-table int64 prefix sums, 8 bytes per n,
     built on first use.  No library code reads them: A_at reads A_K, and
-    M_K is summed up to the X it is read at.  They stay as the reference the
-    tests compare against, and as what the benchmark's tracer counts in its
-    table bytes; they go when that count covers the value tables alone."""
+    M_K is summed up to the X it is read at, and the tests take their
+    reference sums with np.cumsum or A_at.  They stay as what the benchmark's
+    tracer counts in its table bytes; they go when that count covers the
+    value tables alone."""
 
     field: FieldSpec
     aK: np.ndarray

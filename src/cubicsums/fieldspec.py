@@ -14,8 +14,10 @@ We restrict to the monogenic case.  Primes that do divide the index cannot
 be factored through f mod p (Dedekind), so they must be declared explicitly
 via ``index_divisor_overrides``; the constructor runs Dedekind's p-maximality
 criterion at every candidate prime and refuses to build a field whose index
-divisors are not covered, that overrides a p-maximal prime, or whose disc
-puts a p-maximal prime in the index or leaves an overridden prime out of it.
+divisors are not covered, that overrides a p-maximal prime, whose disc
+puts a p-maximal prime in the index or leaves an overridden prime out of it,
+or whose override contradicts disc.  A shape is its int code: SHAPES[code]
+lists its (f, e) components.
 
 The degenerate ``rationals`` field (degree 1, one prime of norm p above
 every p) is included as a test hook: on it every ideal-level operation must
@@ -34,7 +36,6 @@ import numpy as np
 
 __all__ = [
     "FieldSpec",
-    "SplittingType",
     "SHAPES",
     "FieldConfigError",
     "discriminant_monic_cubic",
@@ -76,39 +77,21 @@ T_RAM_13 = 4     # p = P1^3
 T_RATIONAL = 5   # degree-1 hook: p = (p)
 
 
-@dataclass(frozen=True)
-class SplittingType:
-    """Multiset of (residue degree f, ramification exponent e) above a prime."""
-
-    components: tuple  # tuple of (f, e), sorted
-
-    def __post_init__(self):
-        comps = tuple(sorted(tuple(c) for c in self.components))
-        object.__setattr__(self, "components", comps)
-        if not (1 <= len(comps) <= 3):
-            raise FieldConfigError("splitting type needs 1..3 components")
-        for f, e in comps:
-            if f < 1 or e < 1:
-                raise FieldConfigError("residue degrees and ramification exponents are >= 1")
-
-    @property
-    def degree(self) -> int:
-        return sum(f * e for f, e in self.components)
-
-    @property
-    def f_shape(self) -> tuple:
-        return tuple(sorted(f for f, _ in self.components))
-
-
-# the (f, e) components of each code's shape, indexed by the code
-SHAPES = tuple(SplittingType(c) for c in (
+# the sorted (residue degree f, ramification exponent e) components of each
+# code's shape, indexed by the code
+SHAPES = (
     ((1, 1), (1, 1), (1, 1)),   # T_SPLIT
     ((1, 1), (2, 1)),           # T_PARTIAL
     ((3, 1),),                  # T_INERT
     ((1, 1), (1, 2)),           # T_RAM_112
     ((1, 3),),                  # T_RAM_13
     ((1, 1),),                  # T_RATIONAL
-))
+)
+
+
+def _shape_text(code: int) -> str:
+    """A code's shape as a field document writes it, e.g. 1:1+2:1."""
+    return "+".join(f"{f}:{e}" for f, e in SHAPES[code])
 
 
 # ----------------------------------------------------------------------------
@@ -437,17 +420,16 @@ class FieldSpec:
     name: str
     poly: tuple | None          # (c0, c1, c2) of x^3 + c2 x^2 + c1 x + c0; None for "rationals"
     disc: int                   # discriminant used for d, f, normality
-    index_divisor_overrides: dict = dataclass_field(default_factory=dict)
+    index_divisor_overrides: dict = dataclass_field(default_factory=dict)  # {p: shape code}
 
     def __post_init__(self):
         ov = {}
-        for p, st in dict(self.index_divisor_overrides).items():
+        for p, code in dict(self.index_divisor_overrides).items():
             if not _is_prime(int(p)):
                 raise FieldConfigError(f"override at p={p}: {p} is not prime")
-            st = st if isinstance(st, SplittingType) else SplittingType(tuple(st))
-            if st.degree != 3:
-                raise FieldConfigError(f"override at p={p} has total degree {st.degree}, want 3")
-            ov[int(p)] = st
+            if code not in range(T_RATIONAL):
+                raise FieldConfigError(f"override at p={p}: {code!r} is no cubic shape code, want 0..{T_RATIONAL - 1}")
+            ov[int(p)] = int(code)
         object.__setattr__(self, "index_divisor_overrides", ov)
         if self.poly is None:
             if self.disc != 1 or ov:
@@ -524,6 +506,17 @@ def _check_cubic(c0, c1, c2, disc, ov):
                 f"disc {disc} makes {p} divide the index {index} of the generated order, but the order is {p}-maximal"
                 if maximal else f"override at p={p}: disc {disc} leaves {p} out of the index {index} of the generated "
                 f"order, which is not {p}-maximal; state the field's disc")
+    # an override must agree with disc: p ramifies iff p | disc (Dedekind), and
+    # an odd unramified p is P1 P2 iff (disc/p) = -1 (Stickelberger)
+    for p, code in sorted(ov.items()):
+        ramified = disc % p == 0
+        if ramified != (code in (T_RAM_112, T_RAM_13)):
+            raise FieldConfigError(f"override at p={p}: {p} {'divides' if ramified else 'does not divide'} disc "
+                                   f"{disc}, so {_shape_text(code)} cannot be its shape")
+        minus = pow(disc, p // 2, p) == p - 1  # (disc/p) = -1, by Euler's criterion at odd p
+        if p > 2 and not ramified and minus != (code == T_PARTIAL):
+            raise FieldConfigError(f"override at p={p}: ({disc}/{p}) = {-1 if minus else 1}, "
+                                   f"so {_shape_text(code)} cannot be its shape (Stickelberger)")
 
 
 # the preset fields by name, each given by its field document; the first is
@@ -562,8 +555,9 @@ def parse_field_spec(text: str) -> FieldSpec:
     Keys: name, poly (three ints c0,c1,c2), disc (the poly disc when left
     out, so a document with overrides, whose primes divide the index, must
     state it), optional override.P entries with components written 'f:e'
-    joined by '+' (e.g. ``override.2 = 1:1+1:1+1:1`` for a totally split prime).
-    A key stated twice, or two overrides of one prime, is refused.
+    joined by '+' in any order (e.g. ``override.2 = 1:1+1:1+1:1`` for a
+    totally split prime), each one of the five cubic shapes of SHAPES.  A key
+    stated twice, or two overrides of one prime, is refused.
     """
     kv = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -592,14 +586,17 @@ def parse_field_spec(text: str) -> FieldSpec:
         m = _OVERRIDE_RE.match(k)
         if not m:
             raise FieldConfigError(f"unknown key {k!r}")
-        p = int(m.group(1))
-        comps = []
-        for tok in kv.pop(k).split("+"):
+        p, value, comps = int(m.group(1)), kv.pop(k), []
+        for tok in value.split("+"):
             fe = tok.strip().split(":")
             if len(fe) != 2:
                 raise FieldConfigError(f"override component {tok!r} is not f:e")
             comps.append(tuple(_config_int(x, f"override.{p} component") for x in fe))
-        overrides[p] = SplittingType(tuple(comps))
+        shape = tuple(sorted(comps))
+        if shape not in SHAPES[:T_RATIONAL]:
+            raise FieldConfigError(f"override.{p} = {value} is no cubic splitting shape; "
+                                   f"want one of {', '.join(map(_shape_text, range(T_RATIONAL)))}")
+        overrides[p] = SHAPES.index(shape)
     return FieldSpec(name, tuple(coeffs), disc, overrides)
 
 
@@ -609,8 +606,8 @@ def format_field_spec(field: FieldSpec) -> str:
     if field.degree == 1:
         return "name = rationals\n"
     lines = [f"name = {field.name}", "poly = " + ", ".join(map(str, field.poly)), f"disc = {field.disc}"]
-    for p, st in sorted(field.index_divisor_overrides.items()):
-        lines.append(f"override.{p} = " + "+".join(f"{f}:{e}" for f, e in st.components))
+    for p, code in sorted(field.index_divisor_overrides.items()):
+        lines.append(f"override.{p} = {_shape_text(code)}")
     return "\n".join(lines) + "\n"
 
 
@@ -671,15 +668,16 @@ _CODE_BY_ROOTS = {(3, False): T_SPLIT, (1, False): T_PARTIAL, (0, False): T_INER
                   (2, True): T_RAM_112, (1, True): T_RAM_13}
 
 
-def splitting_type(field: FieldSpec, p: int) -> SplittingType:
-    """Decomposition shape of the prime p in the field (exact, single prime)."""
+def splitting_type(field: FieldSpec, p: int) -> int:
+    """The code of the decomposition shape of the prime p in the field (exact,
+    single prime); SHAPES[code] is the shape."""
     if not _is_prime(p):
         raise FieldConfigError(f"{p} is not prime")
     if field.degree == 1:
-        return SHAPES[T_RATIONAL]
+        return T_RATIONAL
     if p in field.index_divisor_overrides:
         return field.index_divisor_overrides[p]
-    return SHAPES[_CODE_BY_ROOTS[_count_roots_py(*field.poly, p), field.poly_disc % p == 0]]
+    return _CODE_BY_ROOTS[_count_roots_py(*field.poly, p), field.poly_disc % p == 0]
 
 
 def _per_class(values, ps: np.ndarray, m: int) -> np.ndarray:
@@ -739,7 +737,7 @@ def splitting_codes(field: FieldSpec, N: int):
         pp = blk[plus]
         out[plus] = np.where(cube_test(pp) if F is None else _per_class(cube_test, pp, F), T_SPLIT, T_INERT)
         for i in np.flatnonzero(scalar):
-            out[i] = SHAPES.index(splitting_type(field, int(blk[i])))
+            out[i] = splitting_type(field, int(blk[i]))
     return ps, codes
 
 

@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import A_at, ArithTables
-from .fieldspec import FieldSpec, primes_upto, splitting_type
+from .fieldspec import SHAPES, FieldSpec, primes_upto, splitting_type
 
 __all__ = [
     "PrimeIdealLabel",
@@ -77,7 +77,7 @@ class PrimeIdealLabel:
 @lru_cache(maxsize=None)
 def labels_above(field: FieldSpec, p: int) -> tuple:
     # components are sorted by (f, e), which fixes the index assignment
-    comps = splitting_type(field, p).components
+    comps = SHAPES[splitting_type(field, p)]
     return tuple(PrimeIdealLabel(p=p, index=i, f=f, e=e) for i, (f, e) in enumerate(comps))
 
 

@@ -170,7 +170,12 @@ def voronoi_P1_values(tables: ArithTables, ys: np.ndarray, y_trunc) -> np.ndarra
     the bare cos(6 pi (nY)^{1/3}) form) leaves a residual P2 that does not
     decay with the truncation length; the corrected kernel is validated
     against P_K by direct amplitude/phase correlation in the test suite.
+    The series is that of a cubic zeta_K, so a field of another degree is
+    refused.
     """
+    if tables.field.degree != 3:
+        raise SumsError(f"the Voronoi series P1 needs a cubic field; {tables.field.name} has degree "
+                        f"{tables.field.degree}")
     if y_trunc > tables.N:
         raise SumsError(f"truncation y={y_trunc} beyond table range {tables.N}")
     ys = np.asarray(ys, dtype=np.float64)
@@ -283,7 +288,7 @@ def _zeta(s: float) -> float:
 
 def _local_series(code: int, extra: int = 0) -> np.ndarray:
     """a_K(p^k), k < _KMAX + extra, for a prime of splitting code `code`."""
-    return np.array(local_ideal_counts(SHAPES[code].f_shape, _KMAX + extra - 1), dtype=np.float64)
+    return np.array(local_ideal_counts([f for f, _ in SHAPES[code]], _KMAX + extra - 1), dtype=np.float64)
 
 
 @lru_cache(maxsize=4)

@@ -97,7 +97,7 @@ def test_criterion_05_landau_exponent_stability(
         (field_c7, tables_c7_1m, rho_c7),
     ):
         x = np.arange(1, tables.N + 1, dtype=np.float64)
-        ratio = np.abs(tables.A_prefix[1:] - rho.value * x) / np.sqrt(x)
+        ratio = np.abs(np.cumsum(tables.aK, dtype=np.int64)[1:] - rho.value * x) / np.sqrt(x)
         r1 = float(ratio[10**5 - 1 : 5 * 10**5].max())
         r2 = float(ratio[5 * 10**5 - 1 :].max())
         rel = abs(r1 - r2) / max(r1, r2)

@@ -87,7 +87,7 @@ class TestBuildTables:
         for n in range(1, nmax + 1):
             a = mu = b = 1
             for p, e in fs.factorize(n).items():
-                shape = fs.splitting_type(field, p).f_shape
+                shape = [f for f, _ in fs.SHAPES[fs.splitting_type(field, p)]]
                 loc = fs.local_ideal_counts(shape, e)
                 a *= loc[e]
                 b *= loc[e] - loc[e - 1]
@@ -167,7 +167,7 @@ class TestBuildTables:
         # with no N-length float64 temporary
         for t in (tables_nn2_1m, tables_c7_1m):
             m = np.arange(1, t.N + 1, dtype=np.float64)
-            M = t.M_prefix
+            M = np.cumsum(t.muK, dtype=np.int64)
             assert ar.max_abs_ratio(M, 1) == float(np.max(np.abs(M[1:]) / m))
             assert ar.max_abs_ratio(t.b, 0.1) == float(np.max(np.abs(t.b[1:]) / m**0.1))
             # M_K summed block by block with a carry: the same quotients
@@ -185,13 +185,13 @@ class TestBuildTables:
     def test_trivial_M_bound(self, tables_nn2_1m, tables_c7_1m):
         for t in (tables_nn2_1m, tables_c7_1m):
             x = np.arange(1, t.N + 1, dtype=np.float64)
-            assert float(np.max(np.abs(t.M_prefix[1:]) / x)) <= 1.0
+            assert float(np.max(np.abs(np.cumsum(t.muK, dtype=np.int64)[1:]) / x)) <= 1.0
 
 
 class TestPartials:
     def test_zero(self, tables_nn2_small):
         assert ar.A_at(tables_nn2_small, 0) == 0
-        assert tables_nn2_small.M_prefix[0] == 0
+        assert np.cumsum(tables_nn2_small.muK, dtype=np.int64)[0] == 0
 
     def test_out_of_range(self, tables_nn2_small):
         t = tables_nn2_small
@@ -203,12 +203,12 @@ class TestPartials:
         # P_K(x) = A_K(x) - rho_K x, as checks.voronoi_split_failure takes it
         rho = ar.RhoEstimate(value=0.8, stderr=0.0, method="series_b_over_m", B=1000)
         P = ar.A_at(tables_nn2_small, 100) - rho.value * 100
-        assert P == tables_nn2_small.A_prefix[100] - 80.0
+        assert P == np.cumsum(tables_nn2_small.aK, dtype=np.int64)[100] - 80.0
 
     def test_A_at_matches_prefix(self, tables_nn2_small, tables_c7_small):
         rng = np.random.default_rng(5)
         for t in (tables_nn2_small, tables_c7_small):
-            A = t.A_prefix
+            A = np.cumsum(t.aK, dtype=np.int64)
             xs = np.concatenate(([t.N, 0, 7, 7, t.N], rng.integers(0, t.N + 1, 200)))  # unsorted, repeats
             got = ar.A_at(t, xs)
             assert got.dtype == np.int64 and np.array_equal(got, A[xs])
@@ -857,4 +857,5 @@ class TestTableIO:
         assert lines[0] == "n,aK,muK,b,A,M"
         assert len(lines) == 51
         assert lines[1] == "1,1,1,1,1,1"
-        assert lines[50].split(",")[4:] == [str(t.A_prefix[50]), str(t.M_prefix[50])]
+        assert lines[50].split(",")[4:] == [str(np.cumsum(t.aK[:51], dtype=np.int64)[50]),
+                                            str(np.cumsum(t.muK[:51], dtype=np.int64)[50])]

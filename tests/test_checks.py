@@ -46,7 +46,7 @@ def test_histogram_compares_scalar_and_bulk_splitting(field_nn2, monkeypatch):
     for mod in (fieldspec, arith, ideals, sums):
         if hasattr(mod, "splitting_codes"):
             monkeypatch.setattr(mod, "splitting_codes", flipped)
-    assert fieldspec.splitting_type(field_nn2, 31) == fieldspec.SHAPES[fieldspec.T_SPLIT]
+    assert fieldspec.splitting_type(field_nn2, 31) == fieldspec.T_SPLIT
     tables = arith.build_tables(field_nn2, 10**4)
     assert checks.histogram_failure(tables, 10**4) == 31
 

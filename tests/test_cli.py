@@ -419,6 +419,14 @@ class TestExperiments:
             assert rc == 2 and stdout == "", argv
             assert message in err, argv
 
+    def test_p2_experiments_refuse_the_degree_one_hook(self, capsys):
+        # P1 is the Voronoi series of a cubic zeta_K: on the rationals hook its
+        # decay exponent and mean square measure nothing
+        for argv in (["voronoi", "--T", "1000"], ["meansquare-p2", "--T", "1000", "--y", "4,8"]):
+            rc, stdout, err = run(["experiment", *argv, "--field", "rationals", "--N", "4000"], capsys)
+            assert (rc, stdout) == (2, ""), argv
+            assert err == "error: the Voronoi series P1 needs a cubic field; rationals has degree 1\n", argv
+
     def test_more_than_one_value_rejected_before_sieving(self, capsys, monkeypatch):
         def no_sieve(*args):
             raise AssertionError("sieved before checking the option")
@@ -464,6 +472,20 @@ class TestExperiments:
         assert err.startswith("error: override at p=3: disc -2700 leaves 3 out of the index")
         rc, stdout, _ = run([*argv, doc.format("disc = -300\n")], capsys)
         assert rc == 0 and "disc=-300 (d=-3, f=10, normal=False)" in stdout
+
+    def test_override_contradicting_disc_rejected(self, tmp_path, capsys):
+        # 3 | disc -300, so 3 ramifies: an unramified shape at 3 gave a_K(3) = 0 or 3
+        argv = ["sieve", "--N", "2000", "--output", str(tmp_path / "t.bin"), "--field"]
+        for shape in ("3:1", "1:1+1:1+1:1"):
+            rc, stdout, err = run([*argv, f"poly = -10, 0, 0\ndisc = -300\noverride.3 = {shape}"], capsys)
+            assert (rc, stdout) == (2, "") and "Traceback" not in err, shape
+            assert err == f"error: override at p=3: 3 divides disc -300, so {shape} cannot be its shape\n"
+
+    def test_malformed_override_rejected(self, tmp_path, capsys):
+        argv = ["sieve", "--N", "2000", "--output", str(tmp_path / "t.bin"), "--field"]
+        for shape in ("", "1:1", "1:1+1:1", "0:1+1:1", "1:1+1:1+1:1+1:1", "2:1+1:1+1:1", "x:1", "1:1:1"):
+            rc, stdout, err = run([*argv, f"poly = 8, -2, 1\ndisc = -503\noverride.2 = {shape}"], capsys)
+            assert (rc, stdout) == (2, "") and err.startswith("error: override") and "Traceback" not in err, shape
 
     def test_repeated_key_rejected(self, tmp_path, capsys):
         # with the last value winning, each document gave a wrong field

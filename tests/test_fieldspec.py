@@ -37,6 +37,16 @@ def _top_ladder_primes(count):
 TOP_LADDER_PRIMES, FIRST_PRIME_ABOVE_LADDER = _top_ladder_primes(200)
 
 
+def _f_shape(code):
+    """The residue degrees of a code's shape."""
+    return [f for f, _ in fs.SHAPES[code]]
+
+
+def _degree(code):
+    """sum e f over a code's shape: the field's degree."""
+    return sum(f * e for f, e in fs.SHAPES[code])
+
+
 def _random_field(coeffs):
     try:
         return fs.parse_field_spec("poly = {}, {}, {}".format(*coeffs))
@@ -104,6 +114,16 @@ FIELD_DOCS = (
     "name = pure-500015\npoly = -500015, 0, 0\n",
 )
 
+# one document per cubic shape code, each override at a prime where it is the
+# true shape: Dedekind's field at 2, then 5, 7, 3 and 5 in pure cubic fields
+SHAPE_DOCS = {
+    fs.T_SPLIT: "name = dedekind\npoly = 8, -2, 1\ndisc = -503\noverride.2 = 1:1+1:1+1:1\n",
+    fs.T_PARTIAL: "name = pure-250\npoly = -250, 0, 0\ndisc = -108\noverride.5 = 1:1+2:1\n",
+    fs.T_INERT: "name = pure-686\npoly = -686, 0, 0\ndisc = -108\noverride.7 = 3:1\n",
+    fs.T_RAM_112: "name = pure-10\npoly = -10, 0, 0\ndisc = -300\noverride.3 = 1:1+1:2\n",
+    fs.T_RAM_13: "name = pure-50\npoly = -50, 0, 0\ndisc = -2700\noverride.5 = 1:3\n",
+}
+
 
 class TestParsing:
     def test_reducible_rejected(self):
@@ -147,9 +167,9 @@ class TestParsing:
     def test_override_accepted_and_used(self):
         # Dedekind's field: poly disc -2012 = 2^2 * -503
         f = fs.parse_field_spec("poly = 8, -2, 1\ndisc = -503\noverride.2 = 1:1+1:1+1:1")
-        st = fs.splitting_type(f, 2)
-        assert st.components == ((1, 1), (1, 1), (1, 1))
-        assert fs.local_ideal_counts(st.f_shape, 2) == [1, 3, 6]
+        code = fs.splitting_type(f, 2)
+        assert fs.SHAPES[code] == ((1, 1), (1, 1), (1, 1))
+        assert fs.local_ideal_counts(_f_shape(code), 2) == [1, 3, 6]
 
     def test_override_needs_its_disc(self):
         # an override prime divides the index, so the poly disc, the default
@@ -223,13 +243,14 @@ class TestParsing:
 
 class TestSelfValidation:
     def test_constructor_refuses_bad_fields(self):
-        split = fs.SHAPES[fs.T_SPLIT]
+        split = fs.T_SPLIT
         bad = (
             (("y", (0, 0, 0), 5), "reducible"),  # x^3, zero discriminant
             (("x", (-2, 0, 0), 7), "does not divide"),
             (("x", (-2, 0, 0), -54), "not a square"),
             (("x", (-2, 0, 0), -108, {4: split}), "4 is not prime"),
-            (("x", (-2, 0, 0), -108, {2: ((1, 1), (1, 1))}), "total degree 2"),
+            (("x", (-2, 0, 0), -108, {2: fs.T_RATIONAL}), "5 is no cubic shape code"),
+            (("x", (-2, 0, 0), -108, {2: ((1, 1), (1, 1))}), r"\(\(1, 1\), \(1, 1\)\) is no cubic shape code"),
             (("x", (8, -2, 1), fs.discriminant_monic_cubic(8, -2, 1)), "override for p=2"),
             (("r", None, 5), "rationals hook"),
             (("r", None, 1, {2: split}), "rationals hook"),
@@ -239,11 +260,37 @@ class TestSelfValidation:
                 fs.FieldSpec(*args)
         assert fs.FieldSpec("rationals", None, 1) == fs.get_preset("rationals")
 
-    def test_splitting_type_refusals(self):
-        for comps, match in (((), "1..3 components"), (((1, 1),) * 4, "1..3 components"),
-                             (((0, 1), (1, 1)), ">= 1")):
-            with pytest.raises(fs.FieldConfigError, match=match):
-                fs.SplittingType(comps)
+    def test_malformed_override_refusals(self):
+        # no components is no f:e; four, a residue degree 0 and total degree 2
+        # are each refused by name, with the five shapes an override may be
+        shapes = "want one of 1:1+1:1+1:1, 1:1+2:1, 3:1, 1:1+1:2, 1:3"
+        for value, want in (("", "override component '' is not f:e"),
+                            *((v, f"override.2 = {v} is no cubic splitting shape; {shapes}")
+                              for v in ("1:1+1:1+1:1+1:1", "0:1+1:1", "1:1+1:1"))):
+            with pytest.raises(fs.FieldConfigError) as err:
+                fs.parse_field_spec(f"poly = -2, 0, 0\noverride.2 = {value}")
+            assert str(err.value) == want, value
+
+    def test_override_must_agree_with_disc(self):
+        # 3 | -300, so 3 ramifies in Q(10^(1/3)) (Dedekind): of the five shapes
+        # at 3 only the two ramified ones are accepted
+        shapes = ("1:1+1:1+1:1", "1:1+2:1", "3:1", "1:1+1:2", "1:3")
+        accepted = []
+        for shape in shapes:
+            try:
+                fs.parse_field_spec(f"poly = -10, 0, 0\ndisc = -300\noverride.3 = {shape}")
+                accepted.append(shape)
+            except fs.FieldConfigError as err:
+                assert str(err) == f"override at p=3: 3 divides disc -300, so {shape} cannot be its shape"
+        assert accepted == ["1:1+1:2", "1:3"]
+        # 5 does not divide -108 and (-108/5) = -1, so 5 = P1 P2 in Q(250^(1/3)) (Stickelberger)
+        for shape in shapes[:1] + shapes[2:]:
+            with pytest.raises(fs.FieldConfigError, match="override at p=5: "):
+                fs.parse_field_spec(f"poly = -250, 0, 0\ndisc = -108\noverride.5 = {shape}")
+        with pytest.raises(fs.FieldConfigError, match=r"\(-108/5\) = -1, so 3:1 cannot be its shape"):
+            fs.parse_field_spec("poly = -250, 0, 0\ndisc = -108\noverride.5 = 3:1")
+        with pytest.raises(fs.FieldConfigError, match=r"\(-108/7\) = 1, so 1:1\+2:1 cannot be its shape"):
+            fs.parse_field_spec("poly = -686, 0, 0\ndisc = -108\noverride.7 = 1:1+2:1")
 
     def test_disc_with_a_maximal_index_prime_refused(self):
         # Z[2^(1/3)] is 2- and 3-maximal, so x^3 - 2 defines a field of disc -108 only
@@ -274,6 +321,14 @@ class TestFormat:
         for f in fields:
             back = fs.parse_field_spec(fs.format_field_spec(f))
             assert back == f and back.name == f.name
+
+    def test_round_trip_every_override_shape(self):
+        # each document's text is its format, byte for byte, and parses back to its code
+        for code, doc in SHAPE_DOCS.items():
+            f = fs.parse_field_spec(doc)
+            assert list(f.index_divisor_overrides.values()) == [code]
+            assert fs.format_field_spec(f) == doc
+            assert fs.parse_field_spec(fs.format_field_spec(f)) == f
 
     @settings(max_examples=60, deadline=None)
     @given(coeffs=st.tuples(*[st.integers(-20, 20)] * 3))
@@ -372,7 +427,7 @@ class TestDedekind:
         with pytest.raises(fs.FieldConfigError, match="override for p=100003"):
             fs.parse_field_spec("poly = -20001200018, 0, 0")
         f = fs.parse_field_spec(f"poly = -20001200018, 0, 0\ndisc = {-108 * 100003**2}\noverride.100003 = 1:3")
-        assert fs.splitting_type(f, 100003) == fs.SHAPES[fs.T_RAM_13]
+        assert fs.splitting_type(f, 100003) == fs.T_RAM_13
 
     def test_large_coefficients_finish(self):
         # c0 = 10000000019 is a prime = 2 mod 9, so x^3 - c0 is a valid pure cubic;
@@ -464,14 +519,15 @@ class TestIsPrime:
 
 class TestSplitting:
     def test_nn2_examples(self, field_nn2):
-        assert fs.splitting_type(field_nn2, 2) == fs.SHAPES[fs.T_RAM_13]
-        assert fs.splitting_type(field_nn2, 5) == fs.SHAPES[fs.T_PARTIAL]
-        assert fs.splitting_type(field_nn2, 7) == fs.SHAPES[fs.T_INERT]
+        assert fs.splitting_type(field_nn2, 2) == fs.T_RAM_13
+        assert fs.splitting_type(field_nn2, 5) == fs.T_PARTIAL
+        assert fs.splitting_type(field_nn2, 7) == fs.T_INERT
+        assert type(fs.splitting_type(field_nn2, 7)) is int  # a shape is its code
 
     def test_c7_split_at_13(self, field_c7):
-        st = fs.splitting_type(field_c7, 13)
-        assert st == fs.SHAPES[fs.T_SPLIT]
-        assert st.degree == 3
+        code = fs.splitting_type(field_c7, 13)
+        assert code == fs.T_SPLIT
+        assert _degree(code) == 3
 
     def test_not_prime_rejected(self, field_nn2):
         with pytest.raises(fs.FieldConfigError, match="not prime"):
@@ -480,8 +536,8 @@ class TestSplitting:
     def test_components_sum_to_degree(self, field_nn2, field_c7, field_hook):
         for f in (field_nn2, field_c7):
             for p in (2, 3, 5, 7, 11, 13, 101):
-                assert fs.splitting_type(f, p).degree == 3
-        assert fs.splitting_type(field_hook, 11).degree == 1
+                assert _degree(fs.splitting_type(f, p)) == 3
+        assert _degree(fs.splitting_type(field_hook, 11)) == 1
 
     def test_degree_one_components_match_roots(self, field_nn2, field_c7):
         # exhaustive check p <= 1e4, p not dividing the discriminant
@@ -490,8 +546,8 @@ class TestSplitting:
             for p in fs.primes_upto(10**4).tolist():
                 if f.poly_disc % p == 0:
                     continue
-                st = fs.splitting_type(f, p)
-                assert st.f_shape.count(1) == len(fs.roots_mod_p(c0, c1, c2, p)), (f.name, p)
+                code = fs.splitting_type(f, p)
+                assert _f_shape(code).count(1) == len(fs.roots_mod_p(c0, c1, c2, p)), (f.name, p)
 
     def test_bulk_matches_scalar(self, field_nn2, field_c7, field_hook):
         # the bulk path settles unramified p > 3 by Stickelberger's sign and
@@ -505,16 +561,15 @@ class TestSplitting:
                   for name, poly in (("neg-disc", "2, 2, 0"), ("square-disc", "1, -3, 0"),
                                      ("disc-473", "1, -5, 0"), ("disc-83", "2, 1, 1"))]
         assert [f.poly_disc for f in cubics] == [-140, 81, 473, -83]
-        assert fs.splitting_type(cubics[-1], 2) == fs.SHAPES[fs.T_PARTIAL]
+        assert fs.splitting_type(cubics[-1], 2) == fs.T_PARTIAL
         for f in (field_nn2, field_c7, field_hook, *cubics):
             ps, codes = fs.splitting_codes(f, 2 * 10**4)
             for p, c in zip(ps.tolist(), codes.tolist()):
-                st = fs.splitting_type(f, int(p))
-                assert st.components == fs.SHAPES[c].components, (f.name, p)
+                assert fs.splitting_type(f, int(p)) == c, (f.name, p)
                 if f.poly is not None and p < 2000:
                     assert not f.index_divisor_overrides
                     roots = fs.roots_mod_p(*f.poly, p)
-                    assert fs.SHAPES[c].f_shape.count(1) == len(roots), (f.name, p)
+                    assert _f_shape(c).count(1) == len(roots), (f.name, p)
 
     def test_bulk_matches_scalar_across_ladder_blocks(self, field_nn2, field_c7, monkeypatch):
         # blocks of 5 primes put block boundaries all through the Euler and
@@ -528,7 +583,7 @@ class TestSplitting:
         assert (big.poly_disc, mixed.poly_disc) == (-500027, 89049)
         for f in (field_nn2, field_c7, big, mixed):
             ps, codes = fs.splitting_codes(f, 2 * 10**4)
-            assert [fs.SHAPES[c] for c in codes.tolist()] == [fs.splitting_type(f, p) for p in ps.tolist()], f.name
+            assert codes.tolist() == [fs.splitting_type(f, p) for p in ps.tolist()], f.name
 
     @settings(max_examples=60, deadline=None)
     @given(coeffs=RANDOM_COEFFS)
@@ -537,9 +592,9 @@ class TestSplitting:
         f = _random_field(coeffs)
         ps, codes = fs.splitting_codes(f, 3000)
         for p, c in zip(ps.tolist(), codes.tolist()):
-            shape = fs.splitting_type(f, p)
-            assert shape.components == fs.SHAPES[c].components, (coeffs, p)
-            assert shape.f_shape.count(1) == len(fs.roots_mod_p(c0, c1, c2, p)), (coeffs, p)
+            code = fs.splitting_type(f, p)
+            assert code == c, (coeffs, p)
+            assert _f_shape(code).count(1) == len(fs.roots_mod_p(c0, c1, c2, p)), (coeffs, p)
 
     @settings(max_examples=40, deadline=None)
     @given(coeffs=RANDOM_COEFFS)
@@ -737,7 +792,7 @@ class TestSplitting:
         f = fs.parse_field_spec(f"poly = -20001200018, 0, 0\ndisc = {-108 * 100003**2}\noverride.100003 = 1:3")
         assert abs(f.poly_disc) >= 2**63
         ps, codes = fs.splitting_codes(f, 10**4)
-        assert codes.tolist() == [fs.SHAPES.index(fs.splitting_type(f, p)) for p in ps.tolist()]
+        assert codes.tolist() == [fs.splitting_type(f, p) for p in ps.tolist()]
 
     def test_residues_exact_for_any_int(self):
         ps = fs.primes_upto(10**4)
@@ -759,7 +814,7 @@ class TestSplitting:
             assert f.poly_disc == m * m
             ps, codes = fs.splitting_codes(f, 3000)
             for p, c in zip(ps.tolist(), codes.tolist()):
-                assert fs.splitting_type(f, p).components == fs.SHAPES[c].components, (a, p)
+                assert fs.splitting_type(f, p) == c, (a, p)
             code_of_class = {}
             ps, codes = fs.splitting_codes(f, 10**5)
             for p, c in zip(ps.tolist(), codes.tolist()):
@@ -768,8 +823,8 @@ class TestSplitting:
         assert refused == [3, 5, 12, 21, 30, 39]
 
     def test_large_prime_smoke(self, field_nn2):
-        st = fs.splitting_type(field_nn2, 2**31 + 11)  # prime above the vector range
-        assert st.degree == 3
+        code = fs.splitting_type(field_nn2, 2**31 + 11)  # prime above the vector range
+        assert _degree(code) == 3
 
     def test_normal_preset_prime_counts(self, field_c7, tables_c7_small):
         # in a normal cubic field an unramified prime is split or inert,
@@ -779,7 +834,7 @@ class TestSplitting:
             if field_c7.poly_disc % p == 0:
                 continue
             nroots = len(fs.roots_mod_p(c0, c1, c2, p))
-            aKp = fs.local_ideal_counts(fs.splitting_type(field_c7, p).f_shape, 1)[1]
+            aKp = fs.local_ideal_counts(_f_shape(fs.splitting_type(field_c7, p)), 1)[1]
             assert aKp in (0, 3)
             assert (aKp == 3) == (nroots == 3)
 

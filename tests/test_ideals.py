@@ -31,7 +31,7 @@ class TestFieldIdentity:
         b = fs.parse_field_spec("poly = -10, 0, 0\ndisc = -300\noverride.3 = 1:3")
         assert a != b and hash(a) != hash(b)
         assert len(idl.labels_above(a, 3)) == 2
-        assert len(idl.labels_above(b, 3)) == len(fs.splitting_type(b, 3).components) == 1
+        assert len(idl.labels_above(b, 3)) == len(fs.SHAPES[fs.splitting_type(b, 3)]) == 1
         # the name labels a field; it is not part of its identity
         assert fs.parse_field_spec("name = other\npoly = -2, 0, 0") == fs.get_preset("cubic-nonnormal-2")
 

@@ -58,7 +58,7 @@ class TestCrossPath:
     def test_Y1_is_M(self, t1000_nn2):
         grid = sm.S_K_direct_grid(t1000_nn2, 50, (1,))
         for X in (1, 20, 50):
-            assert grid[X - 1] == [t1000_nn2.M_prefix[X]]
+            assert grid[X - 1] == [np.cumsum(t1000_nn2.muK, dtype=np.int64)[X]]
 
     def test_X2_hand_expansion(self, t1000_nn2):
         # (m,l) in {(1,1),(1,2),(2,1)}: A(Y) - A(Y) + 2 A(Y/2)
@@ -183,7 +183,7 @@ class TestVoronoi:
         ):
             D = abs(field.disc)
             ys = np.arange(2 * 10**5, 9 * 10**5).astype(np.float64) + 0.5
-            pk = tables.A_prefix[np.floor(ys).astype(np.int64)] - rho.value * ys
+            pk = ar.A_at(tables, np.floor(ys).astype(np.int64)) - rho.value * ys
             w = pk / np.cbrt(ys)
             want_phase = -0.5 * math.pi * field.complex_places
             for n in (1, 13):
@@ -287,7 +287,7 @@ def test_no_sampled_reader_builds_the_whole_mertens_table(field_nn2, rho_nn2):
 def _pair_loop_cX(tables, X, inner):
     """c(X) by the explicit loop over m and coprime (m1, m2), with
     inner(m1, m2) standing for sum_n a_K(n m1) a_K(n m2) n^{-4/3}."""
-    total = 0.0
+    total, M = 0.0, np.cumsum(tables.muK, dtype=np.int64)
     for m in range(1, X + 1):
         for m1 in range(1, X // m + 1):
             for m2 in range(1, X // m + 1):
@@ -295,7 +295,7 @@ def _pair_loop_cX(tables, X, inner):
                     total += (
                         m ** (4 / 3)
                         * float(tables.aK[m * m1] * tables.aK[m * m2])
-                        * float(tables.M_prefix[X // (m * m1)] * tables.M_prefix[X // (m * m2)])
+                        * float(M[X // (m * m1)] * M[X // (m * m2)])
                         * inner(m1, m2)
                     )
     return total / (6 * math.pi**2)
@@ -328,7 +328,7 @@ class TestComputeCX:
         # a_K = 1 and M_K is the classical Mertens function
         t = ar.build_tables(field_hook, 1000)
         assert np.all(t.aK[1:] == 1)
-        assert np.array_equal(t.M_prefix, np.cumsum(ar.mobius_sieve(1000)))
+        assert np.array_equal(np.cumsum(t.muK, dtype=np.int64), np.cumsum(ar.mobius_sieve(1000)))
         want = _pair_loop_cX(t, 200, lambda m1, m2: 3.600937750458863)
         assert sm.compute_cX(t, 200).value == pytest.approx(want, rel=1e-12)
 
