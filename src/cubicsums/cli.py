@@ -24,9 +24,19 @@ import sys
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 
-import numpy as np
+# numpy's bundled OpenBLAS starts one worker thread per core when numpy is
+# first imported, and they burn CPU at start-up for nothing: the program runs
+# on one thread, and its few BLAS calls are small.  So cap OpenBLAS at one
+# thread, unless numpy is already loaded or the caller chose a thread count.
+_THREAD_COUNTS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in sys.modules and not any(name in os.environ for name in _THREAD_COUNTS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from . import arith, checks, exponents, fieldspec, ideals, sums
+import numpy as np  # noqa: E402
+
+# Every command needs these two; each imports the other modules it runs
+# (checks, ideals, sums, exponents) where it runs them.
+from . import arith, fieldspec  # noqa: E402
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -175,6 +185,7 @@ def cmd_sieve(cfg: RunConfig) -> int:
 # ----------------------------------------------------------------------------
 
 def cmd_verify(cfg: RunConfig) -> int:
+    from . import checks
     X = (cfg.X or (50,))[0]
     Ys = cfg.Y or (10, 100, 1000)
     for option, value in (("--X", X), ("--Y", min(Ys))):
@@ -235,10 +246,12 @@ def cmd_experiment(cfg: RunConfig) -> int:
 
 # A runner returns (columns, rows, report meta), or None once it has printed
 # its result.  Those that take --tables get (cfg, tables, rho, estimates), the
-# others cfg alone.  Each calls the library through its modules, where the
+# others cfg alone.  Each imports the modules it runs, so a process loads only
+# those of its command, and calls the library through them, where the
 # benchmark's tracer wraps it.
 
 def _meansquare(cfg, tables, rho, estimates):
+    from . import sums
     X = (cfg.X or (1,))[0]
     reports, _, trend = sums.meansquare_trend(tables, rho, X, cfg.T or (1000,), samples=cfg.samples)
     rows = [(X, r.T, r.integral_R2, r.main_term, r.ratio, r.quadrature_error_est) for r in reports]
@@ -247,12 +260,14 @@ def _meansquare(cfg, tables, rho, estimates):
 
 
 def _meansquare_p2(cfg, tables, rho, estimates):
+    from . import sums
     Ts = cfg.T or (10**5, 2 * 10**5, 4 * 10**5)
     rows, t_exp, y_exp = sums.p2_meansquare_grid(tables, rho, Ts, cfg.y or (4, 32), samples=cfg.samples)
     return ("T", "y", "integral_P2sq"), rows, {"fitted_T_exponent": t_exp, "fitted_y_exponent": y_exp}
 
 
 def _voronoi(cfg, tables, rho, estimates):
+    from . import sums
     lo, ys = (cfg.T or (10**5,))[0], cfg.y or (8, 64, 512)
     medians, exponent = sums.p2_truncation_scan(tables, rho, lo, 2 * lo, 100, ys)
     meta = {"fitted_decay_exponent": exponent, "predicted_exponent": -1 / 3}
@@ -260,6 +275,7 @@ def _voronoi(cfg, tables, rho, estimates):
 
 
 def _envelope(cfg, tables, rho, estimates):
+    from . import sums
     rows, fitted = sums.remainder_envelope_scan(tables, rho, cfg.X or (5, 8, 10))
     return ("X", "Y", "R", "envelope", "ratio"), rows, {"fitted_constant": fitted}
 
@@ -269,12 +285,14 @@ def _rho(cfg, tables, rho, estimates):
 
 
 def _cx(cfg, tables, rho, estimates):
+    from . import sums
     results = [(X, sums.compute_cX(tables, X=X)) for X in cfg.X or (10, 100, 1000)]
     rows = [(X, r.value, r.tail_bound, abs(r.value) / X ** (7 / 3)) for X, r in results]
     return ("X", "cX", "tail_bound", "abs_cX_over_X73"), rows, {}
 
 
 def _tau_growth(cfg):
+    from . import sums
     l, q, xs = cfg.l, cfg.q, cfg.X or (10**4, 10**5, 10**6)
     for option, value, least in (("--l", l, 2), ("--q", q, 1), ("--X", min(xs), 2)):
         if value < least:
@@ -295,6 +313,7 @@ def _tau_growth(cfg):
 
 
 def _pair_sum(cfg):
+    from . import sums
     Ts = cfg.T or (10**3, 10**4, 10**5)
     values = [arith.tau4_cuberoot_pair_sum(T) for T in Ts]
     slope = sums.fit_loglog_slope(np.array(Ts, dtype=float), np.array(values))
@@ -302,11 +321,13 @@ def _pair_sum(cfg):
 
 
 def _s1(cfg):
+    from . import sums
     return ("regime", "X", "Y", "S1", "reference", "relative_gap"), sums.s1_regime_rows(), {}
 
 
 def _scenario(cfg):
     """Print the result, then the report only with --output or JSON: on stdout the result stands for a CSV."""
+    from . import exponents
     rep = exponents.SCENARIOS[cfg.experiment.removeprefix("exponents-")]()
     print(rep.format_result())
     if cfg.output or cfg.fmt == "json":
@@ -318,6 +339,7 @@ def _scenario(cfg):
 
 
 def _balance(cfg):
+    from . import exponents
     if not (cfg.expr and cfg.balance_var and cfg.cone):
         raise ConfigError("exponents-balance needs --expr, --var and --cone")
     L, cone = exponents.parse_bound_expr(cfg.expr), exponents.ConstraintCone.from_text(cfg.cone)
@@ -413,6 +435,16 @@ def _add_parsers(subparsers, table):
             p.add_argument(option, **_OPTIONS[option])
 
 
+def _typed_errors():
+    """The errors main reports as exit 2: its own, OSError, and each library
+    module's typed error.  A module that is not loaded has raised none."""
+    errors = [ConfigError, OSError, fieldspec.FieldConfigError, arith.ArithError]
+    for module, name in (("ideals", "IdealError"), ("sums", "SumsError"), ("exponents", "ExponentError")):
+        if (mod := sys.modules.get(f"{__package__}.{module}")) is not None:
+            errors.append(getattr(mod, name))
+    return tuple(errors)
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     try:
@@ -433,8 +465,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # end as SIGPIPE would, stdout on devnull for the last flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (ConfigError, fieldspec.FieldConfigError, arith.ArithError, sums.SumsError,
-            ideals.IdealError, exponents.ExponentError, OSError) as exc:
+    except _typed_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 

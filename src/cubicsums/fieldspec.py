@@ -517,6 +517,12 @@ def _check_cubic(c0, c1, c2, disc, ov):
         if p > 2 and not ramified and minus != (code == T_PARTIAL):
             raise FieldConfigError(f"override at p={p}: ({disc}/{p}) = {-1 if minus else 1}, "
                                    f"so {_shape_text(code)} cannot be its shape (Stickelberger)")
+        # an odd ramified p is P1^2 P2 iff p divides disc once: tame e = 2 puts
+        # p^1 in disc, and P1^3 puts p^2 (p > 3, tame) or p^3 to p^5 (p = 3)
+        once = disc // p % p != 0
+        if p > 2 and ramified and once != (code == T_RAM_112):
+            raise FieldConfigError(f"override at p={p}: {p} divides disc {disc} {'once' if once else 'more than once'}"
+                                   f", so {_shape_text(code)} cannot be its shape")
 
 
 # the preset fields by name, each given by its field document; the first is

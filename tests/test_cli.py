@@ -190,23 +190,77 @@ class TestMemory:
         assert growth < 16 * N, f"{growth / N:.2f} bytes per n"
 
 
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _fresh(code, **env):
+    """The stdout of code run in a fresh interpreter whose environment sets
+    none of the thread-count variables except those given."""
+    base = {k: v for k, v in _child_env().items() if k not in _THREAD_VARS}
+    return subprocess.run([sys.executable, "-c", code], env={**base, **env}, capture_output=True, text=True,
+                          check=True, timeout=300).stdout
+
+
+def _cli_steps(steps):
+    """Code that runs each command line through cli.main, its stdout
+    discarded, and fails unless every one exits 0."""
+    return ("import contextlib, io, sys\nfrom cubicsums import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert max(cli.main(argv) for argv in {steps!r}) == 0\n")
+
+
+def _loaded(code, names):
+    """Those of the module names that are loaded once code has run."""
+    return _fresh(code + f"\nimport sys\nprint(*[m for m in {list(names)!r} if m in sys.modules])").split()
+
+
 class TestStartUp:
+    def test_cli_caps_openblas_at_one_thread(self):
+        # OpenBLAS starts a worker thread per core when numpy loads, and this
+        # program uses none: importing the CLI first leaves the process one thread
+        out = _fresh("import os, cubicsums.cli, numpy\n"
+                     "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+                     "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else '-')")
+        value, threads = out.split()
+        assert value == "1"
+        if threads != "-":  # the thread count is read where /proc shows it
+            assert threads == "1"
+
+    def test_thread_count_defaults_only_where_unset(self):
+        # a caller's own count stays as set; numpy loaded first has started its
+        # threads already; and the library modules leave the environment alone
+        show = f"\nimport os\nprint(*[os.environ.get(v) for v in {_THREAD_VARS!r}])"
+        library = "import " + ", ".join(f"cubicsums.{m}" for m in ("arith", "checks", "exponents", "fieldspec",
+                                                                    "ideals", "sums"))
+        cases = [("import cubicsums.cli", {}, "1 None None"),
+                 ("import cubicsums.cli", {"OPENBLAS_NUM_THREADS": "2"}, "2 None None"),
+                 ("import cubicsums.cli", {"GOTO_NUM_THREADS": "2"}, "None 2 None"),
+                 ("import cubicsums.cli", {"OMP_NUM_THREADS": "2"}, "None None 2"),
+                 ("import numpy, cubicsums.cli", {}, "None None None"),
+                 (library, {}, "None None None")]
+        assert [_fresh(code + show, **env).strip() for code, env, _ in cases] == [want for *_, want in cases]
+
+    def test_sieve_and_rho_load_only_what_they_run(self, tmp_path):
+        # sieve and rho run arith and fieldspec; the other modules, and the
+        # fractions and decimal that exponents imports, cost start-up time
+        path = str(tmp_path / "t.bin")
+        steps = [["sieve", "--N", "2000", "--output", path], ["experiment", "rho", "--tables", path]]
+        unused = ("cubicsums.checks", "cubicsums.ideals", "cubicsums.sums", "cubicsums.exponents", "fractions",
+                  "decimal")
+        assert _loaded(_cli_steps(steps), unused) == []
+
+    def test_verify_never_loads_exponents(self):
+        steps = [["verify", "--field", "cubic-nonnormal-2", "--N", "1e4"]]
+        assert _loaded(_cli_steps(steps), ("cubicsums.checks", "cubicsums.exponents")) == ["cubicsums.checks"]
+
     def test_sieve_and_rho_never_import_numpy_ma(self, tmp_path):
         # a plain np.unique(x) calls np.ma.is_masked in numpy 2.4, and the first
         # call imports numpy.ma for about 10 ms; sieve and rho need none of it
-        def loads_ma(code):
-            out = subprocess.run([sys.executable, "-c", code + "\nprint('numpy.ma' in sys.modules)"],
-                                 env=_child_env(), capture_output=True, text=True, check=True, timeout=300)
-            return out.stdout.split()[-1] == "True"
-
-        if loads_ma("import sys, numpy"):
+        if _loaded("import numpy", ("numpy.ma",)):
             pytest.skip("import numpy alone loads numpy.ma")
         path = str(tmp_path / "t.bin")
         steps = [["sieve", "--N", "2000", "--output", path], ["experiment", "rho", "--tables", path]]
-        code = ("import contextlib, io, sys\nfrom cubicsums import cli\n"
-                "with contextlib.redirect_stdout(io.StringIO()):\n"
-                f"    assert max(cli.main(argv) for argv in {steps!r}) == 0\n")
-        assert not loads_ma(code)
+        assert _loaded(_cli_steps(steps), ("numpy.ma",)) == []
 
 
 class TestVerify:
@@ -452,16 +506,16 @@ class TestExperiments:
         assert ",1500\n" in stdout
 
     def test_table_file_for_another_field_rejected(self, tmp_path, capsys):
-        # same name and polynomial, another splitting of the index divisor 3
-        doc = "name = w\npoly = -10, 0, 0\ndisc = -300\noverride.3 = {}\n"
+        # the same name on another field: the file's field is compared, not its name
         table_path = tmp_path / "t.bin"
-        rc, _, _ = run(["sieve", "--field", doc.format("1:1+1:2"), "--N", "2000", "--output", str(table_path)],
-                       capsys)
+        sieved = "name = w\npoly = -10, 0, 0\ndisc = -300\noverride.3 = 1:1+1:2\n"
+        other = "name = w\npoly = -50, 0, 0\ndisc = -2700\noverride.5 = 1:3\n"
+        rc, _, _ = run(["sieve", "--field", sieved, "--N", "2000", "--output", str(table_path)], capsys)
         assert rc == 0
-        rc, stdout, err = run(["experiment", "rho", "--field", doc.format("1:3"), "--N", "2000",
-                               "--tables", str(table_path)], capsys)
+        rc, stdout, err = run(["experiment", "rho", "--field", other, "--N", "2000", "--tables", str(table_path)],
+                              capsys)
         assert rc == 2 and stdout == ""
-        assert "override.3 = 1:1+1:2" in err and "override.3 = 1:3" in err
+        assert "override.3 = 1:1+1:2" in err and "override.5 = 1:3" in err
 
     def test_override_without_its_disc_rejected(self, tmp_path, capsys):
         # 3 divides the index of Z[10^(1/3)], so the field disc is -2700 / 3^2

@@ -105,15 +105,6 @@ class TestDiscriminant:
         assert f.poly_disc == fs.discriminant_monic_cubic(*f.poly)
 
 
-# valid documents beside the presets: the index divisor 3 of x^3 - 10 split
-# two ways, and x^3 - 500015, whose discriminant holds the square of the
-# prime 100003
-FIELD_DOCS = (
-    "name = w\npoly = -10, 0, 0\ndisc = -300\noverride.3 = 1:1+1:2\n",
-    "name = w\npoly = -10, 0, 0\ndisc = -300\noverride.3 = 1:3\n",
-    "name = pure-500015\npoly = -500015, 0, 0\n",
-)
-
 # one document per cubic shape code, each override at a prime where it is the
 # true shape: Dedekind's field at 2, then 5, 7, 3 and 5 in pure cubic fields
 SHAPE_DOCS = {
@@ -123,6 +114,15 @@ SHAPE_DOCS = {
     fs.T_RAM_112: "name = pure-10\npoly = -10, 0, 0\ndisc = -300\noverride.3 = 1:1+1:2\n",
     fs.T_RAM_13: "name = pure-50\npoly = -50, 0, 0\ndisc = -2700\noverride.5 = 1:3\n",
 }
+
+# valid documents beside the presets: x^3 - 10 and x^3 - 50, whose index
+# divisors 3 and 5 are P1^2 P2 and P1^3, and x^3 - 500015, whose discriminant
+# holds the square of the prime 100003
+FIELD_DOCS = (
+    "name = w\npoly = -10, 0, 0\ndisc = -300\noverride.3 = 1:1+1:2\n",
+    SHAPE_DOCS[fs.T_RAM_13],
+    "name = pure-500015\npoly = -500015, 0, 0\n",
+)
 
 
 class TestParsing:
@@ -272,8 +272,8 @@ class TestSelfValidation:
             assert str(err.value) == want, value
 
     def test_override_must_agree_with_disc(self):
-        # 3 | -300, so 3 ramifies in Q(10^(1/3)) (Dedekind): of the five shapes
-        # at 3 only the two ramified ones are accepted
+        # 3 | -300, so 3 ramifies in Q(10^(1/3)) (Dedekind), and 3 divides -300
+        # once, so 3 is P1^2 P2: of the five shapes at 3 only that one is accepted
         shapes = ("1:1+1:1+1:1", "1:1+2:1", "3:1", "1:1+1:2", "1:3")
         accepted = []
         for shape in shapes:
@@ -281,8 +281,12 @@ class TestSelfValidation:
                 fs.parse_field_spec(f"poly = -10, 0, 0\ndisc = -300\noverride.3 = {shape}")
                 accepted.append(shape)
             except fs.FieldConfigError as err:
-                assert str(err) == f"override at p=3: 3 divides disc -300, so {shape} cannot be its shape"
-        assert accepted == ["1:1+1:2", "1:3"]
+                once = " once" if shape == "1:3" else ""
+                assert str(err) == f"override at p=3: 3 divides disc -300{once}, so {shape} cannot be its shape"
+        assert accepted == ["1:1+1:2"]
+        # 5^2 | -2700, so 5 is P1^3 in Q(50^(1/3)), not P1^2 P2
+        with pytest.raises(fs.FieldConfigError, match=r"5 divides disc -2700 more than once, so 1:1\+1:2 cannot"):
+            fs.parse_field_spec("poly = -50, 0, 0\ndisc = -2700\noverride.5 = 1:1+1:2")
         # 5 does not divide -108 and (-108/5) = -1, so 5 = P1 P2 in Q(250^(1/3)) (Stickelberger)
         for shape in shapes[:1] + shapes[2:]:
             with pytest.raises(fs.FieldConfigError, match="override at p=5: "):

@@ -28,10 +28,10 @@ class TestFieldIdentity:
     def test_overrides_are_part_of_field_identity(self):
         # x^3 - 10: 3 divides the index, so its splitting comes from the override
         a = fs.parse_field_spec("poly = -10, 0, 0\ndisc = -300\noverride.3 = 1:1+1:2")
-        b = fs.parse_field_spec("poly = -10, 0, 0\ndisc = -300\noverride.3 = 1:3")
-        assert a != b and hash(a) != hash(b)
-        assert len(idl.labels_above(a, 3)) == 2
-        assert len(idl.labels_above(b, 3)) == len(fs.SHAPES[fs.splitting_type(b, 3)]) == 1
+        assert len(idl.labels_above(a, 3)) == len(fs.SHAPES[fs.splitting_type(a, 3)]) == 2
+        # 3 divides disc -300 once, so the other ramified shape names no field
+        with pytest.raises(fs.FieldConfigError, match="3 divides disc -300 once, so 1:3 cannot be its shape"):
+            fs.parse_field_spec("poly = -10, 0, 0\ndisc = -300\noverride.3 = 1:3")
         # the name labels a field; it is not part of its identity
         assert fs.parse_field_spec("name = other\npoly = -2, 0, 0") == fs.get_preset("cubic-nonnormal-2")
 

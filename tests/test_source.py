@@ -42,6 +42,16 @@ def test_no_builtin_exception_raised():
     assert sites == []
 
 
+def test_only_cli_touches_the_environment():
+    # the CLI defaults OpenBLAS's thread count for its own process; a library
+    # module that read or wrote os.environ would act on every program importing it
+    names = {"environ", "environb", "putenv", "unsetenv"}
+    sites = {name for name, node in _src_nodes()
+             if (isinstance(node, ast.Attribute) and node.attr in names)
+             or (isinstance(node, ast.alias) and node.name in names)}
+    assert sites == {"cli.py"}
+
+
 def test_unchecked_constructor_stays_in_ideals():
     # FactoredIdeal._trusted skips the public constructor's checks; only
     # enumerate_ideals, which builds its factors sorted and valid, may use it
